@@ -25,6 +25,8 @@ from .errors import FreeMomentError, InvalidInputError, RegimeError
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INVALID = 2
+# largest moment deviation a transport solution may show and still pass
+MOMENT_DEVIATION_TOL = 1e-3
 
 
 def _emit(obj, as_json, path=None):
@@ -112,8 +114,7 @@ def cmd_transport_nc(args):
         if not args.json:
             print(f"V norm_A = {sol.diagnostics['v_norm_A']!r}")
             print(f"verification = {report}")
-        tol = args.tol if args.tol else 1e-3
-        return EXIT_OK if report["max_moment_deviation"] < max(tol, 1e-3) else EXIT_INVALID
+        return EXIT_OK if report["max_moment_deviation"] < MOMENT_DEVIATION_TOL else EXIT_INVALID
     except FreeMomentError as exc:
         return _fail(exc, "free_transport")
 
@@ -136,7 +137,7 @@ def cmd_verify(args):
             W = transport.NCSeries.from_json(args.series)
             sol = transport.TransportSolution.from_dict(data)
             report = transport.verify_transport(sol, W, min(6, sol.V.max_degree))
-            ok = report["max_moment_deviation"] < 1e-3
+            ok = report["max_moment_deviation"] < MOMENT_DEVIATION_TOL
         else:
             raise InvalidInputError("unrecognized solution file")
         _emit(report, args.json, args.out)

@@ -231,11 +231,23 @@ class TensorSeries:
     def one(cls, n_vars, max_degree):
         return cls(n_vars, max_degree, {((), ()): 1.0})
 
+    @classmethod
+    def _from_clean(cls, n_vars, max_degree, terms):
+        """Wrap float coefficients on tuple keys already within the cap,
+        dropping only the zeros (the single pass left of ``__init__``)."""
+        out = cls.__new__(cls)
+        out.n_vars = n_vars
+        out.max_degree = max_degree
+        out.terms = {k: c for k, c in terms.items() if c != 0.0}
+        return out
+
     def __add__(self, other):
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0.0) + c
-        return TensorSeries(self.n_vars, min(self.max_degree, other.max_degree), terms)
+        if self.max_degree != other.max_degree:
+            return TensorSeries(self.n_vars, min(self.max_degree, other.max_degree), terms)
+        return TensorSeries._from_clean(self.n_vars, self.max_degree, terms)
 
     def __sub__(self, other):
         return self + (other * -1.0)
@@ -243,8 +255,9 @@ class TensorSeries:
     def __mul__(self, scalar):
         if isinstance(scalar, TensorSeries):
             return tensor_multiply(self, scalar)
-        return TensorSeries(self.n_vars, self.max_degree,
-                            {k: c * float(scalar) for k, c in self.terms.items()})
+        scalar = float(scalar)
+        return TensorSeries._from_clean(self.n_vars, self.max_degree,
+                                        {k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -281,16 +294,28 @@ class TensorSeries:
 
 
 def tensor_multiply(a, b, max_degree=None):
-    """(a (x) b)(c (x) d) = ac (x) db: left legs concatenate, right legs reverse."""
+    """(a (x) b)(c (x) d) = ac (x) db: left legs concatenate, right legs reverse.
+
+    b's terms are grouped by total degree so that only pairs within the cap
+    are visited.  For a fixed term of a, distinct terms of b give distinct
+    keys, so each coefficient is summed in a's order, as in the plain double
+    loop.
+    """
     cap = min(a.max_degree, b.max_degree) if max_degree is None else max_degree
+    by_degree = {}
+    for (lb, rb), cb in b.terms.items():
+        by_degree.setdefault(len(lb) + len(rb), []).append((lb, rb, cb))
+    groups = sorted(by_degree.items())
     terms = {}
     for (la, ra), ca in a.terms.items():
-        for (lb, rb), cb in b.terms.items():
-            if len(la) + len(lb) + len(ra) + len(rb) > cap:
-                continue
-            key = (la + lb, rb + ra)
-            terms[key] = terms.get(key, 0.0) + ca * cb
-    return TensorSeries(a.n_vars, cap, terms)
+        room = cap - len(la) - len(ra)
+        for deg, items in groups:
+            if deg > room:
+                break
+            for lb, rb, cb in items:
+                key = (la + lb, rb + ra)
+                terms[key] = terms.get(key, 0.0) + ca * cb
+    return TensorSeries._from_clean(a.n_vars, cap, terms)
 
 
 def difference_quotient(f, i, max_degree=None):

@@ -13,13 +13,14 @@ dropped coefficient mass is reported as a tail estimate.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .ncseries import NCSeries, cyclic_gradient
+from .ncseries import NCSeries, cyclic_gradient, multiply
 
 DEFAULT_CUTOFF = 3.0
 
@@ -64,12 +65,13 @@ def _killed_by_symmetry(word, even_overall, flips):
     return False
 
 
+@functools.lru_cache(maxsize=None)
 def _enumerate_canonical(n, length):
     """Canonical representatives of all words of given length, via integer codes."""
     if length == 0:
-        return [()]
+        return ((),)
     if n == 1:
-        return [tuple([0] * length)]
+        return (tuple([0] * length),)
     count = n ** length
     digits = np.zeros((count, length), dtype=np.int8)
     codes = np.arange(count)
@@ -95,7 +97,7 @@ def _enumerate_canonical(n, length):
             w.append(c % n)
             c //= n
         out.append(tuple(reversed(w)))
-    return out
+    return tuple(out)
 
 
 class TraceTable:
@@ -198,7 +200,7 @@ def noncrossing_pair_count(word):
 
 
 _STRUCTURE_CACHE = {}
-_STRUCTURE_CACHE_LIMIT = 16
+_STRUCTURE_CACHE_LIMIT = 64
 
 
 def _build_structure(W, cap, even_overall, flips):
@@ -388,7 +390,7 @@ def pushforward_trace(tau, f, degree_cap):
         for w in _enumerate_canonical(n, length):
             prod = one
             for letter in w:
-                prod = _mul_trunc(prod, comps[letter], inner_cap)
+                prod = multiply(prod, comps[letter], inner_cap)
                 if not prod.terms:
                     break
             values[w] = tau.of_series(prod, strict=False)
@@ -396,13 +398,3 @@ def pushforward_trace(tau, f, degree_cap):
     return TraceTable(n, degree_cap, tau.cutoff, values, tail_estimate=tau.tail_estimate,
                       even_overall=even, flips=[False] * n)
 
-
-def _mul_trunc(a, b, cap):
-    terms = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            if len(wa) + len(wb) > cap:
-                continue
-            w = wa + wb
-            terms[w] = terms.get(w, 0.0) + ca * cb
-    return NCSeries(a.n_vars, cap, terms)

@@ -20,6 +20,7 @@ from .errors import ConvergenceError, InvalidInputError
 from .ncseries import (
     MatrixTensor,
     NCSeries,
+    TensorSeries,
     cyclic_gradient_vector,
     cyclic_symmetrize,
     difference_quotient,
@@ -105,20 +106,48 @@ class TransportSolution:
                    d.get("diagnostics", {}))
 
 
-def picard_map(vtilde, W, tau, degree, tensor_cap=None, log_order=None):
+def _trace_log(jac, tau, cap):
+    """(1 (x) tau + tau (x) 1) Tr log(1 + jac) as it enters the Picard map.
+
+    Write jac = M0 + N, with M0 the real matrix of degree-0 coefficients and
+    N of positive degree, so 1 + jac = (1 + M0)(1 + K) with
+    K = (1 + M0)^-1 N.  Then Tr log(1 + jac) = Tr log(1 + M0) + Tr log(1 + K)
+    up to commutators.  The composite S o Pi o (1 (x) tau + tau (x) 1) o Tr
+    vanishes on commutators of matrices over M (x) M^op: for X = a (x) b and
+    Y = c (x) d, XY and YX contract to ac tau(db) + tau(ac) db and
+    ca tau(bd) + tau(ca) bd, which agree after S since tau is tracial, and
+    products keep total degree, so this holds under the cap as well.
+    Tr log(1 + M0) is a constant, which Pi removes.  So only the contraction
+    of Tr log(1 + K) is returned; it is exact because K is nilpotent under
+    the cap.  Valid only for callers that apply S o Pi to the result.
+    """
+    n = jac.n
+    n_vars = jac.entries[0][0].n_vars
+    unit = ((), ())
+    m0 = np.array([[e.terms.get(unit, 0.0) for e in row] for row in jac.entries])
+    inv = np.linalg.inv(np.eye(n) + m0)
+    left = MatrixTensor([[TensorSeries(n_vars, cap, {unit: inv[i, j]}) for j in range(n)]
+                         for i in range(n)])
+    nil = MatrixTensor([[TensorSeries(n_vars, cap, {k: c for k, c in e.terms.items() if k != unit})
+                         for e in row] for row in jac.entries])
+    # K^(cap + 1) = 0, so the series ends by itself
+    return trace_contract(log_neumann(left.matmul(nil), max(cap, 1)).trace(), tau, cap)
+
+
+def picard_map(vtilde, W, tau, degree, tensor_cap=None):
     """One application of the symmetrized Picard map to Vtilde.
 
     Computes SPi[-W(Y + D Sigma Vtilde) + Sigma Vtilde - |D Sigma Vtilde|^2/2
     + (1 (x) tau + tau (x) 1) Tr log(1 + J D Sigma Vtilde)], truncated.
 
-    ``log_order`` bounds the matrix-log expansion; powers beyond it only
-    contribute through the geometrically small degree-zero Jacobian entries.
+    The trace-log term is exact under the cap: the degree-0 part of the
+    Jacobian is factored out (see ``_trace_log``), which relies on the final
+    S o Pi projection applied here.
     """
     n = W.n_vars
     cap = tau.degree_cap if tensor_cap is None else tensor_cap
     if cap > tau.degree_cap:
         raise InvalidInputError("tensor cap exceeds the trace table cap")
-    order = max(degree + 8, 12) if log_order is None else log_order
     sv = number_op_inverse(drop_constant(vtilde)).truncate(cap)
     grads = cyclic_gradient_vector(sv)
 
@@ -134,7 +163,7 @@ def picard_map(vtilde, W, tau, degree, tensor_cap=None, log_order=None):
 
     jac = MatrixTensor([[difference_quotient(grads[i], j, cap) for j in range(n)]
                         for i in range(n)])
-    term_log = trace_contract(log_neumann(jac, order).trace(), tau, cap)
+    term_log = _trace_log(jac, tau, cap)
 
     total = term_w + term_sigma + term_grad2 + term_log
     return cyclic_symmetrize(drop_constant(total)).truncate(degree)

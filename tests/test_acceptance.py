@@ -185,8 +185,8 @@ def test_c11_lipschitz_bound_compliance():
         den = nc.norm_A(v1 - v2, 3.0)
         if den < 1e-12:
             continue
-        f1 = T.picard_map(v1, W0, tau, 6, tensor_cap=8, log_order=6)
-        f2 = T.picard_map(v2, W0, tau, 6, tensor_cap=8, log_order=6)
+        f1 = T.picard_map(v1, W0, tau, 6, tensor_cap=8)
+        f2 = T.picard_map(v2, W0, tau, 6, tensor_cap=8)
         worst_ratio = max(worst_ratio, nc.norm_A(f1 - f2, 3.0) / den)
     dt = time.time() - t0
     ok = exact and worst_ratio <= bound + 1e-12 and dt < 120.0
@@ -219,7 +219,7 @@ def test_c12_evenness_preservation():
                 if length % 2 == 0:
                     values[word] = rng.uniform(-1, 1) * 2.0 ** length
         tau = sd.TraceTable(2, 8, 3.0, values, even_overall=True, flips=[False, False])
-        out = T.picard_map(v, w, tau, 6, tensor_cap=8, log_order=6)
+        out = T.picard_map(v, w, tau, 6, tensor_cap=8)
         worst = max(worst, out.odd_mass())
     dt = time.time() - t0
     _report("C12 evenness preservation", worst == 0.0 and dt < 30.0,

@@ -109,6 +109,21 @@ def test_transport_cli_zero_and_invalid(tmp_path, capsys):
     assert "even degree" in json.loads(stderr)["message"]
 
 
+def test_transport_cli_exit_code_ignores_tol(tmp_path, capsys, monkeypatch):
+    # --tol is the solver tolerance; the verification threshold stays 1e-3
+    def fake_verify(sol, W, degree):
+        return {"max_moment_deviation": 1e-2, "worst_word": [1], "sd_residual": 0.0,
+                "degree": degree}
+
+    monkeypatch.setattr(cli.transport, "verify_transport", fake_verify)
+    wfile = tmp_path / "w0.json"
+    NCSeries.zero(1, 8).to_json(str(wfile))
+    code, stdout, _ = run(["transport-nc", "--series", str(wfile), "--degree", "8",
+                           "--tol", "0.5", "--json"], capsys)
+    assert json.loads(stdout)["verification"]["max_moment_deviation"] == 1e-2
+    assert code == 2
+
+
 def test_transport_cli_quartic(tmp_path, capsys):
     wfile = tmp_path / "w.json"
     NCSeries(1, 10, {(0, 0, 0, 0): 0.05}).to_json(str(wfile))

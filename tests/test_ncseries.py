@@ -151,6 +151,43 @@ def test_trace_contract_rejects_words_beyond_cap():
         nc.trace_contract(too_deep, tau)
 
 
+def rand_tensor(rng, n, max_leg, terms, cap):
+    out = {}
+    for _ in range(terms):
+        left = tuple(int(i) for i in rng.integers(0, n, size=int(rng.integers(0, max_leg + 1))))
+        right = tuple(int(i) for i in rng.integers(0, n, size=int(rng.integers(0, max_leg + 1))))
+        out[(left, right)] = float(rng.standard_normal())
+    return nc.TensorSeries(n, cap, out)
+
+
+def test_tensor_multiply_matches_pair_loop():
+    def pair_loop(a, b, cap):
+        terms = {}
+        for (la, ra), ca in a.terms.items():
+            for (lb, rb), cb in b.terms.items():
+                if len(la) + len(ra) + len(lb) + len(rb) <= cap:
+                    key = (la + lb, rb + ra)
+                    terms[key] = terms.get(key, 0.0) + ca * cb
+        return {k: c for k, c in terms.items() if c != 0.0}
+
+    rng = np.random.default_rng(11)
+    for cap in (4, 7, 10):
+        for n in (1, 2):
+            a = rand_tensor(rng, n, 4, 40, cap)
+            b = rand_tensor(rng, n, 4, 40, cap)
+            degrees = [len(la) + len(ra) + len(lb) + len(rb)
+                       for la, ra in a.terms for lb, rb in b.terms]
+            assert min(degrees) <= cap < max(degrees)
+            out = nc.tensor_multiply(a, b)
+            assert out.max_degree == cap
+            assert out.terms == pair_loop(a, b, cap)
+            assert 0.0 not in out.terms.values()
+    # exact cancellation leaves no 0.0 entry behind
+    a = nc.TensorSeries(1, 4, {((), ()): 1.0, ((0,), ()): 1.0})
+    b = nc.TensorSeries(1, 4, {((0,), ()): 1.0, ((), ()): -1.0})
+    assert nc.tensor_multiply(a, b).terms == {((0, 0), ()): 1.0, ((), ()): -1.0}
+
+
 def test_log_neumann_scalar_reduction():
     c = 0.21
     m = nc.MatrixTensor([[nc.TensorSeries(1, 10, {((), ()): c})]])

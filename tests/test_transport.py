@@ -6,7 +6,9 @@ import pytest
 from freemoment import gibbs1d as G
 from freemoment import sdmoments as sd
 from freemoment import transport as T
-from freemoment.ncseries import (NCSeries, cyclic_symmetrize, drop_constant, norm_A)
+from freemoment.ncseries import (NCSeries, cyclic_gradient_vector, cyclic_symmetrize,
+                                  drop_constant, jacobian, log_neumann, norm_A,
+                                  number_op_inverse, trace_contract)
 from freemoment.errors import InvalidInputError
 
 
@@ -61,8 +63,27 @@ def test_picard_map_preserves_evenness():
     for _ in range(25):
         v = even_ball_sample(rng, 2, 6, 3.0, 0.25)
         w = even_ball_sample(rng, 2, 6, 3.0, 0.1)
-        out = T.picard_map(v, w, tau, 6, tensor_cap=8, log_order=6)
+        out = T.picard_map(v, w, tau, 6, tensor_cap=8)
         assert out.odd_mass() == 0.0
+
+
+def test_trace_log_matches_log_neumann_reference():
+    # the off-diagonal quadratic part xy + yx makes the degree-0 Jacobian non-diagonal
+    rng = np.random.default_rng(4)
+    cap = 8
+    tau = sd.solve_sd(NCSeries(2, cap, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}), cap)
+    quad = NCSeries(2, 6, {(0, 1): 0.1, (1, 0): 0.1, (0, 0): 0.05})
+    for _ in range(2):
+        vtilde = even_ball_sample(rng, 2, 6, 3.0, 0.25) + quad
+        sv = number_op_inverse(drop_constant(vtilde)).truncate(cap)
+        jac = jacobian(cyclic_gradient_vector(sv), cap)
+        assert jac.entries[0][1].terms.get(((), ()), 0.0) != 0.0
+        got = cyclic_symmetrize(drop_constant(T._trace_log(jac, tau, cap)))
+        ref = cyclic_symmetrize(drop_constant(
+            trace_contract(log_neumann(jac, 40).trace(), tau, cap)))
+        diff = got - ref
+        assert got.degree() >= 4
+        assert max((abs(c) for c in diff.terms.values()), default=0.0) < 1e-12
 
 
 def test_lipschitz_bound_reference_value():
@@ -90,8 +111,8 @@ def test_empirical_contraction_within_bound():
     for _ in range(20):
         v1 = even_ball_sample(rng, 2, 6, 3.0, 0.25)
         v2 = even_ball_sample(rng, 2, 6, 3.0, 0.25)
-        f1 = T.picard_map(v1, W0, tau, 6, tensor_cap=8, log_order=6)
-        f2 = T.picard_map(v2, W0, tau, 6, tensor_cap=8, log_order=6)
+        f1 = T.picard_map(v1, W0, tau, 6, tensor_cap=8)
+        f2 = T.picard_map(v2, W0, tau, 6, tensor_cap=8)
         num = norm_A(f1 - f2, 3.0)
         den = norm_A(v1 - v2, 3.0)
         assert num <= bound * den + 1e-12
@@ -105,7 +126,7 @@ def test_picard_norm_bound():
     for _ in range(20):
         w = even_ball_sample(rng, 2, 6, a, 0.05)
         v = even_ball_sample(rng, 2, 6, a, r)
-        out = T.picard_map(v, w, tau, 6, tensor_cap=8, log_order=6)
+        out = T.picard_map(v, w, tau, 6, tensor_cap=8)
         assert norm_A(out, a) <= norm_A(w, a + r) + norm_A(v, a) * factor + 1e-10
 
 
