@@ -5,17 +5,19 @@ Computes the trace of the free Gibbs law with potential
 
     tau(x_i w) = (tau (x) tau)(d_i w) - tau(w * D_i W),
 
-iterated over canonical cyclic words up to a degree cap, starting from the
-free semicircular family and clamped to the cutoff ball |tau(w)| <= T^|w|.
-Equations that would reference moments above the cap drop those terms; the
-dropped coefficient mass is reported as a tail estimate.
+over canonical cyclic words (indexed by base-n integer codes) up to a degree
+cap, by damped Jacobi sweeps of the whole moment vector from the free
+semicircular family, clamped to the cutoff ball |tau(w)| <= T^|w|.  Equations
+that would reference moments above the cap drop those terms; the dropped
+coefficient mass is reported as a tail estimate.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
-import math
+import time
 
 import numpy as np
 
@@ -65,39 +67,39 @@ def _killed_by_symmetry(word, even_overall, flips):
     return False
 
 
+def _digits(codes, n, length):
+    """Base-n digits of word codes, most significant letter first."""
+    return (codes[:, None] // n ** np.arange(length - 1, -1, -1)) % n
+
+
+def _canonical_codes(n, length):
+    """Code of canonical_word for every base-n word code of a length >= 1.
+
+    Word w_1..w_L has code sum_k w_k n^(L-k): codes of one length order like words.
+    """
+    codes = np.arange(n ** length, dtype=np.int64)
+    rev, rem = np.zeros_like(codes), codes
+    for _ in range(length):
+        rem, digit = np.divmod(rem, n)
+        rev = rev * n + digit
+    top = n ** (length - 1)
+    best = np.minimum(codes, rev)
+    for rot in (codes, rev):
+        for _ in range(length - 1):
+            # move the leading letter to the end
+            head, rest = np.divmod(rot, top)
+            rot = rest * n + head
+            np.minimum(best, rot, out=best)
+    return best
+
+
 @functools.lru_cache(maxsize=None)
 def _enumerate_canonical(n, length):
     """Canonical representatives of all words of given length, via integer codes."""
     if length == 0:
         return ((),)
-    if n == 1:
-        return (tuple([0] * length),)
-    count = n ** length
-    digits = np.zeros((count, length), dtype=np.int8)
-    codes = np.arange(count)
-    rem = codes.copy()
-    for pos in range(length - 1, -1, -1):
-        digits[:, pos] = rem % n
-        rem //= n
-    powers = n ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    best = codes.astype(np.int64)
-    for j in range(1, length):
-        rot = np.concatenate([digits[:, j:], digits[:, :j]], axis=1)
-        np.minimum(best, rot @ powers, out=best)
-    rdig = digits[:, ::-1]
-    for j in range(length):
-        rot = np.concatenate([rdig[:, j:], rdig[:, :j]], axis=1)
-        np.minimum(best, rot @ powers, out=best)
-    reps = np.unique(best)
-    out = []
-    for code in reps:
-        w = []
-        c = int(code)
-        for _ in range(length):
-            w.append(c % n)
-            c //= n
-        out.append(tuple(reversed(w)))
-    return tuple(out)
+    reps = np.unique(_canonical_codes(n, length))
+    return tuple(map(tuple, _digits(reps, n, length).tolist()))
 
 
 class TraceTable:
@@ -112,18 +114,27 @@ class TraceTable:
         self.tail_estimate = float(tail_estimate)
         self.even_overall = bool(even_overall)
         self.flips = list(flips) if flips is not None else [False] * n_vars
+        self.diagnostics = {}
+        # raw word -> value(); ``values`` is never mutated after construction
+        self._lookups = {}
 
     def value(self, word):
         """tau(word); 0 for symmetry-killed words, None above the cap."""
         word = tuple(word)
+        if word in self._lookups:
+            return self._lookups[word]
         if len(word) > self.degree_cap:
-            return None
-        if not word:
-            return 1.0
-        if _killed_by_symmetry(word, self.even_overall, self.flips):
-            return 0.0
-        key = canonical_word(word)
-        return self.values.get(key, 0.0)
+            v = None
+        elif not word:
+            v = 1.0
+        elif _killed_by_symmetry(word, self.even_overall, self.flips):
+            v = 0.0
+        elif word in self.values:
+            v = self.values[word]
+        else:
+            v = self.values.get(canonical_word(word), 0.0)
+        self._lookups[word] = v
+        return v
 
     def of_series(self, series, strict=True):
         """Linear extension of the trace to a series."""
@@ -199,83 +210,102 @@ def noncrossing_pair_count(word):
     return rec(word)
 
 
-_STRUCTURE_CACHE = {}
-_STRUCTURE_CACHE_LIMIT = 64
+# Equations of the canonical words v = x_i w (words[0] = ()).  Row pair_rows[k]
+# gets the split of w at a letter i into words pair_left[k], pair_right[k];
+# row coup_rows[k] gets tau(w * gw) = word coup_targets[k] for the term
+# terms[coup_terms[k]] = (i, gw) of D_i W.  Rows are sorted by word, then split
+# position or term order.  dropped[t] counts the equations whose term t
+# exceeds the cap; start is the free semicircular family.
+_Structure = collections.namedtuple("_Structure", "words lengths start pair_rows pair_left "
+                                   "pair_right terms coup_rows coup_terms coup_targets dropped")
 
 
-def _build_structure(W, cap, even_overall, flips):
-    """Precompute index lists so each sweep is plain arithmetic.
-
-    Returns (words, index, pair_lists, coupling_lists, dropped_words) where
-    for each canonical word v = x_i w:
-      pair_lists[k]  : list of (idxL, idxR) from splits of w at letter i,
-      coupling_lists : list of (i, grad_word, idx) from tau(w * D_i W) terms.
+@functools.lru_cache(maxsize=64)
+def _build_structure(n, cap, even_overall, flips, terms):
+    """Equation structure for gradient terms ``terms``, from integer word codes.
 
     The structure depends only on the word support of W (not its
     coefficients), so it is cached; callers plug in current gradient
-    coefficients each sweep.
+    coefficients each solve.
     """
-    n = W.n_vars
-    grads = [cyclic_gradient(W, i) for i in range(n)]
-    grad_support = tuple(tuple(sorted(g.terms.keys())) for g in grads)
-    key = (n, cap, even_overall, tuple(flips), grad_support)
-    if key in _STRUCTURE_CACHE:
-        return _STRUCTURE_CACHE[key]
-
     words = [()]
+    codes = [np.zeros(1, dtype=np.int64)]
+    # lookups[L][c]: index of the canonical word of code c, -1 if killed
+    lookups = [np.zeros(1, dtype=np.int64)]
     for length in range(1, cap + 1):
-        for w in _enumerate_canonical(n, length):
-            if not _killed_by_symmetry(w, even_overall, flips):
-                words.append(w)
-    index = {w: k for k, w in enumerate(words)}
+        reps, inv = np.unique(_canonical_codes(n, length), return_inverse=True)
+        digits = _digits(reps, n, length)
+        alive = np.full(len(reps), not (even_overall and length % 2 == 1))
+        for i in np.flatnonzero(flips):
+            alive &= (digits == i).sum(axis=1) % 2 == 0
+        index = np.full(len(reps), -1, dtype=np.int64)
+        index[alive] = len(words) + np.arange(np.count_nonzero(alive))
+        lookups.append(index[inv])
+        codes.append(reps[alive])
+        words.extend(map(tuple, digits[alive].tolist()))
 
-    def idx_of(word):
-        if _killed_by_symmetry(word, even_overall, flips):
-            return None
-        return index[canonical_word(word)]
-
-    pair_lists = [None]
-    coupling_lists = [None]
-    dropped_words = []
-    for v in words[1:]:
-        i, w = v[0], v[1:]
-        pairs = []
-        for pos, letter in enumerate(w):
-            if letter == i:
-                l_idx = idx_of(w[:pos])
-                r_idx = idx_of(w[pos + 1:])
-                if l_idx is not None and r_idx is not None:
-                    pairs.append((l_idx, r_idx))
-        coup = []
-        for gw in grads[i].terms:
-            full = w + gw
-            if len(full) > cap:
-                dropped_words.append((i, gw))
+    empty = np.zeros(0, dtype=np.int64)
+    pairs, coups = [(empty,) * 3], [(empty,) * 3]
+    dropped = np.zeros(len(terms), dtype=np.int64)
+    for length in range(1, cap + 1):
+        rows = lookups[length][codes[length]]
+        m = length - 1
+        first, w = np.divmod(codes[length], n ** m)
+        for pos in range(m):
+            left, tail = np.divmod(w, n ** (m - pos))
+            letter, right = np.divmod(tail, n ** (m - pos - 1))
+            a = lookups[pos][left]
+            b = lookups[m - pos - 1][right]
+            keep = (letter == first) & (a >= 0) & (b >= 0)
+            pairs.append((rows[keep], a[keep], b[keep]))
+        for t, (i, gw) in enumerate(terms):
+            sel = first == i
+            if m + len(gw) > cap:
+                dropped[t] += np.count_nonzero(sel)
                 continue
-            j = idx_of(full)
-            if j is not None:
-                coup.append((i, gw, j))
-        pair_lists.append(pairs)
-        coupling_lists.append(coup)
-    result = (words, index, pair_lists, coupling_lists, dropped_words)
-    if len(_STRUCTURE_CACHE) >= _STRUCTURE_CACHE_LIMIT:
-        _STRUCTURE_CACHE.pop(next(iter(_STRUCTURE_CACHE)))
-    _STRUCTURE_CACHE[key] = result
-    return result
+            gcode = sum(letter * n ** k for k, letter in enumerate(reversed(gw)))
+            j = lookups[m + len(gw)][w[sel] * n ** len(gw) + gcode]
+            keep = j >= 0
+            coups.append((rows[sel][keep], np.full(np.count_nonzero(keep), t), j[keep]))
+
+    def by_row(parts):
+        # parts were made per (length, position) and (length, term): a stable
+        # sort by row keeps each word's own entries in position and term order
+        rows, *cols = map(np.concatenate, zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        return [a[order] for a in (rows, *cols)]
+
+    pair_rows, pair_left, pair_right = by_row(pairs)
+    coup_rows, coup_terms, coup_targets = by_row(coups)
+
+    start = np.zeros(len(words))
+    start[0] = 1.0
+    # with couplings off each pass fixes the words one letter longer
+    for _ in range(cap):
+        start = np.bincount(pair_rows, start[pair_left] * start[pair_right],
+                            minlength=len(words))
+        start[0] = 1.0
+    lengths = np.array([len(w) for w in words])
+    return _Structure(words, lengths, start, pair_rows, pair_left, pair_right,
+                      terms, coup_rows, coup_terms, coup_targets, dropped)
 
 
 def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, max_sweeps=2000,
              damping=0.5, init=None, support_hint=None):
     """Solve the bounded Schwinger-Dyson equation for potential (1/2)|X|^2 + W.
 
-    Damped Gauss-Seidel sweeps in order of increasing degree, initialized at
-    the free semicircular family (exact for W = 0).  Raises ConvergenceError
-    when the sweep budget is exhausted or the cutoff clamp stays active.
+    Damped Jacobi sweeps: each sweep evaluates the right-hand side of every
+    word's equation from the current vector at once, starting from the free
+    semicircular family (exact for W = 0) or from ``init``.  Convergence is
+    judged in the cutoff-weighted sup norm.  Raises ConvergenceError when the
+    sweep budget is exhausted or the cutoff clamp is active on the last sweep.
+    The returned table carries a ``diagnostics`` dict.
 
     ``support_hint``: extra potential words treated as present with zero
     coefficient, so repeated solves over a family of potentials with varying
     coefficients share one cached equation structure.
     """
+    t0 = time.perf_counter()
     if W.n_vars < 1:
         raise InvalidInputError("need at least one variable")
     if not W.is_selfadjoint(tol=0.0):
@@ -288,54 +318,54 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, max_sweeps=2000,
         for w in W.terms:
             sup_terms[w] = 1.0
         W_support = NCSeries(W.n_vars, W.max_degree, sup_terms)
+    n = W.n_vars
     even_overall = W_support.is_even()
     flips = _variable_parities(W_support)
-    words, index, pairs, coups, dropped = _build_structure(W_support, degree_cap,
-                                                           even_overall, flips)
-    grads = [cyclic_gradient(W, i) for i in range(W.n_vars)]
-    nwords = len(words)
-    vals = np.zeros(nwords)
-    vals[0] = 1.0
-    # ascending exact sweep with couplings off = free semicircular family
-    for k in range(1, nwords):
-        vals[k] = sum(vals[a] * vals[b] for a, b in pairs[k])
+    terms = tuple((i, gw) for i in range(n)
+                  for gw in sorted(cyclic_gradient(W_support, i).terms))
+    hits = _build_structure.cache_info().hits
+    st = _build_structure(n, degree_cap, even_overall, tuple(flips), terms)
+    cache = "hit" if _build_structure.cache_info().hits > hits else "miss"
+
+    grads = [cyclic_gradient(W, i) for i in range(n)]
+    coeffs = np.array([grads[i].terms.get(gw, 0.0) for i, gw in terms])
+    coup_coeffs = coeffs[st.coup_terms]
+    nwords = len(st.words)
+    vals = st.start.copy()
     if init is not None:
-        for k, w in enumerate(words[1:], start=1):
+        for k, w in enumerate(st.words[1:], start=1):
             v = init.value(w)
             if v is not None:
                 vals[k] = v
 
-    coup_num = [None] + [[(grads[i].terms.get(gw, 0.0), j) for i, gw, j in coups[k]]
-                         for k in range(1, nwords)]
-    caps = np.array([cutoff ** len(w) for w in words])
-    clamp_active = False
-    for sweep in range(max_sweeps):
-        # convergence is measured in the cutoff-weighted sup norm, the metric
-        # of the bounded-moment space |tau(w)| <= T^|w|
-        delta = 0.0
-        clamp_active = False
-        for k in range(1, nwords):
-            rhs = sum(vals[a] * vals[b] for a, b in pairs[k])
-            for c, j in coup_num[k]:
-                rhs -= c * vals[j]
-            new = (1.0 - damping) * vals[k] + damping * rhs
-            if abs(new) > caps[k]:
-                new = math.copysign(caps[k], new)
-                clamp_active = True
-            delta = max(delta, abs(new - vals[k]) / caps[k])
-            vals[k] = new
+    # convergence is measured in the cutoff-weighted sup norm, the metric of
+    # the bounded-moment space |tau(w)| <= T^|w|
+    caps = cutoff ** st.lengths
+    for sweeps in range(1, max_sweeps + 1):
+        rhs = np.bincount(st.pair_rows, vals[st.pair_left] * vals[st.pair_right],
+                          minlength=nwords)
+        rhs -= np.bincount(st.coup_rows, coup_coeffs * vals[st.coup_targets],
+                           minlength=nwords)
+        new = (1.0 - damping) * vals + damping * rhs
+        new[0] = 1.0
+        clamped = np.minimum(np.maximum(new, -caps), caps)
+        delta = float((np.abs(clamped - vals) / caps).max())
+        vals = clamped
         if delta < tol:
             break
     else:
         raise ConvergenceError("Schwinger-Dyson sweeps did not converge")
+    clamp_active = bool((clamped != new).any())
     if clamp_active:
         raise ConvergenceError("outside perturbative regime: cutoff bound persistently active")
 
-    table = {w: float(vals[k]) for k, w in enumerate(words) if k > 0}
-    dropped_mass = sum(abs(grads[i].terms.get(gw, 0.0)) for i, gw in dropped)
-    tail = cutoff ** (degree_cap + 1) * dropped_mass
-    return TraceTable(W.n_vars, degree_cap, cutoff, table, tail_estimate=tail,
-                      even_overall=even_overall, flips=flips)
+    tail = cutoff ** (degree_cap + 1) * float(np.abs(coeffs) @ st.dropped)
+    table = TraceTable(n, degree_cap, cutoff, zip(st.words[1:], vals[1:].tolist()),
+                       tail_estimate=tail, even_overall=even_overall, flips=flips)
+    table.diagnostics = {"iterations": sweeps, "residual": delta, "converged": True,
+                         "clamp_active": clamp_active, "tail_estimate": tail,
+                         "structure_cache": cache, "seconds": time.perf_counter() - t0}
+    return table
 
 
 def sd_residual(tau, W, degree_cap=None):

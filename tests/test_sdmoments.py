@@ -1,9 +1,12 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
 from freemoment import gibbs1d as G
 from freemoment import sdmoments as sd
-from freemoment.ncseries import NCSeries
+from freemoment.ncseries import NCSeries, cyclic_gradient
 from freemoment.errors import ConvergenceError, InvalidInputError
 
 CATALAN = [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132]
@@ -151,3 +154,129 @@ def test_tail_estimate_reported():
     W = NCSeries(1, 8, {(0,) * 4: 0.05})
     tab = sd.solve_sd(W, 8)
     assert tab.tail_estimate > 0.0
+
+
+def test_table_diagnostics_stay_out_of_json():
+    tab = sd.solve_sd(NCSeries(1, 10, {(0,) * 4: 0.05}), 10)
+    diag = tab.diagnostics
+    for key in ("iterations", "residual", "converged", "clamp_active",
+                "tail_estimate", "structure_cache", "seconds"):
+        assert key in diag
+    assert diag["converged"] and diag["residual"] < 1e-12
+    assert diag["structure_cache"] in ("hit", "miss")
+    assert "diagnostics" not in tab.to_dict()
+
+
+def test_enumerate_canonical_matches_canonical_word():
+    for n, max_len in ((2, 12), (3, 7)):
+        for length in range(max_len + 1):
+            expected = sorted({sd.canonical_word(w)
+                               for w in itertools.product(range(n), repeat=length)})
+            assert list(sd._enumerate_canonical(n, length)) == expected
+
+
+def _gradient_terms(W):
+    return tuple((i, gw) for i in range(W.n_vars)
+                 for gw in sorted(cyclic_gradient(W, i).terms))
+
+
+def _reference_structure(n, cap, even_overall, flips, terms):
+    """Plain per-word loop over canonical words, the oracle for _build_structure.
+
+    For each canonical v = x_i w: the splits of w at the letter i, the
+    couplings tau(w * gw) of the gradient terms (i, gw), and the terms whose
+    word would exceed the cap.
+    """
+    def index_of(word):
+        if sd._killed_by_symmetry(word, even_overall, flips):
+            return None
+        return index[sd.canonical_word(word)]
+
+    words = [()] + [w for length in range(1, cap + 1)
+                    for w in sd._enumerate_canonical(n, length)
+                    if not sd._killed_by_symmetry(w, even_overall, flips)]
+    index = {w: k for k, w in enumerate(words)}
+    pair_lists, coupling_lists, dropped = [[]], [[]], collections.Counter()
+    for v in words[1:]:
+        i, w = v[0], v[1:]
+        pairs = []
+        for pos, letter in enumerate(w):
+            if letter == i:
+                a, b = index_of(w[:pos]), index_of(w[pos + 1:])
+                if a is not None and b is not None:
+                    pairs.append((a, b))
+        coups = []
+        for t_i, gw in terms:
+            if t_i != i:
+                continue
+            if len(w + gw) > cap:
+                dropped[(i, gw)] += 1
+                continue
+            j = index_of(w + gw)
+            if j is not None:
+                coups.append((i, gw, j))
+        pair_lists.append(pairs)
+        coupling_lists.append(coups)
+    return words, pair_lists, coupling_lists, dropped
+
+
+STRUCTURE_CASES = [
+    (1, 44, {(0,) * 4: 0.05}),
+    (2, 18, {(0,) * 4: 0.02, (1,) * 4: 0.02}),
+    (2, 16, {(0,) * 4: 0.02, (1,) * 4: 0.02, (0, 1, 0, 1): 0.01, (1, 0, 1, 0): 0.01}),
+    (2, 12, {(0, 1): 0.05, (1, 0): 0.05, (0,) * 4: 0.01}),
+    (3, 10, {(0,) * 4: 0.02, (1, 1, 2, 2): 0.01, (2, 2, 1, 1): 0.01,
+             (1, 2, 2, 1): 0.01, (2, 1, 1, 2): 0.01}),
+]
+
+
+@pytest.mark.parametrize("n,cap,terms", STRUCTURE_CASES)
+def test_build_structure_matches_per_word_loop(n, cap, terms):
+    W = NCSeries(n, 4, terms)
+    key = (n, cap, W.is_even(), tuple(sd._variable_parities(W)), _gradient_terms(W))
+    st = sd._build_structure(*key)
+    words, pair_lists, coupling_lists, dropped = _reference_structure(*key)
+    assert st.words == words
+    pairs = [[] for _ in words]
+    for r, a, b in zip(st.pair_rows, st.pair_left, st.pair_right):
+        pairs[r].append((a, b))
+    coups = [[] for _ in words]
+    for r, t, j in zip(st.coup_rows, st.coup_terms, st.coup_targets):
+        coups[r].append((*st.terms[t], j))
+    assert pairs == pair_lists
+    assert coups == coupling_lists
+    assert {st.terms[t]: c for t, c in enumerate(st.dropped) if c} == dict(dropped)
+
+
+def _reference_gauss_seidel(W, cap, cutoff=3.0, tol=1e-12, damping=0.5):
+    """Damped Gauss-Seidel sweeps in increasing degree over the oracle structure."""
+    grads = [cyclic_gradient(W, i) for i in range(W.n_vars)]
+    words, pair_lists, coupling_lists, _ = _reference_structure(
+        W.n_vars, cap, W.is_even(), sd._variable_parities(W), _gradient_terms(W))
+    vals = [1.0] + [0.0] * (len(words) - 1)
+    for k in range(1, len(words)):
+        vals[k] = sum(vals[a] * vals[b] for a, b in pair_lists[k])
+    for _ in range(2000):
+        delta = 0.0
+        for k in range(1, len(words)):
+            rhs = sum(vals[a] * vals[b] for a, b in pair_lists[k])
+            rhs -= sum(grads[i].terms[gw] * vals[j] for i, gw, j in coupling_lists[k])
+            new = (1.0 - damping) * vals[k] + damping * rhs
+            delta = max(delta, abs(new - vals[k]) / cutoff ** len(words[k]))
+            vals[k] = new
+        if delta < tol:
+            return dict(zip(words[1:], vals[1:]))
+    raise AssertionError("reference sweeps did not converge")
+
+
+@pytest.mark.parametrize("n,cap,terms", [
+    (1, 40, {(0,) * 4: 0.05}),
+    (2, 14, {(0,) * 4: 0.02, (1,) * 4: 0.02, (0, 1, 0, 1): 0.01, (1, 0, 1, 0): 0.01}),
+    (2, 12, {(0, 1): 0.05, (1, 0): 0.05, (0,) * 4: 0.01}),
+])
+def test_solve_sd_matches_gauss_seidel_reference(n, cap, terms):
+    W = NCSeries(n, 4, terms)
+    tab = sd.solve_sd(W, cap)
+    ref = _reference_gauss_seidel(W, cap)
+    assert tab.values.keys() == ref.keys()
+    assert max(abs(tab.values[w] - v) / 3.0 ** len(w) for w, v in ref.items()) <= 1e-11
