@@ -7,7 +7,8 @@ One executable with subcommands:
     freemoment transport-nc --series W.json --degree 10 --out sol.json
     freemoment verify      --solution sol.json [--series W.json]
 
-Exit codes: 0 success, 1 internal error, 2 invalid input or out-of-regime.
+Exit codes: 0 success, 1 internal error, 2 invalid input, out-of-regime, an
+unconverged moment1d solve or a solution that fails verification.
 Every error path prints a structured JSON object {code, message, module}.
 """
 
@@ -27,6 +28,10 @@ EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 # largest moment deviation a transport solution may show and still pass
 MOMENT_DEVIATION_TOL = 1e-3
+# largest Hilbert and scalar Schwinger-Dyson residuals a gibbs1d or moment1d
+# solution may show and still pass
+HILBERT_RESIDUAL_TOL = 1e-3
+SD_SCALAR_TOL = 1e-5
 
 
 def _emit(obj, as_json, path=None):
@@ -91,7 +96,7 @@ def cmd_moment1d(args):
         if not args.json:
             print(f"functional value = {sol.functional_value!r}")
             print(f"residuals = {report}")
-        return EXIT_OK
+        return EXIT_OK if sol.converged else EXIT_INVALID
     except FreeMomentError as exc:
         return _fail(exc, "moment_measure_1d")
 
@@ -119,6 +124,11 @@ def cmd_transport_nc(args):
         return _fail(exc, "free_transport")
 
 
+def _residuals_pass(report):
+    return (report["hilbert_residual"] < HILBERT_RESIDUAL_TOL
+            and report["sd_scalar_error"] < SD_SCALAR_TOL)
+
+
 def cmd_verify(args):
     try:
         with open(args.solution) as fh:
@@ -130,7 +140,7 @@ def cmd_verify(args):
                 "sd_scalar_error": abs(sol.sd_scalar() - 1.0),
                 "radius_condition": abs(sol.radius * sol.fourier[1] + 2.0),
             }
-            ok = report["hilbert_residual"] < 1e-3 and report["sd_scalar_error"] < 1e-5
+            ok = _residuals_pass(report)
         elif "V" in data:
             if not args.series:
                 raise InvalidInputError("verifying a transport solution needs --series W.json")
@@ -138,6 +148,9 @@ def cmd_verify(args):
             sol = transport.TransportSolution.from_dict(data)
             report = transport.verify_transport(sol, W, min(6, sol.V.max_degree))
             ok = report["max_moment_deviation"] < MOMENT_DEVIATION_TOL
+        elif "uprime" in data:
+            report = moment1d.particle_residuals(data["uprime"]["x"], data["uprime"]["value"])
+            ok = _residuals_pass(report)
         else:
             raise InvalidInputError("unrecognized solution file")
         _emit(report, args.json, args.out)

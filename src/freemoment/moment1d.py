@@ -9,19 +9,25 @@ and recover the potential derivative u' as the monotone rearrangement from
 the minimizer to mu.  The minimizer is the free Gibbs measure of u and mu is
 its moment measure.
 
-rho is discretized by equal-mass particles at quantile positions, which makes
-T linear in the positions and L a pairwise log sum; descent runs on the
-sorted, centered particle vector with Barzilai-Borwein steps and a
-backtracking line search, so the objective never increases along accepted
-steps.
+rho is discretized by m equal-mass particles at quantile positions q, which
+makes T linear in the positions and L the pair sum
+-2/(m(m-1)) sum_{i<j} log|q_i - q_j|.  The pair sum is normalized as a
+U-statistic (the mean over distinct pairs), so that its Euler relation gives
+mean(q y) = 1 exactly at the discrete minimizer, as the scalar
+Schwinger-Dyson relation does in the continuum; the reported residuals then
+measure the solver, not the discretization.  The minimizer is found by
+damped Newton steps with the dense Hessian, a weighted graph Laplacian
+pinned against translation, and an Armijo line search on the discrete F.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
+from scipy import linalg
 
 from . import measure1d
 from .errors import InvalidInputError
@@ -45,16 +51,16 @@ class MonotoneMap:
 class MomentProblem:
     """Target measure plus solver knobs for the minimization of F."""
 
-    def __init__(self, target, n_particles=512, max_iters=20000, step_size=None,
-                 tol=1e-10, grad_tol=1e-6):
+    def __init__(self, target, n_particles=512, max_iters=20000, tol=1e-10, grad_tol=1e-6):
         if not isinstance(target, GridMeasure):
             raise InvalidInputError("target must be a GridMeasure")
         if target.is_atomic() and len(target.atoms) == 1:
             raise InvalidInputError("degenerate target: a single point mass has no moment potential")
         self.target = target
         self.n_particles = int(n_particles)
+        if self.n_particles < 2:
+            raise InvalidInputError("need at least two particles")
         self.max_iters = int(max_iters)
-        self.step_size = step_size
         self.tol = float(tol)
         self.grad_tol = float(grad_tol)
         self.barycenter = measure1d.barycenter(target)
@@ -62,7 +68,7 @@ class MomentProblem:
 
 class MomentSolution:
     def __init__(self, rho_hat, uprime, functional_value, residuals, positions,
-                 target_quantiles, iterations, converged):
+                 target_quantiles, iterations, converged, diagnostics):
         self.rho_hat = rho_hat
         self.uprime = uprime
         self.functional_value = float(functional_value)
@@ -71,6 +77,9 @@ class MomentSolution:
         self.target_quantiles = np.asarray(target_quantiles, dtype=float)
         self.iterations = int(iterations)
         self.converged = bool(converged)
+        # solver history and timing, kept out of to_dict so output files
+        # stay byte-identical
+        self.diagnostics = dict(diagnostics)
 
     def to_dict(self):
         return {
@@ -102,12 +111,18 @@ def functional_F(rho, mu):
 
 
 def particle_objective(q, y, eps_sep):
-    """Discrete F on sorted particle positions q against target quantiles y."""
+    """Discrete F on sorted particle positions q against target quantiles y.
+
+    The pair energy is the U-statistic -2/(m(m-1)) sum_{i<j} log|q_i - q_j|,
+    with gaps floored at eps_sep; the correlation is mean(q * y).
+    """
     m = q.size
-    diffs = q[:, None] - q[None, :]
-    iu = np.triu_indices(m, k=1)
-    gaps = np.maximum(np.abs(diffs[iu]), eps_sep)
-    energy = -2.0 / (m * m) * float(np.sum(np.log(gaps)))
+    logs = np.subtract.outer(q, q)
+    np.abs(logs, out=logs)
+    np.maximum(logs, eps_sep, out=logs)
+    np.fill_diagonal(logs, 1.0)
+    np.log(logs, out=logs)
+    energy = -1.0 / (m * (m - 1)) * float(np.sum(logs))
     corr = float(np.mean(q * y))
     return energy + corr
 
@@ -115,13 +130,30 @@ def particle_objective(q, y, eps_sep):
 def particle_gradient(q, y, eps_sep):
     """Analytic gradient of the discrete F with respect to each position."""
     m = q.size
-    diffs = q[:, None] - q[None, :]
+    diffs = np.subtract.outer(q, q)
     np.fill_diagonal(diffs, np.inf)
-    small = np.abs(diffs) < eps_sep
-    if small.any():
-        diffs = np.where(small, np.copysign(eps_sep, diffs), diffs)
-    grad = -2.0 / (m * m) * np.sum(1.0 / diffs, axis=1) + y / m
-    return grad
+    with np.errstate(divide="ignore"):
+        np.reciprocal(diffs, out=diffs)
+    # gaps below eps_sep count as eps_sep, with their sign
+    np.clip(diffs, -1.0 / eps_sep, 1.0 / eps_sep, out=diffs)
+    return -2.0 / (m * (m - 1)) * np.sum(diffs, axis=1) + y / m
+
+
+def particle_hessian(q, out=None):
+    """Hessian of the discrete F at separated positions q, written into out.
+
+    It is the weighted graph Laplacian H_ij = -w/(q_i - q_j)^2,
+    H_ii = w sum_{j != i} 1/(q_i - q_j)^2 with w = 2/(m(m-1)): positive
+    semidefinite, with translation as its only null direction.
+    """
+    m = q.size
+    out = np.subtract.outer(q, q, out=out)
+    np.fill_diagonal(out, np.inf)
+    np.reciprocal(out, out=out)
+    np.square(out, out=out)
+    out *= -2.0 / (m * (m - 1))
+    np.fill_diagonal(out, -np.sum(out, axis=1))
+    return out
 
 
 def _target_quantiles(mu, m):
@@ -129,12 +161,33 @@ def _target_quantiles(mu, m):
     return measure1d.quantile(mu, s)
 
 
-def minimize_F(problem):
-    """Projected-gradient descent for the centered minimizer of F.
+# halvings of the Newton step before the line search gives up
+MAX_BACKTRACKS = 40
 
-    Gradient steps use Barzilai-Borwein lengths guarded by a backtracking
-    line search; each accepted iterate is re-sorted and re-centered.
+
+def minimize_F(problem):
+    """Damped Newton descent for the centered minimizer of the discrete F.
+
+    Each step solves (H + 11^T/m) d = -grad by a Cholesky factorization, with
+    H = particle_hessian(q): the rank-one term pins the translation null
+    direction, so d stays centered with the gradient.  An Armijo line search
+    on particle_objective halves the step until F decreases enough, and
+    rejects any trial whose particles are not separated by more than the
+    floor eps_sep.  Close to the minimizer, where the decrease a full step
+    predicts is below the round-off of F, full steps are taken for as long
+    as they lower the stationarity residual
+    max_i |2/(m-1) sum_{j != i} 1/(q_i - q_j) - y_i|, the discrete Hilbert
+    identity (m times the largest gradient entry).
+
+    The iteration stops when that residual is at most problem.tol, or when
+    no step decreases F; the result is converged when the residual is at
+    most problem.grad_tol.  The solution's ``diagnostics`` hold the core
+    keys ``iterations``, ``residual``, ``converged`` and ``seconds``, and per
+    step the ``objective`` and ``residuals`` (both starting at the initial
+    iterate), the squared Newton decrements grad^T (H + 11^T/m)^-1 grad,
+    the line-search ``backtracks`` and the accepted ``step_lengths``.
     """
+    t_start = time.perf_counter()
     mu = problem.target
     m = problem.n_particles
     y = _target_quantiles(mu, m) - problem.barycenter
@@ -146,48 +199,57 @@ def minimize_F(problem):
     span = max(q[-1] - q[0], 1.0)
     eps_sep = 1e-9 * span
 
+    w = 2.0 / (m * (m - 1))
+    hess = np.empty((m, m))
     fval = particle_objective(q, y, eps_sep)
     grad = particle_gradient(q, y, eps_sep)
-    step = problem.step_size if problem.step_size is not None else 1.0 / m
-    step_min, step_max = 1e-14, 1e3
-    history = [fval]
-    converged = False
+    residual = m * float(np.max(np.abs(grad)))
+    diagnostics = {"objective": [fval], "residuals": [residual], "decrements": [],
+                   "backtracks": [], "step_lengths": []}
     it = 0
-    for it in range(1, problem.max_iters + 1):
-        accepted = False
-        trial = step
-        for _ in range(60):
-            q_new = np.sort(q - trial * grad)
-            q_new -= np.mean(q_new)
-            f_new = particle_objective(q_new, y, eps_sep)
-            if f_new <= fval - 1e-4 * trial * float(np.dot(grad, grad)):
-                accepted = True
-                break
-            trial *= 0.5
-            if trial < step_min:
-                break
-        if not accepted:
-            converged = float(np.max(np.abs(grad))) < problem.grad_tol
-            break
-        grad_new = particle_gradient(q_new, y, eps_sep)
-        s_vec = q_new - q
-        y_vec = grad_new - grad
-        sy = float(np.dot(s_vec, y_vec))
-        if sy > 0:
-            step = min(max(float(np.dot(s_vec, s_vec)) / sy, step_min), step_max)
+    while residual > problem.tol and it < problem.max_iters:
+        particle_hessian(q, out=hess)
+        hess += 1.0 / m
+        # hess is symmetric, so its transpose is the same matrix in the
+        # Fortran order LAPACK factors in place
+        factor = linalg.cho_factor(hess.T, overwrite_a=True, check_finite=False)
+        step = -linalg.cho_solve(factor, grad, check_finite=False)
+        decrement = -float(np.dot(grad, step))
+        # F/w is self-concordant (log barriers plus a linear term).  Once its
+        # squared Newton decrement decrement/w is at most 1/16, the full step
+        # stays in the ordered cone and passes the Armijo test in exact
+        # arithmetic, but the decrease it predicts soon falls below the
+        # round-off of F; so there the step is judged by the residual.
+        quadratic = decrement <= w / 16.0
+        t = 1.0
+        for backtracks in range(MAX_BACKTRACKS):
+            q_new = q + t * step
+            if np.min(np.diff(q_new)) > eps_sep:
+                f_new = particle_objective(q_new, y, eps_sep)
+                if quadratic or f_new <= fval - 1e-4 * t * decrement:
+                    break
+            t *= 0.5
         else:
-            step = min(trial * 2.0, step_max)
-        rel_change = abs(f_new - fval) / max(1.0, abs(fval))
-        q, fval, grad = q_new, f_new, grad_new
-        history.append(fval)
-        if rel_change < problem.tol and float(np.max(np.abs(grad))) < problem.grad_tol:
-            converged = True
-            break
+            break  # no step decreases F
+        grad_new = particle_gradient(q_new, y, eps_sep)
+        residual_new = m * float(np.max(np.abs(grad_new)))
+        if quadratic and residual_new >= residual:
+            break  # the residual is at its round-off floor
+        it += 1
+        q, fval, grad, residual = q_new, f_new, grad_new, residual_new
+        diagnostics["objective"].append(fval)
+        diagnostics["residuals"].append(residual)
+        diagnostics["decrements"].append(decrement)
+        diagnostics["backtracks"].append(backtracks)
+        diagnostics["step_lengths"].append(t)
+    converged = residual <= problem.grad_tol
+    diagnostics.update(iterations=it, residual=residual, converged=converged,
+                       seconds=time.perf_counter() - t_start)
 
     rho_hat = _measure_from_particles(q)
     uprime = MonotoneMap(q, y)
-    residuals = _residuals(q, y)
-    return MomentSolution(rho_hat, uprime, fval, residuals, q, y, it, converged)
+    residuals = particle_residuals(q, y)
+    return MomentSolution(rho_hat, uprime, fval, residuals, q, y, it, converged, diagnostics)
 
 
 def _measure_from_particles(q):
@@ -199,14 +261,20 @@ def _measure_from_particles(q):
     return GridMeasure.from_quantile_edges(edges, validate=False)
 
 
-def _residuals(q, y, interior=0.9):
+def particle_residuals(q, y):
+    """Residuals of particle positions q against target quantiles y: the
+    discrete Hilbert identity max_i |2/(m-1) sum_{j != i} 1/(q_i - q_j) - y_i|
+    and the scalar Schwinger-Dyson relation |mean(q y) - 1|.  Both vanish at
+    the exact minimizer of the discrete F, so they measure the solver."""
+    q = np.asarray(q, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if q.ndim != 1 or q.size < 2 or q.shape != y.shape:
+        raise InvalidInputError("need at least two positions and one target quantile for each")
     m = q.size
-    diffs = q[:, None] - q[None, :]
+    diffs = np.subtract.outer(q, q)
     np.fill_diagonal(diffs, np.inf)
-    hilb2pi = 2.0 / m * np.sum(1.0 / diffs, axis=1)
-    span = max(np.max(np.abs(q)), 1e-30)
-    inner = np.abs(q) <= interior * span
-    hres = float(np.max(np.abs(hilb2pi[inner] - y[inner])))
+    np.reciprocal(diffs, out=diffs)
+    hres = float(np.max(np.abs(2.0 / (m - 1) * np.sum(diffs, axis=1) - y)))
     sd = abs(float(np.mean(q * y)) - 1.0)
     return {"hilbert_residual": hres, "pushforward_w2": None, "sd_scalar_error": sd}
 
@@ -227,7 +295,7 @@ def verify_solution(sol, mu):
     scalar Schwinger-Dyson check."""
     q = sol.positions
     y = sol.target_quantiles
-    rep = _residuals(q, y)
+    rep = particle_residuals(q, y)
     pushed = GridMeasure.from_quantile_edges(
         np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]]), validate=False) \
         if np.max(np.diff(y)) > 0 else None

@@ -93,6 +93,35 @@ def test_moment1d_two_point(capsys):
     assert abs(support[1] - math.pi) < 0.15
 
 
+def test_moment1d_unconverged_exits_2(capsys, monkeypatch):
+    real = cli.moment1d.MomentProblem
+    monkeypatch.setattr(cli.moment1d, "MomentProblem",
+                        lambda target, **kw: real(target, max_iters=1, **kw))
+    code, stdout, _ = run(["moment1d", "--target", "builtin:semicircle",
+                           "--particles", "128", "--json"], capsys)
+    data = json.loads(stdout)
+    assert data["iterations"] == 1 and data["converged"] is False
+    assert code == 2
+
+
+def test_verify_moment1d_solution(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    code, _, _ = run(["moment1d", "--target", "builtin:semicircle", "--particles", "128",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    code2, stdout, _ = run(["verify", "--solution", str(out), "--json"], capsys)
+    assert code2 == 0
+    rep = json.loads(stdout)
+    assert rep["hilbert_residual"] < 1e-8 and rep["sd_scalar_error"] < 1e-10
+
+    data = json.loads(out.read_text())
+    data["uprime"]["value"] = [2.0 * v for v in data["uprime"]["value"]]
+    bad = tmp_path / "m_bad.json"
+    bad.write_text(json.dumps(data))
+    code3, _, _ = run(["verify", "--solution", str(bad), "--json"], capsys)
+    assert code3 == 2
+
+
 def test_transport_cli_zero_and_invalid(tmp_path, capsys):
     wfile = tmp_path / "w0.json"
     NCSeries.zero(1, 8).to_json(str(wfile))

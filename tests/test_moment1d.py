@@ -38,6 +38,11 @@ def test_degenerate_target_rejected():
         mo.MomentProblem(M.dirac(2.0))
 
 
+def test_too_few_particles_rejected(semicircle):
+    with pytest.raises(InvalidInputError):
+        mo.MomentProblem(semicircle, n_particles=0)
+
+
 def test_minimize_semicircle_target(semicircle):
     sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=512))
     assert sol.converged
@@ -149,6 +154,67 @@ def test_objective_monotone_along_solver_path(semicircle):
     prob = mo.MomentProblem(semicircle, n_particles=128, max_iters=300)
     sol = mo.minimize_F(prob)
     assert sol.converged or sol.iterations == 300
+    obj = np.asarray(sol.diagnostics["objective"])
+    assert len(obj) == sol.iterations + 1
+    # full steps near the minimizer may move F by its round-off only
+    assert np.all(np.diff(obj) <= 1e-14 * np.maximum(1.0, np.abs(obj[:-1])))
+
+
+def test_hessian_matches_finite_differences():
+    rng = np.random.default_rng(2718)
+    worst = 0.0
+    for _ in range(20):
+        q = np.sort(rng.uniform(-2.0, 2.0, size=32))
+        q += np.linspace(0.0, 2e-3, 32)
+        y = np.sort(rng.standard_normal(32))
+        eps = 1e-9 * (q[-1] - q[0])
+        hess = mo.particle_hessian(q)
+        h = 1e-6
+        for k in range(32):
+            qp, qm = q.copy(), q.copy()
+            qp[k] += h
+            qm[k] -= h
+            fd = (mo.particle_gradient(qp, y, eps) - mo.particle_gradient(qm, y, eps)) / (2 * h)
+            worst = max(worst, float(np.max(np.abs(fd - hess[:, k])
+                                            / np.maximum(1.0, np.abs(hess[:, k])))))
+    assert worst < 1e-5
+    # a weighted graph Laplacian: symmetric, zero row sums
+    assert np.allclose(hess, hess.T) and np.max(np.abs(hess.sum(axis=1))) < 1e-9
+
+
+@pytest.mark.parametrize("target,m", [("semicircle", 256), ("quartic_pushforward", 384),
+                                      ("two_point:1", 512)])
+def test_newton_reaches_round_off(target, m):
+    # two_point:1 at m=512 needs the full steps judged by the residual: its
+    # last decrement, about 1e-17, is below what F can resolve
+    sol = mo.minimize_F(mo.MomentProblem(mo.builtin_target(target), n_particles=m))
+    diag = sol.diagnostics
+    assert sol.converged and diag["converged"]
+    assert sol.iterations == diag["iterations"] <= 20
+    assert diag["residual"] <= 1e-10 and diag["seconds"] > 0.0
+    assert sol.residuals["sd_scalar_error"] <= 1e-10
+    assert sol.residuals["hilbert_residual"] <= 1e-8
+    for key in ("decrements", "backtracks", "step_lengths"):
+        assert len(diag[key]) == sol.iterations
+    obj = np.asarray(diag["objective"])
+    assert np.all(np.diff(obj) <= 1e-14 * np.maximum(1.0, np.abs(obj[:-1])))
+    # close to the minimizer Newton takes full steps, down to round-off
+    assert all(t == 1.0 for r, t in zip(diag["residuals"], diag["step_lengths"]) if r < 1e-3)
+    assert "diagnostics" not in sol.to_dict()
+
+
+def test_round_off_floor_ends_the_solve(semicircle):
+    # tol 0 cannot be met; the solve ends once a full step stops lowering the residual
+    sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=128, tol=0.0))
+    assert sol.converged and sol.iterations <= 10
+    assert sol.diagnostics["residual"] < 1e-12
+
+
+def test_iteration_cap_reports_not_converged(semicircle):
+    sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=256, max_iters=2))
+    assert sol.iterations == 2
+    assert not sol.converged and not sol.diagnostics["converged"]
+    assert sol.diagnostics["residual"] > mo.MomentProblem(semicircle).grad_tol
 
 
 def test_scaling_law(quartic_solution):
