@@ -9,11 +9,12 @@ Modules:
 * ``sdmoments``  - truncated Schwinger-Dyson moment solver
 * ``transport``  - the noncommutative transport fixed point
 * ``cli``        - command-line front end
+* ``jsonio``     - the JSON round trip shared by the serializable types
 """
 
 from .errors import ConvergenceError, FreeMomentError, InvalidInputError, RegimeError
-from .gibbs1d import EvenPotential, GibbsSolution, free_gibbs_measure, gibbs_density, \
-    fourier_coefficients, hilbert_residual, solve_radius
+from .gibbs1d import EvenPotential, GibbsSolution, free_gibbs_measure, fourier_coefficients, \
+    hilbert_residual, solve_radius
 from .measure1d import GridMeasure, TransportPlanDiag, displacement_interpolate, \
     hilbert_transform, log_energy, max_correlation, moment, pushforward_monotone, \
     quantile, semicircle, two_point, uniform, dirac, wasserstein2_sq
@@ -21,8 +22,7 @@ from .moment1d import MomentProblem, MomentSolution, MonotoneMap, builtin_target
     functional_F, minimize_F, recover_potential_derivative, verify_solution
 from .ncseries import MatrixTensor, NCSeries, TensorSeries, cyclic_gradient, \
     cyclic_symmetrize, difference_quotient, drop_constant, jacobian, log_neumann, \
-    multiply, norm_A, norm_AB, number_op, number_op_inverse, substitute, \
-    symmetrize_ops, trace_contract
+    multiply, norm_A, norm_AB, number_op, number_op_inverse, substitute, trace_contract
 from .sdmoments import TraceTable, canonical_word, noncrossing_pair_count, \
     pushforward_trace, sd_residual, solve_sd
 from .transport import TransportProblem, TransportSolution, lipschitz_bound, \

@@ -64,7 +64,6 @@ def cmd_gibbs1d(args):
         out = sol.to_dict()
         out["hilbert_residual"] = residual
         out["sd_scalar"] = sol.sd_scalar()
-        out["seed"] = args.seed
         _emit(out, args.json, args.out)
         if args.out:
             sol.measure.to_csv(os.path.splitext(args.out)[0] + ".csv")
@@ -91,7 +90,6 @@ def cmd_moment1d(args):
         report = moment1d.verify_solution(sol, target)
         out = sol.to_dict()
         out["residuals"] = report
-        out["seed"] = args.seed
         _emit(out, args.json, args.out)
         if not args.json:
             print(f"functional value = {sol.functional_value!r}")
@@ -114,7 +112,6 @@ def cmd_transport_nc(args):
         report = transport.verify_transport(sol, W, min(6, degree))
         out = sol.to_dict()
         out["verification"] = report
-        out["seed"] = args.seed
         _emit(out, args.json, args.out)
         if not args.json:
             print(f"V norm_A = {sol.diagnostics['v_norm_A']!r}")
@@ -187,7 +184,6 @@ def build_parser():
     for q in (g, gm, t, v):
         q.add_argument("--tol", type=float, default=None)
         q.add_argument("--out", default=None)
-        q.add_argument("--seed", type=int, default=0)
         q.add_argument("--json", action="store_true")
     return p
 

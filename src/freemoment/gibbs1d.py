@@ -4,30 +4,43 @@ The equilibrium condition 2*pi*H(rho) = u' on the support is solved through
 the Cauchy transform: the transform is written as a power series in the
 Riemann map of the complement of [-r, r], the series coefficients come from a
 Fourier analysis of u' on the boundary circle, and the support radius r is
-pinned by the residue condition r*a_1 = -2.
+pinned by the residue condition r*a_1 = -2, a polynomial equation in r^2/4.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 
 from . import measure1d
 from .errors import InvalidInputError, RegimeError
+from .jsonio import JSONMixin
 from .measure1d import GridMeasure
 
-_GAUSS_CACHE = {}
+# most negative value the sampled density may take before the potential is
+# taken to be outside the one-cut regime
+NEGATIVITY_TOL = 1e-9
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_theta(order):
     # Gauss-Legendre rule mapped to [0, pi]; exact to machine precision for
     # the trigonometric-polynomial integrands this module produces.
-    if order not in _GAUSS_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GAUSS_CACHE[order] = (0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w)
-    return _GAUSS_CACHE[order]
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
+
+
+def _sine_density(a, theta):
+    """Density -(1/pi) sum_n a_n sin(n theta) at x = -r cos(theta), summed in n order."""
+    vals = np.zeros_like(theta)
+    for n in range(1, a.size):
+        vals += a[n] * np.sin(n * theta)
+    return -vals / np.pi
 
 
 class EvenPotential:
@@ -101,47 +114,26 @@ def fourier_coefficients(uprime, r, n_coeffs):
     return a
 
 
-def solve_radius(u, r_min=1e-6, r_max=1e6, bisect_steps=200, newton_steps=10):
-    """Positive support radius solving r*a_1(r) + 2 = 0."""
-    n_coeffs = max(u.degree - 1, 1)
+def solve_radius(u):
+    """Positive support radius solving r*a_1(r) + 2 = 0, in closed form.
 
-    def objective(r):
-        return r * fourier_coefficients(u.deriv, r, n_coeffs)[1] + 2.0
-
-    grid = np.geomspace(r_min, r_max, 481)
-    vals = np.array([objective(r) for r in grid])
-    sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0)
-    if sign_change.size == 0:
-        raise RegimeError("no admissible radius in the search bracket")
-    lo, hi = grid[sign_change[0]], grid[sign_change[0] + 1]
-    flo = objective(lo)
-    for _ in range(bisect_steps):
-        mid = 0.5 * (lo + hi)
-        fm = objective(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-15 * hi:
-            break
-    r = 0.5 * (lo + hi)
-    for _ in range(newton_steps):
-        fr = objective(r)
-        h = 1e-7 * r
-        dfr = (objective(r + h) - objective(r - h)) / (2 * h)
-        if dfr == 0:
-            break
-        step = fr / dfr
-        r_new = r - step
-        if not (r_min <= r_new <= r_max):
-            break
-        r = r_new
-        if abs(step) < 1e-15 * r:
-            break
-    return float(r)
+    With z = r^2/4 the condition is the polynomial equation
+    P(z) = sum_k k c_2k C(2k, k) z^k = 1; r = 2 sqrt(z) for its smallest
+    positive real root, the first radius at which r*a_1 + 2 changes sign.
+    """
+    poly = [k * math.comb(2 * k, k) * Fraction(c) for k, c in enumerate(u.even_coeffs, start=1)]
+    roots = np.roots([float(p) for p in reversed(poly)] + [-1.0])
+    z = min(z.real for z in roots if z.real > 0 and abs(z.imag) <= 1e-12 * abs(z))
+    # np.roots leaves r a few ulp off; one Newton step on P(r^2/4) - 1 in exact
+    # rational arithmetic lands on the double nearest the root
+    r = Fraction(2.0 * math.sqrt(z))
+    q = r * r / 4
+    f = sum(p * q ** k for k, p in enumerate(poly, start=1)) - 1
+    df = sum(k * p * q ** (k - 1) for k, p in enumerate(poly, start=1)) * r / 2
+    return float(r - f / df)
 
 
-class GibbsSolution:
+class GibbsSolution(JSONMixin):
     """Radius, boundary Fourier coefficients, and the assembled measure."""
 
     def __init__(self, potential, radius, fourier, measure):
@@ -149,6 +141,9 @@ class GibbsSolution:
         self.radius = float(radius)
         self.fourier = np.asarray(fourier, dtype=float)
         self.measure = measure
+        # solver residual and timing, kept out of to_dict so output files
+        # stay byte-identical
+        self.diagnostics = {}
 
     def density(self, x):
         """Density at x from the Fourier representation; 0 outside (-r, r)."""
@@ -157,10 +152,7 @@ class GibbsSolution:
         if scalar and abs(x[0]) >= self.radius:
             raise InvalidInputError("density evaluation requires |x| < r")
         theta = np.arccos(np.clip(-x / self.radius, -1.0, 1.0))
-        vals = np.zeros_like(theta)
-        for n in range(1, self.fourier.size):
-            vals += self.fourier[n] * np.sin(n * theta)
-        vals = -vals / np.pi
+        vals = _sine_density(self.fourier, theta)
         vals[vals < -1e-12] = np.nan
         vals = np.clip(vals, 0.0, None)
         vals[np.abs(x) >= self.radius] = 0.0
@@ -170,10 +162,7 @@ class GibbsSolution:
         # integral over [-r, r] of f(x) d(measure) via the theta substitution
         theta, w = _gauss_theta(max(64, 4 * self.fourier.size + 16))
         x = -self.radius * np.cos(theta)
-        dens = np.zeros_like(theta)
-        for n in range(1, self.fourier.size):
-            dens += self.fourier[n] * np.sin(n * theta)
-        dens = -dens / np.pi
+        dens = _sine_density(self.fourier, theta)
         return float(np.sum(w * f(x) * dens * self.radius * np.sin(theta)))
 
     def moment(self, k):
@@ -195,13 +184,6 @@ class GibbsSolution:
             "measure": self.measure.to_dict(),
         }
 
-    def to_json(self, path=None):
-        text = json.dumps(self.to_dict())
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
     @classmethod
     def from_dict(cls, d):
         return cls(EvenPotential(d["even_coeffs"]), d["radius"],
@@ -209,32 +191,28 @@ class GibbsSolution:
                    GridMeasure.from_dict(d["measure"]))
 
 
-def gibbs_density(sol, x):
-    return sol.density(x)
-
-
-def free_gibbs_measure(u, n_nodes=measure1d.DEFAULT_NODES, n_cells=measure1d.DEFAULT_CELLS,
-                       neg_tol=1e-9):
+def free_gibbs_measure(u, n_nodes=measure1d.DEFAULT_NODES, n_cells=measure1d.DEFAULT_CELLS):
     """Free Gibbs measure of an even polynomial potential.
 
-    Fails with RegimeError when the candidate density dips below -neg_tol
-    anywhere (the potential is outside the one-cut regime).
+    Fails with RegimeError when the candidate density dips below
+    -NEGATIVITY_TOL anywhere (the potential is outside the one-cut regime).
+    The solution's ``diagnostics`` hold the core keys (``iterations`` is 0:
+    nothing is iterated), the radius-condition residual |r*a_1 + 2| as
+    ``residual`` and the minimum of the sampled density as ``min_density``.
     """
+    t0 = time.perf_counter()
     if not isinstance(u, EvenPotential):
         raise InvalidInputError("potential must be an EvenPotential")
     r = solve_radius(u)
     n_coeffs = max(u.degree - 1, 1)
     a = fourier_coefficients(u.deriv, r, n_coeffs)
-    if abs(r * a[1] + 2.0) > 1e-10:
+    residual = float(abs(r * a[1] + 2.0))
+    if residual > 1e-10:
         raise RegimeError("radius condition r*a_1 = -2 not met")
     sol = GibbsSolution(u, r, a, None)
 
-    theta_fine = np.linspace(0.0, np.pi, 8192)
-    dens_fine = np.zeros_like(theta_fine)
-    for n in range(1, a.size):
-        dens_fine += a[n] * np.sin(n * theta_fine)
-    dens_fine = -dens_fine / np.pi
-    if dens_fine.min() < -neg_tol:
+    min_density = float(_sine_density(a, np.linspace(0.0, np.pi, 8192)).min())
+    if min_density < -NEGATIVITY_TOL:
         raise RegimeError("one-cut assumption violated: density would be negative")
 
     mass = sol.mass()
@@ -242,28 +220,25 @@ def free_gibbs_measure(u, n_nodes=measure1d.DEFAULT_NODES, n_cells=measure1d.DEF
         raise RegimeError(f"assembled density has mass {mass}, not 1")
 
     def density_fn(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         theta = np.arccos(np.clip(-x / r, -1.0, 1.0))
-        vals = np.zeros_like(theta)
-        for n in range(1, a.size):
-            vals += a[n] * np.sin(n * theta)
-        return np.clip(-vals / np.pi, 0.0, None)
+        return np.clip(_sine_density(a, theta), 0.0, None)
 
     sol.measure = GridMeasure.from_callable(density_fn, (-r, r), n_nodes=n_nodes,
                                             n_cells=n_cells)
+    sol.diagnostics = {"iterations": 0, "residual": residual, "converged": True,
+                       "min_density": min_density, "seconds": time.perf_counter() - t0}
     return sol
 
 
-def hilbert_residual(sol, u=None, n_points=101, interior=0.9):
-    """Max over sample points of |2 pi H(nu)(x) - u'(x)|.
+def hilbert_residual(sol):
+    """Max of |2 pi H(nu)(x) - u'(x)| over 101 points on the inner 90 % of the support.
 
     The Hilbert transform is recomputed from the grid samples by principal
     value quadrature, so this is an independent check on the solution.
     """
-    if u is None:
-        u = sol.potential
+    u = sol.potential
     r = sol.radius
-    xs = np.linspace(-interior * r, interior * r, n_points)
+    xs = np.linspace(-0.9 * r, 0.9 * r, 101)
     worst = 0.0
     for x in xs:
         h = measure1d.hilbert_transform(sol.measure, float(x))

@@ -17,18 +17,22 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError
+from .jsonio import JSONMixin
 
 DEFAULT_NODES = 2048
 DEFAULT_CELLS = 1024
 
 _FLAT_TOL = 1e-14
+# largest CDF mismatch of the quantile table and largest total-mass error
+# that GridMeasure.validate accepts
+_CDF_TOL = 1e-8
+_MASS_TOL = 1e-10
 
 
 def chebyshev_nodes(a, b, n):
@@ -47,20 +51,18 @@ def _log_kernel_primitive(u):
     return out
 
 
-class GridMeasure:
+class GridMeasure(JSONMixin):
     """A compactly supported probability measure on the line.
 
     Instances are immutable by convention; every operation returns a new
     measure.  Use the ``from_*`` constructors, not ``__init__`` directly.
     """
 
-    def __init__(self, support, segments, atoms, edges, density_fn=None,
-                 quantiles_primary=False):
+    def __init__(self, support, segments, atoms, edges, quantiles_primary=False):
         self.support = (float(support[0]), float(support[1]))
         self._segments = [(np.asarray(x, float), np.asarray(d, float)) for x, d in segments]
         self.atoms = sorted((float(x), float(w)) for x, w in atoms)
         self._edges = np.asarray(edges, dtype=float)
-        self.density_fn = density_fn
         self.mixed = bool(self._segments) and bool(self.atoms)
         # when True the stored quantile table is the authoritative view and
         # any density samples are a derived convenience (pushforwards,
@@ -72,7 +74,7 @@ class GridMeasure:
 
     @classmethod
     def from_density(cls, nodes, density, support=None, atoms=(), normalize=False,
-                     n_cells=DEFAULT_CELLS, density_fn=None, validate=True):
+                     n_cells=DEFAULT_CELLS, validate=True):
         """Build a measure from density samples (piecewise linear between nodes).
 
         ``normalize=True`` rescales the density so that the total mass
@@ -98,7 +100,7 @@ class GridMeasure:
             lo = min([nodes[0]] + [x for x, _ in atoms])
             hi = max([nodes[-1]] + [x for x, _ in atoms])
             support = (lo, hi)
-        m = cls(support, [(nodes, density)], list(atoms), np.zeros(2), density_fn=density_fn)
+        m = cls(support, [(nodes, density)], list(atoms), np.zeros(2))
         m._edges = m._exact_quantile(np.linspace(0.0, 1.0, n_cells + 1))
         if validate:
             m.validate()
@@ -111,7 +113,7 @@ class GridMeasure:
         nodes = chebyshev_nodes(support[0], support[1], n_nodes)
         vals = np.clip(np.asarray(fn(nodes), dtype=float), 0.0, None)
         return cls.from_density(nodes, vals, support=support, normalize=normalize,
-                                n_cells=n_cells, density_fn=fn, validate=validate)
+                                n_cells=n_cells, validate=validate)
 
     @classmethod
     def from_atoms(cls, atoms, n_cells=DEFAULT_CELLS):
@@ -271,17 +273,13 @@ class GridMeasure:
         c = float(c)
         segs = [(x + c, d.copy()) for x, d in self._segments]
         atoms = [(x + c, w) for x, w in self.atoms]
-        fn = None
-        if self.density_fn is not None:
-            base = self.density_fn
-            fn = lambda x: base(np.asarray(x) - c)  # noqa: E731
         return GridMeasure((self.support[0] + c, self.support[1] + c),
-                           segs, atoms, self._edges + c, density_fn=fn)
+                           segs, atoms, self._edges + c)
 
     def center(self):
         return self.translate(-barycenter(self))
 
-    def validate(self, cdf_tol=1e-8, mass_tol=1e-10):
+    def validate(self):
         lo, hi = self.support
         if not hi > lo or not np.isfinite([lo, hi]).all():
             raise InvalidInputError("support must be a finite nondegenerate interval")
@@ -294,10 +292,8 @@ class GridMeasure:
                 raise InvalidInputError("nodes outside support")
         if any(w <= 0 for _, w in self.atoms):
             raise InvalidInputError("atom masses must be positive")
-        if self.atoms and self._segments and not self.mixed:
-            raise InvalidInputError("atoms and density both present but not flagged mixed")
         total = self.total_mass()
-        if self._segments and abs(total - 1.0) > mass_tol:
+        if self._segments and abs(total - 1.0) > _MASS_TOL:
             raise InvalidInputError(f"total mass {total} differs from 1")
         if np.any(np.diff(self._edges) < -1e-12 * (hi - lo)):
             raise InvalidInputError("quantiles must be nondecreasing")
@@ -306,7 +302,7 @@ class GridMeasure:
             s = np.linspace(0.0, 1.0, min(self.n_cells, 64) + 1)[1:-1]
             q = self._exact_quantile(s)
             f = self.cdf(q)
-            if np.max(np.abs(f - s)) > cdf_tol:
+            if np.max(np.abs(f - s)) > _CDF_TOL:
                 raise InvalidInputError("quantiles inconsistent with density CDF")
         return True
 
@@ -356,22 +352,6 @@ class GridMeasure:
                     segments.append((nodes[pos:pos + ln], dens[pos:pos + ln]))
                     pos += ln
         return cls(support, segments, atoms, edges, quantiles_primary=primary)
-
-    def to_json(self, path=None):
-        text = json.dumps(self.to_dict())
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-    @classmethod
-    def from_json(cls, text_or_path):
-        try:
-            d = json.loads(text_or_path)
-        except (ValueError, TypeError):
-            with open(text_or_path) as fh:
-                d = json.load(fh)
-        return cls.from_dict(d)
 
     def to_csv(self, path=None):
         buf = io.StringIO()

@@ -22,7 +22,6 @@ pinned against translation, and an Armijo line search on the discrete F.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 
@@ -31,6 +30,7 @@ from scipy import linalg
 
 from . import measure1d
 from .errors import InvalidInputError
+from .jsonio import JSONMixin
 from .measure1d import GridMeasure
 
 
@@ -66,7 +66,7 @@ class MomentProblem:
         self.barycenter = measure1d.barycenter(target)
 
 
-class MomentSolution:
+class MomentSolution(JSONMixin):
     def __init__(self, rho_hat, uprime, functional_value, residuals, positions,
                  target_quantiles, iterations, converged, diagnostics):
         self.rho_hat = rho_hat
@@ -90,13 +90,6 @@ class MomentSolution:
             "iterations": self.iterations,
             "converged": self.converged,
         }
-
-    def to_json(self, path=None):
-        text = json.dumps(self.to_dict())
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def functional_F(rho, mu):

@@ -11,12 +11,11 @@ logarithm used by the transport fixed point.
 
 from __future__ import annotations
 
-import json
-
 from .errors import InvalidInputError
+from .jsonio import JSONMixin
 
 
-class NCSeries:
+class NCSeries(JSONMixin):
     """A real-coefficient noncommutative polynomial / truncated power series."""
 
     __slots__ = ("n_vars", "max_degree", "terms")
@@ -84,9 +83,6 @@ class NCSeries:
     def degree(self):
         return max((len(w) for w in self.terms), default=0)
 
-    def min_degree(self):
-        return min((len(w) for w in self.terms), default=0)
-
     def truncate(self, max_degree):
         return NCSeries(self.n_vars, max_degree, self.terms)
 
@@ -127,13 +123,6 @@ class NCSeries:
             "terms": [{"word": [i + 1 for i in w], "coeff": c} for w, c in items],
         }
 
-    def to_json(self, path=None):
-        text = json.dumps(self.to_dict())
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
     @classmethod
     def from_dict(cls, d):
         terms = {}
@@ -143,15 +132,6 @@ class NCSeries:
                 raise InvalidInputError("word letter out of range")
             terms[word] = terms.get(word, 0.0) + float(item["coeff"])
         return cls(d["n_vars"], d["max_degree"], terms)
-
-    @classmethod
-    def from_json(cls, text_or_path):
-        try:
-            d = json.loads(text_or_path)
-        except (ValueError, TypeError):
-            with open(text_or_path) as fh:
-                d = json.load(fh)
-        return cls.from_dict(d)
 
 
 def multiply(a, b, max_degree=None):
@@ -443,14 +423,6 @@ def drop_constant(f):
     """Projection onto series with no constant term."""
     return NCSeries(f.n_vars, f.max_degree,
                     {w: c for w, c in f.terms.items() if w})
-
-
-def symmetrize_ops(f, which):
-    ops = {"S": cyclic_symmetrize, "N": number_op, "Sigma": number_op_inverse,
-           "Pi": drop_constant}
-    if which not in ops:
-        raise InvalidInputError("operator must be one of S, N, Sigma, Pi")
-    return ops[which](f)
 
 
 # -- norms -------------------------------------------------------------------------

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import collections
 import functools
-import json
 import time
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
+from .jsonio import JSONMixin
 from .ncseries import NCSeries, cyclic_gradient, multiply
 
 DEFAULT_CUTOFF = 3.0
+# sweep budget of solve_sd
+MAX_SWEEPS = 2000
 
 
 def canonical_word(word):
@@ -102,7 +104,7 @@ def _enumerate_canonical(n, length):
     return tuple(map(tuple, _digits(reps, n, length).tolist()))
 
 
-class TraceTable:
+class TraceTable(JSONMixin):
     """Trace values on canonical cyclic words up to a degree cap."""
 
     def __init__(self, n_vars, degree_cap, cutoff, values, tail_estimate=0.0,
@@ -148,9 +150,6 @@ class TraceTable:
             total += c * v
         return total
 
-    def max_degree_words(self):
-        return max((len(w) for w in self.values), default=0)
-
     def to_dict(self):
         items = sorted(self.values.items(), key=lambda kv: (len(kv[0]), kv[0]))
         return {
@@ -159,13 +158,6 @@ class TraceTable:
             "cutoff": self.cutoff,
             "values": [{"word": [i + 1 for i in w], "value": v} for w, v in items],
         }
-
-    def to_json(self, path=None):
-        text = json.dumps(self.to_dict())
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
     @classmethod
     def from_dict(cls, d):
@@ -176,15 +168,6 @@ class TraceTable:
                 raise InvalidInputError("trace table words must be canonical")
             values[w] = float(item["value"])
         return cls(d["n_vars"], d["degree_cap"], d["cutoff"], values)
-
-    @classmethod
-    def from_json(cls, text_or_path):
-        try:
-            d = json.loads(text_or_path)
-        except (ValueError, TypeError):
-            with open(text_or_path) as fh:
-                d = json.load(fh)
-        return cls.from_dict(d)
 
 
 def noncrossing_pair_count(word):
@@ -290,16 +273,16 @@ def _build_structure(n, cap, even_overall, flips, terms):
                       terms, coup_rows, coup_terms, coup_targets, dropped)
 
 
-def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, max_sweeps=2000,
-             damping=0.5, init=None, support_hint=None):
+def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, damping=0.5, init=None,
+             support_hint=None):
     """Solve the bounded Schwinger-Dyson equation for potential (1/2)|X|^2 + W.
 
     Damped Jacobi sweeps: each sweep evaluates the right-hand side of every
     word's equation from the current vector at once, starting from the free
     semicircular family (exact for W = 0) or from ``init``.  Convergence is
     judged in the cutoff-weighted sup norm.  Raises ConvergenceError when the
-    sweep budget is exhausted or the cutoff clamp is active on the last sweep.
-    The returned table carries a ``diagnostics`` dict.
+    MAX_SWEEPS budget is exhausted or the cutoff clamp is active on the last
+    sweep.  The returned table carries a ``diagnostics`` dict.
 
     ``support_hint``: extra potential words treated as present with zero
     coefficient, so repeated solves over a family of potentials with varying
@@ -341,7 +324,7 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, max_sweeps=2000,
     # convergence is measured in the cutoff-weighted sup norm, the metric of
     # the bounded-moment space |tau(w)| <= T^|w|
     caps = cutoff ** st.lengths
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         rhs = np.bincount(st.pair_rows, vals[st.pair_left] * vals[st.pair_right],
                           minlength=nwords)
         rhs -= np.bincount(st.coup_rows, coup_coeffs * vals[st.coup_targets],

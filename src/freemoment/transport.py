@@ -10,13 +10,13 @@ refreshes the trace as the free Gibbs law of the current potential.
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 
 import numpy as np
 
 from . import sdmoments
 from .errors import ConvergenceError, InvalidInputError
+from .jsonio import JSONMixin
 from .ncseries import (
     MatrixTensor,
     NCSeries,
@@ -45,8 +45,7 @@ class TransportProblem:
     """Problem data for the transport fixed point."""
 
     def __init__(self, W, degree, a_radius=DEFAULT_A, ball_radius=DEFAULT_R,
-                 cutoff=sdmoments.DEFAULT_CUTOFF, tol=1e-10, max_outer=40,
-                 max_inner=200, tau_cap=None, verify_cap=None, warn_regime=True):
+                 cutoff=sdmoments.DEFAULT_CUTOFF, tol=1e-10, tau_cap=None, warn_regime=True):
         if not isinstance(W, NCSeries):
             raise InvalidInputError("W must be an NCSeries")
         if W.coeff(()) != 0.0:
@@ -61,20 +60,19 @@ class TransportProblem:
         self.ball_radius = float(ball_radius)
         self.cutoff = float(cutoff)
         self.tol = float(tol)
-        self.max_outer = int(max_outer)
-        self.max_inner = int(max_inner)
+        # Picard budgets: outer trace refreshes and inner Picard steps per refresh
+        self.max_outer = 40
+        self.max_inner = 200
         self.tau_cap = int(tau_cap) if tau_cap is not None else self.degree + 4
-        if verify_cap is None:
-            # 1 variable is cheap enough for a deep table; more variables are not
-            verify_cap = max(4 * self.degree, 40) if W.n_vars == 1 else self.degree + 10
-        self.verify_cap = int(verify_cap)
+        # 1 variable is cheap enough for a deep table; more variables are not
+        self.verify_cap = max(4 * self.degree, 40) if W.n_vars == 1 else self.degree + 10
         self.guaranteed = norm_A(self.W, GUARANTEE_NORM_RADIUS) < GUARANTEE_MARGIN * self.ball_radius
         if warn_regime and not self.guaranteed:
             warnings.warn("W is outside the guaranteed contraction regime; "
                           "results are labeled unverified", stacklevel=2)
 
 
-class TransportSolution:
+class TransportSolution(JSONMixin):
     def __init__(self, V, V_tilde, tau_Y, transport_map, diagnostics):
         self.V = V
         self.V_tilde = V_tilde
@@ -90,13 +88,6 @@ class TransportSolution:
             "transport_map": [c.to_dict() for c in self.transport_map],
             "diagnostics": self.diagnostics,
         }
-
-    def to_json(self, path=None):
-        text = json.dumps(self.to_dict())
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
     @classmethod
     def from_dict(cls, d):
@@ -355,8 +346,6 @@ def _solve_separable(problem):
             sub = TransportProblem(w1, D, a_radius=problem.a_radius,
                                    ball_radius=problem.ball_radius,
                                    cutoff=problem.cutoff, tol=problem.tol,
-                                   max_outer=problem.max_outer,
-                                   max_inner=problem.max_inner,
                                    warn_regime=False)
             solved[key] = solve_V(sub)
         sub_sol = solved[key]

@@ -184,7 +184,7 @@ def test_determinism_byte_identical(tmp_path, capsys):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / f"det_{tag}.json"
-        code, _, _ = run(["gibbs1d", "--even-coeffs", "0.5,0.25", "--seed", "7",
+        code, _, _ = run(["gibbs1d", "--even-coeffs", "0.5,0.25",
                           "--out", str(out)], capsys)
         assert code == 0
         outs.append(out.read_bytes())

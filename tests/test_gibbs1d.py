@@ -44,6 +44,20 @@ def test_solve_radius_scaling():
     assert abs(G.solve_radius(scaled) - c * QUARTIC_RADIUS) < 1e-9
 
 
+def test_solve_radius_closed_form():
+    # residue polynomial z^3/6 - z^2 + 11z/6 = 1 with roots z = 1, 2, 3: the
+    # radius belongs to the smallest, where r*a_1 + 2 first changes sign
+    assert abs(G.solve_radius(G.EvenPotential([11 / 12, -1 / 12, 1 / 360])) - 2.0) < 1e-12
+    # the double nearest the exact root 1.53705494810657588...
+    assert G.solve_radius(G.EvenPotential([-0.2, 0.0, 0.1])) == 1.5370549481065758
+    for coeffs in ([11 / 12, -1 / 12, 1 / 360], [0.2, 0.05, 0.01, 0.002], [-0.2, 0.0, 0.1],
+                   [-1.0, 0.25]):
+        u = G.EvenPotential(coeffs)
+        r = G.solve_radius(u)
+        a = G.fourier_coefficients(u.deriv, r, u.degree - 1)
+        assert abs(r * a[1] + 2.0) <= 1e-12
+
+
 def test_semicircle_solution(semicircle):
     sol = G.free_gibbs_measure(G.EvenPotential([0.5]))
     assert abs(sol.radius - 2.0) < 1e-12
@@ -136,6 +150,15 @@ def test_gibbs_measure_moment_quadrature(quartic_solution):
     # quartic Gibbs law: fourth moment is exactly 1 by Schwinger-Dyson
     assert abs(quartic_solution.moment(4) - 1.0) < 1e-12
     assert abs(quartic_solution.moment(1)) < 1e-14
+
+
+def test_diagnostics_stay_out_of_json(quartic_solution):
+    diag = quartic_solution.diagnostics
+    assert {"iterations", "residual", "converged", "seconds", "min_density"} <= set(diag)
+    assert diag["iterations"] == 0 and diag["converged"] and diag["residual"] <= 1e-10
+    assert diag["min_density"] >= -G.NEGATIVITY_TOL
+    assert set(quartic_solution.to_dict()) == {"even_coeffs", "radius", "fourier", "measure"}
+    assert G.GibbsSolution.from_dict(quartic_solution.to_dict()).diagnostics == {}
 
 
 def test_solution_json_roundtrip(quartic_solution):

@@ -99,11 +99,11 @@ def test_jacobian_hand_fixture():
 
 def test_symmetrize_ops():
     xy = nc.NCSeries(2, 6, {(0, 1): 1.0})
-    assert nc.symmetrize_ops(xy, "S").terms == {(0, 1): 0.5, (1, 0): 0.5}
+    assert nc.cyclic_symmetrize(xy).terms == {(0, 1): 0.5, (1, 0): 0.5}
     cube = nc.NCSeries(1, 6, {(0, 0, 0): 1.0})
-    assert nc.symmetrize_ops(cube, "N").terms == {(0, 0, 0): 3.0}
+    assert nc.number_op(cube).terms == {(0, 0, 0): 3.0}
     mixed = nc.NCSeries(1, 6, {(): 5.0, (0,): 1.0})
-    assert nc.symmetrize_ops(mixed, "Pi").terms == {(0,): 1.0}
+    assert nc.drop_constant(mixed).terms == {(0,): 1.0}
     rng = np.random.default_rng(3)
     f = rand_series(rng, 2, 5, 6)
     back = nc.number_op_inverse(nc.number_op(f))
