@@ -15,7 +15,7 @@ Modules:
 from .errors import ConvergenceError, FreeMomentError, InvalidInputError, RegimeError
 from .gibbs1d import EvenPotential, GibbsSolution, free_gibbs_measure, fourier_coefficients, \
     hilbert_residual, solve_radius
-from .measure1d import GridMeasure, TransportPlanDiag, displacement_interpolate, \
+from .measure1d import GridMeasure, displacement_interpolate, \
     hilbert_transform, log_energy, max_correlation, moment, pushforward_monotone, \
     quantile, semicircle, two_point, uniform, dirac, wasserstein2_sq
 from .moment1d import MomentProblem, MomentSolution, MonotoneMap, builtin_target, \

@@ -372,29 +372,6 @@ class GridMeasure(JSONMixin):
                 f"atoms={len(self.atoms)})")
 
 
-class TransportPlanDiag:
-    """The comonotone (quantile) coupling between two measures on the line."""
-
-    def __init__(self, source, target, map_values):
-        self.source = source
-        self.target = target
-        self.map_values = np.asarray(map_values, dtype=float)
-
-    @classmethod
-    def comonotone(cls, source, target):
-        vals = target._resampled_edges(source.n_cells)
-        return cls(source, target, vals)
-
-    def validate(self, tol=1e-8):
-        if np.any(np.diff(self.map_values) < -1e-12):
-            raise InvalidInputError("transport map must be nondecreasing")
-        pushed = GridMeasure.from_quantile_edges(self.map_values, validate=False)
-        err = wasserstein2_sq(pushed, self.target)
-        if err > tol:
-            raise InvalidInputError(f"pushforward misses target, W2^2={err:.3g}")
-        return True
-
-
 # -- standard measures --------------------------------------------------------
 
 

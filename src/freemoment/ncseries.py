@@ -208,10 +208,6 @@ class TensorSeries:
         return cls(n_vars, max_degree, {})
 
     @classmethod
-    def one(cls, n_vars, max_degree):
-        return cls(n_vars, max_degree, {((), ()): 1.0})
-
-    @classmethod
     def _from_clean(cls, n_vars, max_degree, terms):
         """Wrap float coefficients on tuple keys already within the cap,
         dropping only the zeros (the single pass left of ``__init__``)."""
@@ -325,13 +321,6 @@ class MatrixTensor:
     @classmethod
     def zero(cls, n, n_vars, max_degree):
         return cls([[TensorSeries.zero(n_vars, max_degree) for _ in range(n)] for _ in range(n)])
-
-    @classmethod
-    def identity(cls, n, n_vars, max_degree):
-        m = cls.zero(n, n_vars, max_degree)
-        for i in range(n):
-            m.entries[i][i] = TensorSeries.one(n_vars, max_degree)
-        return m
 
     def __add__(self, other):
         return MatrixTensor([[a + b for a, b in zip(ra, rb)]

@@ -25,8 +25,9 @@ from .jsonio import JSONMixin
 from .ncseries import NCSeries, cyclic_gradient, multiply
 
 DEFAULT_CUTOFF = 3.0
-# sweep budget of solve_sd
+# sweep budget and Jacobi damping of solve_sd
 MAX_SWEEPS = 2000
+DAMPING = 0.5
 
 
 def canonical_word(word):
@@ -273,7 +274,7 @@ def _build_structure(n, cap, even_overall, flips, terms):
                       terms, coup_rows, coup_terms, coup_targets, dropped)
 
 
-def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, damping=0.5, init=None,
+def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, init=None,
              support_hint=None):
     """Solve the bounded Schwinger-Dyson equation for potential (1/2)|X|^2 + W.
 
@@ -329,7 +330,7 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, damping=0.5, init=
                           minlength=nwords)
         rhs -= np.bincount(st.coup_rows, coup_coeffs * vals[st.coup_targets],
                            minlength=nwords)
-        new = (1.0 - damping) * vals + damping * rhs
+        new = (1.0 - DAMPING) * vals + DAMPING * rhs
         new[0] = 1.0
         clamped = np.minimum(np.maximum(new, -caps), caps)
         delta = float((np.abs(clamped - vals) / caps).max())

@@ -1,21 +1,24 @@
-"""Fixed-point construction of noncommutative transport to a perturbed semicircle law.
+"""Noncommutative transport to a perturbed semicircle law.
 
 Given an even self-adjoint perturbation W, find the even series V such that
 when Y has the free Gibbs law of (1/2)|Y|^2 + V, the tuple Y + DV(Y) has the
-free Gibbs law of (1/2)|X|^2 + W.  The inner iteration runs the cyclic
-symmetrized Picard map on Vtilde with the trace frozen; the outer loop
-refreshes the trace as the free Gibbs law of the current potential.
+free Gibbs law of (1/2)|X|^2 + W.  In the guaranteed contraction regime the
+inner iteration runs the cyclic symmetrized Picard map on Vtilde with the
+trace frozen; the outer loop refreshes the trace as the free Gibbs law of the
+current potential.  Outside it, Gauss-Newton solves the transport condition
+directly, for one variable from the 1-d free moment law of y^2/2 + V.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 import warnings
 
 import numpy as np
 
-from . import sdmoments
-from .errors import ConvergenceError, InvalidInputError
+from . import gibbs1d, moment1d, sdmoments
+from .errors import ConvergenceError, InvalidInputError, RegimeError
 from .jsonio import JSONMixin
 from .ncseries import (
     MatrixTensor,
@@ -39,6 +42,12 @@ DEFAULT_A = 3.0
 DEFAULT_R = 0.25
 GUARANTEE_NORM_RADIUS = 17.0 / 4.0
 GUARANTEE_MARGIN = 9.0 / 68.0
+# Picard budgets: outer trace refreshes and inner Picard steps per refresh
+MAX_OUTER = 40
+MAX_INNER = 200
+# the one-variable start: moment-measure particles, and the central share fitted
+START_PARTICLES = 512
+START_TRIM = 0.95
 
 
 class TransportProblem:
@@ -60,9 +69,6 @@ class TransportProblem:
         self.ball_radius = float(ball_radius)
         self.cutoff = float(cutoff)
         self.tol = float(tol)
-        # Picard budgets: outer trace refreshes and inner Picard steps per refresh
-        self.max_outer = 40
-        self.max_inner = 200
         self.tau_cap = int(tau_cap) if tau_cap is not None else self.degree + 4
         # 1 variable is cheap enough for a deep table; more variables are not
         self.verify_cap = max(4 * self.degree, 40) if W.n_vars == 1 else self.degree + 10
@@ -86,7 +92,7 @@ class TransportSolution(JSONMixin):
             "V_tilde": self.V_tilde.to_dict(),
             "tau_Y": self.tau_Y.to_dict(),
             "transport_map": [c.to_dict() for c in self.transport_map],
-            "diagnostics": self.diagnostics,
+            "diagnostics": _stored(self.diagnostics),
         }
 
     @classmethod
@@ -95,6 +101,14 @@ class TransportSolution(JSONMixin):
                    sdmoments.TraceTable.from_dict(d["tau_Y"]),
                    [NCSeries.from_dict(c) for c in d["transport_map"]],
                    d.get("diagnostics", {}))
+
+
+def _stored(diagnostics):
+    """Diagnostics as written to JSON: without timings, so files stay byte-identical."""
+    out = {k: v for k, v in diagnostics.items() if k != "seconds"}
+    if "components" in out:
+        out["components"] = [_stored(c) for c in out["components"]]
+    return out
 
 
 def _trace_log(jac, tau, cap):
@@ -187,7 +201,7 @@ def _variable_permutations(W):
     return perms
 
 
-def _symmetric_classes(W, degree, include_odd=False):
+def _symmetric_classes(W, degree):
     """Orbit representatives of words under rotation, reversal, W's variable
     permutations, and W's sign-flip symmetries (flip-odd words are dropped)."""
     n = W.n_vars
@@ -195,9 +209,7 @@ def _symmetric_classes(W, degree, include_odd=False):
     perms = _variable_permutations(W)
     reps = []
     seen = set()
-    for length in range(1, degree + 1):
-        if length % 2 == 1 and not include_odd:
-            continue
+    for length in range(2, degree + 1, 2):
         for w in sdmoments._enumerate_canonical(n, length):
             if any(flips[i] and w.count(i) % 2 == 1 for i in range(n)):
                 continue
@@ -220,7 +232,7 @@ def _orbit_series(rep, perms, n, degree):
     return NCSeries(n, degree, {w: 1.0 for w in words})
 
 
-def _refine_by_moment_matching(problem, v_init, tau_direct, verify_cap):
+def _refine_by_moment_matching(problem, v_init):
     """Gauss-Newton on the transport condition at the truncation scale.
 
     Unknowns are the symmetric even-word-class coefficients of V; residuals
@@ -228,15 +240,17 @@ def _refine_by_moment_matching(problem, v_init, tau_direct, verify_cap):
     Y + DV and the directly solved law for W.  The target trace is computed
     at the full verification cap; the V-side solves run at a cheaper cap
     (the V coefficients are small, so their truncation bias is negligible).
+    Returns V, the max residual, the accepted steps and the stop test.
     """
     W = problem.W
     n = W.n_vars
     D = problem.degree
+    verify_cap = problem.verify_cap
     eval_cap = verify_cap if n == 1 else min(verify_cap, D + 6)
+    tau_direct = sdmoments.solve_sd(W.truncate(verify_cap), verify_cap, cutoff=problem.cutoff)
     classes, perms = _symmetric_classes(W, D)
     basis = [_orbit_series(rep, perms, n, D) for rep in classes]
-    targets = classes
-    target_vals = np.array([tau_direct.value(w) for w in targets])
+    target_vals = np.array([tau_direct.value(w) for w in classes])
     support = frozenset(w for b in basis for w in b.terms)
 
     warm = {"tau": None}
@@ -259,7 +273,7 @@ def _refine_by_moment_matching(problem, v_init, tau_direct, verify_cap):
         fmap = [NCSeries.variable(i, n, eval_cap) + g.truncate(eval_cap)
                 for i, g in enumerate(cyclic_gradient_vector(V))]
         tau_x = sdmoments.pushforward_trace(tau_y, fmap, D)
-        return np.array([tau_x.value(w) - t for w, t in zip(targets, target_vals)])
+        return np.array([tau_x.value(w) - t for w, t in zip(classes, target_vals)])
 
     c = np.array([v_init.coeff(rep) for rep in classes])
     r = residual(c)
@@ -271,11 +285,12 @@ def _refine_by_moment_matching(problem, v_init, tau_direct, verify_cap):
     best = float(np.max(np.abs(r)))
     jac = None
     h = 1e-7
+    steps = 0
     for _ in range(15):
         if best < problem.tol * 10:
             break
         if jac is None:
-            jac = np.empty((len(targets), len(classes)))
+            jac = np.empty((len(classes), len(classes)))
             for j in range(len(classes)):
                 cp = c.copy()
                 cp[j] += h
@@ -299,6 +314,7 @@ def _refine_by_moment_matching(problem, v_init, tau_direct, verify_cap):
                 r = r_new
                 best = float(np.max(np.abs(r)))
                 improved = True
+                steps += 1
                 break
             scale *= 0.5
         if not improved:
@@ -307,7 +323,31 @@ def _refine_by_moment_matching(problem, v_init, tau_direct, verify_cap):
             jac = None
             continue
         fresh = False
-    return assemble(c), best
+    return assemble(c), best, steps, best < problem.tol * 10
+
+
+def _moment_measure_start(problem):
+    """One-variable start from the 1-d free moment law (Cordero-Erausquin-Klartag).
+
+    U' = y + V'(y) pushes the free Gibbs law of U = y^2/2 + V onto nu, that
+    of x^2/2 + W, so V' = y - q is fitted in the basis k q^(k-1), even k <= D,
+    on the central particles q of the moment solve for nu (targets y = U'(q)).
+    The fit keeps their O(1/m) bias.  V = 0 when gibbs1d rejects W.
+    """
+    D = problem.degree
+    degrees = range(2, D + 1, 2)
+    w = [problem.W.coeff((0,) * k) for k in degrees]
+    try:
+        nu = gibbs1d.free_gibbs_measure(gibbs1d.EvenPotential([0.5 + w[0]] + w[1:])).measure
+    except (InvalidInputError, RegimeError):
+        return NCSeries.zero(1, D)
+    sol = moment1d.minimize_F(moment1d.MomentProblem(nu, n_particles=START_PARTICLES))
+    cut = round(START_PARTICLES * (1.0 - START_TRIM) / 2.0)
+    q = sol.positions[cut:START_PARTICLES - cut]
+    y = sol.target_quantiles[cut:START_PARTICLES - cut]
+    basis = np.column_stack([k * q ** (k - 1) for k in degrees])
+    v, *_ = np.linalg.lstsq(basis, y - q, rcond=None)
+    return NCSeries(1, D, {(0,) * k: float(c) for k, c in zip(degrees, v)})
 
 
 def _split_separable(W):
@@ -330,6 +370,7 @@ def _solve_separable(problem):
     the free product of the one-variable laws, so the n-variable solution is
     the sum of the one-variable solutions.
     """
+    t0 = time.perf_counter()
     parts = _split_separable(problem.W)
     n = problem.W.n_vars
     D = problem.degree
@@ -339,10 +380,7 @@ def _solve_separable(problem):
     for i, part in enumerate(parts):
         key = tuple(sorted(part.items()))
         if key not in solved:
-            if part:
-                w1 = NCSeries(1, D, {tuple([0] * deg): c for deg, c in part.items()})
-            else:
-                w1 = NCSeries.zero(1, D)
+            w1 = NCSeries(1, D, {tuple([0] * deg): c for deg, c in part.items()})
             sub = TransportProblem(w1, D, a_radius=problem.a_radius,
                                    ball_radius=problem.ball_radius,
                                    cutoff=problem.cutoff, tol=problem.tol,
@@ -358,10 +396,15 @@ def _solve_separable(problem):
     v_norm = norm_A(V, problem.a_radius)
     transport_map = [NCSeries.variable(i, n, D) + g
                      for i, g in enumerate(cyclic_gradient_vector(V))]
+    parts_diag = [sol.diagnostics for sol in solved.values()]
     diagnostics.update({
+        "iterations": sum(d["iterations"] for d in parts_diag),
+        "residual": max(d["residual"] for d in parts_diag),
+        "converged": all(d["converged"] for d in parts_diag),
         "v_norm_A": v_norm,
         "norm_bound_satisfied": bool(v_norm <= problem.ball_radius + 1e-12),
         "guaranteed_regime": problem.guaranteed,
+        "seconds": time.perf_counter() - t0,
     })
     return TransportSolution(V, vtilde, tau, transport_map, diagnostics)
 
@@ -369,102 +412,91 @@ def _solve_separable(problem):
 def solve_V(problem):
     """Solve for the transport potential V.
 
-    Inside the guaranteed contraction regime this is the plain outer/inner
-    iteration: the outer loop refreshes the trace as the free Gibbs law of
-    (1/2)|Y|^2 + V_k, the inner loop iterates the Picard map with the trace
-    frozen.  Outside the regime the Picard pass (with automatic damping) is
-    followed by a Gauss-Newton refinement that solves the transport condition
-    directly at the truncation scale, because the hard-truncated Picard fixed
-    point is no longer a faithful approximation there.  Separable W with more
-    than one variable decouples exactly into one-variable problems.
+    In the guaranteed contraction regime the outer loop refreshes the trace
+    as the free Gibbs law of (1/2)|Y|^2 + V_k and the inner loop iterates
+    the Picard map with the trace frozen.  Outside it no Picard step is
+    taken: Gauss-Newton solves the transport condition at the truncation
+    scale, for one variable from ``_moment_measure_start``, else from V = 0.
+    Separable W decouples into one-variable problems.  The diagnostics'
+    ``iterations`` and ``residual`` are those of the loop that ran.
     """
+    t0 = time.perf_counter()
     W = problem.W
     if W.n_vars > 1 and not problem.guaranteed and _split_separable(W) is not None:
         return _solve_separable(problem)
     n = W.n_vars
     D = problem.degree
     A = problem.a_radius
-    vtilde = NCSeries.zero(n, D)
-    v_prev = NCSeries.zero(n, D)
+    V = NCSeries.zero(n, D)
     tau = None
     outer_changes = []
     tau_devs = []
     inner_counts = []
-    converged = False
-    damping = 1.0
-    # outside the guaranteed regime the contraction argument fails; the Picard
-    # pass is only a bounded-budget initializer for the refinement below
-    max_outer = problem.max_outer if problem.guaranteed else min(problem.max_outer, 3)
-    max_inner = problem.max_inner if problem.guaranteed else min(problem.max_inner, 12)
-    for outer in range(max_outer):
-        tau_new = sdmoments.solve_sd(v_prev.truncate(problem.tau_cap), problem.tau_cap,
-                                     cutoff=problem.cutoff, tol=min(problem.tol, 1e-12),
-                                     init=tau)
-        if tau is not None:
-            dev = max((abs((tau_new.value(w) or 0.0) - v) for w, v in tau.values.items()),
-                      default=0.0)
-            tau_devs.append(dev)
-        tau = tau_new
+    if problem.guaranteed:
+        vtilde = NCSeries.zero(n, D)
+        converged = False
+        for outer in range(MAX_OUTER):
+            tau_new = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap,
+                                         cutoff=problem.cutoff, tol=min(problem.tol, 1e-12),
+                                         init=tau)
+            if tau is not None:
+                dev = max((abs((tau_new.value(w) or 0.0) - v) for w, v in tau.values.items()),
+                          default=0.0)
+                tau_devs.append(dev)
+            tau = tau_new
 
-        update = None
-        grow_streak = 0
-        inner_used = max_inner
-        for inner in range(max_inner):
-            f_val = picard_map(vtilde, W, tau, D, tensor_cap=problem.tau_cap)
-            new = vtilde * (1.0 - damping) + f_val * damping
-            delta = norm_A(new - vtilde, A)
-            vtilde = new
-            if update is not None and delta > update:
-                grow_streak += 1
-                if grow_streak >= 5:
-                    if problem.guaranteed:
+            update = None
+            grow_streak = 0
+            for inner in range(MAX_INNER):
+                new = picard_map(vtilde, W, tau, D, tensor_cap=problem.tau_cap)
+                delta = norm_A(new - vtilde, A)
+                vtilde = new
+                if update is not None and delta > update:
+                    grow_streak += 1
+                    if grow_streak >= 5:
                         raise ConvergenceError("Picard iteration diverging")
-                    damping *= 0.5
+                else:
                     grow_streak = 0
-            else:
-                grow_streak = 0
-            update = delta
-            if delta < problem.tol * damping:
-                inner_used = inner + 1
+                update = delta
+                if delta < problem.tol:
+                    break
+            inner_counts.append(inner + 1)
+
+            v_new = number_op_inverse(drop_constant(vtilde))
+            change = norm_A(v_new - V, A)
+            outer_changes.append(change)
+            V = v_new
+            if change < problem.tol:
+                converged = True
                 break
-        inner_counts.append(inner_used)
+        if not converged:
+            raise ConvergenceError("outer trace refresh did not converge")
+        iterations, residual = len(outer_changes), outer_changes[-1]
+    else:
+        start = _moment_measure_start(problem) if n == 1 else V
+        V, residual, iterations, converged = _refine_by_moment_matching(problem, start)
+        vtilde = cyclic_symmetrize(drop_constant(number_op(V)))
 
-        v_new = number_op_inverse(drop_constant(vtilde))
-        change = norm_A(v_new - v_prev, A)
-        outer_changes.append(change)
-        v_prev = v_new
-        if change < problem.tol:
-            converged = True
-            break
-    if problem.guaranteed and not converged:
-        raise ConvergenceError("outer trace refresh did not converge")
-
-    refine_residual = None
-    if not problem.guaranteed:
-        verify_cap = problem.verify_cap
-        tau_direct = sdmoments.solve_sd(W.truncate(verify_cap), verify_cap,
-                                        cutoff=problem.cutoff)
-        v_prev, refine_residual = _refine_by_moment_matching(problem, v_prev,
-                                                             tau_direct, verify_cap)
-        vtilde = cyclic_symmetrize(drop_constant(number_op(v_prev)))
-
-    tau = sdmoments.solve_sd(v_prev.truncate(problem.tau_cap), problem.tau_cap,
+    tau = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap,
                              cutoff=problem.cutoff, init=tau)
-    v_norm = norm_A(v_prev, A)
+    v_norm = norm_A(V, A)
     transport_map = [NCSeries.variable(i, n, D) + g
-                     for i, g in enumerate(cyclic_gradient_vector(v_prev))]
+                     for i, g in enumerate(cyclic_gradient_vector(V))]
     diagnostics = {
+        "iterations": iterations,
+        "residual": residual,
+        "converged": bool(converged),
         "outer_iterations": len(outer_changes),
         "inner_iterations": inner_counts,
         "outer_changes": outer_changes,
         "tau_refresh_deviation": tau_devs,
-        "picard_damping": damping,
-        "refinement_residual": refine_residual,
+        "refinement_residual": None if problem.guaranteed else residual,
         "v_norm_A": v_norm,
         "norm_bound_satisfied": bool(v_norm <= problem.ball_radius + 1e-12),
         "guaranteed_regime": problem.guaranteed,
+        "seconds": time.perf_counter() - t0,
     }
-    return TransportSolution(v_prev, vtilde, tau, transport_map, diagnostics)
+    return TransportSolution(V, vtilde, tau, transport_map, diagnostics)
 
 
 def verify_transport(sol, W, degree, tau_cap=None, cutoff=sdmoments.DEFAULT_CUTOFF):

@@ -181,11 +181,17 @@ def test_verify_gibbs_solution(tmp_path, capsys):
 
 
 def test_determinism_byte_identical(tmp_path, capsys):
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / f"det_{tag}.json"
-        code, _, _ = run(["gibbs1d", "--even-coeffs", "0.5,0.25",
-                          "--out", str(out)], capsys)
-        assert code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    wfile = tmp_path / "w.json"
+    NCSeries(1, 10, {(0, 0, 0, 0): 0.05}).to_json(str(wfile))
+    commands = {
+        "gibbs1d": ["gibbs1d", "--even-coeffs", "0.5,0.25"],
+        "transport": ["transport-nc", "--series", str(wfile), "--degree", "10"],
+    }
+    for name, argv in commands.items():
+        outs = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"det_{name}_{tag}.json"
+            code, _, _ = run(argv + ["--out", str(out)], capsys)
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]

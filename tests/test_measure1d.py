@@ -244,12 +244,6 @@ def test_csv_export(tmp_path, semicircle):
     assert float(first[0]) == semicircle.nodes[0]
 
 
-def test_transport_plan_diag(semicircle):
-    plan = M.TransportPlanDiag.comonotone(semicircle, semicircle.translate(2.0))
-    assert plan.validate()
-    assert np.all(np.diff(plan.map_values) >= -1e-12)
-
-
 def test_center_and_barycenter(semicircle):
     shifted = semicircle.translate(0.8)
     assert abs(M.barycenter(shifted) - 0.8) < 1e-10

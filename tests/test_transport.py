@@ -224,14 +224,57 @@ def test_separable_two_variable_solution():
     assert rep["sd_residual"] < 1e-3
 
 
-def test_nonseparable_mixed_term_solution():
-    # small mixed perturbation exercises the general refinement path
+def test_nonseparable_mixed_term_solution(monkeypatch):
+    # small mixed perturbation exercises the general refinement path, which
+    # outside the guaranteed regime takes no Picard step
+    def no_picard(*args, **kwargs):
+        raise AssertionError("picard_map called outside the guaranteed regime")
+
+    monkeypatch.setattr(T, "picard_map", no_picard)
     W = NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01}) \
         + 0.01 * cyclic_symmetrize(NCSeries.monomial((0, 1, 0, 1), 1.0, 2, 4))
     sol = T.solve_V(quiet_problem(W, 4))
+    assert sol.diagnostics["converged"]
     rep = T.verify_transport(sol, W, 4)
     assert rep["max_moment_deviation"] < 1e-3
     assert rep["sd_residual"] < 1e-3
+
+
+def test_quartic_sweep_matches_1d_oracle_at_every_degree():
+    # the moment-law start makes V smooth in c; from a Picard start v_4
+    # jumped with c and c = 0.0505 missed by 1.5e-2 at degree 6
+    v4 = []
+    for c in (0.04, 0.045, 0.048, 0.05, 0.0505, 0.055, 0.06):
+        W = NCSeries(1, 10, {(0, 0, 0, 0): c})
+        sol = T.solve_V(quiet_problem(W, 10))
+        tau_y = sd.solve_sd(sol.V.truncate(44), 44)
+        tau_x = sd.pushforward_trace(tau_y, [m.truncate(44) for m in sol.transport_map], 10)
+        oracle = G.free_gibbs_measure(G.EvenPotential([0.5, c]))
+        for k in range(2, 11, 2):
+            assert abs(tau_x.value((0,) * k) - oracle.moment(k)) < 1e-3, (c, k)
+        v4.append(sol.V.coeff((0,) * 4))
+    assert all(b < a for a, b in zip(v4, v4[1:]))
+
+
+def test_non_confining_target_starts_from_zero():
+    # x^2/2 - 0.02 x^4 has no free Gibbs law, so there is no moment-law start
+    W = NCSeries(1, 4, {(0, 0, 0, 0): -0.02})
+    prob = quiet_problem(W, 4)
+    assert T._moment_measure_start(prob).terms == {}
+    sol = T.solve_V(prob)
+    assert T.verify_transport(sol, W, 4)["max_moment_deviation"] <= 1e-6
+
+
+def test_diagnostics_core_keys_and_json():
+    W = NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02})
+    sol = T.solve_V(quiet_problem(W, 8))
+    for diag in [sol.diagnostics] + sol.diagnostics["components"]:
+        assert {"iterations", "residual", "converged", "seconds"} <= diag.keys()
+        assert "picard_damping" not in diag
+    stored = sol.to_dict()["diagnostics"]
+    assert "seconds" not in stored
+    assert all("seconds" not in d for d in stored["components"])
+    assert stored["converged"] and stored["residual"] < 1e-8
 
 
 def test_solution_json_roundtrip():
