@@ -239,8 +239,5 @@ def hilbert_residual(sol):
     u = sol.potential
     r = sol.radius
     xs = np.linspace(-0.9 * r, 0.9 * r, 101)
-    worst = 0.0
-    for x in xs:
-        h = measure1d.hilbert_transform(sol.measure, float(x))
-        worst = max(worst, abs(2.0 * math.pi * h - float(u.deriv(x))))
-    return worst
+    h = measure1d.hilbert_transform(sol.measure, xs)
+    return float(np.max(np.abs(2.0 * math.pi * h - u.deriv(xs))))

@@ -33,6 +33,8 @@ _FLAT_TOL = 1e-14
 # that GridMeasure.validate accepts
 _CDF_TOL = 1e-8
 _MASS_TOL = 1e-10
+# block rows per strip of the log_energy pair sum
+_ENERGY_ROWS = 64
 
 
 def chebyshev_nodes(a, b, n):
@@ -43,11 +45,13 @@ def chebyshev_nodes(a, b, n):
 
 def _log_kernel_primitive(u):
     # Second primitive of -log|u|; C^1 across 0 with value 0 there.
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    nz = u != 0.0
-    un = u[nz]
-    out[nz] = 0.25 * un * un * (3.0 - 2.0 * np.log(np.abs(un)))
+    a = np.abs(np.asarray(u, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(a)
+        out *= -2.0
+        out += 3.0
+        out *= 0.25 * a * a
+    out[a == 0.0] = 0.0
     return out
 
 
@@ -198,44 +202,33 @@ class GridMeasure(JSONMixin):
 
     # -- exact CDF / quantile machinery -------------------------------------
 
-    def _items(self):
-        # Ordered list of mass-carrying pieces: ("cell", x0, x1, d0, d1, mass)
-        # for density cells and ("atom", x, mass) for atoms.
-        items = []
-        for xs, ds in self._segments:
-            widths = np.diff(xs)
-            masses = 0.5 * (ds[:-1] + ds[1:]) * widths
-            for i in range(xs.size - 1):
-                if masses[i] > 0:
-                    items.append(("cell", xs[i], xs[i + 1], ds[i], ds[i + 1], masses[i]))
-        for x, w in self.atoms:
-            items.append(("atom", x, x, 0.0, 0.0, w))
-        items.sort(key=lambda it: (it[1], it[2]))
-        return items
-
     def _exact_quantile(self, s):
         """Generalized inverse CDF, exact for the stored representation."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        items = self._items()
-        cum = np.concatenate([[0.0], np.cumsum([it[5] for it in items])])
-        total = cum[-1]
-        out = np.empty_like(s)
-        # mass level s*total falls in item i when cum[i] < s*total <= cum[i+1]
-        idx = np.clip(np.searchsorted(cum, s * total, side="left") - 1, 0, len(items) - 1)
-        for k, (sk, i) in enumerate(zip(s, idx)):
-            kind, x0, x1, d0, d1, mass = items[i]
-            if kind == "atom":
-                out[k] = x0
-                continue
-            rem = min(max(sk * total - cum[i], 0.0), mass)
+        # mass-carrying pieces (x0, x1, d0, d1, mass): density cells of positive
+        # mass, then atoms as zero-width pieces, stably ordered by (x0, x1)
+        pieces = []
+        for xs, ds in self._segments:
+            mass = 0.5 * (ds[:-1] + ds[1:]) * np.diff(xs)
+            pos = mass > 0
+            pieces.append((xs[:-1][pos], xs[1:][pos], ds[:-1][pos], ds[1:][pos], mass[pos]))
+        ax = np.array([x for x, _ in self.atoms], dtype=float)
+        zero = np.zeros_like(ax)
+        pieces.append((ax, ax, zero, zero, np.array([w for _, w in self.atoms], dtype=float)))
+        x0, x1, d0, d1, mass = (np.concatenate(col) for col in zip(*pieces))
+        order = np.lexsort((x1, x0))
+        cum = np.concatenate([[0.0], np.cumsum(mass[order])])
+        # mass level s*total falls in piece i when cum[i] < s*total <= cum[i+1]
+        level = s * cum[-1]
+        i = np.clip(np.searchsorted(cum, level, side="left") - 1, 0, mass.size - 1)
+        x0, x1, d0, d1, mass = (a[order[i]] for a in (x0, x1, d0, d1, mass))
+        rem = np.minimum(np.maximum(level - cum[i], 0.0), mass)
+        with np.errstate(divide="ignore", invalid="ignore"):
             slope = (d1 - d0) / (x1 - x0)
-            if abs(slope) < 1e-300:
-                out[k] = x0 + (rem / mass) * (x1 - x0) if mass > 0 else x0
-                continue
-            disc = d0 * d0 + 2.0 * slope * rem
-            root = (math.sqrt(max(disc, 0.0)) - d0) / slope
-            out[k] = min(max(x0 + root, x0), x1)
-        return out
+            linear = x0 + (rem / mass) * (x1 - x0)
+            root = (np.sqrt(np.maximum(d0 * d0 + 2.0 * slope * rem, 0.0)) - d0) / slope
+        out = np.where(np.abs(slope) < 1e-300, linear, np.minimum(np.maximum(x0 + root, x0), x1))
+        return np.where(x1 == x0, x0, out)
 
     def cdf(self, x):
         """CDF at x (right-continuous), exact for the stored representation."""
@@ -475,7 +468,7 @@ def quantile(m, s):
 
 
 def _fprime(f, x, scale):
-    h = 6e-6 * max(abs(x), 0.05 * scale, 1e-12)
+    h = 6e-6 * np.maximum(np.abs(x), max(0.05 * scale, 1e-12))
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
@@ -494,47 +487,39 @@ def _refine_flat_boundary(f, x_flat, x_move, v, tol):
 def pushforward_monotone(m, f):
     """Law of f(X) for X ~ m, for nondecreasing f.
 
+    f must be vectorized (array in, array out): it is called once on each
+    grid of points, and on scalars only to bisect the ends of flat runs.
     Densities transform by the change-of-variables rule; intervals where f is
     flat collapse to exact atoms.
     """
     lo, hi = m.support
     scale = hi - lo
-    probe = np.linspace(lo, hi, 1025)
-    fp = np.array([f(x) for x in probe], dtype=float)
+    fp = np.asarray(f(np.linspace(lo, hi, 1025)), dtype=float)
     fscale = abs(fp[-1] - fp[0]) + 1.0
     if np.any(np.diff(fp) < -1e-10 * fscale):
         raise InvalidInputError("f must be nondecreasing on the support")
 
-    new_edges = np.array([f(x) for x in m._edges], dtype=float)
-    new_edges = np.maximum.accumulate(new_edges)
+    new_edges = np.maximum.accumulate(np.asarray(f(m._edges), dtype=float))
+    atom_y = np.asarray(f(np.array([x for x, _ in m.atoms], dtype=float)), dtype=float)
 
     if m.is_atomic():
         merged = {}
-        for x, w in m.atoms:
-            y = float(f(x))
+        for y, (_, w) in zip(atom_y.tolist(), m.atoms):
             merged[y] = merged.get(y, 0.0) + w
-        out = GridMeasure((min(merged), max(merged)), [], sorted(merged.items()), new_edges)
-        return out
+        return GridMeasure((min(merged), max(merged)), [], sorted(merged.items()), new_edges)
 
     flat_tol = 1e-12 * fscale
     mids = 0.5 * (m._edges[:-1] + m._edges[1:])
-    fmids = np.array([f(x) for x in mids], dtype=float)
-    runs = []
-    j = 0
-    ncell = mids.size
-    while j < ncell - 1:
-        if abs(fmids[j + 1] - fmids[j]) <= flat_tol:
-            k = j
-            while k < ncell - 1 and abs(fmids[k + 1] - fmids[k]) <= flat_tol:
-                k += 1
-            runs.append((j, k, fmids[j]))
-            j = k + 1
-        else:
-            j += 1
+    fmids = np.asarray(f(mids), dtype=float)
+    # maximal runs of cells j0..j1 whose consecutive images agree within flat_tol
+    flat = np.concatenate([[False], np.abs(np.diff(fmids)) <= flat_tol, [False]])
+    step = np.diff(flat.astype(np.int8))
+    runs = zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))
 
     atoms = []
     flat_x = []
-    for j0, j1, v in runs:
+    for j0, j1 in runs:
+        v = fmids[j0]
         xl = _refine_flat_boundary(f, mids[j0], lo, v, flat_tol)
         xr = _refine_flat_boundary(f, mids[j1], hi, v, flat_tol)
         # CDF difference already includes any input atoms sitting inside the run
@@ -558,8 +543,8 @@ def pushforward_monotone(m, f):
             if piece.size < 2:
                 continue
             xs_p = xs[piece]
-            ys = np.array([f(x) for x in xs_p], dtype=float)
-            fpv = np.array([_fprime(f, x, scale) for x in xs_p], dtype=float)
+            ys = np.asarray(f(xs_p), dtype=float)
+            fpv = _fprime(f, xs_p, scale)
             dens = np.divide(ds[piece], fpv, out=np.zeros_like(fpv), where=fpv > 1e-300)
             good = np.concatenate([[True], np.diff(ys) > 0]) & np.isfinite(dens)
             if np.count_nonzero(good) >= 2:
@@ -567,51 +552,59 @@ def pushforward_monotone(m, f):
 
     # input atoms outside every flat run keep their own image atoms
     atoms_all = list(atoms)
-    for xa, wa in m.atoms:
+    for ya, (xa, wa) in zip(atom_y.tolist(), m.atoms):
         if not any(xl <= xa <= xr for xl, xr in flat_x):
-            atoms_all.append((float(f(xa)), wa))
+            atoms_all.append((ya, wa))
     support = (float(new_edges[0]), float(new_edges[-1]))
     return GridMeasure(support, segments, atoms_all, new_edges, quantiles_primary=True)
 
 
 def hilbert_transform(m, x):
-    """(1/pi) PV integral of dm(t)/(x - t).
+    """(1/pi) PV integral of dm(t)/(x - t), at a point or at each point of an array.
 
     Uses the subtract-the-singularity rule inside the support so only a
-    bounded integrand is quadratured; requires density samples.
+    bounded integrand is quadratured; requires density samples.  Returns a
+    float for a scalar x and an array for an array x.
     """
-    x = float(x)
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = m.support
     scale = max(hi - lo, 1e-12)
     for xa, wa in m.atoms:
-        if abs(x - xa) < 1e-12 * (abs(x) + abs(xa) + 1.0):
+        if np.any(np.abs(x - xa) < 1e-12 * (np.abs(x) + abs(xa) + 1.0)):
             raise InvalidInputError("Hilbert transform undefined at an atom")
     if not m._segments and not m.atoms:
         raise InvalidInputError("Hilbert transform needs a density or atoms")
-    total = sum(w / (x - xa) for xa, w in m.atoms)
+    total = np.zeros_like(x)
+    for xa, w in m.atoms:
+        total += w / (x - xa)
     if m._splines is None:
         m._splines = [CubicSpline(xs, ds) for xs, ds in m._segments]
     for (xs, ds), spl in zip(m._segments, m._splines):
         a, b = xs[0], xs[-1]
-        if a < x < b:
-            rho_x = float(spl(x))
-            g = np.empty_like(ds)
-            dx = x - xs
-            small = np.abs(dx) < 1e-12 * scale
-            g[~small] = (ds[~small] - rho_x) / dx[~small]
-            if small.any():
-                g[small] = -float(spl(x, 1))
-            total += float(np.trapezoid(g, xs)) + rho_x * math.log(abs((x - a) / (b - x)))
-        else:
-            total += float(np.trapezoid(ds / (x - xs), xs))
-    return total / math.pi
+        inside = (a < x) & (x < b)
+        # one row per evaluation point, one column per node
+        xi = x[inside]
+        rho = spl(xi)
+        dx = np.subtract.outer(xi, xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = (ds - rho[:, None]) / dx
+        g = np.where(np.abs(dx) < 1e-12 * scale, -spl(xi, 1)[:, None], g)
+        total[inside] += np.trapezoid(g, xs, axis=1) + rho * np.log(np.abs((xi - a) / (b - xi)))
+        xo = x[~inside]
+        total[~inside] += np.trapezoid(ds / np.subtract.outer(xo, xs), xs, axis=1)
+    out = total / math.pi
+    return float(out[0]) if scalar else out
 
 
 def log_energy(m):
     """Double integral of -log|s - t|; +inf when the measure has atoms.
 
     Evaluates the equal-mass block model with the log kernel integrated in
-    closed form on every block pair, including the diagonal.
+    closed form on every block pair, including the diagonal.  The pair sum is
+    symmetric (the kernel is even), so it runs over the upper triangle in
+    strips of _ENERGY_ROWS block rows: each strip's diagonal tile counts once
+    and the tiles right of it count twice.
     """
     if m.atoms:
         return math.inf
@@ -619,11 +612,19 @@ def log_energy(m):
     d = np.diff(e)
     if np.any(d <= _FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)):
         return math.inf
-    g = _log_kernel_primitive(np.subtract.outer(e, e))
-    block = g[1:, :-1] - g[:-1, :-1] - g[1:, 1:] + g[:-1, 1:]
     n = d.size
-    weights = 1.0 / np.outer(d, d)
-    return float(np.sum(block * weights)) / (n * n)
+    total = 0.0
+    for r0 in range(0, n, _ENERGY_ROWS):
+        r1 = min(r0 + _ENERGY_ROWS, n)
+        # block rows r0..r1-1 against block columns r0..n-1
+        g = _log_kernel_primitive(np.subtract.outer(e[r0:r1 + 1], e[r0:]))
+        block = g[1:, :-1] - g[:-1, :-1]
+        block -= g[1:, 1:]
+        block += g[:-1, 1:]
+        block /= np.outer(d[r0:r1], d[r0:])
+        k = r1 - r0
+        total += float(np.sum(block[:, :k])) + 2.0 * float(np.sum(block[:, k:]))
+    return total / (n * n)
 
 
 def _simpson_pl(valsA, valsB, s):

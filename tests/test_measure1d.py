@@ -44,8 +44,7 @@ def test_pushforward_identity(semicircle):
 
 
 def test_pushforward_flat_pieces_make_atoms(semicircle):
-    f = lambda x: 0.5 * math.copysign(1.0, x) if x != 0 else 0.0  # noqa: E731
-    out = M.pushforward_monotone(semicircle, f)
+    out = M.pushforward_monotone(semicircle, lambda x: 0.5 * np.sign(x))
     assert len(out.atoms) == 2
     (x1, w1), (x2, w2) = out.atoms
     assert abs(x1 + 0.5) < 1e-12 and abs(x2 - 0.5) < 1e-12
@@ -249,3 +248,192 @@ def test_center_and_barycenter(semicircle):
     assert abs(M.barycenter(shifted) - 0.8) < 1e-10
     recentered = shifted.center()
     assert abs(M.barycenter(recentered)) < 1e-10
+
+
+# -- array paths against the per-element code they replaced --------------------
+
+
+def _dense_log_energy(m):
+    # every block pair of the full (n+1) x (n+1) kernel table
+    if m.atoms:
+        return math.inf
+    e = m._edges
+    d = np.diff(e)
+    if np.any(d <= M._FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)):
+        return math.inf
+    g = M._log_kernel_primitive(np.subtract.outer(e, e))
+    block = g[1:, :-1] - g[:-1, :-1] - g[1:, 1:] + g[:-1, 1:]
+    n = d.size
+    weights = 1.0 / np.outer(d, d)
+    return float(np.sum(block * weights)) / (n * n)
+
+
+@pytest.mark.parametrize("n_cells", [3, 63, 64, 65, 384, 1000, 1024])
+def test_log_energy_strips_match_dense_sum(n_cells):
+    rng = np.random.default_rng(n_cells)
+    for m in (random_bump_measure(rng, n_cells=n_cells),
+              random_bump_measure(rng, n_cells=n_cells).translate(-3.7)):
+        ref = _dense_log_energy(m)
+        assert abs(M.log_energy(m) - ref) <= 1e-11 * abs(ref)
+
+
+def test_log_energy_strips_match_dense_sum_on_clustered_edges(quartic_solution):
+    # the x^3 image of a Gibbs measure piles its quantile edges up near 0
+    for m in (M.pushforward_monotone(quartic_solution.measure, lambda x: x ** 3),
+              quartic_solution.measure.translate(2.31)):
+        ref = _dense_log_energy(m)
+        assert abs(M.log_energy(m) - ref) <= 1e-11 * abs(ref)
+
+
+def test_log_energy_infinite_for_atoms_and_flat_cells():
+    flat = M.GridMeasure((0.0, 1.0), [], [], [0.0, 0.25, 0.25, 0.5, 1.0])
+    for m in (M.dirac(0.3), M.two_point(1.0), _mixed_measure(), flat):
+        assert M.log_energy(m) == _dense_log_energy(m) == math.inf
+
+
+def _loop_exact_quantile(m, s):
+    # one mass-carrying piece at a time, one level at a time
+    items = []
+    for xs, ds in m._segments:
+        masses = 0.5 * (ds[:-1] + ds[1:]) * np.diff(xs)
+        for i in range(xs.size - 1):
+            if masses[i] > 0:
+                items.append(("cell", xs[i], xs[i + 1], ds[i], ds[i + 1], masses[i]))
+    for x, w in m.atoms:
+        items.append(("atom", x, x, 0.0, 0.0, w))
+    items.sort(key=lambda it: (it[1], it[2]))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    cum = np.concatenate([[0.0], np.cumsum([it[5] for it in items])])
+    total = cum[-1]
+    out = np.empty_like(s)
+    idx = np.clip(np.searchsorted(cum, s * total, side="left") - 1, 0, len(items) - 1)
+    for k, (sk, i) in enumerate(zip(s, idx)):
+        kind, x0, x1, d0, d1, mass = items[i]
+        if kind == "atom":
+            out[k] = x0
+            continue
+        rem = min(max(sk * total - cum[i], 0.0), mass)
+        slope = (d1 - d0) / (x1 - x0)
+        if abs(slope) < 1e-300:
+            out[k] = x0 + (rem / mass) * (x1 - x0) if mass > 0 else x0
+            continue
+        disc = d0 * d0 + 2.0 * slope * rem
+        root = (math.sqrt(max(disc, 0.0)) - d0) / slope
+        out[k] = min(max(x0 + root, x0), x1)
+    return out
+
+
+def test_exact_quantile_matches_level_loop(semicircle):
+    nodes = np.linspace(-1.0, 1.0, 301)
+    # an atom strictly inside a density cell, one on a node, one past the end
+    atoms = [(0.3031, 0.2), (float(nodes[90]), 0.1), (1.5, 0.05)]
+    inner = M.GridMeasure.from_density(nodes, 1.0 + nodes ** 2, atoms=atoms, normalize=True,
+                                       validate=False)
+    # levels on every cumulative-mass boundary of _mixed_measure (multiples of 2^-9)
+    # and at 0 and 1
+    s = np.concatenate([np.linspace(0.0, 1.0, 1025), np.arange(513) / 512.0,
+                        np.random.default_rng(2).uniform(size=300)])
+    for m in (semicircle, M.uniform(-1.0, 2.0), M.two_point(0.75), M.dirac(1.5),
+              _mixed_measure(), inner):
+        assert np.array_equal(m._exact_quantile(s), _loop_exact_quantile(m, s))
+
+
+def _pointwise_pushforward(m, f):
+    # one point per call of f; a one-element array rather than a 0-d value,
+    # because NumPy's power rounds those two by up to 1 ulp apart and the
+    # central difference below would amplify that
+    def f1(x):
+        return float(np.asarray(f(np.array([x])), dtype=float)[0])
+
+    lo, hi = m.support
+    scale = hi - lo
+    fp = np.array([f1(x) for x in np.linspace(lo, hi, 1025)])
+    fscale = abs(fp[-1] - fp[0]) + 1.0
+    if np.any(np.diff(fp) < -1e-10 * fscale):
+        raise InvalidInputError("f must be nondecreasing on the support")
+    new_edges = np.maximum.accumulate(np.array([f1(x) for x in m._edges]))
+    if m.is_atomic():
+        merged = {}
+        for x, w in m.atoms:
+            y = f1(x)
+            merged[y] = merged.get(y, 0.0) + w
+        return M.GridMeasure((min(merged), max(merged)), [], sorted(merged.items()), new_edges)
+    flat_tol = 1e-12 * fscale
+    mids = 0.5 * (m._edges[:-1] + m._edges[1:])
+    fmids = np.array([f1(x) for x in mids])
+    runs = []
+    j = 0
+    while j < mids.size - 1:
+        if abs(fmids[j + 1] - fmids[j]) <= flat_tol:
+            k = j
+            while k < mids.size - 1 and abs(fmids[k + 1] - fmids[k]) <= flat_tol:
+                k += 1
+            runs.append((j, k, fmids[j]))
+            j = k + 1
+        else:
+            j += 1
+    atoms, flat_x = [], []
+    for j0, j1, v in runs:
+        xl = M._refine_flat_boundary(f, mids[j0], lo, v, flat_tol)
+        xr = M._refine_flat_boundary(f, mids[j1], hi, v, flat_tol)
+        mass = float(m.cdf(xr) - m.cdf(xl))
+        if mass > 1e-13:
+            atoms.append((v, mass))
+            flat_x.append((xl, xr))
+    segments = []
+    for xs, ds in m._segments:
+        keep = np.ones(xs.size, dtype=bool)
+        for xl, xr in flat_x:
+            keep &= ~((xs > xl + 1e-13 * scale) & (xs < xr - 1e-13 * scale))
+        idx = np.flatnonzero(keep)
+        for piece in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1):
+            if piece.size < 2:
+                continue
+            ys = np.array([f1(x) for x in xs[piece]])
+            fpv = np.empty(piece.size)
+            for i, x in enumerate(xs[piece]):
+                h = 6e-6 * max(abs(x), 0.05 * scale, 1e-12)
+                fpv[i] = (f1(x + h) - f1(x - h)) / (2.0 * h)
+            dens = np.divide(ds[piece], fpv, out=np.zeros_like(fpv), where=fpv > 1e-300)
+            good = np.concatenate([[True], np.diff(ys) > 0]) & np.isfinite(dens)
+            if np.count_nonzero(good) >= 2:
+                segments.append((ys[good], dens[good]))
+    for xa, wa in m.atoms:
+        if not any(xl <= xa <= xr for xl, xr in flat_x):
+            atoms.append((f1(xa), wa))
+    return M.GridMeasure((new_edges[0], new_edges[-1]), segments, atoms, new_edges,
+                         quantiles_primary=True)
+
+
+def _assert_within_ulps(a, b, ulps=4):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.all(np.abs(a - b) <= ulps * np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b)))
+
+
+def test_pushforward_matches_pointwise_reference(semicircle, quartic_solution):
+    cases = [(_mixed_measure(), lambda x: x ** 2),
+             # flat runs at both ends; the upper one swallows the input atom at 2
+             (_mixed_measure(), lambda x: np.clip(x, 0.25, 0.75)),
+             (semicircle, lambda x: 0.5 * np.sign(x)),
+             (quartic_solution.measure, lambda x: x ** 3),
+             (M.two_point(0.5), lambda x: x ** 3)]
+    for m, f in cases:
+        out, ref = M.pushforward_monotone(m, f), _pointwise_pushforward(m, f)
+        assert out.atoms == ref.atoms
+        assert out.support == ref.support
+        _assert_within_ulps(out._edges, ref._edges)
+        assert len(out._segments) == len(ref._segments)
+        for (xo, do), (xr, dr) in zip(out._segments, ref._segments):
+            _assert_within_ulps(xo, xr)
+            _assert_within_ulps(do, dr)
+
+
+def test_hilbert_transform_array_matches_points(semicircle):
+    xs = np.array([-3.0, -1.999, -1.3, 0.05, 0.4, 1.99, 2.5])
+    for m in (semicircle, _mixed_measure()):
+        h = M.hilbert_transform(m, xs)
+        assert isinstance(h, np.ndarray) and h.shape == xs.shape
+        points = [M.hilbert_transform(m, x) for x in xs]
+        assert all(isinstance(p, float) for p in points)
+        assert np.array_equal(h, points)
