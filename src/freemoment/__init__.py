@@ -20,9 +20,9 @@ from .measure1d import GridMeasure, displacement_interpolate, \
     quantile, semicircle, two_point, uniform, dirac, wasserstein2_sq
 from .moment1d import MomentProblem, MomentSolution, MonotoneMap, builtin_target, \
     functional_F, minimize_F, recover_potential_derivative, verify_solution
-from .ncseries import MatrixTensor, NCSeries, TensorSeries, cyclic_gradient, \
-    cyclic_symmetrize, difference_quotient, drop_constant, jacobian, log_neumann, \
-    multiply, norm_A, norm_AB, number_op, number_op_inverse, substitute, trace_contract
+from .ncseries import NCSeries, apply_to_vector, cyclic_gradient, cyclic_symmetrize, \
+    difference_quotient, drop_constant, jacobian, log_neumann, multiply, norm_A, norm_AB, \
+    number_op, number_op_inverse, substitute, trace_contract
 from .sdmoments import TraceTable, canonical_word, noncrossing_pair_count, \
     pushforward_trace, sd_residual, solve_sd
 from .transport import TransportProblem, TransportSolution, lipschitz_bound, \

@@ -84,8 +84,7 @@ def _load_target(text):
 def cmd_moment1d(args):
     try:
         target = _load_target(args.target)
-        problem = moment1d.MomentProblem(target, n_particles=args.particles,
-                                         tol=args.tol if args.tol else 1e-10)
+        problem = moment1d.MomentProblem(target, n_particles=args.particles, tol=args.tol)
         sol = moment1d.minimize_F(problem)
         report = moment1d.verify_solution(sol, target)
         out = sol.to_dict()
@@ -107,7 +106,7 @@ def cmd_transport_nc(args):
             warnings.simplefilter("ignore")
             problem = transport.TransportProblem(
                 W, degree, a_radius=args.norm_radius, ball_radius=args.ball_radius,
-                cutoff=args.cutoff, tol=args.tol if args.tol else 1e-10)
+                cutoff=args.cutoff, tol=args.tol)
         sol = transport.solve_V(problem)
         report = transport.verify_transport(sol, W, min(6, degree))
         out = sol.to_dict()
@@ -181,8 +180,9 @@ def build_parser():
     v.add_argument("--solution", required=True)
     v.add_argument("--series", default=None)
 
+    for q in (gm, t):
+        q.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     for q in (g, gm, t, v):
-        q.add_argument("--tol", type=float, default=None)
         q.add_argument("--out", default=None)
         q.add_argument("--json", action="store_true")
     return p

@@ -1,15 +1,19 @@
 """Sparse noncommutative power series in n self-adjoint indeterminates.
 
 Words are tuples of 0-based variable indices; a series maps words to real
-coefficients and is hard-truncated at its ``max_degree``.  Tensor series live
-in M (x) M^op: both legs are words, and right legs multiply in reversed
-order.  On top of the algebra sit the cyclic gradient, the difference
-quotient, the Jacobian, the cyclic symmetrization / number / projection
-operators, the weighted coefficient norms, and the trace-contracted matrix
-logarithm used by the transport fixed point.
+coefficients and is hard-truncated at its ``max_degree``.  Tensors in
+M (x) M^op are dense blocks per bidegree on base-n word codes, and right
+legs multiply in reversed order.  On top of the algebra sit the cyclic
+gradient, the difference quotient, the Jacobian, the cyclic symmetrization /
+number / projection operators, the weighted coefficient norms, and the
+trace-contracted matrix logarithm used by the transport fixed point.
 """
 
 from __future__ import annotations
+
+import functools
+
+import numpy as np
 
 from .errors import InvalidInputError
 from .jsonio import JSONMixin
@@ -187,193 +191,92 @@ def cyclic_gradient_vector(f):
     return [cyclic_gradient(f, i) for i in range(f.n_vars)]
 
 
-class TensorSeries:
-    """Element of M (x) M^op with word legs; degree bound is on |left|+|right|."""
-
-    __slots__ = ("n_vars", "max_degree", "terms")
-
-    def __init__(self, n_vars, max_degree, terms=None):
-        self.n_vars = int(n_vars)
-        self.max_degree = int(max_degree)
-        clean = {}
-        if terms:
-            for (wl, wr), coeff in terms.items():
-                if coeff != 0.0 and len(wl) + len(wr) <= self.max_degree:
-                    key = (tuple(wl), tuple(wr))
-                    clean[key] = clean.get(key, 0.0) + float(coeff)
-        self.terms = {k: c for k, c in clean.items() if c != 0.0}
-
-    @classmethod
-    def zero(cls, n_vars, max_degree):
-        return cls(n_vars, max_degree, {})
-
-    @classmethod
-    def _from_clean(cls, n_vars, max_degree, terms):
-        """Wrap float coefficients on tuple keys already within the cap,
-        dropping only the zeros (the single pass left of ``__init__``)."""
-        out = cls.__new__(cls)
-        out.n_vars = n_vars
-        out.max_degree = max_degree
-        out.terms = {k: c for k, c in terms.items() if c != 0.0}
-        return out
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0.0) + c
-        if self.max_degree != other.max_degree:
-            return TensorSeries(self.n_vars, min(self.max_degree, other.max_degree), terms)
-        return TensorSeries._from_clean(self.n_vars, self.max_degree, terms)
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, TensorSeries):
-            return tensor_multiply(self, scalar)
-        scalar = float(scalar)
-        return TensorSeries._from_clean(self.n_vars, self.max_degree,
-                                        {k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSeries) and self.terms == other.terms
-
-    def apply_to(self, s):
-        """The M (x) M^op action on M: (a (x) b) # s = a s b."""
-        out = {}
-        for (wl, wr), coeff in self.terms.items():
-            for ws, cs in s.terms.items():
-                w = wl + ws + wr
-                if len(w) <= s.max_degree:
-                    out[w] = out.get(w, 0.0) + coeff * cs
-        return NCSeries(s.n_vars, s.max_degree, out)
-
-    def to_dict(self):
-        items = sorted(self.terms.items(), key=lambda kv: (len(kv[0][0]) + len(kv[0][1]), kv[0]))
-        return {
-            "n_vars": self.n_vars,
-            "max_degree": self.max_degree,
-            "terms": [{"left": [i + 1 for i in wl], "right": [i + 1 for i in wr], "coeff": c}
-                      for (wl, wr), c in items],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        terms = {}
-        for item in d.get("terms", []):
-            key = (tuple(int(i) - 1 for i in item["left"]),
-                   tuple(int(i) - 1 for i in item["right"]))
-            terms[key] = terms.get(key, 0.0) + float(item["coeff"])
-        return cls(d["n_vars"], d["max_degree"], terms)
+# -- tensors over M (x) M^op ---------------------------------------------------------
+#
+# A tensor is a dict {(l, r): array of shape (n**l, n**r)}: entry [a, b] is the
+# coefficient of left word code a (x) right word code b, with codes in base n,
+# first letter most significant, as in sdmoments.  A matrix over M (x) M^op
+# adds two leading matrix axes, {(l, r): array of shape (k, k, n**l, n**r)}.
+# Blocks may be absent or all zero.
 
 
-def tensor_multiply(a, b, max_degree=None):
-    """(a (x) b)(c (x) d) = ac (x) db: left legs concatenate, right legs reverse.
-
-    b's terms are grouped by total degree so that only pairs within the cap
-    are visited.  For a fixed term of a, distinct terms of b give distinct
-    keys, so each coefficient is summed in a's order, as in the plain double
-    loop.
-    """
-    cap = min(a.max_degree, b.max_degree) if max_degree is None else max_degree
-    by_degree = {}
-    for (lb, rb), cb in b.terms.items():
-        by_degree.setdefault(len(lb) + len(rb), []).append((lb, rb, cb))
-    groups = sorted(by_degree.items())
-    terms = {}
-    for (la, ra), ca in a.terms.items():
-        room = cap - len(la) - len(ra)
-        for deg, items in groups:
-            if deg > room:
-                break
-            for lb, rb, cb in items:
-                key = (la + lb, rb + ra)
-                terms[key] = terms.get(key, 0.0) + ca * cb
-    return TensorSeries._from_clean(a.n_vars, cap, terms)
+def _digits(codes, n, length):
+    """Base-n digits of word codes, most significant letter first."""
+    return (codes[:, None] // n ** np.arange(length - 1, -1, -1)) % n
 
 
-def difference_quotient(f, i, max_degree=None):
-    """Split each occurrence of variable i into prefix (x) suffix."""
-    cap = f.max_degree if max_degree is None else max_degree
-    terms = {}
+@functools.lru_cache(maxsize=None)
+def _words(n, length):
+    """All words of a length, in code order."""
+    return tuple(map(tuple, _digits(np.arange(n ** length), n, length).tolist()))
+
+
+def _code(word, n):
+    code = 0
+    for letter in word:
+        code = code * n + letter
+    return code
+
+
+def _product(a, b, max_degree, spec):
+    """Blockwise product (x (x) y)(u (x) v) = xu (x) vy, keeping total degree
+    <= max_degree; ``spec`` is the einsum of one block pair, with output axes
+    ...(left of a)(left of b)(right of b)(right of a)."""
+    out = {}
+    for (l1, r1), x in a.items():
+        for (l2, r2), y in b.items():
+            if l1 + r1 + l2 + r2 > max_degree:
+                continue
+            z = np.einsum(spec, x, y)
+            z = z.reshape(z.shape[:-4] + (x.shape[-2] * y.shape[-2], y.shape[-1] * x.shape[-1]))
+            key = (l1 + l2, r1 + r2)
+            out[key] = out[key] + z if key in out else z
+    return out
+
+
+def tensor_multiply(a, b, max_degree):
+    """(a (x) b)(c (x) d) = ac (x) db: left legs concatenate, right legs reverse."""
+    return _product(a, b, max_degree, "ab,cd->acdb")
+
+
+def difference_quotient(f, i):
+    """Split each occurrence of variable i into prefix (x) suffix, as a tensor."""
+    n = f.n_vars
+    out = {}
     for word, coeff in f.terms.items():
         for pos, letter in enumerate(word):
             if letter == i:
-                key = (word[:pos], word[pos + 1:])
-                terms[key] = terms.get(key, 0.0) + coeff
-    return TensorSeries(f.n_vars, cap, terms)
+                key = (pos, len(word) - pos - 1)
+                blk = out.setdefault(key, np.zeros((n ** key[0], n ** key[1])))
+                blk[_code(word[:pos], n), _code(word[pos + 1:], n)] += coeff
+    return out
 
 
-class MatrixTensor:
-    """Square matrix over M (x) M^op."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.n = len(self.entries)
-        for row in self.entries:
-            if len(row) != self.n:
-                raise InvalidInputError("matrix must be square")
-
-    @classmethod
-    def zero(cls, n, n_vars, max_degree):
-        return cls([[TensorSeries.zero(n_vars, max_degree) for _ in range(n)] for _ in range(n)])
-
-    def __add__(self, other):
-        return MatrixTensor([[a + b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.entries, other.entries)])
-
-    def __mul__(self, scalar):
-        return MatrixTensor([[e * scalar for e in row] for row in self.entries])
-
-    __rmul__ = __mul__
-
-    def matmul(self, other, max_degree=None):
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    prod = tensor_multiply(self.entries[i][k], other.entries[k][j], max_degree)
-                    acc = prod if acc is None else acc + prod
-                row.append(acc)
-            out.append(row)
-        return MatrixTensor(out)
-
-    def trace(self):
-        acc = self.entries[0][0]
-        for i in range(1, self.n):
-            acc = acc + self.entries[i][i]
-        return acc
-
-    def apply_to_vector(self, vec):
-        """Matrix action on a vector of plain series via the tensor action."""
-        out = []
-        for i in range(self.n):
-            acc = None
-            for j in range(self.n):
-                term = self.entries[i][j].apply_to(vec[j])
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
-
-    def is_zero(self):
-        return all(not e.terms for row in self.entries for e in row)
-
-
-def jacobian(p, max_degree=None):
-    """Matrix of difference quotients (J p)_{ij} = d_j p_i."""
+def jacobian(p):
+    """Matrix of difference quotients (J p)_{ij} = d_j p_i, as blocks (n, n, n**l, n**r)."""
     n = len(p)
-    for s in p:
+    out = {}
+    for i, s in enumerate(p):
         if s.n_vars != n:
             raise InvalidInputError("jacobian needs an n-vector of series in n variables")
-    return MatrixTensor([[difference_quotient(p[i], j, max_degree) for j in range(n)]
-                         for i in range(n)])
+        for j in range(n):
+            for key, blk in difference_quotient(s, j).items():
+                out.setdefault(key, np.zeros((n, n) + blk.shape))[i, j] = blk
+    return out
+
+
+def apply_to_vector(m, vec):
+    """Action of a matrix over M (x) M^op on a vector of series: (a (x) b) # s = a s b."""
+    out = [{} for _ in vec]
+    for (l, r), blk in m.items():
+        left, right = _words(vec[0].n_vars, l), _words(vec[0].n_vars, r)
+        for i, j, a, b in zip(*np.nonzero(blk)):
+            coeff = blk[i, j, a, b]
+            for ws, cs in vec[j].terms.items():
+                if l + len(ws) + r <= vec[j].max_degree:
+                    w = left[a] + ws + right[b]
+                    out[i][w] = out[i].get(w, 0.0) + coeff * cs
+    return [NCSeries(s.n_vars, s.max_degree, terms) for s, terms in zip(vec, out)]
 
 
 # -- symmetrization-type operators ------------------------------------------------
@@ -428,37 +331,44 @@ def norm_AB(t, a, b):
     """Tensor norm: a weights the left leg, b the right leg."""
     if a < 1.0 or b < 1.0:
         raise InvalidInputError("norm radii must be >= 1")
-    return sum(abs(c) * a ** len(wl) * b ** len(wr) for (wl, wr), c in t.terms.items())
+    return sum(a ** l * b ** r * float(np.abs(blk).sum()) for (l, r), blk in t.items())
 
 
 # -- trace contraction and matrix logarithm ------------------------------------------
 
 
-def trace_contract(t, tau, max_degree=None):
-    """Apply (1 (x) tau + tau (x) 1) to a tensor series, yielding a plain series."""
-    cap = t.max_degree if max_degree is None else max_degree
+def trace_contract(t, tau):
+    """Apply (1 (x) tau + tau (x) 1) to a tensor, yielding a series capped at tau's cap."""
+    n, cap = tau.n_vars, tau.degree_cap
+    top = max((max(key) for key in t), default=0)
+    if top > cap:
+        raise InvalidInputError("tensor word exceeds the trace table cap")
+    traces = [np.array([tau.value(w) for w in _words(n, length)]) for length in range(top + 1)]
+    out = {}
+    for (l, r), blk in t.items():
+        out[r] = out.get(r, 0.0) + traces[l] @ blk
+        out[l] = out.get(l, 0.0) + blk @ traces[r]
     terms = {}
-    for (wl, wr), coeff in t.terms.items():
-        tl = tau.value(wl)
-        tr = tau.value(wr)
-        if tl is None or tr is None:
-            raise InvalidInputError("tensor word exceeds the trace table cap")
-        if tl != 0.0 and len(wr) <= cap:
-            terms[wr] = terms.get(wr, 0.0) + coeff * tl
-        if tr != 0.0 and len(wl) <= cap:
-            terms[wl] = terms.get(wl, 0.0) + coeff * tr
-    return NCSeries(t.n_vars, cap, terms)
+    for length, vec in out.items():
+        terms.update(zip(_words(n, length), vec.tolist()))
+    return NCSeries(n, cap, terms)
 
 
-def log_neumann(m, order):
-    """Truncated series for log(1 + m) on a matrix over M (x) M^op."""
-    if order < 1:
-        raise InvalidInputError("order must be >= 1")
-    acc = m
-    power = m
-    for k in range(2, order + 1):
-        power = power.matmul(m)
-        if power.is_zero():
-            break
-        acc = acc + power * ((-1.0) ** (k + 1) / k)
+def log_neumann(k, max_degree):
+    """Tr log(1 + k) = sum_p (-1)^(p+1)/p Tr k^p as a tensor, truncated at max_degree.
+
+    k is a matrix over M (x) M^op without a degree-0 block, so k^p vanishes
+    under the cap once p exceeds it and the series ends by itself.  Tr k^p is
+    taken as the trace of k^(p-1) k, formed on the diagonal only, and k^p is
+    kept only below the cap, where one more factor k can still multiply it.
+    """
+    if (0, 0) in k:
+        raise InvalidInputError("log_neumann needs a matrix without a degree-0 block")
+    acc = {key: np.einsum("iiab->ab", blk) for key, blk in k.items()}
+    power, p = k, 1
+    while power:
+        p += 1
+        for key, blk in _product(power, k, max_degree, "ikab,kicd->acdb").items():
+            acc[key] = acc.get(key, 0.0) + (-1.0) ** (p + 1) / p * blk
+        power = _product(power, k, max_degree - 1, "ikab,kjcd->ijacdb")
     return acc

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
 from .jsonio import JSONMixin
-from .ncseries import NCSeries, cyclic_gradient, multiply
+from .ncseries import NCSeries, _digits, cyclic_gradient, multiply
 
 DEFAULT_CUTOFF = 3.0
 # sweep budget and Jacobi damping of solve_sd
@@ -68,11 +68,6 @@ def _killed_by_symmetry(word, even_overall, flips):
         if flip and word.count(i) % 2 == 1:
             return True
     return False
-
-
-def _digits(codes, n, length):
-    """Base-n digits of word codes, most significant letter first."""
-    return (codes[:, None] // n ** np.arange(length - 1, -1, -1)) % n
 
 
 def _canonical_codes(n, length):
@@ -386,6 +381,8 @@ def pushforward_trace(tau, f, degree_cap):
 
     Each requested word is expanded by substituting the map components and
     truncating at the table cap; components must have zero constant term.
+    Canonical words come in lexicographic order, so each product starts from
+    that of the common prefix with the previous word.
     """
     n = tau.n_vars
     if len(f) != n:
@@ -397,17 +394,20 @@ def pushforward_trace(tau, f, degree_cap):
         raise InvalidInputError("output degree cap exceeds the trace table cap")
     inner_cap = tau.degree_cap
     comps = [comp.truncate(inner_cap) for comp in f]
-    one = NCSeries.constant(1.0, n, inner_cap)
+    # prods[k] is the product of the first k letters of word
+    word, prods = (), [NCSeries.constant(1.0, n, inner_cap)]
 
     values = {}
     for length in range(1, degree_cap + 1):
         for w in _enumerate_canonical(n, length):
-            prod = one
-            for letter in w:
-                prod = multiply(prod, comps[letter], inner_cap)
-                if not prod.terms:
-                    break
-            values[w] = tau.of_series(prod, strict=False)
+            k = 0
+            while k < len(word) and word[k] == w[k]:
+                k += 1
+            del prods[k + 1:]
+            for letter in w[k:]:
+                prods.append(multiply(prods[-1], comps[letter], inner_cap))
+            word = w
+            values[w] = tau.of_series(prods[-1], strict=False)
     even = all(abs(v) < 1e-300 for w, v in values.items() if len(w) % 2 == 1)
     return TraceTable(n, degree_cap, tau.cutoff, values, tail_estimate=tau.tail_estimate,
                       even_overall=even, flips=[False] * n)

@@ -21,13 +21,12 @@ from . import gibbs1d, moment1d, sdmoments
 from .errors import ConvergenceError, InvalidInputError, RegimeError
 from .jsonio import JSONMixin
 from .ncseries import (
-    MatrixTensor,
     NCSeries,
-    TensorSeries,
     cyclic_gradient_vector,
     cyclic_symmetrize,
     difference_quotient,
     drop_constant,
+    jacobian,
     log_neumann,
     multiply,
     norm_A,
@@ -54,7 +53,7 @@ class TransportProblem:
     """Problem data for the transport fixed point."""
 
     def __init__(self, W, degree, a_radius=DEFAULT_A, ball_radius=DEFAULT_R,
-                 cutoff=sdmoments.DEFAULT_CUTOFF, tol=1e-10, tau_cap=None, warn_regime=True):
+                 cutoff=sdmoments.DEFAULT_CUTOFF, tol=1e-10, warn_regime=True):
         if not isinstance(W, NCSeries):
             raise InvalidInputError("W must be an NCSeries")
         if W.coeff(()) != 0.0:
@@ -69,7 +68,7 @@ class TransportProblem:
         self.ball_radius = float(ball_radius)
         self.cutoff = float(cutoff)
         self.tol = float(tol)
-        self.tau_cap = int(tau_cap) if tau_cap is not None else self.degree + 4
+        self.tau_cap = self.degree + 4
         # 1 variable is cheap enough for a deep table; more variables are not
         self.verify_cap = max(4 * self.degree, 40) if W.n_vars == 1 else self.degree + 10
         self.guaranteed = norm_A(self.W, GUARANTEE_NORM_RADIUS) < GUARANTEE_MARGIN * self.ball_radius
@@ -111,7 +110,7 @@ def _stored(diagnostics):
     return out
 
 
-def _trace_log(jac, tau, cap):
+def _trace_log(jac, tau):
     """(1 (x) tau + tau (x) 1) Tr log(1 + jac) as it enters the Picard map.
 
     Write jac = M0 + N, with M0 the real matrix of degree-0 coefficients and
@@ -126,33 +125,26 @@ def _trace_log(jac, tau, cap):
     of Tr log(1 + K) is returned; it is exact because K is nilpotent under
     the cap.  Valid only for callers that apply S o Pi to the result.
     """
-    n = jac.n
-    n_vars = jac.entries[0][0].n_vars
-    unit = ((), ())
-    m0 = np.array([[e.terms.get(unit, 0.0) for e in row] for row in jac.entries])
+    n = tau.n_vars
+    m0 = jac[(0, 0)][:, :, 0, 0] if (0, 0) in jac else np.zeros((n, n))
     inv = np.linalg.inv(np.eye(n) + m0)
-    left = MatrixTensor([[TensorSeries(n_vars, cap, {unit: inv[i, j]}) for j in range(n)]
-                         for i in range(n)])
-    nil = MatrixTensor([[TensorSeries(n_vars, cap, {k: c for k, c in e.terms.items() if k != unit})
-                         for e in row] for row in jac.entries])
-    # K^(cap + 1) = 0, so the series ends by itself
-    return trace_contract(log_neumann(left.matmul(nil), max(cap, 1)).trace(), tau, cap)
+    k = {key: np.einsum("ik,kjab->ijab", inv, blk) for key, blk in jac.items() if key != (0, 0)}
+    return trace_contract(log_neumann(k, tau.degree_cap), tau)
 
 
-def picard_map(vtilde, W, tau, degree, tensor_cap=None):
+def picard_map(vtilde, W, tau, degree):
     """One application of the symmetrized Picard map to Vtilde.
 
     Computes SPi[-W(Y + D Sigma Vtilde) + Sigma Vtilde - |D Sigma Vtilde|^2/2
-    + (1 (x) tau + tau (x) 1) Tr log(1 + J D Sigma Vtilde)], truncated.
+    + (1 (x) tau + tau (x) 1) Tr log(1 + J D Sigma Vtilde)], truncated at the
+    trace table's cap.
 
     The trace-log term is exact under the cap: the degree-0 part of the
     Jacobian is factored out (see ``_trace_log``), which relies on the final
     S o Pi projection applied here.
     """
     n = W.n_vars
-    cap = tau.degree_cap if tensor_cap is None else tensor_cap
-    if cap > tau.degree_cap:
-        raise InvalidInputError("tensor cap exceeds the trace table cap")
+    cap = tau.degree_cap
     sv = number_op_inverse(drop_constant(vtilde)).truncate(cap)
     grads = cyclic_gradient_vector(sv)
 
@@ -166,9 +158,7 @@ def picard_map(vtilde, W, tau, degree, tensor_cap=None):
         term_grad2 = term_grad2 + multiply(g, g, cap)
     term_grad2 = term_grad2 * -0.5
 
-    jac = MatrixTensor([[difference_quotient(grads[i], j, cap) for j in range(n)]
-                        for i in range(n)])
-    term_log = _trace_log(jac, tau, cap)
+    term_log = _trace_log(jacobian(grads), tau)
 
     total = term_w + term_sigma + term_grad2 + term_log
     return cyclic_symmetrize(drop_constant(total)).truncate(degree)
@@ -448,7 +438,7 @@ def solve_V(problem):
             update = None
             grow_streak = 0
             for inner in range(MAX_INNER):
-                new = picard_map(vtilde, W, tau, D, tensor_cap=problem.tau_cap)
+                new = picard_map(vtilde, W, tau, D)
                 delta = norm_A(new - vtilde, A)
                 vtilde = new
                 if update is not None and delta > update:

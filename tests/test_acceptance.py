@@ -185,8 +185,8 @@ def test_c11_lipschitz_bound_compliance():
         den = nc.norm_A(v1 - v2, 3.0)
         if den < 1e-12:
             continue
-        f1 = T.picard_map(v1, W0, tau, 6, tensor_cap=8)
-        f2 = T.picard_map(v2, W0, tau, 6, tensor_cap=8)
+        f1 = T.picard_map(v1, W0, tau, 6)
+        f2 = T.picard_map(v2, W0, tau, 6)
         worst_ratio = max(worst_ratio, nc.norm_A(f1 - f2, 3.0) / den)
     dt = time.time() - t0
     ok = exact and worst_ratio <= bound + 1e-12 and dt < 120.0
@@ -219,7 +219,7 @@ def test_c12_evenness_preservation():
                 if length % 2 == 0:
                     values[word] = rng.uniform(-1, 1) * 2.0 ** length
         tau = sd.TraceTable(2, 8, 3.0, values, even_overall=True, flips=[False, False])
-        out = T.picard_map(v, w, tau, 6, tensor_cap=8)
+        out = T.picard_map(v, w, tau, 6)
         worst = max(worst, out.odd_mass())
     dt = time.time() - t0
     _report("C12 evenness preservation", worst == 0.0 and dt < 30.0,
@@ -263,7 +263,8 @@ def test_c15_identity_suites():
     for _ in range(200):
         n = int(rng.integers(1, 4))
         g = [_rand(rng, n, 6, 4) for _ in range(n)]
-        lhs = nc.jacobian(g).apply_to_vector([nc.NCSeries.variable(i, n, 6) for i in range(n)])
+        lhs = nc.apply_to_vector(nc.jacobian(g),
+                                 [nc.NCSeries.variable(i, n, 6) for i in range(n)])
         for i in range(n):
             d = lhs[i] - nc.number_op(g[i])
             worst = max(worst, max((abs(c) for c in d.terms.values()), default=0.0))
@@ -271,7 +272,7 @@ def test_c15_identity_suites():
         n = int(rng.integers(1, 4))
         v = _rand(rng, n, 5, 4)
         dv = [g.truncate(10) for g in nc.cyclic_gradient_vector(v)]
-        lhs = nc.jacobian(dv).apply_to_vector(dv)
+        lhs = nc.apply_to_vector(nc.jacobian(dv), dv)
         sq = nc.NCSeries.zero(n, 10)
         for g in dv:
             sq = sq + nc.multiply(g, g, 10)

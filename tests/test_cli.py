@@ -2,8 +2,10 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from freemoment import cli
+from freemoment.errors import InvalidInputError
 from freemoment.ncseries import NCSeries
 
 
@@ -151,6 +153,34 @@ def test_transport_cli_exit_code_ignores_tol(tmp_path, capsys, monkeypatch):
                            "--tol", "0.5", "--json"], capsys)
     assert json.loads(stdout)["verification"]["max_moment_deviation"] == 1e-2
     assert code == 2
+
+
+def test_tol_reaches_the_solver_as_given(tmp_path, capsys, monkeypatch):
+    # --tol 0 is passed on as 0; the default is 1e-10
+    seen = []
+
+    def capture(*args, **kw):
+        seen.append(kw["tol"])
+        raise InvalidInputError("stop before solving")
+
+    monkeypatch.setattr(cli.moment1d, "MomentProblem", capture)
+    monkeypatch.setattr(cli.transport, "TransportProblem", capture)
+    wfile = tmp_path / "w0.json"
+    NCSeries.zero(1, 8).to_json(str(wfile))
+    for argv in (["moment1d", "--target", "builtin:semicircle"],
+                 ["transport-nc", "--series", str(wfile)]):
+        assert run(argv + ["--tol", "0"], capsys)[0] == 2
+        assert run(argv, capsys)[0] == 2
+    assert seen == [0.0, 1e-10, 0.0, 1e-10]
+
+
+@pytest.mark.parametrize("argv", [["gibbs1d", "--even-coeffs", "0.5"],
+                                  ["verify", "--solution", "sol.json"]])
+def test_tol_rejected_where_no_solver_uses_it(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_transport_cli_quartic(tmp_path, capsys):

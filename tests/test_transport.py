@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from freemoment import gibbs1d as G
 from freemoment import sdmoments as sd
 from freemoment import transport as T
-from freemoment.ncseries import (NCSeries, cyclic_gradient_vector, cyclic_symmetrize,
-                                  drop_constant, jacobian, log_neumann, norm_A,
-                                  number_op_inverse, trace_contract)
+from freemoment.ncseries import (NCSeries, cyclic_gradient, cyclic_gradient_vector,
+                                  cyclic_symmetrize, drop_constant, jacobian, multiply, norm_A,
+                                  number_op, number_op_inverse, substitute)
 from freemoment.errors import InvalidInputError
 
 
@@ -63,24 +64,68 @@ def test_picard_map_preserves_evenness():
     for _ in range(25):
         v = even_ball_sample(rng, 2, 6, 3.0, 0.25)
         w = even_ball_sample(rng, 2, 6, 3.0, 0.1)
-        out = T.picard_map(v, w, tau, 6, tensor_cap=8)
+        out = T.picard_map(v, w, tau, 6)
         assert out.odd_mass() == 0.0
 
 
-def test_trace_log_matches_log_neumann_reference():
-    # the off-diagonal quadratic part xy + yx makes the degree-0 Jacobian non-diagonal
+def reference_trace_log(jac, tau, order):
+    """(1 (x) tau + tau (x) 1) Tr log(1 + jac) from the log series truncated at
+    ``order``, on matrices of dicts keyed by (left word, right word), with no
+    degree-0 factoring."""
+    n, cap = tau.n_vars, tau.degree_cap
+    m = [[{} for _ in range(n)] for _ in range(n)]
+    for (l, r), blk in jac.items():
+        left = list(itertools.product(range(n), repeat=l))
+        right = list(itertools.product(range(n), repeat=r))
+        for i, j, a, b in zip(*np.nonzero(blk)):
+            m[i][j][(left[a], right[b])] = blk[i, j, a, b]
+
+    def matmul(x, y):
+        out = [[{} for _ in range(n)] for _ in range(n)]
+        for i, j, k in itertools.product(range(n), repeat=3):
+            for (la, ra), ca in x[i][k].items():
+                for (lb, rb), cb in y[k][j].items():
+                    if len(la) + len(ra) + len(lb) + len(rb) <= cap:
+                        key = (la + lb, rb + ra)
+                        out[i][j][key] = out[i][j].get(key, 0.0) + ca * cb
+        return out
+
+    acc = {}
+    power = m
+    for p in range(1, order + 1):
+        if p > 1:
+            power = matmul(power, m)
+        for i in range(n):
+            for key, c in power[i][i].items():
+                acc[key] = acc.get(key, 0.0) + (-1.0) ** (p + 1) / p * c
+    terms = {}
+    for (wl, wr), c in acc.items():
+        terms[wr] = terms.get(wr, 0.0) + c * tau.value(wl)
+        terms[wl] = terms.get(wl, 0.0) + c * tau.value(wr)
+    return NCSeries(n, cap, terms)
+
+
+@pytest.mark.parametrize("n, cap, degree", [(1, 8, 6), (2, 8, 6), (3, 6, 4)])
+def test_trace_log_matches_pair_loop_reference(n, cap, degree):
+    # the quadratic part with its xy + yx words makes the degree-0 Jacobian
+    # non-diagonal; the log series of the reference needs no factoring of it
     rng = np.random.default_rng(4)
-    cap = 8
-    tau = sd.solve_sd(NCSeries(2, cap, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}), cap)
-    quad = NCSeries(2, 6, {(0, 1): 0.1, (1, 0): 0.1, (0, 0): 0.05})
+    W = NCSeries(n, cap, {(i,) * 4: 0.02 for i in range(n)})
+    tau = sd.solve_sd(W, cap)
+    quad = NCSeries(n, degree, {(0, 0): 0.02})
+    for i in range(1, n):
+        quad = quad + NCSeries(n, degree, {(0, i): 0.03, (i, 0): 0.03})
     for _ in range(2):
-        vtilde = even_ball_sample(rng, 2, 6, 3.0, 0.25) + quad
+        # higher-degree words at unit radius, so that every power of K counts
+        v = even_ball_sample(rng, n, degree, 1.0, 0.25)
+        vtilde = NCSeries(n, degree, {w: c for w, c in v.terms.items() if len(w) > 2}) + quad
         sv = number_op_inverse(drop_constant(vtilde)).truncate(cap)
-        jac = jacobian(cyclic_gradient_vector(sv), cap)
-        assert jac.entries[0][1].terms.get(((), ()), 0.0) != 0.0
-        got = cyclic_symmetrize(drop_constant(T._trace_log(jac, tau, cap)))
-        ref = cyclic_symmetrize(drop_constant(
-            trace_contract(log_neumann(jac, 40).trace(), tau, cap)))
+        jac = jacobian(cyclic_gradient_vector(sv))
+        m0 = jac[(0, 0)][:, :, 0, 0]
+        if n > 1:
+            assert m0[0, 1] != 0.0
+        got = cyclic_symmetrize(drop_constant(T._trace_log(jac, tau)))
+        ref = cyclic_symmetrize(drop_constant(reference_trace_log(jac, tau, 12)))
         diff = got - ref
         assert got.degree() >= 4
         assert max((abs(c) for c in diff.terms.values()), default=0.0) < 1e-12
@@ -111,8 +156,8 @@ def test_empirical_contraction_within_bound():
     for _ in range(20):
         v1 = even_ball_sample(rng, 2, 6, 3.0, 0.25)
         v2 = even_ball_sample(rng, 2, 6, 3.0, 0.25)
-        f1 = T.picard_map(v1, W0, tau, 6, tensor_cap=8)
-        f2 = T.picard_map(v2, W0, tau, 6, tensor_cap=8)
+        f1 = T.picard_map(v1, W0, tau, 6)
+        f2 = T.picard_map(v2, W0, tau, 6)
         num = norm_A(f1 - f2, 3.0)
         den = norm_A(v1 - v2, 3.0)
         assert num <= bound * den + 1e-12
@@ -126,8 +171,23 @@ def test_picard_norm_bound():
     for _ in range(20):
         w = even_ball_sample(rng, 2, 6, a, 0.05)
         v = even_ball_sample(rng, 2, 6, a, r)
-        out = T.picard_map(v, w, tau, 6, tensor_cap=8)
+        out = T.picard_map(v, w, tau, 6)
         assert norm_A(out, a) <= norm_A(w, a + r) + norm_A(v, a) * factor + 1e-10
+
+
+def test_picard_map_three_variables():
+    rng = np.random.default_rng(5)
+    tau = sd.solve_sd(NCSeries.zero(3, 6), 6)
+    W0 = NCSeries.zero(3, 4)
+    bound = T.lipschitz_bound(W0, 3.0, 0.25)
+    for _ in range(10):
+        v1 = even_ball_sample(rng, 3, 4, 3.0, 0.25)
+        v2 = even_ball_sample(rng, 3, 4, 3.0, 0.25)
+        w = even_ball_sample(rng, 3, 4, 3.0, 0.1)
+        assert T.picard_map(v1, w, tau, 4).odd_mass() == 0.0
+        f1 = T.picard_map(v1, W0, tau, 4)
+        f2 = T.picard_map(v2, W0, tau, 4)
+        assert norm_A(f1 - f2, 3.0) <= bound * norm_A(v1 - v2, 3.0) + 1e-12
 
 
 def test_solve_zero_perturbation():
@@ -171,21 +231,17 @@ def test_cyclic_derivative_of_bracket_vanishes_at_fixed_point():
     prob = T.TransportProblem(W, 8)
     sol = T.solve_V(prob)
     cap = prob.tau_cap
-    from freemoment.ncseries import (MatrixTensor, NCSeries as NCS, cyclic_gradient,
-                                     cyclic_gradient_vector, difference_quotient,
-                                     log_neumann, multiply, number_op, substitute,
-                                     trace_contract)
     V = sol.V
     dv = [g.truncate(cap) for g in cyclic_gradient_vector(V)]
-    args = [NCS.variable(i, 1, cap) + dv[i] for i in range(1)]
+    args = [NCSeries.variable(i, 1, cap) + dv[i] for i in range(1)]
     bracket = substitute(W, args, cap) + (number_op(V) - V)
-    sq = NCS.zero(1, cap)
+    sq = NCSeries.zero(1, cap)
     for g in dv:
         sq = sq + multiply(g, g, cap)
     bracket = bracket + sq * 0.5
-    jac = MatrixTensor([[difference_quotient(dv[i], j, cap) for j in range(1)]
-                        for i in range(1)])
-    bracket = bracket - trace_contract(log_neumann(jac, 12).trace(), sol.tau_Y, cap)
+    # the cyclic gradient does not see the constant and the commutators that
+    # _trace_log leaves out
+    bracket = bracket - T._trace_log(jacobian(dv), sol.tau_Y)
     resid = cyclic_gradient(bracket.truncate(8), 0)
     assert norm_A(resid, 3.0) < 1e-8
 
