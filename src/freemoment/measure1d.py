@@ -20,7 +20,6 @@ import io
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError
 from .jsonio import JSONMixin
@@ -72,7 +71,6 @@ class GridMeasure(JSONMixin):
         # any density samples are a derived convenience (pushforwards,
         # displacement interpolants, particle clouds)
         self._quantiles_primary = bool(quantiles_primary)
-        self._splines = None
 
     # -- constructors ------------------------------------------------------
 
@@ -559,12 +557,40 @@ def pushforward_monotone(m, f):
     return GridMeasure(support, segments, atoms_all, new_edges, quantiles_primary=True)
 
 
+def _local_cubic(xs, ds, x):
+    """Value and slope at each x of the cubic through the 4 nodes around it.
+
+    The nodes are the two on each side of x's cell, shifted inward at the
+    ends; a segment of k < 4 nodes uses its degree k - 1 interpolant.  At a
+    node the value is that node's sample exactly.
+    """
+    k = min(4, xs.size)
+    first = np.clip(np.searchsorted(xs, x, side="right") - k // 2, 0, xs.size - k)
+    xn = [xs[first + i] for i in range(k)]
+    dx = [x - xi for xi in xn]
+    value = np.zeros_like(x)
+    slope = np.zeros_like(x)
+    for i in range(k):
+        # Lagrange basis prod_{j != i} (x - x_j) / (x_i - x_j) and its slope
+        num, dnum, den = 1.0, 0.0, 1.0
+        for j in range(k):
+            if j != i:
+                dnum = dnum * dx[j] + num
+                num = num * dx[j]
+                den = den * (xn[i] - xn[j])
+        value += ds[first + i] * (num / den)
+        slope += ds[first + i] * (dnum / den)
+    return value, slope
+
+
 def hilbert_transform(m, x):
     """(1/pi) PV integral of dm(t)/(x - t), at a point or at each point of an array.
 
-    Uses the subtract-the-singularity rule inside the support so only a
-    bounded integrand is quadratured; requires density samples.  Returns a
-    float for a scalar x and an array for an array x.
+    Uses the subtract-the-singularity rule on each density segment's closed
+    interval, with the local cubic interpolant of the samples, so only a
+    bounded integrand is quadratured; requires density samples.  At a segment
+    end rho log|(x - a)/(b - x)| is taken as 0 where the interpolated density
+    is 0.  Returns a float for a scalar x and an array for an array x.
     """
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -578,19 +604,19 @@ def hilbert_transform(m, x):
     total = np.zeros_like(x)
     for xa, w in m.atoms:
         total += w / (x - xa)
-    if m._splines is None:
-        m._splines = [CubicSpline(xs, ds) for xs, ds in m._segments]
-    for (xs, ds), spl in zip(m._segments, m._splines):
+    for xs, ds in m._segments:
         a, b = xs[0], xs[-1]
-        inside = (a < x) & (x < b)
+        inside = (a <= x) & (x <= b)
         # one row per evaluation point, one column per node
         xi = x[inside]
-        rho = spl(xi)
+        rho, slope = _local_cubic(xs, ds, xi)
         dx = np.subtract.outer(xi, xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = (ds - rho[:, None]) / dx
-        g = np.where(np.abs(dx) < 1e-12 * scale, -spl(xi, 1)[:, None], g)
-        total[inside] += np.trapezoid(g, xs, axis=1) + rho * np.log(np.abs((xi - a) / (b - xi)))
+            log_term = rho * np.log(np.abs((xi - a) / (b - xi)))
+        g = np.where(np.abs(dx) < 1e-12 * scale, -slope[:, None], g)
+        log_term[rho == 0.0] = 0.0
+        total[inside] += np.trapezoid(g, xs, axis=1) + log_term
         xo = x[~inside]
         total[~inside] += np.trapezoid(ds / np.subtract.outer(xo, xs), xs, axis=1)
     out = total / math.pi

@@ -26,7 +26,6 @@ import math
 import time
 
 import numpy as np
-from scipy import linalg
 
 from . import measure1d
 from .errors import InvalidInputError
@@ -180,6 +179,9 @@ def minimize_F(problem):
     iterate), the squared Newton decrements grad^T (H + 11^T/m)^-1 grad,
     the line-search ``backtracks`` and the accepted ``step_lengths``.
     """
+    # the only SciPy user: imported here, so that importing freemoment does not load SciPy
+    from scipy import linalg
+
     t_start = time.perf_counter()
     mu = problem.target
     m = problem.n_particles

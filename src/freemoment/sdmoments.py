@@ -70,25 +70,51 @@ def _killed_by_symmetry(word, even_overall, flips):
     return False
 
 
+def _reversed_codes(n, length):
+    """Code of the reversed word for every base-n word code of a length.
+
+    A word hi.lo reverses to rev(lo).rev(hi), so each length is built from
+    the tables of its two halves.
+    """
+    codes = np.arange(n ** length, dtype=np.int64)
+    if length <= 1:
+        return codes
+    half = length // 2
+    hi, lo = np.divmod(codes, n ** half)
+    return (_reversed_codes(n, half)[lo] * n ** (length - half)
+            + _reversed_codes(n, length - half)[hi])
+
+
 def _canonical_codes(n, length):
     """Code of canonical_word for every base-n word code of a length >= 1.
 
     Word w_1..w_L has code sum_k w_k n^(L-k): codes of one length order like words.
+    best[c] is the least code among the first ``span`` rotations of c; it is
+    built by doubling, from best_{a+b}(c) = min(best_a(c), best_b(rot_a(c))).
     """
     codes = np.arange(n ** length, dtype=np.int64)
-    rev, rem = np.zeros_like(codes), codes
-    for _ in range(length):
-        rem, digit = np.divmod(rem, n)
-        rev = rev * n + digit
-    top = n ** (length - 1)
-    best = np.minimum(codes, rev)
-    for rot in (codes, rev):
-        for _ in range(length - 1):
-            # move the leading letter to the end
-            head, rest = np.divmod(rot, top)
-            rot = rest * n + head
-            np.minimum(best, rot, out=best)
-    return best
+
+    def rotated(shift):
+        # every code with its ``shift`` leading letters moved to the end
+        head, rest = np.divmod(codes, n ** (length - shift))
+        return rest * n ** shift + head
+
+    best, span = codes, 1
+    for bit in bin(length)[3:]:
+        best = np.minimum(best, best[rotated(span)])
+        span *= 2
+        if bit == "1":
+            best = np.minimum(best, rotated(span))
+            span += 1
+    return np.minimum(best, best[_reversed_codes(n, length)])
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_classes(n, length):
+    """Sorted canonical codes of a length >= 1, and each code's index among them."""
+    reps, inv = np.unique(_canonical_codes(n, length), return_inverse=True)
+    reps.flags.writeable = inv.flags.writeable = False
+    return reps, inv
 
 
 @functools.lru_cache(maxsize=None)
@@ -96,7 +122,7 @@ def _enumerate_canonical(n, length):
     """Canonical representatives of all words of given length, via integer codes."""
     if length == 0:
         return ((),)
-    reps = np.unique(_canonical_codes(n, length))
+    reps = _canonical_classes(n, length)[0]
     return tuple(map(tuple, _digits(reps, n, length).tolist()))
 
 
@@ -212,7 +238,7 @@ def _build_structure(n, cap, even_overall, flips, terms):
     # lookups[L][c]: index of the canonical word of code c, -1 if killed
     lookups = [np.zeros(1, dtype=np.int64)]
     for length in range(1, cap + 1):
-        reps, inv = np.unique(_canonical_codes(n, length), return_inverse=True)
+        reps, inv = _canonical_classes(n, length)
         digits = _digits(reps, n, length)
         alive = np.full(len(reps), not (even_overall and length % 2 == 1))
         for i in np.flatnonzero(flips):

@@ -104,7 +104,7 @@ class TransportSolution(JSONMixin):
 
 def _stored(diagnostics):
     """Diagnostics as written to JSON: without timings, so files stay byte-identical."""
-    out = {k: v for k, v in diagnostics.items() if k != "seconds"}
+    out = {k: v for k, v in diagnostics.items() if k not in ("seconds", "stage_seconds")}
     if "components" in out:
         out["components"] = [_stored(c) for c in out["components"]]
     return out
@@ -380,13 +380,17 @@ def _solve_separable(problem):
         diagnostics["components"].append(sub_sol.diagnostics)
         for w, c in sub_sol.V.terms.items():
             V = V + NCSeries.monomial(tuple([i] * len(w)), c, n, D)
+    parts_diag = [sol.diagnostics for sol in solved.values()]
+    # the one-variable stages summed over the distinct components
+    stages = {k: sum(d["stage_seconds"][k] for d in parts_diag) for k in ("start", "refinement")}
+    t_final = time.perf_counter()
     tau = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap,
                              cutoff=problem.cutoff)
+    stages["final_trace"] = time.perf_counter() - t_final
     vtilde = cyclic_symmetrize(drop_constant(number_op(V)))
     v_norm = norm_A(V, problem.a_radius)
     transport_map = [NCSeries.variable(i, n, D) + g
                      for i, g in enumerate(cyclic_gradient_vector(V))]
-    parts_diag = [sol.diagnostics for sol in solved.values()]
     diagnostics.update({
         "iterations": sum(d["iterations"] for d in parts_diag),
         "residual": max(d["residual"] for d in parts_diag),
@@ -394,6 +398,7 @@ def _solve_separable(problem):
         "v_norm_A": v_norm,
         "norm_bound_satisfied": bool(v_norm <= problem.ball_radius + 1e-12),
         "guaranteed_regime": problem.guaranteed,
+        "stage_seconds": stages,
         "seconds": time.perf_counter() - t0,
     })
     return TransportSolution(V, vtilde, tau, transport_map, diagnostics)
@@ -408,7 +413,10 @@ def solve_V(problem):
     taken: Gauss-Newton solves the transport condition at the truncation
     scale, for one variable from ``_moment_measure_start``, else from V = 0.
     Separable W decouples into one-variable problems.  The diagnostics'
-    ``iterations`` and ``residual`` are those of the loop that ran.
+    ``iterations`` and ``residual`` are those of the loop that ran, and
+    ``stage_seconds`` times the ``start`` (the moment-measure start, or the
+    Picard loop in the guaranteed regime), the ``refinement`` and the
+    ``final_trace``; like ``seconds`` it is not written to JSON.
     """
     t0 = time.perf_counter()
     W = problem.W
@@ -462,13 +470,18 @@ def solve_V(problem):
         if not converged:
             raise ConvergenceError("outer trace refresh did not converge")
         iterations, residual = len(outer_changes), outer_changes[-1]
+        stages = {"start": time.perf_counter() - t0, "refinement": 0.0}
     else:
         start = _moment_measure_start(problem) if n == 1 else V
+        t_refine = time.perf_counter()
         V, residual, iterations, converged = _refine_by_moment_matching(problem, start)
         vtilde = cyclic_symmetrize(drop_constant(number_op(V)))
+        stages = {"start": t_refine - t0, "refinement": time.perf_counter() - t_refine}
 
+    t_final = time.perf_counter()
     tau = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap,
                              cutoff=problem.cutoff, init=tau)
+    stages["final_trace"] = time.perf_counter() - t_final
     v_norm = norm_A(V, A)
     transport_map = [NCSeries.variable(i, n, D) + g
                      for i, g in enumerate(cyclic_gradient_vector(V))]
@@ -484,6 +497,7 @@ def solve_V(problem):
         "v_norm_A": v_norm,
         "norm_bound_satisfied": bool(v_norm <= problem.ball_radius + 1e-12),
         "guaranteed_regime": problem.guaranteed,
+        "stage_seconds": stages,
         "seconds": time.perf_counter() - t0,
     }
     return TransportSolution(V, vtilde, tau, transport_map, diagnostics)

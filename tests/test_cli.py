@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import freemoment
 from freemoment import cli
 from freemoment.errors import InvalidInputError
 from freemoment.ncseries import NCSeries
@@ -225,3 +229,20 @@ def test_determinism_byte_identical(tmp_path, capsys):
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("body", [
+    "import freemoment, freemoment.cli",
+    "import freemoment.cli\n"
+    "assert freemoment.cli.main(['gibbs1d', '--even-coeffs', '0,0.25', '--json']) == 0",
+], ids=["import", "gibbs1d"])
+def test_cli_does_not_load_scipy(body):
+    # SciPy is imported only by moment1d.minimize_F; a fresh interpreter shows
+    # whether anything else pulls it in
+    src = os.path.dirname(os.path.dirname(freemoment.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    script = body + "\nimport sys\nassert not [m for m in sys.modules " \
+                    "if m == 'scipy' or m.startswith('scipy.')]"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

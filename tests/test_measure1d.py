@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,29 @@ def test_hilbert_semicircle_values(semicircle):
     # outside the support the transform matches the Cauchy-transform real part
     outside = (3.0 - math.sqrt(5.0)) / (2 * math.pi)
     assert abs(M.hilbert_transform(semicircle, 3.0) - outside) < 1e-10
+
+
+def test_hilbert_at_segment_ends(semicircle):
+    # the end nodes take the subtract-the-singularity rule; with zero density
+    # there, rho log|(x - a)/(b - x)| is 0 rather than 0 * inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = M.hilbert_transform(semicircle, np.array([-2.0, 2.0]))
+    assert np.max(np.abs(h - np.array([-1.0, 1.0]) / math.pi)) < 1e-4
+
+
+def test_local_cubic_interpolates_cubics_and_short_segments():
+    rng = np.random.default_rng(4)
+    xs = np.sort(rng.uniform(-1.0, 2.0, 9))
+    x = np.concatenate([xs, rng.uniform(-1.0, 2.0, 20)])
+    for deg, k in ((3, 9), (2, 3), (1, 2)):
+        c = rng.standard_normal(deg + 1)
+        value, slope = M._local_cubic(xs[:k], np.polyval(c, xs[:k]), x)
+        assert np.allclose(value, np.polyval(c, x), rtol=0, atol=1e-12)
+        assert np.allclose(slope, np.polyval(np.polyder(c), x), rtol=0, atol=1e-11)
+    # at a node the value is its sample exactly
+    ds = rng.uniform(size=9)
+    assert np.array_equal(M._local_cubic(xs, ds, xs)[0], ds)
 
 
 def test_hilbert_odd_under_reflection(semicircle):

@@ -175,6 +175,19 @@ def test_enumerate_canonical_matches_canonical_word():
             assert list(sd._enumerate_canonical(n, length)) == expected
 
 
+def test_canonical_codes_map_every_word_to_its_canonical_code():
+    # _build_structure indexes this map at every word, not only at the representatives
+    for n, max_len in ((1, 12), (2, 12), (3, 7), (4, 6)):
+        for length in range(1, max_len + 1):
+            canon = sd._canonical_codes(n, length)
+            expected = [sum(letter * n ** k
+                            for k, letter in enumerate(reversed(sd.canonical_word(w))))
+                        for w in itertools.product(range(n), repeat=length)]
+            assert canon.tolist() == expected
+            reps, inv = sd._canonical_classes(n, length)
+            assert np.array_equal(reps[inv], canon)
+
+
 def _gradient_terms(W):
     return tuple((i, gw) for i in range(W.n_vars)
                  for gw in sorted(cyclic_gradient(W, i).terms))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -294,6 +295,11 @@ def test_nonseparable_mixed_term_solution(monkeypatch):
     rep = T.verify_transport(sol, W, 4)
     assert rep["max_moment_deviation"] < 1e-3
     assert rep["sd_residual"] < 1e-3
+    stages = sol.diagnostics["stage_seconds"]
+    assert stages.keys() == {"start", "refinement", "final_trace"}
+    assert min(stages.values()) >= 0.0
+    assert sum(stages.values()) <= sol.diagnostics["seconds"]
+    assert "stage_seconds" not in json.dumps(sol.to_dict())
 
 
 def test_quartic_sweep_matches_1d_oracle_at_every_degree():
@@ -330,6 +336,9 @@ def test_diagnostics_core_keys_and_json():
     stored = sol.to_dict()["diagnostics"]
     assert "seconds" not in stored
     assert all("seconds" not in d for d in stored["components"])
+    assert "stage_seconds" not in json.dumps(stored)
+    for diag in [sol.diagnostics] + sol.diagnostics["components"]:
+        assert sum(diag["stage_seconds"].values()) <= diag["seconds"]
     assert stored["converged"] and stored["residual"] < 1e-8
 
 
