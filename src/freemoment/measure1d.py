@@ -425,9 +425,7 @@ def _block_moment(m, k):
 
 
 def barycenter(m):
-    if m._segments or m.atoms:
-        return moment(m, 1)
-    return _block_moment(m, 1)
+    return moment(m, 1)
 
 
 def absolute_moment(m):
@@ -586,11 +584,12 @@ def _local_cubic(xs, ds, x):
 def hilbert_transform(m, x):
     """(1/pi) PV integral of dm(t)/(x - t), at a point or at each point of an array.
 
-    Uses the subtract-the-singularity rule on each density segment's closed
-    interval, with the local cubic interpolant of the samples, so only a
-    bounded integrand is quadratured; requires density samples.  At a segment
-    end rho log|(x - a)/(b - x)| is taken as 0 where the interpolated density
-    is 0.  Returns a float for a scalar x and an array for an array x.
+    Uses the subtract-the-singularity rule on each density segment [a, b]:
+    inside, with the local cubic interpolant of the samples; outside, with the
+    nearer end's sample, whose integral is closed-form.  So only a bounded
+    integrand is quadratured; requires density samples.  At a segment end
+    rho log|(x - a)/(b - x)| is taken as 0 where the interpolated density is 0.
+    Returns a float for a scalar x and an array for an array x.
     """
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -617,8 +616,11 @@ def hilbert_transform(m, x):
         g = np.where(np.abs(dx) < 1e-12 * scale, -slope[:, None], g)
         log_term[rho == 0.0] = 0.0
         total[inside] += np.trapezoid(g, xs, axis=1) + log_term
+        # outside, the end value de integrates to de log|(x - a)/(x - b)|
         xo = x[~inside]
-        total[~inside] += np.trapezoid(ds / np.subtract.outer(xo, xs), xs, axis=1)
+        de = np.where(xo < a, ds[0], ds[-1])
+        g = (ds - de[:, None]) / np.subtract.outer(xo, xs)
+        total[~inside] += np.trapezoid(g, xs, axis=1) + de * np.log(np.abs((xo - a) / (xo - b)))
     out = total / math.pi
     return float(out[0]) if scalar else out
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
 from .jsonio import JSONMixin
-from .ncseries import NCSeries, _digits, cyclic_gradient, multiply
+from .ncseries import NCSeries, _canonical_classes, _code, _digits, cyclic_gradient, multiply
 
 DEFAULT_CUTOFF = 3.0
 # sweep budget and Jacobi damping of solve_sd
@@ -54,142 +54,73 @@ def _variable_parities(W):
     When the flip symmetry holds for variable i, every moment of a word with
     an odd count of letter i vanishes; those words are dropped structurally.
     """
-    n = W.n_vars
-    flips = []
-    for i in range(n):
-        flips.append(all(w.count(i) % 2 == 0 for w in W.terms))
-    return flips
-
-
-def _killed_by_symmetry(word, even_overall, flips):
-    if even_overall and len(word) % 2 == 1:
-        return True
-    for i, flip in enumerate(flips):
-        if flip and word.count(i) % 2 == 1:
-            return True
-    return False
-
-
-def _reversed_codes(n, length):
-    """Code of the reversed word for every base-n word code of a length.
-
-    A word hi.lo reverses to rev(lo).rev(hi), so each length is built from
-    the tables of its two halves.
-    """
-    codes = np.arange(n ** length, dtype=np.int64)
-    if length <= 1:
-        return codes
-    half = length // 2
-    hi, lo = np.divmod(codes, n ** half)
-    return (_reversed_codes(n, half)[lo] * n ** (length - half)
-            + _reversed_codes(n, length - half)[hi])
-
-
-def _canonical_codes(n, length):
-    """Code of canonical_word for every base-n word code of a length >= 1.
-
-    Word w_1..w_L has code sum_k w_k n^(L-k): codes of one length order like words.
-    best[c] is the least code among the first ``span`` rotations of c; it is
-    built by doubling, from best_{a+b}(c) = min(best_a(c), best_b(rot_a(c))).
-    """
-    codes = np.arange(n ** length, dtype=np.int64)
-
-    def rotated(shift):
-        # every code with its ``shift`` leading letters moved to the end
-        head, rest = np.divmod(codes, n ** (length - shift))
-        return rest * n ** shift + head
-
-    best, span = codes, 1
-    for bit in bin(length)[3:]:
-        best = np.minimum(best, best[rotated(span)])
-        span *= 2
-        if bit == "1":
-            best = np.minimum(best, rotated(span))
-            span += 1
-    return np.minimum(best, best[_reversed_codes(n, length)])
-
-
-@functools.lru_cache(maxsize=None)
-def _canonical_classes(n, length):
-    """Sorted canonical codes of a length >= 1, and each code's index among them."""
-    reps, inv = np.unique(_canonical_codes(n, length), return_inverse=True)
-    reps.flags.writeable = inv.flags.writeable = False
-    return reps, inv
+    return [all(w.count(i) % 2 == 0 for w in W.terms) for i in range(W.n_vars)]
 
 
 @functools.lru_cache(maxsize=None)
 def _enumerate_canonical(n, length):
     """Canonical representatives of all words of given length, via integer codes."""
-    if length == 0:
-        return ((),)
     reps = _canonical_classes(n, length)[0]
     return tuple(map(tuple, _digits(reps, n, length).tolist()))
 
 
 class TraceTable(JSONMixin):
-    """Trace values on canonical cyclic words up to a degree cap."""
+    """Trace values on canonical cyclic words up to a degree cap.
 
-    def __init__(self, n_vars, degree_cap, cutoff, values, tail_estimate=0.0,
-                 even_overall=False, flips=None):
+    ``values[L]`` holds tau on the canonical classes of length L, in the order
+    of ``_canonical_classes(n, L)``; ``values[0]`` is [1.0] and classes killed
+    by a symmetry of the potential hold 0.  A word is looked up by its code.
+    """
+
+    def __init__(self, n_vars, degree_cap, cutoff, values, tail_estimate=0.0):
         self.n_vars = int(n_vars)
         self.degree_cap = int(degree_cap)
         self.cutoff = float(cutoff)
-        self.values = dict(values)
+        self.values = [np.asarray(v, dtype=float) for v in values]
         self.tail_estimate = float(tail_estimate)
-        self.even_overall = bool(even_overall)
-        self.flips = list(flips) if flips is not None else [False] * n_vars
         self.diagnostics = {}
         # raw word -> value(); ``values`` is never mutated after construction
         self._lookups = {}
 
     def value(self, word):
-        """tau(word); 0 for symmetry-killed words, None above the cap."""
+        """tau(word); None above the cap."""
         word = tuple(word)
-        if word in self._lookups:
-            return self._lookups[word]
-        if len(word) > self.degree_cap:
-            v = None
-        elif not word:
-            v = 1.0
-        elif _killed_by_symmetry(word, self.even_overall, self.flips):
-            v = 0.0
-        elif word in self.values:
-            v = self.values[word]
-        else:
-            v = self.values.get(canonical_word(word), 0.0)
-        self._lookups[word] = v
-        return v
+        if word not in self._lookups:
+            n, length = self.n_vars, len(word)
+            self._lookups[word] = None if length > self.degree_cap else float(
+                self.values[length][_canonical_classes(n, length)[1][_code(word, n)]])
+        return self._lookups[word]
 
-    def of_series(self, series, strict=True):
-        """Linear extension of the trace to a series."""
+    def of_series(self, series):
+        """Linear extension of the trace to a series; words above the cap count 0."""
         total = 0.0
         for w, c in series.terms.items():
             v = self.value(w)
-            if v is None:
-                if strict:
-                    raise InvalidInputError("series word exceeds the trace table cap")
-                continue
-            total += c * v
+            if v is not None:
+                total += c * v
         return total
 
     def to_dict(self):
-        items = sorted(self.values.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        return {
-            "n_vars": self.n_vars,
-            "degree_cap": self.degree_cap,
-            "cutoff": self.cutoff,
-            "values": [{"word": [i + 1 for i in w], "value": v} for w, v in items],
-        }
+        # exact zeros are implied, so only the nonzero classes are written
+        items = [{"word": [i + 1 for i in _enumerate_canonical(self.n_vars, length)[k]],
+                  "value": float(vals[k])}
+                 for length, vals in enumerate(self.values[1:], start=1)
+                 for k in np.flatnonzero(vals)]
+        return {"n_vars": self.n_vars, "degree_cap": self.degree_cap,
+                "cutoff": self.cutoff, "values": items}
 
     @classmethod
     def from_dict(cls, d):
-        values = {}
+        n, cap = int(d["n_vars"]), int(d["degree_cap"])
+        values = [np.ones(1)] + [np.zeros(len(_canonical_classes(n, length)[0]))
+                                 for length in range(1, cap + 1)]
         for item in d.get("values", []):
             w = tuple(int(i) - 1 for i in item["word"])
-            if w != canonical_word(w):
-                raise InvalidInputError("trace table words must be canonical")
-            values[w] = float(item["value"])
-        return cls(d["n_vars"], d["degree_cap"], d["cutoff"], values)
+            if not (0 < len(w) <= cap and all(0 <= i < n for i in w) and w == canonical_word(w)):
+                raise InvalidInputError("trace table words must be canonical, with 1 to "
+                                        "degree_cap letters in 1..n_vars")
+            values[len(w)][_canonical_classes(n, len(w))[1][_code(w, n)]] = float(item["value"])
+        return cls(n, cap, d["cutoff"], values)
 
 
 def noncrossing_pair_count(word):
@@ -215,13 +146,15 @@ def noncrossing_pair_count(word):
     return rec(word)
 
 
-# Equations of the canonical words v = x_i w (words[0] = ()).  Row pair_rows[k]
-# gets the split of w at a letter i into words pair_left[k], pair_right[k];
-# row coup_rows[k] gets tau(w * gw) = word coup_targets[k] for the term
-# terms[coup_terms[k]] = (i, gw) of D_i W.  Rows are sorted by word, then split
-# position or term order.  dropped[t] counts the equations whose term t
+# Equations of the canonical words v = x_i w that no symmetry kills, one row
+# each: index[bounds[L] + k] is the row of canonical class k of length L, -1 if
+# killed, and rows run over the live classes by length, then class.  Row
+# pair_rows[k] gets the split of w at a letter i into rows pair_left[k],
+# pair_right[k]; row coup_rows[k] gets tau(w * gw) = row coup_targets[k] for the
+# term terms[coup_terms[k]] = (i, gw) of D_i W.  Rows are sorted by word, then
+# split position or term order.  dropped[t] counts the equations whose term t
 # exceeds the cap; start is the free semicircular family.
-_Structure = collections.namedtuple("_Structure", "words lengths start pair_rows pair_left "
+_Structure = collections.namedtuple("_Structure", "index bounds lengths start pair_rows pair_left "
                                    "pair_right terms coup_rows coup_terms coup_targets dropped")
 
 
@@ -233,21 +166,20 @@ def _build_structure(n, cap, even_overall, flips, terms):
     coefficients), so it is cached; callers plug in current gradient
     coefficients each solve.
     """
-    words = [()]
-    codes = [np.zeros(1, dtype=np.int64)]
-    # lookups[L][c]: index of the canonical word of code c, -1 if killed
-    lookups = [np.zeros(1, dtype=np.int64)]
-    for length in range(1, cap + 1):
+    # lookups[L][c]: row of the canonical word of code c, -1 if killed
+    index, codes, lookups, nrows = [], [], [], 0
+    for length in range(cap + 1):
         reps, inv = _canonical_classes(n, length)
         digits = _digits(reps, n, length)
         alive = np.full(len(reps), not (even_overall and length % 2 == 1))
         for i in np.flatnonzero(flips):
             alive &= (digits == i).sum(axis=1) % 2 == 0
-        index = np.full(len(reps), -1, dtype=np.int64)
-        index[alive] = len(words) + np.arange(np.count_nonzero(alive))
-        lookups.append(index[inv])
+        rows = np.full(len(reps), -1, dtype=np.int64)
+        rows[alive] = nrows + np.arange(np.count_nonzero(alive))
+        nrows += np.count_nonzero(alive)
+        index.append(rows)
+        lookups.append(rows[inv])
         codes.append(reps[alive])
-        words.extend(map(tuple, digits[alive].tolist()))
 
     empty = np.zeros(0, dtype=np.int64)
     pairs, coups = [(empty,) * 3], [(empty,) * 3]
@@ -283,16 +215,17 @@ def _build_structure(n, cap, even_overall, flips, terms):
     pair_rows, pair_left, pair_right = by_row(pairs)
     coup_rows, coup_terms, coup_targets = by_row(coups)
 
-    start = np.zeros(len(words))
+    start = np.zeros(nrows)
     start[0] = 1.0
     # with couplings off each pass fixes the words one letter longer
     for _ in range(cap):
         start = np.bincount(pair_rows, start[pair_left] * start[pair_right],
-                            minlength=len(words))
+                            minlength=nrows)
         start[0] = 1.0
-    lengths = np.array([len(w) for w in words])
-    return _Structure(words, lengths, start, pair_rows, pair_left, pair_right,
-                      terms, coup_rows, coup_terms, coup_targets, dropped)
+    lengths = np.repeat(np.arange(cap + 1), [len(c) for c in codes])
+    bounds = tuple(np.cumsum([0] + [len(rows) for rows in index]).tolist())
+    return _Structure(np.concatenate(index), bounds, lengths, start, pair_rows, pair_left,
+                      pair_right, terms, coup_rows, coup_terms, coup_targets, dropped)
 
 
 def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, init=None,
@@ -335,22 +268,22 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, init=None,
     grads = [cyclic_gradient(W, i) for i in range(n)]
     coeffs = np.array([grads[i].terms.get(gw, 0.0) for i, gw in terms])
     coup_coeffs = coeffs[st.coup_terms]
-    nwords = len(st.words)
     vals = st.start.copy()
     if init is not None:
-        for k, w in enumerate(st.words[1:], start=1):
-            v = init.value(w)
-            if v is not None:
-                vals[k] = v
+        if init.n_vars != n:
+            raise InvalidInputError("warm-start table has the wrong number of variables")
+        top = st.bounds[min(len(init.values), degree_cap + 1)]
+        live = st.index[1:top] >= 0
+        vals[st.index[1:top][live]] = np.concatenate(init.values)[1:top][live]
 
     # convergence is measured in the cutoff-weighted sup norm, the metric of
     # the bounded-moment space |tau(w)| <= T^|w|
     caps = cutoff ** st.lengths
     for sweeps in range(1, MAX_SWEEPS + 1):
         rhs = np.bincount(st.pair_rows, vals[st.pair_left] * vals[st.pair_right],
-                          minlength=nwords)
+                          minlength=len(vals))
         rhs -= np.bincount(st.coup_rows, coup_coeffs * vals[st.coup_targets],
-                           minlength=nwords)
+                           minlength=len(vals))
         new = (1.0 - DAMPING) * vals + DAMPING * rhs
         new[0] = 1.0
         clamped = np.minimum(np.maximum(new, -caps), caps)
@@ -365,8 +298,11 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, init=None,
         raise ConvergenceError("outside perturbative regime: cutoff bound persistently active")
 
     tail = cutoff ** (degree_cap + 1) * float(np.abs(coeffs) @ st.dropped)
-    table = TraceTable(n, degree_cap, cutoff, zip(st.words[1:], vals[1:].tolist()),
-                       tail_estimate=tail, even_overall=even_overall, flips=flips)
+    # killed classes (row -1) read the appended 0
+    flat = np.append(vals, 0.0)[st.index]
+    table = TraceTable(n, degree_cap, cutoff,
+                       [flat[a:b] for a, b in zip(st.bounds, st.bounds[1:])],
+                       tail_estimate=tail)
     table.diagnostics = {"iterations": sweeps, "residual": delta, "converged": True,
                          "clamp_active": clamp_active, "tail_estimate": tail,
                          "structure_cache": cache, "seconds": time.perf_counter() - t0}
@@ -423,8 +359,9 @@ def pushforward_trace(tau, f, degree_cap):
     # prods[k] is the product of the first k letters of word
     word, prods = (), [NCSeries.constant(1.0, n, inner_cap)]
 
-    values = {}
+    values = [np.ones(1)]
     for length in range(1, degree_cap + 1):
+        row = []
         for w in _enumerate_canonical(n, length):
             k = 0
             while k < len(word) and word[k] == w[k]:
@@ -433,8 +370,7 @@ def pushforward_trace(tau, f, degree_cap):
             for letter in w[k:]:
                 prods.append(multiply(prods[-1], comps[letter], inner_cap))
             word = w
-            values[w] = tau.of_series(prods[-1], strict=False)
-    even = all(abs(v) < 1e-300 for w, v in values.items() if len(w) % 2 == 1)
-    return TraceTable(n, degree_cap, tau.cutoff, values, tail_estimate=tau.tail_estimate,
-                      even_overall=even, flips=[False] * n)
+            row.append(tau.of_series(prods[-1]))
+        values.append(row)
+    return TraceTable(n, degree_cap, tau.cutoff, values, tail_estimate=tau.tail_estimate)
 

@@ -438,9 +438,8 @@ def solve_V(problem):
                                          cutoff=problem.cutoff, tol=min(problem.tol, 1e-12),
                                          init=tau)
             if tau is not None:
-                dev = max((abs((tau_new.value(w) or 0.0) - v) for w, v in tau.values.items()),
-                          default=0.0)
-                tau_devs.append(dev)
+                tau_devs.append(max(float(np.abs(a - b).max())
+                                    for a, b in zip(tau_new.values, tau.values)))
             tau = tau_new
 
             update = None
@@ -503,29 +502,28 @@ def solve_V(problem):
     return TransportSolution(V, vtilde, tau, transport_map, diagnostics)
 
 
-def verify_transport(sol, W, degree, tau_cap=None, cutoff=sdmoments.DEFAULT_CUTOFF):
+def verify_transport(sol, W, degree):
     """Independent verification of a transport solution.
 
     Pushes the solved law through the transport map and compares it, word by
     word up to ``degree``, with the law solved directly for W; also reports
-    the Schwinger-Dyson residual of the pushed-forward trace.
+    the Schwinger-Dyson residual of the pushed-forward trace.  Both laws are
+    solved at the cutoff of the solution's trace table.
     """
     n = W.n_vars
-    if tau_cap is None:
-        tau_cap = max(4 * degree, 40) if n == 1 else degree + 12
-    cap = max(tau_cap, sol.tau_Y.degree_cap)
-    tau_y = sdmoments.solve_sd(sol.V.truncate(cap), cap, cutoff=cutoff, init=sol.tau_Y)
+    if sol.V.n_vars != n:
+        raise InvalidInputError("W and the solution have different numbers of variables")
+    cap = max(max(4 * degree, 40) if n == 1 else degree + 12, sol.tau_Y.degree_cap)
+    tau_y = sdmoments.solve_sd(sol.V.truncate(cap), cap, cutoff=sol.tau_Y.cutoff, init=sol.tau_Y)
     fmap = [c.truncate(cap) for c in sol.transport_map]
     tau_x = sdmoments.pushforward_trace(tau_y, fmap, degree)
-    tau_direct = sdmoments.solve_sd(W.truncate(cap), cap, cutoff=cutoff)
+    tau_direct = sdmoments.solve_sd(W.truncate(cap), cap, cutoff=sol.tau_Y.cutoff)
 
-    worst = 0.0
-    worst_word = ()
-    for w, v in tau_x.values.items():
-        direct = tau_direct.value(w)
-        dev = abs(v - (direct or 0.0))
-        if dev > worst:
-            worst, worst_word = dev, w
+    # classes in word order; the first maximum wins, () when all agree
+    dev = np.concatenate([np.abs(a - b) for a, b in zip(tau_x.values, tau_direct.values)])
+    k = int(np.argmax(dev))
+    words = [w for length in range(degree + 1) for w in sdmoments._enumerate_canonical(n, length)]
+    worst, worst_word = float(dev[k]), words[k]
     resid = sdmoments.sd_residual(tau_x, W.truncate(degree), degree)
     return {
         "max_moment_deviation": worst,

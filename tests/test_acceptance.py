@@ -213,12 +213,13 @@ def test_c12_evenness_preservation():
     for _ in range(100):
         v = _even_ball(rng, 2, 6, 3.0, 0.25)
         w = _even_ball(rng, 2, 6, 3.0, 0.15)
-        values = {}
+        values = [np.ones(1)]
         for length in range(1, 9):
-            for word in sd._enumerate_canonical(2, length):
-                if length % 2 == 0:
-                    values[word] = rng.uniform(-1, 1) * 2.0 ** length
-        tau = sd.TraceTable(2, 8, 3.0, values, even_overall=True, flips=[False, False])
+            values.append(np.zeros(len(sd._enumerate_canonical(2, length))))
+            if length % 2 == 0:
+                for k in range(len(values[-1])):
+                    values[-1][k] = rng.uniform(-1, 1) * 2.0 ** length
+        tau = sd.TraceTable(2, 8, 3.0, values)
         out = T.picard_map(v, w, tau, 6)
         worst = max(worst, out.odd_mass())
     dt = time.time() - t0

@@ -246,3 +246,45 @@ def test_cli_does_not_load_scipy(body):
                     "if m == 'scipy' or m.startswith('scipy.')]"
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _transport_file(tmp_path, capsys, *extra):
+    wfile = tmp_path / "w.json"
+    NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01}).to_json(str(wfile))
+    out = tmp_path / "sol.json"
+    code, _, _ = run(["transport-nc", "--series", str(wfile), "--degree", "4",
+                      "--out", str(out), *extra], capsys)
+    assert code == 0
+    return wfile, out
+
+
+def test_verification_solves_at_the_solution_cutoff(tmp_path, capsys, monkeypatch):
+    seen = []
+    solve_sd = cli.sdmoments.solve_sd
+
+    def spy(*args, **kw):
+        seen.append(kw["cutoff"])
+        return solve_sd(*args, **kw)
+
+    monkeypatch.setattr(cli.sdmoments, "solve_sd", spy)
+    wfile, out = _transport_file(tmp_path, capsys, "--cutoff", "4")
+    assert seen and set(seen) == {4.0}
+    seen.clear()
+    code, _, _ = run(["verify", "--solution", str(out), "--series", str(wfile)], capsys)
+    assert code == 0
+    assert seen and set(seen) == {4.0}
+
+
+@pytest.mark.parametrize("word", [[1, 3], [1] * 9, [2, 1, 1]],
+                         ids=["letter", "length", "canonical"])
+def test_verify_rejects_bad_trace_table_words(tmp_path, capsys, word):
+    # tau_Y of this file has two variables and degree cap 8
+    wfile, out = _transport_file(tmp_path, capsys)
+    data = json.loads(out.read_text())
+    data["tau_Y"]["values"].append({"word": word, "value": 0.1})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, stderr = run(["verify", "--solution", str(bad), "--series", str(wfile)], capsys)
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["code"] == 2 and "trace table" in err["message"]

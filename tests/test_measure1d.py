@@ -133,6 +133,14 @@ def test_mixed_measure_hilbert_includes_atom_term():
     assert abs(M.hilbert_transform(m, -1.0) - expect) < 1e-6
 
 
+def test_hilbert_just_outside_a_segment_with_nonzero_end_density():
+    # the end density 0.5 makes d(t)/(x - t) nearly singular just outside [0, 1]
+    m = _mixed_measure()
+    xs = np.array([-1e-9, -1e-6, -1e-3, -0.5, 1.0 + 1e-9, 1.5])
+    exact = (0.5 * np.log(np.abs(xs / (xs - 1.0))) + 0.5 / (xs - 2.0)) / math.pi
+    assert np.max(np.abs(M.hilbert_transform(m, xs) - exact)) < 1e-9
+
+
 def test_pushforward_of_mixed_measure():
     m = _mixed_measure()
     out = M.pushforward_monotone(m, lambda x: x ** 2)

@@ -6,7 +6,7 @@ import pytest
 
 from freemoment import gibbs1d as G
 from freemoment import sdmoments as sd
-from freemoment.ncseries import NCSeries, cyclic_gradient
+from freemoment.ncseries import NCSeries, _canonical_codes, cyclic_gradient
 from freemoment.errors import ConvergenceError, InvalidInputError
 
 CATALAN = [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132]
@@ -77,9 +77,9 @@ def test_residual_detects_wrong_potential():
 
 def test_residual_detects_perturbed_table():
     tab = sd.solve_sd(NCSeries.zero(1, 12), 12)
-    values = dict(tab.values)
-    values[(0, 0)] += 0.1
-    bad = sd.TraceTable(1, 12, 3.0, values, even_overall=True, flips=[True])
+    values = [v.copy() for v in tab.values]
+    values[2][0] += 0.1  # tau(xx)
+    bad = sd.TraceTable(1, 12, 3.0, values)
     assert sd.sd_residual(bad, NCSeries.zero(1, 12), 12) >= 0.1
 
 
@@ -143,11 +143,55 @@ def test_table_json_roundtrip():
     W = NCSeries(1, 10, {(0,) * 4: 0.05})
     tab = sd.solve_sd(W, 10)
     back = sd.TraceTable.from_json(tab.to_json())
-    for w, v in tab.values.items():
-        assert back.value(w) == v
+    for length in range(1, 11):
+        for w, v in zip(sd._enumerate_canonical(1, length), tab.values[length]):
+            assert back.value(w) == v
+    # not canonical, letters outside 1..n_vars, too long, empty
+    for word in ([2, 1], [1, 3], [0, 1], [1] * 5, []):
+        with pytest.raises(InvalidInputError):
+            sd.TraceTable.from_dict({"n_vars": 2, "degree_cap": 4, "cutoff": 3.0,
+                                     "values": [{"word": word, "value": 0.1}]})
+
+
+def test_table_json_roundtrip_keeps_class_arrays():
+    W = NCSeries(2, 4, {(0,) * 4: 0.02, (1,) * 4: 0.02, (0, 1, 0, 1): 0.01, (1, 0, 1, 0): 0.01})
+    tab = sd.solve_sd(W, 10)
+    data = tab.to_dict()
+    # exact zeros (here every odd length, and odd letter counts) are implied
+    assert all(item["value"] != 0.0 for item in data["values"])
+    back = sd.TraceTable.from_dict(data)
+    assert len(back.values) == len(tab.values) == 11
+    for a, b in zip(back.values, tab.values):
+        assert np.array_equal(a, b)
+
+
+def test_table_with_listed_zeros_loads_to_the_same_table():
+    # tables written before exact zeros were omitted list them, xyxy at W = 0 among them
+    tab = sd.solve_sd(NCSeries.zero(2, 4), 4)
+    assert tab.value((0, 1, 0, 1)) == 0.0
+    data = tab.to_dict()
+    listed = dict(data, values=data["values"] + [
+        {"word": [1, 2, 1, 2], "value": 0.0}, {"word": [1, 2], "value": 0.0}])
+    back = sd.TraceTable.from_dict(listed)
+    for a, b in zip(back.values, tab.values):
+        assert np.array_equal(a, b)
+    assert back.to_dict() == data
+
+
+def test_warm_start_from_lower_cap_matches_cold_solve():
+    W = NCSeries(2, 4, {(0,) * 4: 0.02, (1,) * 4: 0.02, (0, 1, 0, 1): 0.01, (1, 0, 1, 0): 0.01})
+    # the sweeps stop on the step size, so two solves at tol agree only to a
+    # small multiple of it; at tol 1e-13 they agree to 1e-12
+    low = sd.solve_sd(W, 8, tol=1e-13)
+    cold = sd.solve_sd(W, 14, tol=1e-13)
+    warm = sd.solve_sd(W, 14, tol=1e-13, init=low)
+    # the start is read from the table: a solved table is already a fixed point
+    assert sd.solve_sd(W, 14, tol=1e-13, init=cold).diagnostics["iterations"] == 1
+    gap = max(float(np.abs(a - b).max()) / 3.0 ** length
+              for length, (a, b) in enumerate(zip(warm.values, cold.values)))
+    assert gap <= 1e-12
     with pytest.raises(InvalidInputError):
-        sd.TraceTable.from_dict({"n_vars": 2, "degree_cap": 4, "cutoff": 3.0,
-                                 "values": [{"word": [2, 1], "value": 0.1}]})
+        sd.solve_sd(NCSeries(1, 4, {(0,) * 4: 0.02}), 8, init=low)
 
 
 def test_tail_estimate_reported():
@@ -179,7 +223,7 @@ def test_canonical_codes_map_every_word_to_its_canonical_code():
     # _build_structure indexes this map at every word, not only at the representatives
     for n, max_len in ((1, 12), (2, 12), (3, 7), (4, 6)):
         for length in range(1, max_len + 1):
-            canon = sd._canonical_codes(n, length)
+            canon = _canonical_codes(n, length)
             expected = [sum(letter * n ** k
                             for k, letter in enumerate(reversed(sd.canonical_word(w))))
                         for w in itertools.product(range(n), repeat=length)]
@@ -193,6 +237,12 @@ def _gradient_terms(W):
                  for gw in sorted(cyclic_gradient(W, i).terms))
 
 
+def _killed_by_symmetry(word, even_overall, flips):
+    if even_overall and len(word) % 2 == 1:
+        return True
+    return any(flip and word.count(i) % 2 == 1 for i, flip in enumerate(flips))
+
+
 def _reference_structure(n, cap, even_overall, flips, terms):
     """Plain per-word loop over canonical words, the oracle for _build_structure.
 
@@ -201,13 +251,13 @@ def _reference_structure(n, cap, even_overall, flips, terms):
     word would exceed the cap.
     """
     def index_of(word):
-        if sd._killed_by_symmetry(word, even_overall, flips):
+        if _killed_by_symmetry(word, even_overall, flips):
             return None
         return index[sd.canonical_word(word)]
 
     words = [()] + [w for length in range(1, cap + 1)
                     for w in sd._enumerate_canonical(n, length)
-                    if not sd._killed_by_symmetry(w, even_overall, flips)]
+                    if not _killed_by_symmetry(w, even_overall, flips)]
     index = {w: k for k, w in enumerate(words)}
     pair_lists, coupling_lists, dropped = [[]], [[]], collections.Counter()
     for v in words[1:]:
@@ -249,7 +299,15 @@ def test_build_structure_matches_per_word_loop(n, cap, terms):
     key = (n, cap, W.is_even(), tuple(sd._variable_parities(W)), _gradient_terms(W))
     st = sd._build_structure(*key)
     words, pair_lists, coupling_lists, dropped = _reference_structure(*key)
-    assert st.words == words
+    # the word of each row, read back from the per-length class -> row index
+    row_words = [None] * len(st.lengths)
+    for length in range(cap + 1):
+        rows = st.index[st.bounds[length]:st.bounds[length + 1]]
+        for w, r in zip(sd._enumerate_canonical(n, length), rows):
+            if r >= 0:
+                row_words[r] = w
+    assert row_words == words
+    assert st.lengths.tolist() == [len(w) for w in words]
     pairs = [[] for _ in words]
     for r, a, b in zip(st.pair_rows, st.pair_left, st.pair_right):
         pairs[r].append((a, b))
@@ -291,5 +349,13 @@ def test_solve_sd_matches_gauss_seidel_reference(n, cap, terms):
     W = NCSeries(n, 4, terms)
     tab = sd.solve_sd(W, cap)
     ref = _reference_gauss_seidel(W, cap)
-    assert tab.values.keys() == ref.keys()
-    assert max(abs(tab.values[w] - v) / 3.0 ** len(w) for w, v in ref.items()) <= 1e-11
+    # the reference's words laid out as class arrays, killed classes at 0
+    ref_values = [np.zeros(len(sd._enumerate_canonical(n, length))) for length in range(cap + 1)]
+    ref_values[0][0] = 1.0
+    for w, v in ref.items():
+        ref_values[len(w)][sd._enumerate_canonical(n, len(w)).index(w)] = v
+    assert [len(v) for v in tab.values] == [len(v) for v in ref_values]
+    killed = [np.flatnonzero(v == 0.0) for v in ref_values]
+    assert all((tab.values[length][k] == 0.0).all() for length, k in enumerate(killed))
+    assert max(float(np.abs(a - b).max()) / 3.0 ** length
+               for length, (a, b) in enumerate(zip(tab.values, ref_values))) <= 1e-11

@@ -270,6 +270,15 @@ def test_verify_transport_detects_truncated_v():
     assert rep["max_moment_deviation"] >= 1e-2
 
 
+def test_verify_transport_rejects_w_in_other_variables():
+    # the other way round (an n=2 solution against an n=1 W) the rule's one-variable
+    # cap of 40 would be applied to the n=2 solution; the same check stops it first
+    sol = T.solve_V(quiet_problem(NCSeries(1, 4, {(0,) * 4: 0.01}), 4))
+    W2 = NCSeries(2, 4, {(0,) * 4: 0.01, (1,) * 4: 0.01})
+    with pytest.raises(InvalidInputError):
+        T.verify_transport(sol, W2, 4)
+
+
 def test_separable_two_variable_solution():
     W = NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02})
     sol = T.solve_V(quiet_problem(W, 8))
