@@ -35,6 +35,15 @@ def _gauss_theta(order):
     return 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
 
 
+def _even_deriv(coeffs, x):
+    """u'(x) for u = sum_k coeffs[k-1] x^(2k)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for k, c in enumerate(coeffs, start=1):
+        out = out + 2 * k * c * x ** (2 * k - 1)
+    return out
+
+
 def _sine_density(a, theta):
     """Density -(1/pi) sum_n a_n sin(n theta) at x = -r cos(theta), summed in n order."""
     vals = np.zeros_like(theta)
@@ -82,11 +91,7 @@ class EvenPotential:
         return out
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, c in enumerate(self.even_coeffs, start=1):
-            out = out + 2 * k * c * x ** (2 * k - 1)
-        return out
+        return _even_deriv(self.even_coeffs, x)
 
     def scaled(self, c):
         """The potential x -> u(c x)."""
@@ -107,11 +112,19 @@ def fourier_coefficients(uprime, r, n_coeffs):
     mpts = 4 * (n_coeffs + 1)
     theta = np.arange(mpts) * (2.0 * np.pi / mpts)
     vals = np.asarray(uprime(-r * np.cos(theta)), dtype=float)
-    a = np.empty(n_coeffs + 1)
-    a[0] = 0.5 * np.mean(vals)
-    for n in range(1, n_coeffs + 1):
-        a[n] = np.mean(vals * np.cos(n * theta))
-    return a
+    cosines = np.cos(np.arange(1, n_coeffs + 1)[:, None] * theta)
+    return np.concatenate(([0.5 * np.mean(vals)], np.mean(vals * cosines, axis=1)))
+
+
+def _float_radius(coeffs):
+    """The root of ``solve_radius`` as np.roots gives it, from raw c_2, c_4, ...;
+    RegimeError when there is none, which a negative top coefficient allows."""
+    poly = [k * math.comb(2 * k, k) * c for k, c in enumerate(coeffs, start=1)]
+    roots = np.roots(list(reversed(poly)) + [-1.0])
+    z = [z.real for z in roots if z.real > 0 and abs(z.imag) <= 1e-12 * abs(z)]
+    if not z:
+        raise RegimeError("no support radius: r*a_1 = -2 has no positive root")
+    return 2.0 * math.sqrt(min(z))
 
 
 def solve_radius(u):
@@ -122,15 +135,30 @@ def solve_radius(u):
     positive real root, the first radius at which r*a_1 + 2 changes sign.
     """
     poly = [k * math.comb(2 * k, k) * Fraction(c) for k, c in enumerate(u.even_coeffs, start=1)]
-    roots = np.roots([float(p) for p in reversed(poly)] + [-1.0])
-    z = min(z.real for z in roots if z.real > 0 and abs(z.imag) <= 1e-12 * abs(z))
     # np.roots leaves r a few ulp off; one Newton step on P(r^2/4) - 1 in exact
     # rational arithmetic lands on the double nearest the root
-    r = Fraction(2.0 * math.sqrt(z))
+    r = Fraction(_float_radius(u.even_coeffs))
     q = r * r / 4
     f = sum(p * q ** k for k, p in enumerate(poly, start=1)) - 1
     df = sum(k * p * q ** (k - 1) for k, p in enumerate(poly, start=1)) * r / 2
     return float(r - f / df)
+
+
+def _one_cut(coeffs, r=None):
+    """The one-cut law of u = sum_k c_2k x^2k from raw c_2, c_4, ..., the top one
+    possibly negative: the Fourier coefficients ``a`` at radius ``r`` (default
+    ``_float_radius``) and the theta-Gauss rule ``(x, weights)``, so that the
+    integral of f is ``weights @ f(x)``.  RegimeError when the density is
+    negative (or NaN) at a node."""
+    if r is None:
+        r = _float_radius(coeffs)
+    a = fourier_coefficients(functools.partial(_even_deriv, coeffs), r,
+                             max(2 * len(coeffs) - 1, 1))
+    theta, w = _gauss_theta(max(64, 4 * a.size + 16))
+    dens = _sine_density(a, theta)
+    if not dens.min() >= -NEGATIVITY_TOL:
+        raise RegimeError("one-cut assumption violated: density would be negative")
+    return a, -r * np.cos(theta), w * dens * r * np.sin(theta)
 
 
 class GibbsSolution(JSONMixin):
@@ -204,18 +232,18 @@ def free_gibbs_measure(u, n_nodes=measure1d.DEFAULT_NODES, n_cells=measure1d.DEF
     if not isinstance(u, EvenPotential):
         raise InvalidInputError("potential must be an EvenPotential")
     r = solve_radius(u)
-    n_coeffs = max(u.degree - 1, 1)
-    a = fourier_coefficients(u.deriv, r, n_coeffs)
+    a, _, weights = _one_cut(u.even_coeffs, r)
     residual = float(abs(r * a[1] + 2.0))
     if residual > 1e-10:
         raise RegimeError("radius condition r*a_1 = -2 not met")
     sol = GibbsSolution(u, r, a, None)
 
+    # a finer grid than the theta-Gauss nodes of _one_cut
     min_density = float(_sine_density(a, np.linspace(0.0, np.pi, 8192)).min())
     if min_density < -NEGATIVITY_TOL:
         raise RegimeError("one-cut assumption violated: density would be negative")
 
-    mass = sol.mass()
+    mass = float(weights.sum())
     if abs(mass - 1.0) > 1e-8:
         raise RegimeError(f"assembled density has mass {mass}, not 1")
 

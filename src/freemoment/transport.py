@@ -6,7 +6,9 @@ free Gibbs law of (1/2)|X|^2 + W.  In the guaranteed contraction regime the
 inner iteration runs the cyclic symmetrized Picard map on Vtilde with the
 trace frozen; the outer loop refreshes the trace as the free Gibbs law of the
 current potential.  Outside it, Gauss-Newton solves the transport condition
-directly, for one variable from the 1-d free moment law of y^2/2 + V.
+directly at the truncation scale.  One variable, and each variable of a
+separable W outside the regime, needs neither: there the condition is closed
+form, and Newton solves it on the one-cut moments of ``gibbs1d``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from . import gibbs1d, moment1d, sdmoments
+from . import gibbs1d, sdmoments
 from .errors import ConvergenceError, InvalidInputError, RegimeError
 from .jsonio import JSONMixin
 from .ncseries import (
@@ -44,16 +46,15 @@ GUARANTEE_MARGIN = 9.0 / 68.0
 # Picard budgets: outer trace refreshes and inner Picard steps per refresh
 MAX_OUTER = 40
 MAX_INNER = 200
-# the one-variable start: moment-measure particles, and the central share fitted
-START_PARTICLES = 512
-START_TRIM = 0.95
+# Newton steps per degree stage of the one-variable solve
+NEWTON_STEPS = 10
 
 
 class TransportProblem:
     """Problem data for the transport fixed point."""
 
     def __init__(self, W, degree, a_radius=DEFAULT_A, ball_radius=DEFAULT_R,
-                 cutoff=sdmoments.DEFAULT_CUTOFF, tol=1e-10, warn_regime=True):
+                 cutoff=sdmoments.DEFAULT_CUTOFF, tol=1e-10):
         if not isinstance(W, NCSeries):
             raise InvalidInputError("W must be an NCSeries")
         if W.coeff(()) != 0.0:
@@ -69,10 +70,9 @@ class TransportProblem:
         self.cutoff = float(cutoff)
         self.tol = float(tol)
         self.tau_cap = self.degree + 4
-        # 1 variable is cheap enough for a deep table; more variables are not
-        self.verify_cap = max(4 * self.degree, 40) if W.n_vars == 1 else self.degree + 10
+        self.verify_cap = self.degree + 10
         self.guaranteed = norm_A(self.W, GUARANTEE_NORM_RADIUS) < GUARANTEE_MARGIN * self.ball_radius
-        if warn_regime and not self.guaranteed:
+        if not self.guaranteed:
             warnings.warn("W is outside the guaranteed contraction regime; "
                           "results are labeled unverified", stacklevel=2)
 
@@ -222,7 +222,7 @@ def _orbit_series(rep, perms, n, degree):
     return NCSeries(n, degree, {w: 1.0 for w in words})
 
 
-def _refine_by_moment_matching(problem, v_init):
+def _refine_by_moment_matching(problem):
     """Gauss-Newton on the transport condition at the truncation scale.
 
     Unknowns are the symmetric even-word-class coefficients of V; residuals
@@ -236,7 +236,7 @@ def _refine_by_moment_matching(problem, v_init):
     n = W.n_vars
     D = problem.degree
     verify_cap = problem.verify_cap
-    eval_cap = verify_cap if n == 1 else min(verify_cap, D + 6)
+    eval_cap = D + 6
     tau_direct = sdmoments.solve_sd(W.truncate(verify_cap), verify_cap, cutoff=problem.cutoff)
     classes, perms = _symmetric_classes(W, D)
     basis = [_orbit_series(rep, perms, n, D) for rep in classes]
@@ -265,11 +265,8 @@ def _refine_by_moment_matching(problem, v_init):
         tau_x = sdmoments.pushforward_trace(tau_y, fmap, D)
         return np.array([tau_x.value(w) - t for w, t in zip(classes, target_vals)])
 
-    c = np.array([v_init.coeff(rep) for rep in classes])
+    c = np.zeros(len(classes))
     r = residual(c)
-    if r is None:
-        c = np.zeros(len(classes))
-        r = residual(c)
     if r is None:
         raise ConvergenceError("moment-matching refinement has no usable start")
     best = float(np.max(np.abs(r)))
@@ -316,28 +313,68 @@ def _refine_by_moment_matching(problem, v_init):
     return assemble(c), best, steps, best < problem.tol * 10
 
 
-def _moment_measure_start(problem):
-    """One-variable start from the 1-d free moment law (Cordero-Erausquin-Klartag).
+def _solve_one_variable(w, degree, tol):
+    """Newton on the closed-form transport condition for W = sum_k w[k-1] x^2k.
 
-    U' = y + V'(y) pushes the free Gibbs law of U = y^2/2 + V onto nu, that
-    of x^2/2 + W, so V' = y - q is fitted in the basis k q^(k-1), even k <= D,
-    on the central particles q of the moment solve for nu (targets y = U'(q)).
-    The fit keeps their O(1/m) bias.  V = 0 when gibbs1d rejects W.
+    y + V'(y) is U' for U = y^2/2 + V, which pushes the free Gibbs law of U
+    onto that of x^2/2 + W (Cordero-Erausquin-Klartag): V solves the transport
+    when the moments of U' under the one-cut law of U match those of
+    x^2/2 + W at every even degree <= D.  Newton from V = 0 diverges at
+    D = 10, so stage D' = 2, 4, ..., D starts from the last with v_D' = 0.
+    A forward-difference Jacobian would cost Newton its quadratic convergence.
+    Returns (v_2, ..., v_D) and the diagnostics; the last iterate is returned
+    unconverged when U leaves the one-cut regime or a stage runs out of steps.
     """
-    D = problem.degree
-    degrees = range(2, D + 1, 2)
-    w = [problem.W.coeff((0,) * k) for k in degrees]
+    t0 = time.perf_counter()
+
+    def moments(u, push):
+        # moments 2, 4, ..., 2 len(u) of y, or of U'(y), under the one-cut law of U
+        _, y, weights = gibbs1d._one_cut(u)
+        fy = gibbs1d._even_deriv(u, y) if push else y
+        return np.array([weights @ fy ** (2 * k) for k in range(1, len(u) + 1)])
+
+    def residual(v):
+        return moments(np.concatenate(([v[0] + 0.5], v[1:])), True) - target[:v.size]
+
+    def newton_step(v, f):
+        h = 1e-4 * np.abs(v) + 1e-9
+        jac = np.column_stack([(residual(v + e) - residual(v - e)) / (2.0 * e[j])
+                               for j, e in enumerate(np.diag(h))])
+        v = v - np.linalg.solve(jac, f)
+        return v, residual(v)
+
+    u = np.zeros(max(degree // 2, 1))
+    u[:len(w)] = w
+    u[0] += 0.5
     try:
-        nu = gibbs1d.free_gibbs_measure(gibbs1d.EvenPotential([0.5 + w[0]] + w[1:])).measure
-    except (InvalidInputError, RegimeError):
-        return NCSeries.zero(1, D)
-    sol = moment1d.minimize_F(moment1d.MomentProblem(nu, n_particles=START_PARTICLES))
-    cut = round(START_PARTICLES * (1.0 - START_TRIM) / 2.0)
-    q = sol.positions[cut:START_PARTICLES - cut]
-    y = sol.target_quantiles[cut:START_PARTICLES - cut]
-    basis = np.column_stack([k * q ** (k - 1) for k in degrees])
-    v, *_ = np.linalg.lstsq(basis, y - q, rcond=None)
-    return NCSeries(1, D, {(0,) * k: float(c) for k, c in zip(degrees, v)})
+        target = moments(u, False)
+    except RegimeError as exc:
+        raise InvalidInputError(f"x^2/2 + W has no one-cut free Gibbs law ({exc})") from None
+    t_newton = time.perf_counter()
+    v, f = np.zeros(0), np.zeros(0)
+    steps, converged = 0, False
+    try:
+        for _ in range(degree // 2):
+            v = np.append(v, 0.0)
+            f = residual(v)
+            for _ in range(NEWTON_STEPS):
+                if np.max(np.abs(f)) <= tol:
+                    break
+                v, f = newton_step(v, f)
+                steps += 1
+        converged = bool(np.max(np.abs(f), initial=0.0) <= tol)
+        if converged and steps:
+            # one step past tol: at quadratic convergence it lands near rounding
+            v_new, f_new = newton_step(v, f)
+            steps += 1
+            if np.max(np.abs(f_new)) < np.max(np.abs(f)):
+                v, f = v_new, f_new
+    except (RegimeError, np.linalg.LinAlgError):
+        pass  # U left the one-cut regime, or a singular Jacobian: the last iterate stands
+    t_end = time.perf_counter()
+    return v, {"iterations": steps, "residual": float(np.max(np.abs(f), initial=0.0)),
+               "converged": converged, "seconds": t_end - t0,
+               "stage_seconds": {"start": t_newton - t0, "refinement": t_end - t_newton}}
 
 
 def _split_separable(W):
@@ -353,75 +390,46 @@ def _split_separable(W):
 
 
 def _solve_separable(problem):
-    """Exact reduction for separable W: each variable transports independently.
+    """Exact reduction for separable W (n = 1 included): each variable
+    transports independently.
 
     The Picard map sends sums of single-variable series to sums of
     single-variable series and the free Gibbs law of a separable potential is
     the free product of the one-variable laws, so the n-variable solution is
-    the sum of the one-variable solutions.
+    the sum of the one-variable solutions.  Returns V, the diagnostics of
+    each variable and those of each distinct one-variable solve.
     """
-    t0 = time.perf_counter()
-    parts = _split_separable(problem.W)
-    n = problem.W.n_vars
-    D = problem.degree
+    n, D = problem.W.n_vars, problem.degree
     V = NCSeries.zero(n, D)
-    diagnostics = {"separable": True, "components": []}
-    solved = {}
-    for i, part in enumerate(parts):
-        key = tuple(sorted(part.items()))
-        if key not in solved:
-            w1 = NCSeries(1, D, {tuple([0] * deg): c for deg, c in part.items()})
-            sub = TransportProblem(w1, D, a_radius=problem.a_radius,
-                                   ball_radius=problem.ball_radius,
-                                   cutoff=problem.cutoff, tol=problem.tol,
-                                   warn_regime=False)
-            solved[key] = solve_V(sub)
-        sub_sol = solved[key]
-        diagnostics["components"].append(sub_sol.diagnostics)
-        for w, c in sub_sol.V.terms.items():
-            V = V + NCSeries.monomial(tuple([i] * len(w)), c, n, D)
-    parts_diag = [sol.diagnostics for sol in solved.values()]
-    # the one-variable stages summed over the distinct components
-    stages = {k: sum(d["stage_seconds"][k] for d in parts_diag) for k in ("start", "refinement")}
-    t_final = time.perf_counter()
-    tau = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap,
-                             cutoff=problem.cutoff)
-    stages["final_trace"] = time.perf_counter() - t_final
-    vtilde = cyclic_symmetrize(drop_constant(number_op(V)))
-    v_norm = norm_A(V, problem.a_radius)
-    transport_map = [NCSeries.variable(i, n, D) + g
-                     for i, g in enumerate(cyclic_gradient_vector(V))]
-    diagnostics.update({
-        "iterations": sum(d["iterations"] for d in parts_diag),
-        "residual": max(d["residual"] for d in parts_diag),
-        "converged": all(d["converged"] for d in parts_diag),
-        "v_norm_A": v_norm,
-        "norm_bound_satisfied": bool(v_norm <= problem.ball_radius + 1e-12),
-        "guaranteed_regime": problem.guaranteed,
-        "stage_seconds": stages,
-        "seconds": time.perf_counter() - t0,
-    })
-    return TransportSolution(V, vtilde, tau, transport_map, diagnostics)
+    components, solved = [], {}
+    for i, part in enumerate(_split_separable(problem.W)):
+        w = tuple(part.get(k, 0.0) for k in range(2, D + 1, 2))
+        if w not in solved:
+            solved[w] = _solve_one_variable(w, D, problem.tol)
+        v, component = solved[w]
+        components.append(component)
+        V = V + NCSeries(n, D, {(i,) * (2 * k): c for k, c in enumerate(v, start=1)})
+    return V, components, [d for _, d in solved.values()]
 
 
 def solve_V(problem):
     """Solve for the transport potential V.
 
-    In the guaranteed contraction regime the outer loop refreshes the trace
-    as the free Gibbs law of (1/2)|Y|^2 + V_k and the inner loop iterates
-    the Picard map with the trace frozen.  Outside it no Picard step is
-    taken: Gauss-Newton solves the transport condition at the truncation
-    scale, for one variable from ``_moment_measure_start``, else from V = 0.
-    Separable W decouples into one-variable problems.  The diagnostics'
-    ``iterations`` and ``residual`` are those of the loop that ran, and
-    ``stage_seconds`` times the ``start`` (the moment-measure start, or the
-    Picard loop in the guaranteed regime), the ``refinement`` and the
-    ``final_trace``; like ``seconds`` it is not written to JSON.
+    One variable, in every regime, and separable W outside the guaranteed
+    contraction regime decouple into one-variable problems, which Newton
+    solves in closed form on the one-cut moments of ``gibbs1d``.  Otherwise,
+    in the guaranteed regime the outer loop refreshes the trace as the free
+    Gibbs law of (1/2)|Y|^2 + V_k and the inner loop iterates the Picard map
+    with the trace frozen; outside it no Picard step is taken, and
+    Gauss-Newton solves the transport condition at the truncation scale from
+    V = 0.  The diagnostics' ``iterations`` and ``residual`` are those of the
+    loop that ran, and ``stage_seconds`` times the ``start`` (the target's
+    one-cut law, or the Picard loop), the ``refinement`` (Newton or
+    Gauss-Newton) and the ``final_trace``; like ``seconds`` it is not
+    written to JSON.
     """
     t0 = time.perf_counter()
     W = problem.W
-    if W.n_vars > 1 and not problem.guaranteed and _split_separable(W) is not None:
-        return _solve_separable(problem)
     n = W.n_vars
     D = problem.degree
     A = problem.a_radius
@@ -430,7 +438,16 @@ def solve_V(problem):
     outer_changes = []
     tau_devs = []
     inner_counts = []
-    if problem.guaranteed:
+    separable = n == 1 or (not problem.guaranteed and _split_separable(W) is not None)
+    if separable:
+        V, components, distinct = _solve_separable(problem)
+        iterations = sum(d["iterations"] for d in distinct)
+        residual = max(d["residual"] for d in distinct)
+        converged = all(d["converged"] for d in distinct)
+        # the one-variable stages summed over the distinct components
+        stages = {k: sum(d["stage_seconds"][k] for d in distinct) for k in ("start", "refinement")}
+        vtilde = cyclic_symmetrize(drop_constant(number_op(V)))
+    elif problem.guaranteed:
         vtilde = NCSeries.zero(n, D)
         converged = False
         for outer in range(MAX_OUTER):
@@ -471,9 +488,8 @@ def solve_V(problem):
         iterations, residual = len(outer_changes), outer_changes[-1]
         stages = {"start": time.perf_counter() - t0, "refinement": 0.0}
     else:
-        start = _moment_measure_start(problem) if n == 1 else V
         t_refine = time.perf_counter()
-        V, residual, iterations, converged = _refine_by_moment_matching(problem, start)
+        V, residual, iterations, converged = _refine_by_moment_matching(problem)
         vtilde = cyclic_symmetrize(drop_constant(number_op(V)))
         stages = {"start": t_refine - t0, "refinement": time.perf_counter() - t_refine}
 
@@ -488,17 +504,18 @@ def solve_V(problem):
         "iterations": iterations,
         "residual": residual,
         "converged": bool(converged),
-        "outer_iterations": len(outer_changes),
-        "inner_iterations": inner_counts,
-        "outer_changes": outer_changes,
-        "tau_refresh_deviation": tau_devs,
-        "refinement_residual": None if problem.guaranteed else residual,
         "v_norm_A": v_norm,
         "norm_bound_satisfied": bool(v_norm <= problem.ball_radius + 1e-12),
         "guaranteed_regime": problem.guaranteed,
         "stage_seconds": stages,
         "seconds": time.perf_counter() - t0,
     }
+    if separable:
+        diagnostics.update(separable=True, components=components)
+    else:
+        diagnostics.update(outer_iterations=len(outer_changes), inner_iterations=inner_counts,
+                           outer_changes=outer_changes, tau_refresh_deviation=tau_devs,
+                           refinement_residual=None if problem.guaranteed else residual)
     return TransportSolution(V, vtilde, tau, transport_map, diagnostics)
 
 
@@ -513,7 +530,7 @@ def verify_transport(sol, W, degree):
     n = W.n_vars
     if sol.V.n_vars != n:
         raise InvalidInputError("W and the solution have different numbers of variables")
-    cap = max(max(4 * degree, 40) if n == 1 else degree + 12, sol.tau_Y.degree_cap)
+    cap = max(max(6 * degree, 40) if n == 1 else degree + 12, sol.tau_Y.degree_cap)
     tau_y = sdmoments.solve_sd(sol.V.truncate(cap), cap, cutoff=sol.tau_Y.cutoff, init=sol.tau_Y)
     fmap = [c.truncate(cap) for c in sol.transport_map]
     tau_x = sdmoments.pushforward_trace(tau_y, fmap, degree)

@@ -143,6 +143,15 @@ def test_transport_cli_zero_and_invalid(tmp_path, capsys):
     assert code == 2
     assert "even degree" in json.loads(stderr)["message"]
 
+    # x^2/2 - 0.05 x^4 has no one-cut law: the residue polynomial has no positive root
+    no_law = tmp_path / "wneg.json"
+    NCSeries(1, 4, {(0, 0, 0, 0): -0.05}).to_json(str(no_law))
+    code, _, stderr = run(["transport-nc", "--series", str(no_law)], capsys)
+    assert code == 2
+    err = json.loads(stderr)
+    assert err.keys() == {"code", "message", "module"}
+    assert err["code"] == 2 and err["module"] == "free_transport"
+
 
 def test_transport_cli_exit_code_ignores_tol(tmp_path, capsys, monkeypatch):
     # --tol is the solver tolerance; the verification threshold stays 1e-3
@@ -231,21 +240,49 @@ def test_determinism_byte_identical(tmp_path, capsys):
         assert outs[0] == outs[1]
 
 
+def _write_transport_inputs(directory):
+    NCSeries(1, 10, {(0, 0, 0, 0): 0.05}).to_json(str(directory / "w1.json"))
+    NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}).to_json(str(directory / "w2.json"))
+
+
+def _run_fresh(script, cwd, **env_vars):
+    src = os.path.dirname(os.path.dirname(freemoment.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env_vars)
+    return subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("body", [
     "import freemoment, freemoment.cli",
     "import freemoment.cli\n"
     "assert freemoment.cli.main(['gibbs1d', '--even-coeffs', '0,0.25', '--json']) == 0",
-], ids=["import", "gibbs1d"])
-def test_cli_does_not_load_scipy(body):
+    "import freemoment.cli\n"
+    "assert freemoment.cli.main(['transport-nc', '--series', 'w1.json', '--degree', '10']) == 0",
+    "import freemoment.cli\n"
+    "assert freemoment.cli.main(['transport-nc', '--series', 'w2.json', '--degree', '8']) == 0",
+], ids=["import", "gibbs1d", "transport-n1", "transport-separable"])
+def test_cli_does_not_load_scipy(body, tmp_path):
     # SciPy is imported only by moment1d.minimize_F; a fresh interpreter shows
     # whether anything else pulls it in
-    src = os.path.dirname(os.path.dirname(freemoment.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    _write_transport_inputs(tmp_path)
     script = body + "\nimport sys\nassert not [m for m in sys.modules " \
                     "if m == 'scipy' or m.startswith('scipy.')]"
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    proc = _run_fresh(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_transport_files_do_not_depend_on_blas_threads(tmp_path):
+    # the one-variable and separable paths factor no Hessian
+    _write_transport_inputs(tmp_path)
+    for threads in ("1", "2"):
+        script = "import freemoment.cli\n" + "".join(
+            f"assert freemoment.cli.main(['transport-nc', '--series', 'w{i}.json', '--degree', "
+            f"'{d}', '--out', 't{threads}_{i}.json']) == 0\n" for i, d in ((1, 10), (2, 8)))
+        proc = _run_fresh(script, tmp_path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+    for i in (1, 2):
+        assert (tmp_path / f"t1_{i}.json").read_bytes() == (tmp_path / f"t2_{i}.json").read_bytes()
 
 
 def _transport_file(tmp_path, capsys, *extra):

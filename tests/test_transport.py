@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from freemoment import gibbs1d as G
+from freemoment import moment1d
 from freemoment import sdmoments as sd
 from freemoment import transport as T
 from freemoment.ncseries import (NCSeries, cyclic_gradient, cyclic_gradient_vector,
@@ -312,14 +313,15 @@ def test_nonseparable_mixed_term_solution(monkeypatch):
 
 
 def test_quartic_sweep_matches_1d_oracle_at_every_degree():
-    # the moment-law start makes V smooth in c; from a Picard start v_4
-    # jumped with c and c = 0.0505 missed by 1.5e-2 at degree 6
+    # from a Picard start v_4 jumped with c and c = 0.0505 missed by 1.5e-2 at
+    # degree 6.  Cap 60 keeps the reference's own truncation below the bound
+    # at degree 10; at cap 44 it reads 1.2e-3 for c = 0.05
     v4 = []
     for c in (0.04, 0.045, 0.048, 0.05, 0.0505, 0.055, 0.06):
         W = NCSeries(1, 10, {(0, 0, 0, 0): c})
         sol = T.solve_V(quiet_problem(W, 10))
-        tau_y = sd.solve_sd(sol.V.truncate(44), 44)
-        tau_x = sd.pushforward_trace(tau_y, [m.truncate(44) for m in sol.transport_map], 10)
+        tau_y = sd.solve_sd(sol.V.truncate(60), 60)
+        tau_x = sd.pushforward_trace(tau_y, [m.truncate(60) for m in sol.transport_map], 10)
         oracle = G.free_gibbs_measure(G.EvenPotential([0.5, c]))
         for k in range(2, 11, 2):
             assert abs(tau_x.value((0,) * k) - oracle.moment(k)) < 1e-3, (c, k)
@@ -327,13 +329,39 @@ def test_quartic_sweep_matches_1d_oracle_at_every_degree():
     assert all(b < a for a, b in zip(v4, v4[1:]))
 
 
-def test_non_confining_target_starts_from_zero():
-    # x^2/2 - 0.02 x^4 has no free Gibbs law, so there is no moment-law start
+def test_non_confining_one_cut_target():
+    # x^2/2 - 0.02 x^4 does not confine but has a one-cut law.  Near the
+    # critical coupling -1/48 its SD table converges slowly in the cap (off by
+    # 1.6e-4 at cap 40), so the reference is the exact law
     W = NCSeries(1, 4, {(0, 0, 0, 0): -0.02})
-    prob = quiet_problem(W, 4)
-    assert T._moment_measure_start(prob).terms == {}
-    sol = T.solve_V(prob)
-    assert T.verify_transport(sol, W, 4)["max_moment_deviation"] <= 1e-6
+    sol = T.solve_V(quiet_problem(W, 4))
+    assert sol.diagnostics["converged"]
+    _, x, weights = G._one_cut([0.5, -0.02])
+    tau_y = sd.solve_sd(sol.V.truncate(40), 40)
+    tau_x = sd.pushforward_trace(tau_y, [m.truncate(40) for m in sol.transport_map], 4)
+    for k in (2, 4):
+        assert abs(tau_x.value((0,) * k) - weights @ x ** k) <= 1e-6
+
+
+def test_c13_solution_is_exact_at_degree_10():
+    W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
+    sol = T.solve_V(quiet_problem(W, 10))
+    assert sol.diagnostics["converged"] and sol.diagnostics["residual"] <= 1e-12
+    assert T.verify_transport(sol, W, 10)["max_moment_deviation"] <= 1e-6
+
+
+def test_one_variable_solve_takes_no_picard_step_or_particles(monkeypatch):
+    # n = 1 runs the closed-form Newton in both regimes
+    def refuse(*args, **kwargs):
+        raise AssertionError("one-variable solve left the closed-form path")
+
+    monkeypatch.setattr(T, "picard_map", refuse)
+    monkeypatch.setattr(moment1d, "minimize_F", refuse)
+    w_small = 0.5 * T.GUARANTEE_MARGIN * T.DEFAULT_R / T.GUARANTEE_NORM_RADIUS ** 4
+    for c, degree in ((w_small, 8), (0.05, 10)):
+        prob = quiet_problem(NCSeries(1, degree, {(0, 0, 0, 0): c}), degree)
+        assert prob.guaranteed == (c == w_small)
+        assert T.solve_V(prob).diagnostics["converged"]
 
 
 def test_diagnostics_core_keys_and_json():
