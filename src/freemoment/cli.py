@@ -7,8 +7,9 @@ One executable with subcommands:
     freemoment transport-nc --series W.json --degree 10 --out sol.json
     freemoment verify      --solution sol.json [--series W.json]
 
-Exit codes: 0 success, 1 internal error, 2 invalid input, out-of-regime, an
-unconverged moment1d solve or a solution that fails verification.
+Exit codes: 0 success, 1 internal error, 2 invalid input, out-of-regime (any
+solver error, a solve that does not converge included), an unconverged
+moment1d solve or a solution that fails verification.
 Every error path prints a structured JSON object {code, message, module}.
 """
 
@@ -21,7 +22,7 @@ import sys
 import warnings
 
 from . import gibbs1d, measure1d, moment1d, sdmoments, transport
-from .errors import FreeMomentError, InvalidInputError, RegimeError
+from .errors import FreeMomentError, InvalidInputError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -44,9 +45,10 @@ def _emit(obj, as_json, path=None):
 
 
 def _fail(exc, module):
-    code = EXIT_INVALID if isinstance(exc, (InvalidInputError, RegimeError)) else EXIT_INTERNAL
-    print(json.dumps({"code": code, "message": str(exc), "module": module}), file=sys.stderr)
-    return code
+    """Report a FreeMomentError: the input is invalid or out of any solver's regime."""
+    print(json.dumps({"code": EXIT_INVALID, "message": str(exc), "module": module}),
+          file=sys.stderr)
+    return EXIT_INVALID
 
 
 def _load_potential(text):

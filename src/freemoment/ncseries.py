@@ -1,12 +1,17 @@
 """Sparse noncommutative power series in n self-adjoint indeterminates.
 
-Words are tuples of 0-based variable indices; a series maps words to real
-coefficients and is hard-truncated at its ``max_degree``.  Tensors in
-M (x) M^op are dense blocks per bidegree on base-n word codes, and right
-legs multiply in reversed order.  On top of the algebra sit the cyclic
-gradient, the difference quotient, the Jacobian, the cyclic symmetrization /
-number / projection operators, the weighted coefficient norms, and the
-trace-contracted matrix logarithm used by the transport fixed point.
+A word w_1..w_L over the letters 0..n-1 has the base-n code
+sum_k w_k n^(L-k), first letter most significant, and the shortlex rank
+(n^L - 1)/(n - 1) + code, or L for n = 1: ranks order words by length, then
+letter by letter.  A series holds the sorted ranks of its nonzero terms and
+their coefficients, and is hard-truncated at its ``max_degree``; word tuples
+appear only at its boundaries (the constructor, ``coeff``, JSON and
+``terms``).  Tensors in M (x) M^op are dense blocks per bidegree on the same
+codes, and right legs multiply in reversed order.  On top of the algebra sit
+the cyclic gradient, the difference quotient, the Jacobian, the cyclic
+symmetrization / number / projection operators, the weighted coefficient
+norms, and the trace-contracted matrix logarithm used by the transport fixed
+point.
 """
 
 from __future__ import annotations
@@ -22,17 +27,34 @@ from .jsonio import JSONMixin
 class NCSeries(JSONMixin):
     """A real-coefficient noncommutative polynomial / truncated power series."""
 
-    __slots__ = ("n_vars", "max_degree", "terms")
+    __slots__ = ("n_vars", "max_degree", "ranks", "coeffs")
 
     def __init__(self, n_vars, max_degree, terms=None):
-        self.n_vars = int(n_vars)
-        self.max_degree = int(max_degree)
-        clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff != 0.0 and len(word) <= self.max_degree:
-                    clean[tuple(word)] = clean.get(tuple(word), 0.0) + float(coeff)
-        self.terms = {w: c for w, c in clean.items() if c != 0.0}
+        self.n_vars, self.max_degree = int(n_vars), int(max_degree)
+        if self.n_vars < 1:
+            raise InvalidInputError("need at least one variable")
+        terms = {w: c for w, c in (terms or {}).items() if len(w) <= self.max_degree}
+        self._store(_word_ranks(terms, self.n_vars), np.array(list(terms.values()), dtype=float))
+
+    def _store(self, ranks, coeffs):
+        """Hold the sum of the terms (ranks[k], coeffs[k]): equal ranks add in
+        the order given, and words over the cap and zero sums drop out."""
+        keep = _split(ranks, self.n_vars)[0] <= self.max_degree
+        ranks, coeffs = ranks[keep], coeffs[keep]
+        if (ranks[1:] <= ranks[:-1]).any():
+            # a stable sort keeps equal ranks in the order given
+            order = ranks.argsort(kind="stable")
+            ranks, coeffs = ranks[order], coeffs[order]
+            first = np.concatenate(([True], ranks[1:] != ranks[:-1]))
+            ranks, coeffs = ranks[first], np.bincount(first.cumsum() - 1, coeffs)
+        nonzero = coeffs != 0.0
+        self.ranks, self.coeffs = ranks[nonzero], coeffs[nonzero]
+        return self
+
+    @property
+    def terms(self):
+        """The word -> coefficient dict, in shortlex order; built on each access."""
+        return dict(zip(_word_tuples(self.ranks, self.n_vars), self.coeffs.tolist()))
 
     # -- constructors --------------------------------------------------------
 
@@ -58,10 +80,9 @@ class NCSeries(JSONMixin):
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0.0) + c
-        return NCSeries(self.n_vars, min(self.max_degree, other.max_degree), terms)
+        return _series(self.n_vars, min(self.max_degree, other.max_degree),
+                       np.concatenate([self.ranks, other.ranks]),
+                       np.concatenate([self.coeffs, other.coeffs]))
 
     def __sub__(self, other):
         return self + (other * -1.0)
@@ -69,8 +90,7 @@ class NCSeries(JSONMixin):
     def __mul__(self, scalar):
         if isinstance(scalar, NCSeries):
             return multiply(self, scalar)
-        return NCSeries(self.n_vars, self.max_degree,
-                        {w: c * float(scalar) for w, c in self.terms.items()})
+        return _series(self.n_vars, self.max_degree, self.ranks, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
@@ -82,49 +102,52 @@ class NCSeries(JSONMixin):
             raise InvalidInputError("series over different variable counts")
 
     def coeff(self, word):
-        return self.terms.get(tuple(word), 0.0)
+        """The coefficient of a word tuple, 0.0 when it is absent."""
+        return float(self.coeffs[self.ranks == _word_ranks([word], self.n_vars)].sum())
 
     def degree(self):
-        return max((len(w) for w in self.terms), default=0)
+        return int(_split(self.ranks[-1:], self.n_vars)[0].max(initial=0))
 
     def truncate(self, max_degree):
-        return NCSeries(self.n_vars, max_degree, self.terms)
+        return _series(self.n_vars, int(max_degree), self.ranks, self.coeffs)
 
     def is_even(self):
-        return all(len(w) % 2 == 0 for w in self.terms)
+        return not (_split(self.ranks, self.n_vars)[0] % 2).any()
 
     def is_selfadjoint(self, tol=0.0):
-        return all(abs(c - self.terms.get(w[::-1], 0.0)) <= tol for w, c in self.terms.items())
+        _, _, pos, _, letter, _ = _positions(self)
+        mirrored = _recode(self, letter * self.n_vars ** pos)
+        return bool((np.abs((self - mirrored).coeffs) <= tol).all())
 
     def odd_mass(self):
         """Total absolute coefficient mass on odd-degree words."""
-        return sum(abs(c) for w, c in self.terms.items() if len(w) % 2 == 1)
+        return float(np.abs(self.coeffs[_split(self.ranks, self.n_vars)[0] % 2 == 1]).sum())
 
     def __eq__(self, other):
         return isinstance(other, NCSeries) and self.n_vars == other.n_vars \
-            and self.terms == other.terms
+            and np.array_equal(self.ranks, other.ranks) and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.n_vars, tuple(sorted(self.terms.items()))))
+        return hash((self.n_vars, self.ranks.tobytes(), self.coeffs.tobytes()))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.ranks.size:
             return "NCSeries(0)"
         parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w))[:8]:
+        for w, c in zip(_word_tuples(self.ranks[:8], self.n_vars), self.coeffs):
             mono = "*".join(f"x{i + 1}" for i in w) if w else "1"
-            parts.append(f"{self.terms[w]:+.6g}*{mono}")
-        more = "" if len(self.terms) <= 8 else f" (+{len(self.terms) - 8} terms)"
+            parts.append(f"{c:+.6g}*{mono}")
+        more = "" if len(self.ranks) <= 8 else f" (+{len(self.ranks) - 8} terms)"
         return "NCSeries(" + " ".join(parts) + more + ")"
 
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self):
-        items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
         return {
             "n_vars": self.n_vars,
             "max_degree": self.max_degree,
-            "terms": [{"word": [i + 1 for i in w], "coeff": c} for w, c in items],
+            "terms": [{"word": [i + 1 for i in w], "coeff": c} for w, c in
+                      zip(_word_tuples(self.ranks, self.n_vars), self.coeffs.tolist())],
         }
 
     @classmethod
@@ -138,20 +161,99 @@ class NCSeries(JSONMixin):
         return cls(d["n_vars"], d["max_degree"], terms)
 
 
+# -- word ranks ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _offsets(n):
+    """Rank (n^L - 1)/(n - 1) of the first word of each length L, for n >= 2: up to
+    one past the longest words with a rank, those whose n^(L+1) fits int64."""
+    top = 0
+    while n ** (top + 2) <= np.iinfo(np.int64).max:
+        top += 1
+    offs = np.cumsum([0] + [n ** length for length in range(top + 1)])
+    offs.flags.writeable = False
+    return offs
+
+
+def _ranks(lengths, codes, n):
+    """Ranks of the words with these lengths and codes; InvalidInputError for a
+    word too long for an int64 rank, whose code is not read (it may overflow)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if n == 1:
+        return lengths
+    if lengths.size and lengths.max() > len(_offsets(n)) - 2:
+        raise InvalidInputError(f"a word of more than {len(_offsets(n)) - 2} letters in "
+                                f"{n} variables has no int64 rank")
+    return _offsets(n)[lengths] + np.asarray(codes, dtype=np.int64)
+
+
+def _split(ranks, n):
+    """Length and code of each rank."""
+    if n == 1:
+        return ranks, ranks * 0
+    offs = _offsets(n)
+    lengths = offs.searchsorted(ranks, side="right") - 1
+    return lengths, ranks - offs[lengths]
+
+
+def _word_ranks(words, n):
+    """Ranks of word tuples."""
+    words = [tuple(map(int, w)) for w in words]
+    if any(not 0 <= letter < n for w in words for letter in w):
+        raise InvalidInputError("word letter out of range")
+    return _ranks([len(w) for w in words], [_code(w, n) for w in words], n)
+
+
+def _word_tuples(ranks, n):
+    """Word tuples of ranks."""
+    lengths, codes = _split(ranks, n)
+    top = int(lengths.max(initial=0))
+    letters = _digits(codes, n, top).tolist()
+    return [tuple(row[top - length:]) for row, length in zip(letters, lengths.tolist())]
+
+
+def _series(n_vars, max_degree, ranks, coeffs):
+    """The series of the terms (ranks[k], coeffs[k]), summed as in ``_store``."""
+    f = NCSeries.__new__(NCSeries)
+    f.n_vars, f.max_degree = n_vars, max_degree
+    return f._store(ranks, coeffs)
+
+
+def _positions(f):
+    """Every letter of every word of f, flat in rank then position order: the
+    word's index and length, the position, and the word split there as
+    head.letter.rest, with ``pos`` letters in head."""
+    n = f.n_vars
+    lengths, codes = _split(f.ranks, n)
+    word = np.repeat(np.arange(len(codes)), lengths)
+    length = lengths[word]
+    pos = np.arange(len(word)) - (np.cumsum(lengths) - lengths)[word]
+    head, tail = np.divmod(codes[word], n ** (length - pos))
+    letter, rest = np.divmod(tail, n ** (length - 1 - pos))
+    return word, length, pos, head, letter, rest
+
+
+def _recode(f, weights):
+    """f with the code of each word replaced by the sum of ``weights`` over its
+    letters, given flat as in ``_positions``."""
+    codes = np.zeros(len(f.ranks), dtype=np.int64)
+    np.add.at(codes, _positions(f)[0], weights)
+    return _series(f.n_vars, f.max_degree, _ranks(_split(f.ranks, f.n_vars)[0], codes, f.n_vars),
+                   f.coeffs)
+
+
 def multiply(a, b, max_degree=None):
-    """Concatenation product, truncated."""
+    """Concatenation product, truncated: one outer product of ranks and coefficients."""
     a._check(b)
     cap = min(a.max_degree, b.max_degree) if max_degree is None else max_degree
-    terms = {}
-    for wa, ca in a.terms.items():
-        if len(wa) > cap:
-            continue
-        for wb, cb in b.terms.items():
-            if len(wa) + len(wb) > cap:
-                continue
-            w = wa + wb
-            terms[w] = terms.get(w, 0.0) + ca * cb
-    return NCSeries(a.n_vars, cap, terms)
+    n = a.n_vars
+    la, ca = _split(a.ranks, n)
+    lb, cb = _split(b.ranks, n)
+    # pairs in a-major order, so each word sums its splits shortest prefix first
+    ia, ib = np.nonzero(la[:, None] + lb <= cap)
+    ranks = _ranks(la[ia] + lb[ib], ca[ia] * n ** lb[ib] + cb[ib], n)
+    return _series(n, cap, ranks, a.coeffs[ia] * b.coeffs[ib])
 
 
 def substitute(f, args, max_degree=None):
@@ -166,11 +268,11 @@ def substitute(f, args, max_degree=None):
     n_vars = args[0].n_vars if args else f.n_vars
     out = NCSeries.zero(n_vars, cap)
     one = NCSeries.constant(1.0, n_vars, cap)
-    for word, coeff in sorted(f.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
+    for word, coeff in zip(_word_tuples(f.ranks, f.n_vars), f.coeffs):
         prod = one
         for letter in word:
             prod = multiply(prod, args[letter], cap)
-            if not prod.terms:
+            if not prod.ranks.size:
                 break
         out = out + prod * coeff
     return out
@@ -178,13 +280,10 @@ def substitute(f, args, max_degree=None):
 
 def cyclic_gradient(f, i):
     """Cyclic derivative in variable i: rotate each occurrence to the front and drop it."""
-    terms = {}
-    for word, coeff in f.terms.items():
-        for pos, letter in enumerate(word):
-            if letter == i:
-                rotated = word[pos + 1:] + word[:pos]
-                terms[rotated] = terms.get(rotated, 0.0) + coeff
-    return NCSeries(f.n_vars, f.max_degree, terms)
+    word, length, pos, head, letter, rest = _positions(f)
+    hit = letter == i
+    ranks = _ranks(length[hit] - 1, (rest * f.n_vars ** pos + head)[hit], f.n_vars)
+    return _series(f.n_vars, f.max_degree, ranks, f.coeffs[word[hit]])
 
 
 def cyclic_gradient_vector(f):
@@ -204,12 +303,6 @@ def cyclic_gradient_vector(f):
 def _digits(codes, n, length):
     """Base-n digits of word codes, most significant letter first."""
     return (codes[:, None] // n ** np.arange(length - 1, -1, -1)) % n
-
-
-@functools.lru_cache(maxsize=None)
-def _words(n, length):
-    """All words of a length, in code order."""
-    return tuple(map(tuple, _digits(np.arange(n ** length), n, length).tolist()))
 
 
 def _code(word, n):
@@ -290,13 +383,13 @@ def tensor_multiply(a, b, max_degree):
 def difference_quotient(f, i):
     """Split each occurrence of variable i into prefix (x) suffix, as a tensor."""
     n = f.n_vars
+    word, length, pos, head, letter, rest = _positions(f)
+    hit = letter == i
     out = {}
-    for word, coeff in f.terms.items():
-        for pos, letter in enumerate(word):
-            if letter == i:
-                key = (pos, len(word) - pos - 1)
-                blk = out.setdefault(key, np.zeros((n ** key[0], n ** key[1])))
-                blk[_code(word[:pos], n), _code(word[pos + 1:], n)] += coeff
+    for l, r in sorted(set(zip(pos[hit].tolist(), (length - 1 - pos)[hit].tolist()))):
+        at = hit & (pos == l) & (length == l + r + 1)
+        blk = out[(l, r)] = np.zeros((n ** l, n ** r))
+        blk[head[at], rest[at]] = f.coeffs[word[at]]
     return out
 
 
@@ -315,16 +408,17 @@ def jacobian(p):
 
 def apply_to_vector(m, vec):
     """Action of a matrix over M (x) M^op on a vector of series: (a (x) b) # s = a s b."""
-    out = [{} for _ in vec]
+    n = vec[0].n_vars
+    terms = [[(np.zeros(0, dtype=np.int64), np.zeros(0))] for _ in vec]
     for (l, r), blk in m.items():
-        left, right = _words(vec[0].n_vars, l), _words(vec[0].n_vars, r)
         for i, j, a, b in zip(*np.nonzero(blk)):
-            coeff = blk[i, j, a, b]
-            for ws, cs in vec[j].terms.items():
-                if l + len(ws) + r <= vec[j].max_degree:
-                    w = left[a] + ws + right[b]
-                    out[i][w] = out[i].get(w, 0.0) + coeff * cs
-    return [NCSeries(s.n_vars, s.max_degree, terms) for s, terms in zip(vec, out)]
+            # a (x) b around every word s of vec[j] that stays under its cap
+            lengths, codes = _split(vec[j].ranks, n)
+            keep = l + lengths + r <= vec[j].max_degree
+            code = (a * n ** lengths[keep] + codes[keep]) * n ** r + b
+            terms[i].append((_ranks(l + lengths[keep] + r, code, n),
+                             blk[i, j, a, b] * vec[j].coeffs[keep]))
+    return [_series(n, s.max_degree, *map(np.concatenate, zip(*t))) for s, t in zip(vec, terms)]
 
 
 # -- symmetrization-type operators ------------------------------------------------
@@ -332,37 +426,30 @@ def apply_to_vector(m, vec):
 
 def cyclic_symmetrize(f):
     """Average of all rotations of each word; identity on constants."""
-    terms = {}
-    for word, coeff in f.terms.items():
-        k = len(word)
-        if k == 0:
-            terms[word] = terms.get(word, 0.0) + coeff
-            continue
-        share = coeff / k
-        for j in range(k):
-            rot = word[j:] + word[:j]
-            terms[rot] = terms.get(rot, 0.0) + share
-    return NCSeries(f.n_vars, f.max_degree, terms)
+    n = f.n_vars
+    word, length, pos, head, letter, rest = _positions(f)
+    # each word with its first ``pos`` letters moved to the end
+    ranks = _ranks(length, (letter * n ** (length - 1 - pos) + rest) * n ** pos + head, n)
+    const = f.ranks == 0
+    return _series(n, f.max_degree, np.concatenate([f.ranks[const], ranks]),
+                   np.concatenate([f.coeffs[const], f.coeffs[word] / length]))
 
 
 def number_op(f):
     """Multiply each word by its length."""
-    return NCSeries(f.n_vars, f.max_degree,
-                    {w: c * len(w) for w, c in f.terms.items()})
+    return _series(f.n_vars, f.max_degree, f.ranks, f.coeffs * _split(f.ranks, f.n_vars)[0])
 
 
 def number_op_inverse(f):
     """Divide each word by its length; requires zero constant term."""
     if f.coeff(()) != 0.0:
         raise InvalidInputError("number operator is not invertible on constant terms")
-    return NCSeries(f.n_vars, f.max_degree,
-                    {w: c / len(w) for w, c in f.terms.items()})
+    return _series(f.n_vars, f.max_degree, f.ranks, f.coeffs / _split(f.ranks, f.n_vars)[0])
 
 
 def drop_constant(f):
     """Projection onto series with no constant term."""
-    return NCSeries(f.n_vars, f.max_degree,
-                    {w: c for w, c in f.terms.items() if w})
+    return _series(f.n_vars, f.max_degree, f.ranks[f.ranks > 0], f.coeffs[f.ranks > 0])
 
 
 # -- norms -------------------------------------------------------------------------
@@ -372,7 +459,7 @@ def norm_A(f, a):
     """Weighted l1 norm: sum over words of |coeff| * a^len."""
     if a < 1.0:
         raise InvalidInputError("norm radius must be >= 1")
-    return sum(abs(c) * a ** len(w) for w, c in f.terms.items())
+    return float(np.sum(np.abs(f.coeffs) * a ** _split(f.ranks, f.n_vars)[0]))
 
 
 def norm_AB(t, a, b):
@@ -397,10 +484,12 @@ def trace_contract(t, tau):
     for (l, r), blk in t.items():
         out[r] = out.get(r, 0.0) + traces[l] @ blk
         out[l] = out.get(l, 0.0) + blk @ traces[r]
-    terms = {}
-    for length, vec in out.items():
-        terms.update(zip(_words(n, length), vec.tolist()))
-    return NCSeries(n, cap, terms)
+    lengths = sorted(out)
+    codes = [np.flatnonzero(out[length]) for length in lengths]
+    ranks = _ranks(np.repeat(lengths, [len(c) for c in codes]),
+                   np.concatenate([np.zeros(0, dtype=np.int64), *codes]), n)
+    return _series(n, cap, ranks,
+                   np.concatenate([np.zeros(0), *(out[k][c] for k, c in zip(lengths, codes))]))
 
 
 def log_neumann(k, max_degree):

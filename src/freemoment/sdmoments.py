@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
 from .jsonio import JSONMixin
-from .ncseries import NCSeries, _canonical_classes, _code, _digits, cyclic_gradient, multiply
+from .ncseries import (NCSeries, _canonical_classes, _code, _digits, _positions, _series,
+                       _split, _word_tuples, cyclic_gradient, multiply)
 
 DEFAULT_CUTOFF = 3.0
 # sweep budget and Jacobi damping of solve_sd
@@ -54,7 +55,10 @@ def _variable_parities(W):
     When the flip symmetry holds for variable i, every moment of a word with
     an odd count of letter i vanishes; those words are dropped structurally.
     """
-    return [all(w.count(i) % 2 == 0 for w in W.terms) for i in range(W.n_vars)]
+    word, _, _, _, letter, _ = _positions(W)
+    counts = np.zeros((len(W.ranks), W.n_vars), dtype=np.int64)
+    np.add.at(counts, (word, letter), 1)
+    return (counts % 2 == 0).all(axis=0).tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,26 +83,28 @@ class TraceTable(JSONMixin):
         self.values = [np.asarray(v, dtype=float) for v in values]
         self.tail_estimate = float(tail_estimate)
         self.diagnostics = {}
-        # raw word -> value(); ``values`` is never mutated after construction
-        self._lookups = {}
+
+    def at(self, length, codes):
+        """tau on the words of one length with these codes."""
+        return self.values[length][_canonical_classes(self.n_vars, length)[1][codes]]
 
     def value(self, word):
         """tau(word); None above the cap."""
-        word = tuple(word)
-        if word not in self._lookups:
-            n, length = self.n_vars, len(word)
-            self._lookups[word] = None if length > self.degree_cap else float(
-                self.values[length][_canonical_classes(n, length)[1][_code(word, n)]])
-        return self._lookups[word]
+        if len(word) > self.degree_cap:
+            return None
+        return float(self.at(len(word), _code(word, self.n_vars)))
 
     def of_series(self, series):
         """Linear extension of the trace to a series; words above the cap count 0."""
+        lengths, codes = _split(series.ranks, self.n_vars)
+        # ranks sort by length, so the words of each length are a slice
+        starts = [0] + (np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist()
         total = 0.0
-        for w, c in series.terms.items():
-            v = self.value(w)
-            if v is not None:
-                total += c * v
-        return total
+        for length, lo, hi in zip(lengths[starts].tolist(), starts, starts[1:] + [len(lengths)]):
+            if length > self.degree_cap:
+                break
+            total += series.coeffs[lo:hi] @ self.at(length, codes[lo:hi])
+        return float(total)
 
     def to_dict(self):
         # exact zeros are implied, so only the nonzero classes are written
@@ -239,9 +245,9 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, init=None,
     MAX_SWEEPS budget is exhausted or the cutoff clamp is active on the last
     sweep.  The returned table carries a ``diagnostics`` dict.
 
-    ``support_hint``: extra potential words treated as present with zero
-    coefficient, so repeated solves over a family of potentials with varying
-    coefficients share one cached equation structure.
+    ``support_hint``: a series whose words are treated as present in W with
+    zero coefficient, so repeated solves over a family of potentials with
+    varying coefficients share one cached equation structure.
     """
     t0 = time.perf_counter()
     if W.n_vars < 1:
@@ -250,23 +256,21 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, init=None,
         raise InvalidInputError("perturbation W must be self-adjoint")
     if cutoff <= 2.0:
         raise InvalidInputError("cutoff must exceed 2")
-    W_support = W
-    if support_hint:
-        sup_terms = {tuple(w): 1.0 for w in support_hint}
-        for w in W.terms:
-            sup_terms[w] = 1.0
-        W_support = NCSeries(W.n_vars, W.max_degree, sup_terms)
     n = W.n_vars
+    W_support = W
+    if support_hint is not None:
+        ranks = np.union1d(W.ranks, support_hint.ranks)
+        W_support = _series(n, W.max_degree, ranks, np.ones(len(ranks)))
     even_overall = W_support.is_even()
     flips = _variable_parities(W_support)
     terms = tuple((i, gw) for i in range(n)
-                  for gw in sorted(cyclic_gradient(W_support, i).terms))
+                  for gw in sorted(_word_tuples(cyclic_gradient(W_support, i).ranks, n)))
     hits = _build_structure.cache_info().hits
     st = _build_structure(n, degree_cap, even_overall, tuple(flips), terms)
     cache = "hit" if _build_structure.cache_info().hits > hits else "miss"
 
     grads = [cyclic_gradient(W, i) for i in range(n)]
-    coeffs = np.array([grads[i].terms.get(gw, 0.0) for i, gw in terms])
+    coeffs = np.array([grads[i].coeff(gw) for i, gw in terms])
     coup_coeffs = coeffs[st.coup_terms]
     vals = st.start.copy()
     if init is not None:
@@ -313,7 +317,7 @@ def sd_residual(tau, W, degree_cap=None):
     """Max violation of tau(P (x_i + D_i W)) = (tau (x) tau)(d_i P).
 
     Scans all canonical monomials P with |P| small enough that every term
-    stays inside the table cap.
+    stays inside the table cap, one length and letter at a time.
     """
     cap = tau.degree_cap if degree_cap is None else degree_cap
     n = tau.n_vars
@@ -322,19 +326,20 @@ def sd_residual(tau, W, degree_cap=None):
     p_max = cap - max(1, deg_d)
     worst = 0.0
     for length in range(0, p_max + 1):
-        for p in _enumerate_canonical(n, length):
-            for i in range(n):
-                lhs = tau.value(p + (i,))
-                for gw, gc in grads[i].terms.items():
-                    v = tau.value(p + gw)
-                    if v is None:
-                        continue
-                    lhs += gc * v
-                rhs = 0.0
-                for pos, letter in enumerate(p):
-                    if letter == i:
-                        rhs += tau.value(p[:pos]) * tau.value(p[pos + 1:])
-                worst = max(worst, abs(lhs - rhs))
+        p = _canonical_classes(n, length)[0]
+        letters = _digits(p, n, length)
+        for i in range(n):
+            lhs = tau.at(length + 1, p * n + i)
+            for glen, gcode, gc in zip(*_split(grads[i].ranks, n), grads[i].coeffs):
+                lhs = lhs + gc * tau.at(length + glen, p * n ** glen + gcode)
+            # the splits P = head x_i rest at each position
+            rhs = np.zeros(len(p))
+            for pos in range(length):
+                head, tail = np.divmod(p, n ** (length - pos))
+                rest = tail % n ** (length - 1 - pos)
+                hit = letters[:, pos] == i
+                rhs[hit] += tau.at(pos, head[hit]) * tau.at(length - 1 - pos, rest[hit])
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 

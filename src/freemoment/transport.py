@@ -24,6 +24,12 @@ from .errors import ConvergenceError, InvalidInputError, RegimeError
 from .jsonio import JSONMixin
 from .ncseries import (
     NCSeries,
+    _canonical_classes,
+    _digits,
+    _positions,
+    _ranks,
+    _recode,
+    _series,
     cyclic_gradient_vector,
     cyclic_symmetrize,
     difference_quotient,
@@ -177,49 +183,37 @@ def lipschitz_bound(W, a_radius, ball_radius):
     return 0.5 + dq_norm + ball_radius + 4.0 * ball_radius / (a_radius ** 2 - 2.0 * ball_radius)
 
 
-def _variable_permutations(W):
-    """Permutations of the variables that leave W invariant."""
+def _symmetric_basis(W, degree):
+    """Orbits of the even words of at most ``degree`` letters under rotation,
+    reversal and the permutations of the variables that leave W invariant,
+    leaving out the words that one of W's sign-flip symmetries makes odd.
+
+    Returns each orbit's least canonical code, grouped as (length, codes) in
+    word order, and the ranks of all words in the orbits with the index of
+    each word's orbit.
+    """
     n = W.n_vars
+    flips = np.flatnonzero(sdmoments._variable_parities(W))
+    _, lengths, pos, _, letter, _ = _positions(W)
     perms = []
-    for perm in itertools.permutations(range(n)):
-        mapped = {}
-        for w, c in W.terms.items():
-            mapped[tuple(perm[i] for i in w)] = mapped.get(tuple(perm[i] for i in w), 0.0) + c
-        if all(abs(mapped.get(w, 0.0) - c) < 1e-14 for w, c in W.terms.items()) \
-                and all(abs(c - W.terms.get(w, 0.0)) < 1e-14 for w, c in mapped.items()):
+    for perm in map(np.array, itertools.permutations(range(n))):
+        moved = _recode(W, perm[letter] * n ** (lengths - 1 - pos))
+        if (np.abs((moved - W).coeffs) < 1e-14).all():
             perms.append(perm)
-    return perms
-
-
-def _symmetric_classes(W, degree):
-    """Orbit representatives of words under rotation, reversal, W's variable
-    permutations, and W's sign-flip symmetries (flip-odd words are dropped)."""
-    n = W.n_vars
-    flips = sdmoments._variable_parities(W)
-    perms = _variable_permutations(W)
-    reps = []
-    seen = set()
+    classes, count = [], 0
+    ranks, owners = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for length in range(2, degree + 1, 2):
-        for w in sdmoments._enumerate_canonical(n, length):
-            if any(flips[i] and w.count(i) % 2 == 1 for i in range(n)):
-                continue
-            orbit_min = min(sdmoments.canonical_word(tuple(p[i] for i in w)) for p in perms)
-            if orbit_min not in seen:
-                seen.add(orbit_min)
-                reps.append(orbit_min)
-    return reps, perms
-
-
-def _orbit_series(rep, perms, n, degree):
-    """Series with coefficient 1 on every word of the full symmetry orbit of rep."""
-    words = set()
-    k = len(rep)
-    for p in perms:
-        w = tuple(p[i] for i in rep)
-        for variant in (w, w[::-1]):
-            for j in range(k):
-                words.add(variant[j:] + variant[:j])
-    return NCSeries(n, degree, {w: 1.0 for w in words})
+        reps, inv = _canonical_classes(n, length)
+        letters = _digits(np.arange(n ** length), n, length)
+        alive = ((letters[:, :, None] == flips).sum(axis=1) % 2 == 0).all(axis=1)
+        powers = n ** np.arange(length - 1, -1, -1)
+        orbit = np.min([reps[inv[perm[letters] @ powers]] for perm in perms], axis=0)
+        least, owner = np.unique(orbit[alive], return_inverse=True)
+        classes.append((length, least))
+        ranks.append(_ranks(np.full(len(owner), length), np.flatnonzero(alive), n))
+        owners.append(count + owner)
+        count += len(least)
+    return classes, np.concatenate(ranks), np.concatenate(owners)
 
 
 def _refine_by_moment_matching(problem):
@@ -238,34 +232,33 @@ def _refine_by_moment_matching(problem):
     verify_cap = problem.verify_cap
     eval_cap = D + 6
     tau_direct = sdmoments.solve_sd(W.truncate(verify_cap), verify_cap, cutoff=problem.cutoff)
-    classes, perms = _symmetric_classes(W, D)
-    basis = [_orbit_series(rep, perms, n, D) for rep in classes]
-    target_vals = np.array([tau_direct.value(w) for w in classes])
-    support = frozenset(w for b in basis for w in b.terms)
+    classes, support, owner = _symmetric_basis(W, D)
 
+    def on_classes(tau):
+        return np.concatenate([tau.at(length, codes) for length, codes in classes])
+
+    target_vals = on_classes(tau_direct)
+    hint = _series(n, D, support, np.ones(len(support)))
     warm = {"tau": None}
 
     def assemble(c):
-        V = NCSeries.zero(n, D)
-        for coeff, b in zip(c, basis):
-            V = V + b * float(coeff)
-        return V
+        return _series(n, D, support, c[owner])
 
     def residual(c):
         V = assemble(c)
         try:
             tau_y = sdmoments.solve_sd(V.truncate(eval_cap), eval_cap,
                                        cutoff=problem.cutoff, init=warm["tau"],
-                                       support_hint=support)
+                                       support_hint=hint)
         except ConvergenceError:
             return None
         warm["tau"] = tau_y
         fmap = [NCSeries.variable(i, n, eval_cap) + g.truncate(eval_cap)
                 for i, g in enumerate(cyclic_gradient_vector(V))]
         tau_x = sdmoments.pushforward_trace(tau_y, fmap, D)
-        return np.array([tau_x.value(w) - t for w, t in zip(classes, target_vals)])
+        return on_classes(tau_x) - target_vals
 
-    c = np.zeros(len(classes))
+    c = np.zeros(len(target_vals))
     r = residual(c)
     if r is None:
         raise ConvergenceError("moment-matching refinement has no usable start")
@@ -277,8 +270,8 @@ def _refine_by_moment_matching(problem):
         if best < problem.tol * 10:
             break
         if jac is None:
-            jac = np.empty((len(classes), len(classes)))
-            for j in range(len(classes)):
+            jac = np.empty((len(c), len(c)))
+            for j in range(len(c)):
                 cp = c.copy()
                 cp[j] += h
                 col = residual(cp)
@@ -377,15 +370,14 @@ def _solve_one_variable(w, degree, tol):
                "stage_seconds": {"start": t_newton - t0, "refinement": t_end - t_newton}}
 
 
-def _split_separable(W):
-    """Single-variable components of W, or None if W has mixed words."""
-    n = W.n_vars
-    parts = [dict() for _ in range(n)]
-    for w, c in W.terms.items():
-        letters = set(w)
-        if len(letters) != 1:
-            return None
-        parts[w[0]][len(w)] = c
+def _split_separable(W, degree):
+    """Coefficients [i, L] of x_i^L in W, or None if W has other words."""
+    word, lengths, pos, _, letter, _ = _positions(W)
+    first = letter[pos == 0]
+    if (W.ranks == 0).any() or (letter != first[word]).any():
+        return None
+    parts = np.zeros((W.n_vars, degree + 1))
+    parts[first, lengths[pos == 0]] = W.coeffs
     return parts
 
 
@@ -402,8 +394,8 @@ def _solve_separable(problem):
     n, D = problem.W.n_vars, problem.degree
     V = NCSeries.zero(n, D)
     components, solved = [], {}
-    for i, part in enumerate(_split_separable(problem.W)):
-        w = tuple(part.get(k, 0.0) for k in range(2, D + 1, 2))
+    for i, part in enumerate(_split_separable(problem.W, D)):
+        w = tuple(part[2::2].tolist())
         if w not in solved:
             solved[w] = _solve_one_variable(w, D, problem.tol)
         v, component = solved[w]
@@ -438,7 +430,7 @@ def solve_V(problem):
     outer_changes = []
     tau_devs = []
     inner_counts = []
-    separable = n == 1 or (not problem.guaranteed and _split_separable(W) is not None)
+    separable = n == 1 or (not problem.guaranteed and _split_separable(W, D) is not None)
     if separable:
         V, components, distinct = _solve_separable(problem)
         iterations = sum(d["iterations"] for d in distinct)

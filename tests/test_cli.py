@@ -153,6 +153,25 @@ def test_transport_cli_zero_and_invalid(tmp_path, capsys):
     assert err["code"] == 2 and err["module"] == "free_transport"
 
 
+def test_transport_cli_solver_errors_exit_2(tmp_path, capsys):
+    # near the one-cut critical coupling the check's Schwinger-Dyson solve does
+    # not converge: an out-of-regime input, not an internal error
+    near = tmp_path / "wnear.json"
+    NCSeries(1, 4, {(0, 0, 0, 0): -0.02}).to_json(str(near))
+    # a word too long for an int64 rank
+    too_long = tmp_path / "wlong.json"
+    too_long.write_text(json.dumps({"n_vars": 2, "max_degree": 80,
+                                "terms": [{"word": [1] * 70, "coeff": 1.0}]}))
+    for wfile, degree, words in ((near, "10", "did not converge"), (too_long, "80", "int64")):
+        code, _, stderr = run(["transport-nc", "--series", str(wfile), "--degree", degree],
+                              capsys)
+        assert code == 2
+        err = json.loads(stderr)
+        assert err.keys() == {"code", "message", "module"}
+        assert err["code"] == 2 and err["module"] == "free_transport"
+        assert words in err["message"]
+
+
 def test_transport_cli_exit_code_ignores_tol(tmp_path, capsys, monkeypatch):
     # --tol is the solver tolerance; the verification threshold stays 1e-3
     def fake_verify(sol, W, degree):
@@ -243,6 +262,9 @@ def test_determinism_byte_identical(tmp_path, capsys):
 def _write_transport_inputs(directory):
     NCSeries(1, 10, {(0, 0, 0, 0): 0.05}).to_json(str(directory / "w1.json"))
     NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}).to_json(str(directory / "w2.json"))
+    # 0.01 (x^4 + y^4) + 0.01 cyc(xyxy)
+    NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01, (0, 1, 0, 1): 0.005,
+                    (1, 0, 1, 0): 0.005}).to_json(str(directory / "w3.json"))
 
 
 def _run_fresh(script, cwd, **env_vars):
@@ -261,7 +283,9 @@ def _run_fresh(script, cwd, **env_vars):
     "assert freemoment.cli.main(['transport-nc', '--series', 'w1.json', '--degree', '10']) == 0",
     "import freemoment.cli\n"
     "assert freemoment.cli.main(['transport-nc', '--series', 'w2.json', '--degree', '8']) == 0",
-], ids=["import", "gibbs1d", "transport-n1", "transport-separable"])
+    "import freemoment.cli\n"
+    "assert freemoment.cli.main(['transport-nc', '--series', 'w3.json', '--degree', '4']) == 0",
+], ids=["import", "gibbs1d", "transport-n1", "transport-separable", "transport-mixed"])
 def test_cli_does_not_load_scipy(body, tmp_path):
     # SciPy is imported only by moment1d.minimize_F; a fresh interpreter shows
     # whether anything else pulls it in

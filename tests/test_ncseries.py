@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -323,3 +324,151 @@ def test_series_json_roundtrip():
     f = nc.NCSeries(2, 6, {(0, 1, 1): 0.125, (): -3.0})
     back = nc.NCSeries.from_json(f.to_json())
     assert back.terms == f.terms
+
+
+# -- word-dict oracle ----------------------------------------------------------------
+#
+# The algebra on plain {word tuple: coeff} dicts, one term at a time: the
+# reference for the rank arrays.
+
+
+def dict_add(out, word, coeff):
+    out[word] = out.get(word, 0.0) + coeff
+
+
+def dict_multiply(a, b, cap):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if len(wa) + len(wb) <= cap:
+                dict_add(out, wa + wb, ca * cb)
+    return out
+
+
+def dict_substitute(f, args, cap):
+    out = {}
+    for word, coeff in f.items():
+        prod = {(): 1.0}
+        for letter in word:
+            prod = dict_multiply(prod, args[letter], cap)
+        for w, c in prod.items():
+            dict_add(out, w, coeff * c)
+    return out
+
+
+def dict_cyclic_gradient(f, i):
+    out = {}
+    for w, c in f.items():
+        for pos in (p for p, letter in enumerate(w) if letter == i):
+            dict_add(out, w[pos + 1:] + w[:pos], c)
+    return out
+
+
+def dict_cyclic_symmetrize(f):
+    out = {}
+    for w, c in f.items():
+        for j in range(max(len(w), 1)):
+            dict_add(out, w[j:] + w[:j], c / max(len(w), 1))
+    return out
+
+
+def dict_difference_quotient(f, i):
+    out = {}
+    for w, c in f.items():
+        for pos in (p for p, letter in enumerate(w) if letter == i):
+            dict_add(out, (w[:pos], w[pos + 1:]), c)
+    return out
+
+
+def assert_matches(got, ref, rtol=1e-14):
+    """Same words, up to rtol of the largest reference coefficient; exact zeros absent."""
+    assert all(c != 0.0 for c in got.values())
+    scale = max((abs(c) for c in ref.values()), default=1.0)
+    for w in set(got) | set(ref):
+        assert abs(got.get(w, 0.0) - ref.get(w, 0.0)) <= rtol * scale, w
+
+
+def rand_dict(rng, n, max_len, terms):
+    return {tuple(int(i) for i in rng.integers(0, n, size=int(rng.integers(0, max_len + 1)))):
+            float(rng.standard_normal()) for _ in range(terms)}
+
+
+@pytest.mark.parametrize("n,cap,max_len,terms", [(1, 60, 30, 40), (2, 18, 9, 40), (3, 8, 4, 30)])
+def test_rank_arrays_match_word_dict_oracle(n, cap, max_len, terms):
+    rng = np.random.default_rng(12 + n)
+    a, b = rand_dict(rng, n, max_len, terms), rand_dict(rng, n, max_len, terms)
+    sa, sb = nc.NCSeries(n, cap, a), nc.NCSeries(n, cap, b)
+    prod = dict_multiply(a, b, cap)
+    # some word of the product is hit by three or more splits
+    splits = collections.Counter(wa + wb for wa in a for wb in b if len(wa + wb) <= cap)
+    assert max(splits.values()) >= 3
+    assert_matches(nc.multiply(sa, sb).terms, prod)
+    f = rand_dict(rng, n, 3, 6)
+    args = [rand_dict(rng, n, max_len // 2, 6) for _ in range(n)]
+    got = nc.substitute(nc.NCSeries(n, cap, f), [nc.NCSeries(n, cap, g) for g in args])
+    assert_matches(got.terms, dict_substitute(f, args, cap))
+    for i in range(n):
+        assert_matches(nc.cyclic_gradient(sa, i).terms, dict_cyclic_gradient(a, i))
+        assert_matches(pairs(nc.difference_quotient(sa, i), n), dict_difference_quotient(a, i))
+    assert_matches(nc.cyclic_symmetrize(sa).terms, dict_cyclic_symmetrize(a))
+    assert_matches(nc.number_op(sa).terms, {w: c * len(w) for w, c in a.items()})
+
+    # a trace table with seeded class values, and tensors from the Jacobian
+    values = [rng.standard_normal(len(sd._canonical_classes(n, length)[0]))
+              for length in range(cap + 1)]
+    tau = sd.TraceTable(n, cap, 3.0, values)
+    assert abs(tau.of_series(nc.NCSeries(n, cap, prod)) - sum(
+        c * tau.value(w) for w, c in prod.items())) <= 1e-14 * sum(
+        abs(c * tau.value(w)) for w, c in prod.items())
+    vec = [nc.NCSeries(n, cap // 2, rand_dict(rng, n, max_len // 2, 8)) for _ in range(n)]
+    jac = nc.jacobian([nc.NCSeries(n, cap // 2, rand_dict(rng, n, max_len // 2, 8))
+                       for _ in range(n)])
+    for i in range(n):
+        ref = {}
+        for j in range(n):
+            for (wl, wr), c in entry(jac, i, j, n).items():
+                for ws, cs in vec[j].terms.items():
+                    if len(wl + ws + wr) <= cap // 2:
+                        dict_add(ref, wl + ws + wr, c * cs)
+        assert_matches(nc.apply_to_vector(jac, vec)[i].terms, ref)
+        dq = nc.difference_quotient(sa, i)
+        ref = {}
+        for (wl, wr), c in pairs(dq, n).items():
+            dict_add(ref, wr, c * tau.value(wl))
+            dict_add(ref, wl, c * tau.value(wr))
+        assert_matches(nc.trace_contract(dq, tau).terms, ref)
+
+
+def test_exact_cancellations_drop_out():
+    # (1 + x)(x - 1) = x^2 - 1: the two splits of x cancel exactly
+    a = nc.NCSeries(1, 8, {(): 1.0, (0,): 1.0})
+    b = nc.NCSeries(1, 8, {(0,): 1.0, (): -1.0})
+    prod = nc.multiply(a, b)
+    assert prod.terms == {(): -1.0, (0, 0): 1.0} and prod.coeff((0,)) == 0.0
+    commutator = nc.NCSeries(2, 6, {(0, 1): 0.5, (1, 0): -0.5})
+    assert nc.cyclic_symmetrize(commutator).terms == {}
+    assert nc.cyclic_gradient(commutator, 0).terms == {}
+    assert (commutator + commutator * -1.0).ranks.size == 0
+    assert nc.NCSeries(2, 6, {(0, 1): 0.0}).terms == {}
+
+
+def test_rank_overflow_is_invalid_input():
+    # a word's rank must fit int64: up to 61 letters in two variables, 38 in three
+    assert nc.NCSeries(2, 61, {(1,) * 61: 1.0}).terms == {(1,) * 61: 1.0}
+    assert nc.NCSeries(3, 38, {(2,) * 38: 1.0}).coeff((2,) * 38) == 1.0
+    with pytest.raises(InvalidInputError):
+        nc.NCSeries(2, 62, {(1,) * 62: 1.0})
+    with pytest.raises(InvalidInputError):
+        nc.NCSeries(3, 39, {(2,) * 39: 1.0})
+    with pytest.raises(InvalidInputError):
+        nc.NCSeries.from_dict({"n_vars": 2, "max_degree": 80,
+                               "terms": [{"word": [1] * 70, "coeff": 1.0}]})
+    # a product whose words outgrow int64 ranks is rejected, not wrapped around
+    w = nc.NCSeries(2, 100, {(1,) * 40: 1.0})
+    with pytest.raises(InvalidInputError):
+        nc.multiply(w, w)
+    # a huge cap over short words stays valid, and words over the cap still drop out
+    big = nc.NCSeries(2, 10 ** 6, {(0, 1): 2.0})
+    assert nc.multiply(big, big).terms == {(0, 1, 0, 1): 4.0}
+    assert nc.NCSeries(2, 10, {(1,) * 70: 1.0}).terms == {}
+    assert nc.NCSeries(1, 10 ** 6, {(0,) * 500: 1.0}).degree() == 500
