@@ -32,26 +32,21 @@ _FLAT_TOL = 1e-14
 # that GridMeasure.validate accepts
 _CDF_TOL = 1e-8
 _MASS_TOL = 1e-10
-# block rows per strip of the log_energy pair sum
+# block rows per strip of the log_energy pair sum; strips of 16 or 32 rows
+# were slower at 1024 cells
 _ENERGY_ROWS = 64
+# quadrature-table entries per batch of points in hilbert_transform; tables
+# of 512 KiB stay in cache and reuse their memory from batch to batch
+_HILBERT_ENTRIES = 1 << 16
+# stands in for a zero kernel argument, so that log() sees no zero: its
+# square underflows to 0, which is the kernel's value there
+_TINY = np.finfo(float).tiny
 
 
 def chebyshev_nodes(a, b, n):
     """Chebyshev-Lobatto points on [a, b], increasing, endpoints included."""
     theta = np.linspace(0.0, np.pi, n)
     return 0.5 * (a + b) - 0.5 * (b - a) * np.cos(theta)
-
-
-def _log_kernel_primitive(u):
-    # Second primitive of -log|u|; C^1 across 0 with value 0 there.
-    a = np.abs(np.asarray(u, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a)
-        out *= -2.0
-        out += 3.0
-        out *= 0.25 * a * a
-    out[a == 0.0] = 0.0
-    return out
 
 
 class GridMeasure(JSONMixin):
@@ -581,15 +576,52 @@ def _local_cubic(xs, ds, x):
     return value, slope
 
 
+def _segment_hilbert(xs, ds, tw, x, tol):
+    """pi times the Hilbert transform at each x of one density segment.
+
+    Each row of the quadrature table is one point and each column one node;
+    its trapezoid sum is the reduction against the weights tw by einsum, not
+    BLAS, so a row's value does not depend on the rest of the batch.
+    """
+    a, b = xs[0], xs[-1]
+    out = np.empty_like(x)
+    inside = (a <= x) & (x <= b)
+    xi = x[inside]
+    rho, slope = _local_cubic(xs, ds, xi)
+    g = ds - rho[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g /= np.subtract.outer(xi, xs)
+        log_term = rho * np.log(np.abs((xi - a) / (b - xi)))
+    # nodes within tol of a point take the cubic's limit -slope; they lie in
+    # the window j0..j1-1 that searchsorted finds around the point
+    j0 = np.searchsorted(xs, xi - 2.0 * tol)
+    j1 = np.searchsorted(xs, xi + 2.0 * tol, side="right")
+    for off in range(int(np.max(j1 - j0, initial=0))):
+        r = np.flatnonzero(j1 - j0 > off)
+        c = j0[r] + off
+        near = np.abs(xi[r] - xs[c]) < tol
+        g[r[near], c[near]] = -slope[r[near]]
+    log_term[rho == 0.0] = 0.0
+    out[inside] = np.einsum("ij,j->i", g, tw) + log_term
+    # outside, the end value de integrates to de log|(x - a)/(x - b)|
+    xo = x[~inside]
+    de = np.where(xo < a, ds[0], ds[-1])
+    g = ds - de[:, None]
+    g /= np.subtract.outer(xo, xs)
+    out[~inside] = np.einsum("ij,j->i", g, tw) + de * np.log(np.abs((xo - a) / (xo - b)))
+    return out
+
+
 def hilbert_transform(m, x):
     """(1/pi) PV integral of dm(t)/(x - t), at a point or at each point of an array.
 
     Uses the subtract-the-singularity rule on each density segment [a, b]:
     inside, with the local cubic interpolant of the samples; outside, with the
     nearer end's sample, whose integral is closed-form.  So only a bounded
-    integrand is quadratured; requires density samples.  At a segment end
-    rho log|(x - a)/(b - x)| is taken as 0 where the interpolated density is 0.
-    Returns a float for a scalar x and an array for an array x.
+    integrand is quadratured, by the trapezoid rule on the segment's nodes;
+    requires density samples.  At a segment end rho log|(x - a)/(b - x)| is
+    taken as 0 where the interpolated density is 0.  Returns a float for a
+    scalar x and an array for an array x.
     """
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -604,23 +636,12 @@ def hilbert_transform(m, x):
     for xa, w in m.atoms:
         total += w / (x - xa)
     for xs, ds in m._segments:
-        a, b = xs[0], xs[-1]
-        inside = (a <= x) & (x <= b)
-        # one row per evaluation point, one column per node
-        xi = x[inside]
-        rho, slope = _local_cubic(xs, ds, xi)
-        dx = np.subtract.outer(xi, xs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = (ds - rho[:, None]) / dx
-            log_term = rho * np.log(np.abs((xi - a) / (b - xi)))
-        g = np.where(np.abs(dx) < 1e-12 * scale, -slope[:, None], g)
-        log_term[rho == 0.0] = 0.0
-        total[inside] += np.trapezoid(g, xs, axis=1) + log_term
-        # outside, the end value de integrates to de log|(x - a)/(x - b)|
-        xo = x[~inside]
-        de = np.where(xo < a, ds[0], ds[-1])
-        g = (ds - de[:, None]) / np.subtract.outer(xo, xs)
-        total[~inside] += np.trapezoid(g, xs, axis=1) + de * np.log(np.abs((xo - a) / (xo - b)))
+        h = 0.5 * np.diff(xs)
+        tw = np.concatenate([h, [0.0]])
+        tw[1:] += h
+        rows = max(1, _HILBERT_ENTRIES // xs.size)
+        for r0 in range(0, x.size, rows):
+            total[r0:r0 + rows] += _segment_hilbert(xs, ds, tw, x[r0:r0 + rows], 1e-12 * scale)
     out = total / math.pi
     return float(out[0]) if scalar else out
 
@@ -629,10 +650,14 @@ def log_energy(m):
     """Double integral of -log|s - t|; +inf when the measure has atoms.
 
     Evaluates the equal-mass block model with the log kernel integrated in
-    closed form on every block pair, including the diagonal.  The pair sum is
-    symmetric (the kernel is even), so it runs over the upper triangle in
-    strips of _ENERGY_ROWS block rows: each strip's diagonal tile counts once
-    and the tiles right of it count twice.
+    closed form on every block pair, including the diagonal: the pair (a, b)
+    is the block second difference of G(u) = u^2 (3/4 - log(u)/2), the second
+    primitive of -log|u|, over the two cells' edges, divided by the widths
+    d_a d_b.  The pair sum is symmetric (the kernel is even), so it runs over
+    the upper triangle in strips of _ENERGY_ROWS block rows: each strip's
+    diagonal tile counts once and the tiles right of it count twice.  A strip
+    is summed as the weighted row reduction w_r . (block . w_c), w = 1/d, so
+    no n x n table is formed.
     """
     if m.atoms:
         return math.inf
@@ -641,18 +666,37 @@ def log_energy(m):
     if np.any(d <= _FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)):
         return math.inf
     n = d.size
+    w = 1.0 / d
+    # two scratch tables of the first strip's size, reused by every strip
+    size = (min(_ENERGY_ROWS, n) + 1) * (n + 1)
+    ubuf, gbuf = np.empty(size), np.empty(size)
     total = 0.0
     for r0 in range(0, n, _ENERGY_ROWS):
         r1 = min(r0 + _ENERGY_ROWS, n)
-        # block rows r0..r1-1 against block columns r0..n-1
-        g = _log_kernel_primitive(np.subtract.outer(e[r0:r1 + 1], e[r0:]))
-        block = g[1:, :-1] - g[:-1, :-1]
-        block -= g[1:, 1:]
-        block += g[:-1, 1:]
-        block /= np.outer(d[r0:r1], d[r0:])
         k = r1 - r0
-        total += float(np.sum(block[:, :k])) + 2.0 * float(np.sum(block[:, k:]))
-    return total / (n * n)
+        shape = (k + 1, n + 1 - r0)
+        u = ubuf[:shape[0] * shape[1]].reshape(shape)
+        g = gbuf[:u.size].reshape(shape)
+        # edges r0..r1 against edges r0..n; the edges increase, so u > 0
+        # right of the diagonal tile
+        np.subtract(e[r0:], e[r0:r1 + 1, None], out=u)
+        tile = u[:, :k + 1]
+        np.abs(tile, out=tile)
+        np.maximum(tile, _TINY, out=tile)
+        # -2 G(u) = u^2 (log u - 3/2); the factor -2 leaves the sum at the end
+        np.log(u, out=g)
+        g -= 1.5
+        g *= u
+        g *= u
+        # the block second difference, as the difference along the columns
+        # of the differences down the rows: where a cell is narrow, its
+        # difference of nearly equal kernel values is exact
+        rows = np.subtract(g[1:], g[:-1], out=u[:-1])
+        block = np.subtract(rows[:, :-1], rows[:, 1:], out=g[:-1, :-1])
+        wc = w[r0:].copy()
+        wc[k:] *= 2.0
+        total += float(np.dot(w[r0:r1], np.einsum("ij,j->i", block, wc)))
+    return -0.5 * total / (n * n)
 
 
 def _simpson_pl(valsA, valsB, s):

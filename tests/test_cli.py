@@ -309,6 +309,19 @@ def test_transport_files_do_not_depend_on_blas_threads(tmp_path):
         assert (tmp_path / f"t1_{i}.json").read_bytes() == (tmp_path / f"t2_{i}.json").read_bytes()
 
 
+def test_gibbs1d_files_do_not_depend_on_blas_threads(tmp_path):
+    # hilbert_residual reduces its rows with einsum, not with a BLAS gemv;
+    # the CSV is written next to the --out file
+    for threads in ("1", "2"):
+        script = ("import freemoment.cli\n"
+                  "assert freemoment.cli.main(['gibbs1d', '--even-coeffs', '0.05,0.25', "
+                  f"'--out', 'g{threads}.json']) == 0\n")
+        proc = _run_fresh(script, tmp_path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+    for ext in ("json", "csv"):
+        assert (tmp_path / f"g1.{ext}").read_bytes() == (tmp_path / f"g2.{ext}").read_bytes()
+
+
 def _transport_file(tmp_path, capsys, *extra):
     wfile = tmp_path / "w.json"
     NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01}).to_json(str(wfile))

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from freemoment import measure1d as M
+from freemoment import gibbs1d, measure1d as M
 from freemoment.errors import InvalidInputError
 
 from conftest import random_bump_measure
@@ -156,6 +156,18 @@ def test_pushforward_mass_preserved_smooth_map(semicircle):
     assert out._edges[0] == out.support[0] and out._edges[-1] == out.support[1]
 
 
+def _log_kernel_primitive(u):
+    # Second primitive of -log|u|; C^1 across 0 with value 0 there.
+    a = np.abs(np.asarray(u, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(a)
+        out *= -2.0
+        out += 3.0
+        out *= 0.25 * a * a
+    out[a == 0.0] = 0.0
+    return out
+
+
 def _brute_force_log_energy(fn, support, cells=2000):
     # independent oracle: piecewise-constant density on a uniform grid with
     # the log kernel integrated in closed form on every cell pair
@@ -163,7 +175,7 @@ def _brute_force_log_energy(fn, support, cells=2000):
     mids = 0.5 * (edges[:-1] + edges[1:])
     dens = fn(mids)
     dens = dens / np.sum(dens * np.diff(edges))
-    g = M._log_kernel_primitive(np.subtract.outer(edges, edges))
+    g = _log_kernel_primitive(np.subtract.outer(edges, edges))
     block = g[1:, :-1] - g[:-1, :-1] - g[1:, 1:] + g[:-1, 1:]
     return float(np.sum(block * np.outer(dens, dens)))
 
@@ -293,7 +305,7 @@ def _dense_log_energy(m):
     d = np.diff(e)
     if np.any(d <= M._FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)):
         return math.inf
-    g = M._log_kernel_primitive(np.subtract.outer(e, e))
+    g = _log_kernel_primitive(np.subtract.outer(e, e))
     block = g[1:, :-1] - g[:-1, :-1] - g[1:, 1:] + g[:-1, 1:]
     n = d.size
     weights = 1.0 / np.outer(d, d)
@@ -315,6 +327,30 @@ def test_log_energy_strips_match_dense_sum_on_clustered_edges(quartic_solution):
               quartic_solution.measure.translate(2.31)):
         ref = _dense_log_energy(m)
         assert abs(M.log_energy(m) - ref) <= 1e-11 * abs(ref)
+
+
+def _longdouble_log_energy(m):
+    # the dense block sum of _dense_log_energy in extended precision, on the
+    # same float64 edges
+    e = m._edges.astype(np.longdouble)
+    d = np.diff(e)
+    u = np.abs(np.subtract.outer(e, e))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = u * u * (3 - 2 * np.log(u)) / 4
+    g[u == 0] = 0
+    block = g[1:, :-1] - g[:-1, :-1] - g[1:, 1:] + g[:-1, 1:]
+    return float(np.sum(block / np.outer(d, d)) / d.size ** 2)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+def test_log_energy_matches_extended_precision_sum(quartic_solution):
+    gibbs = gibbs1d.free_gibbs_measure(gibbs1d.EvenPotential([0.4, 0.1, 0.03]))
+    for nu in (quartic_solution.measure, gibbs.measure):
+        mu = M.pushforward_monotone(nu, lambda x: x ** 3)
+        for m in (mu, mu.translate(2.31), M.displacement_interpolate(nu, mu, 0.5)):
+            ref = _longdouble_log_energy(m)
+            assert abs(M.log_energy(m) - ref) <= 1e-11 * abs(ref)
 
 
 def test_log_energy_infinite_for_atoms_and_flat_cells():
@@ -461,8 +497,34 @@ def test_pushforward_matches_pointwise_reference(semicircle, quartic_solution):
             _assert_within_ulps(do, dr)
 
 
+def _full_table_hilbert(m, x):
+    # the inside rule with the near-node test on every entry of the table and
+    # np.trapezoid on each row; every x lies inside m's one segment
+    scale = m.support[1] - m.support[0]
+    (xs, ds), = m._segments
+    a, b = xs[0], xs[-1]
+    rho, slope = M._local_cubic(xs, ds, x)
+    dx = np.subtract.outer(x, xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (ds - rho[:, None]) / dx
+    g = np.where(np.abs(dx) < 1e-12 * scale, -slope[:, None], g)
+    return (np.trapezoid(g, xs, axis=1) + rho * np.log(np.abs((x - a) / (b - x)))) / math.pi
+
+
+def test_hilbert_near_nodes_matches_full_table_rule():
+    # points at nodes and within 1e-12 * scale of them; the nodes 0 and 1e-13
+    # are both that close to the points 0 and 1e-13
+    nodes = np.concatenate([np.linspace(-1.0, 0.0, 40), [1e-13], np.linspace(0.05, 1.0, 30)])
+    m = M.GridMeasure.from_density(nodes, 1.0 - nodes ** 2, normalize=True)
+    x = np.concatenate([nodes[1:-1], nodes[1:-1] + 3e-13, [5e-14]])
+    ref = _full_table_hilbert(m, x)
+    assert np.all(np.isfinite(ref))
+    assert np.max(np.abs(M.hilbert_transform(m, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_hilbert_transform_array_matches_points(semicircle):
-    xs = np.array([-3.0, -1.999, -1.3, 0.05, 0.4, 1.99, 2.5])
+    # 47 points span two batches of the semicircle's 2048-node table
+    xs = np.concatenate([[-3.0, -1.999, -1.3, 0.05, 0.4, 1.99, 2.5], np.linspace(-1.9, 1.9, 40)])
     for m in (semicircle, _mixed_measure()):
         h = M.hilbert_transform(m, xs)
         assert isinstance(h, np.ndarray) and h.shape == xs.shape
