@@ -106,9 +106,7 @@ def cmd_transport_nc(args):
         degree = args.degree if args.degree else max(W.max_degree, W.degree())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            problem = transport.TransportProblem(
-                W, degree, a_radius=args.norm_radius, ball_radius=args.ball_radius,
-                cutoff=args.cutoff, tol=args.tol)
+            problem = transport.TransportProblem(W, degree, cutoff=args.cutoff, tol=args.tol)
         sol = transport.solve_V(problem)
         report = transport.verify_transport(sol, W, min(6, degree))
         out = sol.to_dict()
@@ -136,7 +134,7 @@ def cmd_verify(args):
             report = {
                 "hilbert_residual": gibbs1d.hilbert_residual(sol),
                 "sd_scalar_error": abs(sol.sd_scalar() - 1.0),
-                "radius_condition": abs(sol.radius * sol.fourier[1] + 2.0),
+                "radius_condition": abs(sol.radius * float(sol.fourier[1]) + 2.0),
             }
             ok = _residuals_pass(report)
         elif "V" in data:
@@ -175,8 +173,6 @@ def build_parser():
     t = sub.add_parser("transport-nc", help="noncommutative transport for an even perturbation")
     t.add_argument("--series", required=True, help="W as NCSeries JSON")
     t.add_argument("--degree", type=int, default=None)
-    t.add_argument("--norm-radius", type=float, default=transport.DEFAULT_A)
-    t.add_argument("--ball-radius", type=float, default=transport.DEFAULT_R)
     t.add_argument("--cutoff", type=float, default=sdmoments.DEFAULT_CUTOFF)
     v = sub.add_parser("verify", help="recheck a stored solution file")
     v.add_argument("--solution", required=True)

@@ -187,7 +187,8 @@ class GridMeasure(JSONMixin):
         return self._edges.size - 1
 
     def is_atomic(self):
-        return bool(self.atoms) and not self._segments
+        # the atoms carry all the mass; a quantile table's other cells carry the rest
+        return not self._segments and abs(sum(w for _, w in self.atoms) - 1.0) <= _MASS_TOL
 
     def total_mass(self):
         ac = sum(float(np.trapezoid(d, x)) for x, d in self._segments)
@@ -392,13 +393,13 @@ def dirac(c=0.0, n_cells=DEFAULT_CELLS):
 def moment(m, k):
     """k-th raw moment: trapezoid rule on the nodes plus atom sums.
 
-    Measures carrying only a quantile table are integrated exactly against
-    their equal-mass block model instead.
+    Measures carrying only a quantile table, flat runs (atoms) included, are
+    integrated exactly against their equal-mass block model instead.
     """
     if k < 0 or int(k) != k:
         raise InvalidInputError("moment order must be a nonnegative integer")
     k = int(k)
-    if not m._segments and not m.atoms:
+    if not m._segments and not m.is_atomic():
         return _block_moment(m, k)
     total = sum(w * x ** k for x, w in m.atoms)
     for xs, ds in m._segments:

@@ -2,13 +2,14 @@
 
 Given an even self-adjoint perturbation W, find the even series V such that
 when Y has the free Gibbs law of (1/2)|Y|^2 + V, the tuple Y + DV(Y) has the
-free Gibbs law of (1/2)|X|^2 + W.  In the guaranteed contraction regime the
-inner iteration runs the cyclic symmetrized Picard map on Vtilde with the
-trace frozen; the outer loop refreshes the trace as the free Gibbs law of the
-current potential.  Outside it, Gauss-Newton solves the transport condition
-directly at the truncation scale.  One variable, and each variable of a
-separable W outside the regime, needs neither: there the condition is closed
-form, and Newton solves it on the one-cut moments of ``gibbs1d``.
+free Gibbs law of (1/2)|X|^2 + W.  In the guaranteed regime the paper gets V
+as the fixed point of a contraction, the cyclic symmetrized Picard map on
+Vtilde; ``picard_map`` and ``lipschitz_bound`` keep that map and its
+constant.  ``solve_V`` solves the transport condition itself, by a route that
+depends on W alone: a separable W (every W in one variable) decouples into
+one-variable problems whose condition is closed form, which Newton solves on
+the one-cut moments of ``gibbs1d``; any other W is solved by Gauss-Newton at
+the truncation scale.
 """
 
 from __future__ import annotations
@@ -45,22 +46,20 @@ from .ncseries import (
     trace_contract,
 )
 
+# the radius A of the norm in v_norm_A, and the radius R of the ball that
+# norm_bound_satisfied tests
 DEFAULT_A = 3.0
 DEFAULT_R = 0.25
 GUARANTEE_NORM_RADIUS = 17.0 / 4.0
 GUARANTEE_MARGIN = 9.0 / 68.0
-# Picard budgets: outer trace refreshes and inner Picard steps per refresh
-MAX_OUTER = 40
-MAX_INNER = 200
 # Newton steps per degree stage of the one-variable solve
 NEWTON_STEPS = 10
 
 
 class TransportProblem:
-    """Problem data for the transport fixed point."""
+    """Problem data for the transport solve."""
 
-    def __init__(self, W, degree, a_radius=DEFAULT_A, ball_radius=DEFAULT_R,
-                 cutoff=sdmoments.DEFAULT_CUTOFF, tol=1e-10):
+    def __init__(self, W, degree, cutoff=sdmoments.DEFAULT_CUTOFF, tol=1e-10):
         if not isinstance(W, NCSeries):
             raise InvalidInputError("W must be an NCSeries")
         if W.coeff(()) != 0.0:
@@ -71,13 +70,11 @@ class TransportProblem:
             raise InvalidInputError("W must be self-adjoint")
         self.W = W.truncate(degree)
         self.degree = int(degree)
-        self.a_radius = float(a_radius)
-        self.ball_radius = float(ball_radius)
         self.cutoff = float(cutoff)
         self.tol = float(tol)
         self.tau_cap = self.degree + 4
         self.verify_cap = self.degree + 10
-        self.guaranteed = norm_A(self.W, GUARANTEE_NORM_RADIUS) < GUARANTEE_MARGIN * self.ball_radius
+        self.guaranteed = norm_A(self.W, GUARANTEE_NORM_RADIUS) < GUARANTEE_MARGIN * DEFAULT_R
         if not self.guaranteed:
             warnings.warn("W is outside the guaranteed contraction regime; "
                           "results are labeled unverified", stacklevel=2)
@@ -224,8 +221,10 @@ def _refine_by_moment_matching(problem):
     Y + DV and the directly solved law for W.  The target trace is computed
     at the full verification cap; the V-side solves run at a cheaper cap
     (the V coefficients are small, so their truncation bias is negligible).
-    Returns V, the max residual, the accepted steps and the stop test.
+    Returns V and the diagnostics: the max residual, the accepted steps, the
+    stop test and the stage timings, of which ``start`` solves the target.
     """
+    t0 = time.perf_counter()
     W = problem.W
     n = W.n_vars
     D = problem.degree
@@ -238,6 +237,7 @@ def _refine_by_moment_matching(problem):
         return np.concatenate([tau.at(length, codes) for length, codes in classes])
 
     target_vals = on_classes(tau_direct)
+    t_start = time.perf_counter()
     hint = _series(n, D, support, np.ones(len(support)))
     warm = {"tau": None}
 
@@ -303,7 +303,9 @@ def _refine_by_moment_matching(problem):
             jac = None
             continue
         fresh = False
-    return assemble(c), best, steps, best < problem.tol * 10
+    return assemble(c), {"iterations": steps, "residual": best, "converged": best < problem.tol * 10,
+                         "stage_seconds": {"start": t_start - t0,
+                                           "refinement": time.perf_counter() - t_start}}
 
 
 def _solve_one_variable(w, degree, tol):
@@ -405,109 +407,46 @@ def _solve_separable(problem):
 
 
 def solve_V(problem):
-    """Solve for the transport potential V.
+    """Solve for the transport potential V, by one of two routes chosen from W.
 
-    One variable, in every regime, and separable W outside the guaranteed
-    contraction regime decouple into one-variable problems, which Newton
-    solves in closed form on the one-cut moments of ``gibbs1d``.  Otherwise,
-    in the guaranteed regime the outer loop refreshes the trace as the free
-    Gibbs law of (1/2)|Y|^2 + V_k and the inner loop iterates the Picard map
-    with the trace frozen; outside it no Picard step is taken, and
-    Gauss-Newton solves the transport condition at the truncation scale from
-    V = 0.  The diagnostics' ``iterations`` and ``residual`` are those of the
-    loop that ran, and ``stage_seconds`` times the ``start`` (the target's
-    one-cut law, or the Picard loop), the ``refinement`` (Newton or
-    Gauss-Newton) and the ``final_trace``; like ``seconds`` it is not
-    written to JSON.
+    A separable W, every W in one variable included, decouples into
+    one-variable problems, which Newton solves in closed form on the one-cut
+    moments of ``gibbs1d``.  Any other W is solved by Gauss-Newton on the
+    transport condition at the truncation scale, from V = 0.  Neither route
+    depends on the regime, and neither takes a Picard step.  The
+    diagnostics' ``iterations``, ``residual`` and ``converged`` are those of
+    the route's solve, and ``stage_seconds`` times the ``start`` (the target
+    law: its one-cut moments, or its Schwinger-Dyson solve), the
+    ``refinement`` (Newton or Gauss-Newton) and the ``final_trace``; like
+    ``seconds`` it is not written to JSON.
     """
     t0 = time.perf_counter()
-    W = problem.W
+    W, D = problem.W, problem.degree
     n = W.n_vars
-    D = problem.degree
-    A = problem.a_radius
-    V = NCSeries.zero(n, D)
-    tau = None
-    outer_changes = []
-    tau_devs = []
-    inner_counts = []
-    separable = n == 1 or (not problem.guaranteed and _split_separable(W, D) is not None)
-    if separable:
+    if _split_separable(W, D) is not None:
         V, components, distinct = _solve_separable(problem)
-        iterations = sum(d["iterations"] for d in distinct)
-        residual = max(d["residual"] for d in distinct)
-        converged = all(d["converged"] for d in distinct)
-        # the one-variable stages summed over the distinct components
-        stages = {k: sum(d["stage_seconds"][k] for d in distinct) for k in ("start", "refinement")}
-        vtilde = cyclic_symmetrize(drop_constant(number_op(V)))
-    elif problem.guaranteed:
-        vtilde = NCSeries.zero(n, D)
-        converged = False
-        for outer in range(MAX_OUTER):
-            tau_new = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap,
-                                         cutoff=problem.cutoff, tol=min(problem.tol, 1e-12),
-                                         init=tau)
-            if tau is not None:
-                tau_devs.append(max(float(np.abs(a - b).max())
-                                    for a, b in zip(tau_new.values, tau.values)))
-            tau = tau_new
-
-            update = None
-            grow_streak = 0
-            for inner in range(MAX_INNER):
-                new = picard_map(vtilde, W, tau, D)
-                delta = norm_A(new - vtilde, A)
-                vtilde = new
-                if update is not None and delta > update:
-                    grow_streak += 1
-                    if grow_streak >= 5:
-                        raise ConvergenceError("Picard iteration diverging")
-                else:
-                    grow_streak = 0
-                update = delta
-                if delta < problem.tol:
-                    break
-            inner_counts.append(inner + 1)
-
-            v_new = number_op_inverse(drop_constant(vtilde))
-            change = norm_A(v_new - V, A)
-            outer_changes.append(change)
-            V = v_new
-            if change < problem.tol:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError("outer trace refresh did not converge")
-        iterations, residual = len(outer_changes), outer_changes[-1]
-        stages = {"start": time.perf_counter() - t0, "refinement": 0.0}
+        diagnostics = {
+            "iterations": sum(d["iterations"] for d in distinct),
+            "residual": max(d["residual"] for d in distinct),
+            "converged": all(d["converged"] for d in distinct),
+            # the one-variable stages summed over the distinct components
+            "stage_seconds": {k: sum(d["stage_seconds"][k] for d in distinct)
+                              for k in ("start", "refinement")},
+            "separable": True,
+            "components": components,
+        }
     else:
-        t_refine = time.perf_counter()
-        V, residual, iterations, converged = _refine_by_moment_matching(problem)
-        vtilde = cyclic_symmetrize(drop_constant(number_op(V)))
-        stages = {"start": t_refine - t0, "refinement": time.perf_counter() - t_refine}
+        V, diagnostics = _refine_by_moment_matching(problem)
 
     t_final = time.perf_counter()
-    tau = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap,
-                             cutoff=problem.cutoff, init=tau)
-    stages["final_trace"] = time.perf_counter() - t_final
-    v_norm = norm_A(V, A)
+    tau = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap, cutoff=problem.cutoff)
+    diagnostics["stage_seconds"]["final_trace"] = time.perf_counter() - t_final
+    v_norm = norm_A(V, DEFAULT_A)
+    vtilde = cyclic_symmetrize(drop_constant(number_op(V)))
     transport_map = [NCSeries.variable(i, n, D) + g
                      for i, g in enumerate(cyclic_gradient_vector(V))]
-    diagnostics = {
-        "iterations": iterations,
-        "residual": residual,
-        "converged": bool(converged),
-        "v_norm_A": v_norm,
-        "norm_bound_satisfied": bool(v_norm <= problem.ball_radius + 1e-12),
-        "guaranteed_regime": problem.guaranteed,
-        "stage_seconds": stages,
-        "seconds": time.perf_counter() - t0,
-    }
-    if separable:
-        diagnostics.update(separable=True, components=components)
-    else:
-        diagnostics.update(outer_iterations=len(outer_changes), inner_iterations=inner_counts,
-                           outer_changes=outer_changes, tau_refresh_deviation=tau_devs,
-                           refinement_residual=None if problem.guaranteed else residual)
+    diagnostics.update(v_norm_A=v_norm, norm_bound_satisfied=bool(v_norm <= DEFAULT_R + 1e-12),
+                       guaranteed_regime=problem.guaranteed, seconds=time.perf_counter() - t0)
     return TransportSolution(V, vtilde, tau, transport_map, diagnostics)
 
 

@@ -215,6 +215,17 @@ def test_tol_rejected_where_no_solver_uses_it(argv, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--norm-radius", "3"], ["--ball-radius", "0.25"]])
+def test_transport_cli_has_no_radius_flags(flag, tmp_path, capsys):
+    # the regime test uses fixed radii, so transport-nc takes none
+    wfile = tmp_path / "w.json"
+    NCSeries(1, 4, {(0, 0, 0, 0): 0.01}).to_json(str(wfile))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transport-nc", "--series", str(wfile)] + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_transport_cli_quartic(tmp_path, capsys):
     wfile = tmp_path / "w.json"
     NCSeries(1, 10, {(0, 0, 0, 0): 0.05}).to_json(str(wfile))
@@ -240,6 +251,11 @@ def test_verify_gibbs_solution(tmp_path, capsys):
     rep = json.loads(stdout)
     assert rep["hilbert_residual"] < 1e-3
     assert rep["radius_condition"] < 1e-9
+    # the printed report shows plain floats, not NumPy scalar reprs
+    code3, stdout3, _ = run(["verify", "--solution", str(out)], capsys)
+    assert code3 == 0
+    assert stdout3.startswith("verification = {") and "np." not in stdout3
+    assert f"'radius_condition': {rep['radius_condition']!r}" in stdout3
 
 
 def test_determinism_byte_identical(tmp_path, capsys):

@@ -239,6 +239,21 @@ def test_displacement_rejects_atomic_start():
         M.displacement_interpolate(M.uniform(), M.dirac(0.0), 1.5)
 
 
+def test_quantile_table_with_flat_run_reads_its_block_model(semicircle):
+    # a flat run is an atom, but the table's other cells carry mass too
+    m = M.GridMeasure.from_quantile_edges([0.0, 0.5, 0.5, 0.5, 1.0])
+    assert m.atoms == [(0.5, 0.5)] and not m.is_atomic()
+    assert M.quantile(m, 0.1) == pytest.approx(0.2, abs=1e-15)
+    assert M.moment(m, 1) == M._block_moment(m, 1) == pytest.approx(0.5, abs=1e-15)
+    # at t = 1 the two-point law's middle cell [-1, 1] keeps its mass 1/1024
+    end = M.displacement_interpolate(semicircle, M.two_point(1.0), 1.0)
+    assert sum(w for _, w in end.atoms) == 1023 / 1024
+    assert M.moment(end, 0) == pytest.approx(1.0, abs=1e-15)
+    assert M.moment(end, 2) == pytest.approx(1023 / 1024 + 1 / 3072, abs=1e-15)
+    # measures from atoms keep their exact atom sums
+    assert M.two_point(1.0).is_atomic() and M.moment(M.two_point(1.0), 2) == 1.0
+
+
 def test_first_moment_lower_bound_for_log_energy():
     rng = np.random.default_rng(5)
     for _ in range(40):

@@ -292,24 +292,31 @@ def test_separable_two_variable_solution():
 
 
 def test_nonseparable_mixed_term_solution(monkeypatch):
-    # small mixed perturbation exercises the general refinement path, which
-    # outside the guaranteed regime takes no Picard step
+    # a mixed perturbation takes the general refinement path, in either regime,
+    # and no Picard step
     def no_picard(*args, **kwargs):
-        raise AssertionError("picard_map called outside the guaranteed regime")
+        raise AssertionError("picard_map called by solve_V")
 
+    picard = T.picard_map
     monkeypatch.setattr(T, "picard_map", no_picard)
-    W = NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01}) \
-        + 0.01 * cyclic_symmetrize(NCSeries.monomial((0, 1, 0, 1), 1.0, 2, 4))
-    sol = T.solve_V(quiet_problem(W, 4))
-    assert sol.diagnostics["converged"]
-    rep = T.verify_transport(sol, W, 4)
-    assert rep["max_moment_deviation"] < 1e-3
-    assert rep["sd_residual"] < 1e-3
-    stages = sol.diagnostics["stage_seconds"]
-    assert stages.keys() == {"start", "refinement", "final_trace"}
-    assert min(stages.values()) >= 0.0
-    assert sum(stages.values()) <= sol.diagnostics["seconds"]
-    assert "stage_seconds" not in json.dumps(sol.to_dict())
+    for diag, mixed, guaranteed, bound in ((0.01, 0.01, False, 1e-3), (1e-5, 1e-5, True, 1e-9)):
+        W = NCSeries(2, 4, {(0, 0, 0, 0): diag, (1, 1, 1, 1): diag}) \
+            + mixed * cyclic_symmetrize(NCSeries.monomial((0, 1, 0, 1), 1.0, 2, 4))
+        sol = T.solve_V(quiet_problem(W, 4))
+        assert sol.diagnostics["converged"]
+        assert sol.diagnostics["guaranteed_regime"] == guaranteed
+        rep = T.verify_transport(sol, W, 4)
+        assert rep["max_moment_deviation"] < bound
+        assert rep["sd_residual"] < 1e-3
+        stages = sol.diagnostics["stage_seconds"]
+        assert stages.keys() == {"start", "refinement", "final_trace"}
+        assert min(stages.values()) >= 0.0
+        assert sum(stages.values()) <= sol.diagnostics["seconds"]
+        assert "stage_seconds" not in json.dumps(sol.to_dict())
+    # the guaranteed-regime solution is, to the truncation, a fixed point of
+    # the paper's map
+    step = picard(sol.V_tilde, W, sol.tau_Y, 4) - sol.V_tilde
+    assert norm_A(step, T.DEFAULT_A) <= 1e-5
 
 
 def test_quartic_sweep_matches_1d_oracle_at_every_degree():
@@ -351,17 +358,21 @@ def test_c13_solution_is_exact_at_degree_10():
 
 
 def test_one_variable_solve_takes_no_picard_step_or_particles(monkeypatch):
-    # n = 1 runs the closed-form Newton in both regimes
+    # n = 1, and each variable of a separable W, runs the closed-form Newton
+    # in both regimes
     def refuse(*args, **kwargs):
         raise AssertionError("one-variable solve left the closed-form path")
 
     monkeypatch.setattr(T, "picard_map", refuse)
     monkeypatch.setattr(moment1d, "minimize_F", refuse)
     w_small = 0.5 * T.GUARANTEE_MARGIN * T.DEFAULT_R / T.GUARANTEE_NORM_RADIUS ** 4
-    for c, degree in ((w_small, 8), (0.05, 10)):
-        prob = quiet_problem(NCSeries(1, degree, {(0, 0, 0, 0): c}), degree)
-        assert prob.guaranteed == (c == w_small)
-        assert T.solve_V(prob).diagnostics["converged"]
+    for W, degree, guaranteed in ((NCSeries(1, 8, {(0, 0, 0, 0): w_small}), 8, True),
+                                  (NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10, False),
+                                  (NCSeries(2, 8, {(0,) * 4: 1e-6, (1,) * 4: 1e-6}), 8, True)):
+        prob = quiet_problem(W, degree)
+        assert prob.guaranteed == guaranteed
+        diagnostics = T.solve_V(prob).diagnostics
+        assert diagnostics["converged"] and diagnostics["separable"]
 
 
 def test_diagnostics_core_keys_and_json():
