@@ -142,18 +142,10 @@ class GridMeasure(JSONMixin):
         n = edges.size - 1
         scale = edges[-1] - edges[0]
         flat = np.diff(edges) <= _FLAT_TOL * (scale + 1.0)
-        atoms = []
-        if flat.any():
-            j = 0
-            while j < n:
-                if flat[j]:
-                    k = j
-                    while k < n and flat[k]:
-                        k += 1
-                    atoms.append((float(edges[j]), (k - j) / n))
-                    j = k
-                else:
-                    j += 1
+        # maximal runs of flat cells j..k-1
+        step = np.diff(np.concatenate([[0], flat.astype(np.int8), [0]]))
+        atoms = [(float(edges[j]), (k - j) / n)
+                 for j, k in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))]
         m = cls((edges[0], edges[-1]), [], atoms, edges, quantiles_primary=True)
         if validate:
             m.validate()
@@ -190,7 +182,14 @@ class GridMeasure(JSONMixin):
         # the atoms carry all the mass; a quantile table's other cells carry the rest
         return not self._segments and abs(sum(w for _, w in self.atoms) - 1.0) <= _MASS_TOL
 
+    def _block_model(self):
+        """True when the measure is its quantile table alone, read as the
+        equal-mass block model: no density samples, and not purely atomic."""
+        return not self._segments and not self.is_atomic()
+
     def total_mass(self):
+        if self._block_model():
+            return 1.0
         ac = sum(float(np.trapezoid(d, x)) for x, d in self._segments)
         return ac + sum(w for _, w in self.atoms)
 
@@ -227,6 +226,16 @@ class GridMeasure(JSONMixin):
     def cdf(self, x):
         """CDF at x (right-continuous), exact for the stored representation."""
         xq = np.atleast_1d(np.asarray(x, dtype=float))
+        if self._block_model():
+            # with k edges <= x, x lies in block k - 1, of positive width when
+            # 0 < k <= n; the blocks before it (flat ones are atoms) count whole
+            e, n = self._edges, self.n_cells
+            k = np.searchsorted(e, xq, side="right")
+            j = np.clip(k - 1, 0, n - 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.clip((xq - e[j]) / (e[j + 1] - e[j]), 0.0, 1.0)
+            out = np.where(k > n, 1.0, (j + t) / n)
+            return out if np.ndim(x) else float(out[0])
         out = np.zeros_like(xq)
         for xs, ds in self._segments:
             widths = np.diff(xs)
@@ -261,7 +270,7 @@ class GridMeasure(JSONMixin):
         segs = [(x + c, d.copy()) for x, d in self._segments]
         atoms = [(x + c, w) for x, w in self.atoms]
         return GridMeasure((self.support[0] + c, self.support[1] + c),
-                           segs, atoms, self._edges + c)
+                           segs, atoms, self._edges + c, self._quantiles_primary)
 
     def center(self):
         return self.translate(-barycenter(self))
@@ -399,7 +408,7 @@ def moment(m, k):
     if k < 0 or int(k) != k:
         raise InvalidInputError("moment order must be a nonnegative integer")
     k = int(k)
-    if not m._segments and not m.is_atomic():
+    if m._block_model():
         return _block_moment(m, k)
     total = sum(w * x ** k for x, w in m.atoms)
     for xs, ds in m._segments:
@@ -411,9 +420,7 @@ def _block_moment(m, k):
     # Exact k-th moment of the equal-mass block model.
     e = m._edges
     d = np.diff(e)
-    n = d.size
     flat = d <= _FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)
-    vals = np.empty(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (e[1:] ** (k + 1) - e[:-1] ** (k + 1)) / ((k + 1) * d)
     vals[flat] = e[:-1][flat] ** k
@@ -443,19 +450,17 @@ def quantile(m, s):
     """Generalized inverse CDF.
 
     Exact inversion of the stored density/atom representation; measures whose
-    quantile table is the authoritative view (pushforwards, interpolants,
-    particle clouds) interpolate that table instead.
+    quantile table is the authoritative or the only view (pushforwards,
+    interpolants, particle clouds) interpolate that table instead.
     """
     scalar = np.ndim(s) == 0
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any((s <= 0.0) | (s >= 1.0)):
         raise InvalidInputError("quantile level must lie in (0, 1)")
-    if m._quantiles_primary and not m.is_atomic():
+    if (m._quantiles_primary and not m.is_atomic()) or m._block_model():
         out = m._model_quantile(s)
-    elif m._segments or m.atoms:
-        out = m._exact_quantile(s)
     else:
-        out = m._model_quantile(s)
+        out = m._exact_quantile(s)
     return float(out[0]) if scalar else out
 
 
@@ -620,10 +625,12 @@ def hilbert_transform(m, x):
     inside, with the local cubic interpolant of the samples; outside, with the
     nearer end's sample, whose integral is closed-form.  So only a bounded
     integrand is quadratured, by the trapezoid rule on the segment's nodes;
-    requires density samples.  At a segment end rho log|(x - a)/(b - x)| is
-    taken as 0 where the interpolated density is 0.  Returns a float for a
-    scalar x and an array for an array x.
+    requires density samples or a purely atomic measure.  At a segment end
+    rho log|(x - a)/(b - x)| is taken as 0 where the interpolated density is
+    0.  Returns a float for a scalar x and an array for an array x.
     """
+    if m._block_model():
+        raise InvalidInputError("Hilbert transform needs density samples or only atoms")
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = m.support
@@ -631,8 +638,6 @@ def hilbert_transform(m, x):
     for xa, wa in m.atoms:
         if np.any(np.abs(x - xa) < 1e-12 * (np.abs(x) + abs(xa) + 1.0)):
             raise InvalidInputError("Hilbert transform undefined at an atom")
-    if not m._segments and not m.atoms:
-        raise InvalidInputError("Hilbert transform needs a density or atoms")
     total = np.zeros_like(x)
     for xa, w in m.atoms:
         total += w / (x - xa)

@@ -5,11 +5,12 @@ when Y has the free Gibbs law of (1/2)|Y|^2 + V, the tuple Y + DV(Y) has the
 free Gibbs law of (1/2)|X|^2 + W.  In the guaranteed regime the paper gets V
 as the fixed point of a contraction, the cyclic symmetrized Picard map on
 Vtilde; ``picard_map`` and ``lipschitz_bound`` keep that map and its
-constant.  ``solve_V`` solves the transport condition itself, by a route that
-depends on W alone: a separable W (every W in one variable) decouples into
-one-variable problems whose condition is closed form, which Newton solves on
-the one-cut moments of ``gibbs1d``; any other W is solved by Gauss-Newton at
-the truncation scale.
+constant.  ``solve_V`` solves the transport condition itself, with one chord
+Newton (``_newton``) for every W.  The diagonal part of W, its words x_i^L,
+decouples into one-variable problems whose condition is closed form on the
+one-cut moments of ``gibbs1d``.  Their solution is the answer for a
+separable W (every W in one variable), and the start of the Gauss-Newton at
+the truncation scale for any other W.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ DEFAULT_A = 3.0
 DEFAULT_R = 0.25
 GUARANTEE_NORM_RADIUS = 17.0 / 4.0
 GUARANTEE_MARGIN = 9.0 / 68.0
-# Newton steps per degree stage of the one-variable solve
-NEWTON_STEPS = 10
+# chord Newton steps per degree stage of the one-variable solve, and of the
+# Gauss-Newton
+NEWTON_STEPS = 15
 
 
 class TransportProblem:
@@ -81,12 +83,23 @@ class TransportProblem:
 
 
 class TransportSolution(JSONMixin):
-    def __init__(self, V, V_tilde, tau_Y, transport_map, diagnostics):
+    """V, the trace table of its law and the diagnostics.  The transport map
+    Y + DV and Vtilde = S Pi N V are derived from V; JSON keeps both, and
+    ``from_dict`` reads V alone."""
+
+    def __init__(self, V, tau_Y, diagnostics):
         self.V = V
-        self.V_tilde = V_tilde
         self.tau_Y = tau_Y
-        self.transport_map = transport_map
         self.diagnostics = dict(diagnostics)
+
+    @property
+    def V_tilde(self):
+        return cyclic_symmetrize(drop_constant(number_op(self.V)))
+
+    @property
+    def transport_map(self):
+        n, D = self.V.n_vars, self.V.max_degree
+        return [NCSeries.variable(i, n, D) + g for i, g in enumerate(cyclic_gradient_vector(self.V))]
 
     def to_dict(self):
         return {
@@ -99,9 +112,7 @@ class TransportSolution(JSONMixin):
 
     @classmethod
     def from_dict(cls, d):
-        return cls(NCSeries.from_dict(d["V"]), NCSeries.from_dict(d["V_tilde"]),
-                   sdmoments.TraceTable.from_dict(d["tau_Y"]),
-                   [NCSeries.from_dict(c) for c in d["transport_map"]],
+        return cls(NCSeries.from_dict(d["V"]), sdmoments.TraceTable.from_dict(d["tau_Y"]),
                    d.get("diagnostics", {}))
 
 
@@ -213,8 +224,43 @@ def _symmetric_basis(W, degree):
     return classes, np.concatenate(ranks), np.concatenate(owners)
 
 
-def _refine_by_moment_matching(problem):
-    """Gauss-Newton on the transport condition at the truncation scale.
+def _newton(residual, c, tol, max_steps):
+    """Chord Newton on residual(c) = 0, until the max residual is at most tol.
+
+    The Jacobian is built by central differences with step 1e-4 |c_j| + 1e-9
+    and kept while its least-squares step, halved up to 8 times, lowers the
+    max residual.  When a step fails the Jacobian is rebuilt once; the solve
+    stops when a fresh Jacobian fails too or cannot be built, or after
+    ``max_steps`` accepted steps.  ``residual`` returns None where it cannot
+    be evaluated.  Returns the last c, its residual (None when the start has
+    none) and the number of accepted steps.
+    """
+    r = residual(c)
+    steps, jac = 0, None
+    while r is not None and np.max(np.abs(r)) > tol and steps < max_steps:
+        fresh = jac is None
+        if fresh:
+            h = 1e-4 * np.abs(c) + 1e-9
+            cols = [(residual(c + e), residual(c - e)) for e in np.diag(h)]
+            if any(f is None or b is None for f, b in cols):
+                break
+            jac = np.column_stack([(f - b) / (2.0 * hj) for (f, b), hj in zip(cols, h)])
+        step = np.linalg.lstsq(jac, r, rcond=None)[0]
+        for scale in 0.5 ** np.arange(9):
+            r_new = residual(c - scale * step)
+            if r_new is not None and np.max(np.abs(r_new)) < np.max(np.abs(r)):
+                c, r, steps = c - scale * step, r_new, steps + 1
+                break
+        else:
+            if fresh:
+                break
+            jac = None
+    return c, r, steps
+
+
+def _refine_by_moment_matching(problem, start, t0):
+    """Gauss-Newton on the transport condition at the truncation scale, from
+    the series ``start``.
 
     Unknowns are the symmetric even-word-class coefficients of V; residuals
     are the word-wise deviations between the pushforward of the V-law under
@@ -222,9 +268,9 @@ def _refine_by_moment_matching(problem):
     at the full verification cap; the V-side solves run at a cheaper cap
     (the V coefficients are small, so their truncation bias is negligible).
     Returns V and the diagnostics: the max residual, the accepted steps, the
-    stop test and the stage timings, of which ``start`` solves the target.
+    stop test and the stage timings, of which ``start`` runs from ``t0`` to
+    the solved target.
     """
-    t0 = time.perf_counter()
     W = problem.W
     n = W.n_vars
     D = problem.degree
@@ -258,52 +304,14 @@ def _refine_by_moment_matching(problem):
         tau_x = sdmoments.pushforward_trace(tau_y, fmap, D)
         return on_classes(tau_x) - target_vals
 
+    # the start's words lie in the support, sorted like it
     c = np.zeros(len(target_vals))
-    r = residual(c)
+    c[owner[np.searchsorted(support, start.ranks)]] = start.coeffs
+    c, r, steps = _newton(residual, c, 10 * problem.tol, NEWTON_STEPS)
     if r is None:
         raise ConvergenceError("moment-matching refinement has no usable start")
     best = float(np.max(np.abs(r)))
-    jac = None
-    h = 1e-7
-    steps = 0
-    for _ in range(15):
-        if best < problem.tol * 10:
-            break
-        if jac is None:
-            jac = np.empty((len(c), len(c)))
-            for j in range(len(c)):
-                cp = c.copy()
-                cp[j] += h
-                col = residual(cp)
-                if col is None:
-                    cp[j] -= 2 * h
-                    col = residual(cp)
-                    if col is None:
-                        raise ConvergenceError("refinement Jacobian column failed")
-                    jac[:, j] = (r - col) / h
-                else:
-                    jac[:, j] = (col - r) / h
-            fresh = True
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        scale = 1.0
-        improved = False
-        for _ in range(8):
-            r_new = residual(c - scale * step)
-            if r_new is not None and np.max(np.abs(r_new)) < best:
-                c = c - scale * step
-                r = r_new
-                best = float(np.max(np.abs(r)))
-                improved = True
-                steps += 1
-                break
-            scale *= 0.5
-        if not improved:
-            if fresh:
-                break
-            jac = None
-            continue
-        fresh = False
-    return assemble(c), {"iterations": steps, "residual": best, "converged": best < problem.tol * 10,
+    return assemble(c), {"iterations": steps, "residual": best, "converged": best <= 10 * problem.tol,
                          "stage_seconds": {"start": t_start - t0,
                                            "refinement": time.perf_counter() - t_start}}
 
@@ -315,10 +323,11 @@ def _solve_one_variable(w, degree, tol):
     onto that of x^2/2 + W (Cordero-Erausquin-Klartag): V solves the transport
     when the moments of U' under the one-cut law of U match those of
     x^2/2 + W at every even degree <= D.  Newton from V = 0 diverges at
-    D = 10, so stage D' = 2, 4, ..., D starts from the last with v_D' = 0.
-    A forward-difference Jacobian would cost Newton its quadratic convergence.
-    Returns (v_2, ..., v_D) and the diagnostics; the last iterate is returned
-    unconverged when U leaves the one-cut regime or a stage runs out of steps.
+    D = 10, so stage D' = 2, 4, ..., D starts from the last with v_D' = 0 and
+    runs ``_newton`` down to 1e-3 tol: below tol, short of round-off.  A stage
+    that leaves the one-cut regime or runs out of steps hands its last
+    iterate on.  Returns (v_2, ..., v_D) and the diagnostics; ``converged``
+    means a final residual of at most tol.
     """
     t0 = time.perf_counter()
 
@@ -329,14 +338,10 @@ def _solve_one_variable(w, degree, tol):
         return np.array([weights @ fy ** (2 * k) for k in range(1, len(u) + 1)])
 
     def residual(v):
-        return moments(np.concatenate(([v[0] + 0.5], v[1:])), True) - target[:v.size]
-
-    def newton_step(v, f):
-        h = 1e-4 * np.abs(v) + 1e-9
-        jac = np.column_stack([(residual(v + e) - residual(v - e)) / (2.0 * e[j])
-                               for j, e in enumerate(np.diag(h))])
-        v = v - np.linalg.solve(jac, f)
-        return v, residual(v)
+        try:
+            return moments(np.concatenate(([v[0] + 0.5], v[1:])), True) - target[:v.size]
+        except RegimeError:
+            return None  # U has no one-cut law
 
     u = np.zeros(max(degree // 2, 1))
     u[:len(w)] = w
@@ -346,108 +351,97 @@ def _solve_one_variable(w, degree, tol):
     except RegimeError as exc:
         raise InvalidInputError(f"x^2/2 + W has no one-cut free Gibbs law ({exc})") from None
     t_newton = time.perf_counter()
-    v, f = np.zeros(0), np.zeros(0)
-    steps, converged = 0, False
-    try:
-        for _ in range(degree // 2):
-            v = np.append(v, 0.0)
-            f = residual(v)
-            for _ in range(NEWTON_STEPS):
-                if np.max(np.abs(f)) <= tol:
-                    break
-                v, f = newton_step(v, f)
-                steps += 1
-        converged = bool(np.max(np.abs(f), initial=0.0) <= tol)
-        if converged and steps:
-            # one step past tol: at quadratic convergence it lands near rounding
-            v_new, f_new = newton_step(v, f)
-            steps += 1
-            if np.max(np.abs(f_new)) < np.max(np.abs(f)):
-                v, f = v_new, f_new
-    except (RegimeError, np.linalg.LinAlgError):
-        pass  # U left the one-cut regime, or a singular Jacobian: the last iterate stands
+    v, f, steps = np.zeros(0), np.zeros(0), 0
+    for _ in range(degree // 2):
+        # appending v_D' = 0 keeps U, whose residual was evaluated
+        v, f, taken = _newton(residual, np.append(v, 0.0), 1e-3 * tol, NEWTON_STEPS)
+        steps += taken
     t_end = time.perf_counter()
-    return v, {"iterations": steps, "residual": float(np.max(np.abs(f), initial=0.0)),
-               "converged": converged, "seconds": t_end - t0,
+    worst = float(np.max(np.abs(f), initial=0.0))
+    return v, {"iterations": steps, "residual": worst, "converged": worst <= tol,
+               "seconds": t_end - t0,
                "stage_seconds": {"start": t_newton - t0, "refinement": t_end - t_newton}}
 
 
-def _split_separable(W, degree):
-    """Coefficients [i, L] of x_i^L in W, or None if W has other words."""
+def _split_diagonal(W, degree):
+    """Coefficients [i, L] of W's words x_i^L, and whether W has any other word."""
     word, lengths, pos, _, letter, _ = _positions(W)
     first = letter[pos == 0]
-    if (W.ranks == 0).any() or (letter != first[word]).any():
-        return None
+    diagonal = np.bincount(word, letter != first[word], len(W.ranks)) == 0
     parts = np.zeros((W.n_vars, degree + 1))
-    parts[first, lengths[pos == 0]] = W.coeffs
-    return parts
+    parts[first[diagonal], lengths[pos == 0][diagonal]] = W.coeffs[diagonal]
+    return parts, not diagonal.all()
 
 
-def _solve_separable(problem):
-    """Exact reduction for separable W (n = 1 included): each variable
-    transports independently.
+def _solve_diagonal(problem, parts):
+    """V for the diagonal part sum_i sum_L parts[i, L] x_i^L of W: each
+    variable transports independently.
 
     The Picard map sends sums of single-variable series to sums of
     single-variable series and the free Gibbs law of a separable potential is
     the free product of the one-variable laws, so the n-variable solution is
-    the sum of the one-variable solutions.  Returns V, the diagnostics of
-    each variable and those of each distinct one-variable solve.
+    the sum of the one-variable solutions.  Returns V and the diagnostics,
+    with each variable's under ``components``.
     """
     n, D = problem.W.n_vars, problem.degree
     V = NCSeries.zero(n, D)
     components, solved = [], {}
-    for i, part in enumerate(_split_separable(problem.W, D)):
+    for i, part in enumerate(parts):
         w = tuple(part[2::2].tolist())
         if w not in solved:
             solved[w] = _solve_one_variable(w, D, problem.tol)
         v, component = solved[w]
         components.append(component)
         V = V + NCSeries(n, D, {(i,) * (2 * k): c for k, c in enumerate(v, start=1)})
-    return V, components, [d for _, d in solved.values()]
+    distinct = [d for _, d in solved.values()]
+    return V, {
+        "iterations": sum(d["iterations"] for d in distinct),
+        "residual": max(d["residual"] for d in distinct),
+        "converged": all(d["converged"] for d in distinct),
+        # the one-variable stages summed over the distinct components
+        "stage_seconds": {k: sum(d["stage_seconds"][k] for d in distinct)
+                          for k in ("start", "refinement")},
+        "separable": True,
+        "components": components,
+    }
 
 
 def solve_V(problem):
-    """Solve for the transport potential V, by one of two routes chosen from W.
+    """Solve for the transport potential V.
 
-    A separable W, every W in one variable included, decouples into
-    one-variable problems, which Newton solves in closed form on the one-cut
-    moments of ``gibbs1d``.  Any other W is solved by Gauss-Newton on the
-    transport condition at the truncation scale, from V = 0.  Neither route
-    depends on the regime, and neither takes a Picard step.  The
-    diagnostics' ``iterations``, ``residual`` and ``converged`` are those of
-    the route's solve, and ``stage_seconds`` times the ``start`` (the target
-    law: its one-cut moments, or its Schwinger-Dyson solve), the
-    ``refinement`` (Newton or Gauss-Newton) and the ``final_trace``; like
-    ``seconds`` it is not written to JSON.
+    The diagonal part of W (its words x_i^L) decouples into one-variable
+    problems, which ``_newton`` solves in closed form on the one-cut moments
+    of ``gibbs1d``.  For a separable W, every W in one variable included,
+    that is the answer.  Any other W is solved by ``_newton`` as a
+    Gauss-Newton on the transport condition at the truncation scale, started
+    from the diagonal part's V, or from V = 0 when the diagonal part has no
+    one-cut law.  No route depends on the regime or takes a Picard step.
+    The diagnostics' ``iterations`` (accepted chord steps), ``residual`` and
+    ``converged`` are those of the last solve, and ``stage_seconds`` times
+    the ``start`` (the target law: its one-cut moments or, for a mixed W,
+    the diagonal part's solve and the target's Schwinger-Dyson solve), the
+    ``refinement`` and the ``final_trace``; like ``seconds`` it is not
+    written to JSON.
     """
     t0 = time.perf_counter()
     W, D = problem.W, problem.degree
-    n = W.n_vars
-    if _split_separable(W, D) is not None:
-        V, components, distinct = _solve_separable(problem)
-        diagnostics = {
-            "iterations": sum(d["iterations"] for d in distinct),
-            "residual": max(d["residual"] for d in distinct),
-            "converged": all(d["converged"] for d in distinct),
-            # the one-variable stages summed over the distinct components
-            "stage_seconds": {k: sum(d["stage_seconds"][k] for d in distinct)
-                              for k in ("start", "refinement")},
-            "separable": True,
-            "components": components,
-        }
-    else:
-        V, diagnostics = _refine_by_moment_matching(problem)
+    parts, mixed = _split_diagonal(W, D)
+    try:
+        V, diagnostics = _solve_diagonal(problem, parts)
+    except InvalidInputError:
+        if not mixed:
+            raise
+        V = NCSeries.zero(W.n_vars, D)
+    if mixed:
+        V, diagnostics = _refine_by_moment_matching(problem, V, t0)
 
     t_final = time.perf_counter()
     tau = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap, cutoff=problem.cutoff)
     diagnostics["stage_seconds"]["final_trace"] = time.perf_counter() - t_final
     v_norm = norm_A(V, DEFAULT_A)
-    vtilde = cyclic_symmetrize(drop_constant(number_op(V)))
-    transport_map = [NCSeries.variable(i, n, D) + g
-                     for i, g in enumerate(cyclic_gradient_vector(V))]
     diagnostics.update(v_norm_A=v_norm, norm_bound_satisfied=bool(v_norm <= DEFAULT_R + 1e-12),
                        guaranteed_regime=problem.guaranteed, seconds=time.perf_counter() - t0)
-    return TransportSolution(V, vtilde, tau, transport_map, diagnostics)
+    return TransportSolution(V, tau, diagnostics)
 
 
 def verify_transport(sol, W, degree):

@@ -254,6 +254,24 @@ def test_quantile_table_with_flat_run_reads_its_block_model(semicircle):
     assert M.two_point(1.0).is_atomic() and M.moment(M.two_point(1.0), 2) == 1.0
 
 
+def test_table_only_measure_reads_its_block_model_everywhere():
+    # the flat run is an atom of mass 1/2; the cells on either side carry 1/4 each
+    m = M.GridMeasure.from_quantile_edges([0.0, 0.5, 0.5, 0.5, 1.0])
+    assert m.cdf(0.75) == pytest.approx(0.875, abs=1e-15)
+    assert np.allclose(m.cdf(np.array([-1.0, 0.25, 0.5, 1.0, 2.0])), [0.0, 0.125, 0.75, 1.0, 1.0])
+    assert m.total_mass() == 1.0
+    with pytest.raises(InvalidInputError):
+        M.hilbert_transform(m, 0.9)
+
+
+def test_translate_keeps_the_quantile_table_primary(semicircle):
+    m = M.GridMeasure.from_quantile_edges([0.0, 0.25, 0.5, 0.5, 0.75, 1.0]).translate(1.0)
+    assert M.quantile(m, 0.1) == pytest.approx(1.125, abs=1e-15)
+    pushed = M.pushforward_monotone(semicircle, lambda x: x ** 3)
+    s = np.linspace(0.05, 0.95, 19)
+    assert np.max(np.abs(M.quantile(pushed.translate(0.7), s) - M.quantile(pushed, s) - 0.7)) < 1e-12
+
+
 def test_first_moment_lower_bound_for_log_energy():
     rng = np.random.default_rng(5)
     for _ in range(40):

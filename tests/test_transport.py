@@ -12,7 +12,7 @@ from freemoment import transport as T
 from freemoment.ncseries import (NCSeries, cyclic_gradient, cyclic_gradient_vector,
                                   cyclic_symmetrize, drop_constant, jacobian, multiply, norm_A,
                                   number_op, number_op_inverse, substitute)
-from freemoment.errors import InvalidInputError
+from freemoment.errors import ConvergenceError, InvalidInputError
 
 
 def even_ball_sample(rng, n, degree, a_radius, ball_radius):
@@ -262,13 +262,19 @@ def test_verify_transport_detects_truncated_v():
     W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
     sol = T.solve_V(quiet_problem(W, 10))
     crippled = NCSeries(1, 10, {w: c for w, c in sol.V.terms.items() if len(w) <= 2})
-    from freemoment.ncseries import cyclic_gradient_vector, NCSeries as NCS
-    bad = T.TransportSolution(
-        crippled, sol.V_tilde, sol.tau_Y,
-        [NCS.variable(0, 1, 10) + g for g in cyclic_gradient_vector(crippled)],
-        sol.diagnostics)
+    bad = T.TransportSolution(crippled, sol.tau_Y, sol.diagnostics)
     rep = T.verify_transport(bad, W, 6)
     assert rep["max_moment_deviation"] >= 1e-2
+
+
+def test_verify_transport_reads_v_not_the_stored_map():
+    W = NCSeries(1, 6, {(0, 0, 0, 0): 0.05})
+    sol = T.solve_V(quiet_problem(W, 6))
+    d = json.loads(json.dumps(sol.to_dict()))
+    d["transport_map"] = [NCSeries.variable(0, 1, 6).to_dict()]
+    back = T.TransportSolution.from_dict(d)
+    assert T.verify_transport(back, W, 6) == T.verify_transport(sol, W, 6)
+    assert back.to_dict() == json.loads(json.dumps(sol.to_dict()))
 
 
 def test_verify_transport_rejects_w_in_other_variables():
@@ -317,6 +323,62 @@ def test_nonseparable_mixed_term_solution(monkeypatch):
     # the paper's map
     step = picard(sol.V_tilde, W, sol.tau_Y, 4) - sol.V_tilde
     assert norm_A(step, T.DEFAULT_A) <= 1e-5
+
+
+def test_mixed_w_starts_from_its_diagonal_part(monkeypatch):
+    calls = []
+    one_variable = T._solve_one_variable
+
+    def counted(w, degree, tol):
+        calls.append(w)
+        return one_variable(w, degree, tol)
+
+    monkeypatch.setattr(T, "_solve_one_variable", counted)
+    W = NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.02}) \
+        + 0.01 * cyclic_symmetrize(NCSeries.monomial((0, 1, 0, 1), 1.0, 2, 4))
+    sol = T.solve_V(quiet_problem(W, 4))
+    assert calls == [(0.0, 0.01), (0.0, 0.02)]
+    assert sol.diagnostics["converged"] and "separable" not in sol.diagnostics
+    assert T.verify_transport(sol, W, 4)["max_moment_deviation"] < 1e-3
+
+
+def test_mixed_word_alone_converges_from_zero():
+    W = 0.01 * cyclic_symmetrize(NCSeries.monomial((0, 1, 0, 1), 1.0, 2, 4))
+    assert not T._split_diagonal(W, 4)[0].any()
+    sol = T.solve_V(quiet_problem(W, 4))
+    assert sol.diagnostics["converged"]
+    assert T.verify_transport(sol, W, 4)["max_moment_deviation"] < 1e-3
+
+
+def test_mixed_w_without_one_cut_diagonal_part_starts_from_zero(monkeypatch):
+    starts = []
+    refine = T._refine_by_moment_matching
+
+    def spy(problem, start, t0):
+        starts.append(start)
+        return refine(problem, start, t0)
+
+    monkeypatch.setattr(T, "_refine_by_moment_matching", spy)
+    W = NCSeries(2, 4, {(0, 0, 0, 0): -0.05, (1, 1, 1, 1): -0.05}) \
+        + 0.05 * cyclic_symmetrize(NCSeries.monomial((0, 0, 1, 1), 1.0, 2, 4))
+    with pytest.raises(InvalidInputError):
+        T._solve_one_variable((0.0, -0.05), 4, 1e-10)
+    with pytest.raises(ConvergenceError, match="cutoff bound persistently active"):
+        T.solve_V(quiet_problem(W, 4))
+    assert len(starts) == 1 and starts[0].terms == {}
+
+
+def test_newton_halves_a_step_past_where_the_residual_is_undefined():
+    # from c = 10 the full step of log(c) = 0 lands at c = -13
+    seen = []
+
+    def residual(c):
+        seen.append(c[0])
+        return None if c[0] <= 0.0 else np.log(c)
+
+    c, r, steps = T._newton(residual, np.array([10.0]), 1e-10, 50)
+    assert min(seen) < 0.0
+    assert np.max(np.abs(r)) <= 1e-10 and abs(c[0] - 1.0) < 1e-9 and steps < 50
 
 
 def test_quartic_sweep_matches_1d_oracle_at_every_degree():
