@@ -353,8 +353,15 @@ def _canonical_codes(n, length):
 
 @functools.lru_cache(maxsize=None)
 def _canonical_classes(n, length):
-    """Sorted canonical codes of a length, and each code's index among them."""
-    reps, inv = np.unique(_canonical_codes(n, length), return_inverse=True)
+    """Sorted canonical codes of a length, and each code's index among them.
+
+    A canonical code is its own canonical code, so the codes c with
+    best[c] == c are the classes in order, and a running count numbers them.
+    """
+    best = _canonical_codes(n, length)
+    is_rep = best == np.arange(len(best))
+    reps = np.flatnonzero(is_rep)
+    inv = (np.cumsum(is_rep) - 1)[best]
     reps.flags.writeable = inv.flags.writeable = False
     return reps, inv
 

@@ -70,12 +70,16 @@ class TransportProblem:
             raise InvalidInputError("W must contain only terms of even degree")
         if not W.is_selfadjoint():
             raise InvalidInputError("W must be self-adjoint")
+        if degree < W.degree():
+            raise InvalidInputError("degree must be at least the degree of W")
         self.W = W.truncate(degree)
         self.degree = int(degree)
         self.cutoff = float(cutoff)
         self.tol = float(tol)
+        # the cap of the stored trace table, and the one cap of every
+        # Schwinger-Dyson solve in the Gauss-Newton
         self.tau_cap = self.degree + 4
-        self.verify_cap = self.degree + 10
+        self.sd_cap = self.degree + 10
         self.guaranteed = norm_A(self.W, GUARANTEE_NORM_RADIUS) < GUARANTEE_MARGIN * DEFAULT_R
         if not self.guaranteed:
             warnings.warn("W is outside the guaranteed contraction regime; "
@@ -264,19 +268,17 @@ def _refine_by_moment_matching(problem, start, t0):
 
     Unknowns are the symmetric even-word-class coefficients of V; residuals
     are the word-wise deviations between the pushforward of the V-law under
-    Y + DV and the directly solved law for W.  The target trace is computed
-    at the full verification cap; the V-side solves run at a cheaper cap
-    (the V coefficients are small, so their truncation bias is negligible).
-    Returns V and the diagnostics: the max residual, the accepted steps, the
-    stop test and the stage timings, of which ``start`` runs from ``t0`` to
-    the solved target.
+    Y + DV and the directly solved law for W.  Both laws are solved at the
+    one cap ``problem.sd_cap``: a V-law truncated below its target's cap
+    leaves a residual floor that V is then fitted to.  Returns V and the
+    diagnostics: the max residual, the accepted steps, the stop test and the
+    stage timings, of which ``start`` runs from ``t0`` to the solved target.
     """
     W = problem.W
     n = W.n_vars
     D = problem.degree
-    verify_cap = problem.verify_cap
-    eval_cap = D + 6
-    tau_direct = sdmoments.solve_sd(W.truncate(verify_cap), verify_cap, cutoff=problem.cutoff)
+    cap = problem.sd_cap
+    tau_direct = sdmoments.solve_sd(W.truncate(cap), cap, cutoff=problem.cutoff)
     classes, support, owner = _symmetric_basis(W, D)
 
     def on_classes(tau):
@@ -293,13 +295,12 @@ def _refine_by_moment_matching(problem, start, t0):
     def residual(c):
         V = assemble(c)
         try:
-            tau_y = sdmoments.solve_sd(V.truncate(eval_cap), eval_cap,
-                                       cutoff=problem.cutoff, init=warm["tau"],
-                                       support_hint=hint)
+            tau_y = sdmoments.solve_sd(V.truncate(cap), cap, cutoff=problem.cutoff,
+                                       init=warm["tau"], support_hint=hint)
         except ConvergenceError:
             return None
         warm["tau"] = tau_y
-        fmap = [NCSeries.variable(i, n, eval_cap) + g.truncate(eval_cap)
+        fmap = [NCSeries.variable(i, n, cap) + g.truncate(cap)
                 for i, g in enumerate(cyclic_gradient_vector(V))]
         tau_x = sdmoments.pushforward_trace(tau_y, fmap, D)
         return on_classes(tau_x) - target_vals

@@ -42,6 +42,8 @@ def test_problem_validation():
         T.TransportProblem(NCSeries(1, 6, {(): 0.5}), 6)  # constant term
     with pytest.raises(InvalidInputError):
         T.TransportProblem(NCSeries(2, 6, {(0, 1, 0, 1): 0.1}), 6)  # not self-adjoint
+    with pytest.raises(InvalidInputError, match="degree must be at least"):
+        T.TransportProblem(NCSeries(2, 4, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}), 2)
     with pytest.warns(UserWarning):
         T.TransportProblem(NCSeries(1, 6, {(0, 0, 0, 0): 0.05}), 6)
 
@@ -323,6 +325,26 @@ def test_nonseparable_mixed_term_solution(monkeypatch):
     # the paper's map
     step = picard(sol.V_tilde, W, sol.tau_Y, 4) - sol.V_tilde
     assert norm_A(step, T.DEFAULT_A) <= 1e-5
+
+
+def test_mixed_w_at_degree_6_converges_with_one_sd_cap(monkeypatch):
+    # V-laws solved below the target law's cap leave a residual floor that
+    # the Gauss-Newton fits V to: here 7.7e-4 after 151 solve_sd calls
+    calls = []
+    solve_sd = sd.solve_sd
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_sd(*args, **kwargs)
+
+    monkeypatch.setattr(sd, "solve_sd", counted)
+    W = NCSeries(2, 6, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01,
+                        (0, 1, 0, 1): 0.005, (1, 0, 1, 0): 0.005})
+    problem = quiet_problem(W, 6)
+    sol = T.solve_V(problem)
+    assert sol.diagnostics["converged"] and sol.diagnostics["residual"] <= 1e-9
+    assert len(calls) <= 40 and set(calls) == {problem.sd_cap, problem.tau_cap}
+    assert T.verify_transport(sol, W, 6)["max_moment_deviation"] <= 1e-5
 
 
 def test_mixed_w_starts_from_its_diagonal_part(monkeypatch):
