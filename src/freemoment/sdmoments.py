@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidInputError
 from .jsonio import JSONMixin
 from .ncseries import (NCSeries, _canonical_classes, _code, _digits, _positions, _series,
-                       _split, _word_tuples, cyclic_gradient, multiply)
+                       _split, _word_ranks, _word_tuples, cyclic_gradient, multiply)
 
 DEFAULT_CUTOFF = 3.0
 # sweep budget and Jacobi damping of solve_sd
@@ -165,6 +165,22 @@ _Structure = collections.namedtuple("_Structure", "index bounds lengths start pa
 
 
 @functools.lru_cache(maxsize=64)
+def _support(n, max_degree, ranks):
+    """Of a word support given as int64 rank bytes: whether it is even, its
+    flip symmetries, its gradient terms (i, gw) by variable and then word,
+    and each variable's gw ranks."""
+    support = _series(n, max_degree, np.frombuffer(ranks, dtype=np.int64),
+                      np.ones(len(ranks) // 8))
+    terms, term_ranks = [], []
+    for i in range(n):
+        words = sorted(_word_tuples(cyclic_gradient(support, i).ranks, n))
+        terms += [(i, gw) for gw in words]
+        term_ranks.append(_word_ranks(words, n))
+        term_ranks[-1].flags.writeable = False
+    return support.is_even(), tuple(_variable_parities(support)), tuple(terms), tuple(term_ranks)
+
+
+@functools.lru_cache(maxsize=64)
 def _build_structure(n, cap, even_overall, flips, terms):
     """Equation structure for gradient terms ``terms``, from integer word codes.
 
@@ -247,7 +263,9 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, init=None,
 
     ``support_hint``: a series whose words are treated as present in W with
     zero coefficient, so repeated solves over a family of potentials with
-    varying coefficients share one cached equation structure.
+    varying coefficients share one support: its parities and gradient terms
+    are derived once, and its equation structure is built once.  A call
+    then only reads W's gradient coefficients onto those terms.
     """
     t0 = time.perf_counter()
     if W.n_vars < 1:
@@ -257,20 +275,16 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, init=None,
     if cutoff <= 2.0:
         raise InvalidInputError("cutoff must exceed 2")
     n = W.n_vars
-    W_support = W
-    if support_hint is not None:
-        ranks = np.union1d(W.ranks, support_hint.ranks)
-        W_support = _series(n, W.max_degree, ranks, np.ones(len(ranks)))
-    even_overall = W_support.is_even()
-    flips = _variable_parities(W_support)
-    terms = tuple((i, gw) for i in range(n)
-                  for gw in sorted(_word_tuples(cyclic_gradient(W_support, i).ranks, n)))
+    ranks = W.ranks if support_hint is None else np.union1d(W.ranks, support_hint.ranks)
+    even_overall, flips, terms, term_ranks = _support(n, W.max_degree, ranks.tobytes())
     hits = _build_structure.cache_info().hits
-    st = _build_structure(n, degree_cap, even_overall, tuple(flips), terms)
+    st = _build_structure(n, degree_cap, even_overall, flips, terms)
     cache = "hit" if _build_structure.cache_info().hits > hits else "miss"
 
+    # one rank lookup per variable: each term's coefficient in D_i W, or 0
     grads = [cyclic_gradient(W, i) for i in range(n)]
-    coeffs = np.array([grads[i].coeff(gw) for i, gw in terms])
+    coeffs = np.concatenate([np.where(g.ranks == r[:, None], g.coeffs, 0.0).sum(axis=1)
+                             for g, r in zip(grads, term_ranks)])
     coup_coeffs = coeffs[st.coup_terms]
     vals = st.start.copy()
     if init is not None:
@@ -346,10 +360,10 @@ def sd_residual(tau, W, degree_cap=None):
 def pushforward_trace(tau, f, degree_cap):
     """Trace of the law of (f_1(X), ..., f_n(X)) under tau, up to degree_cap.
 
-    Each requested word is expanded by substituting the map components and
+    Each canonical word is expanded by substituting the map components and
     truncating at the table cap; components must have zero constant term.
-    Canonical words come in lexicographic order, so each product starts from
-    that of the common prefix with the previous word.
+    The words go through ``_trace_words``, so a caller that needs only some
+    of them gets the same values from it.
     """
     n = tau.n_vars
     if len(f) != n:
@@ -359,23 +373,35 @@ def pushforward_trace(tau, f, degree_cap):
             raise InvalidInputError("map components must have zero constant term")
     if degree_cap > tau.degree_cap:
         raise InvalidInputError("output degree cap exceeds the trace table cap")
-    inner_cap = tau.degree_cap
-    comps = [comp.truncate(inner_cap) for comp in f]
+    words = [_enumerate_canonical(n, length) for length in range(1, degree_cap + 1)]
+    flat = _trace_words(tau, f, [w for row in words for w in row])
+    bounds = np.cumsum([0] + [len(row) for row in words])
+    return TraceTable(n, degree_cap, tau.cutoff,
+                      [np.ones(1)] + [flat[a:b] for a, b in zip(bounds, bounds[1:])],
+                      tail_estimate=tau.tail_estimate)
+
+
+def _trace_words(tau, f, words):
+    """tau of each word of ``words`` with f_i substituted for letter i.
+
+    The words are expanded in lexicographic order, so each product starts
+    from that of the common prefix with the previous word, and every word's
+    product is the same left-to-right chain of ``multiply`` calls whatever
+    the list holds.
+    """
+    cap = tau.degree_cap
+    comps = [comp.truncate(cap) for comp in f]
     # prods[k] is the product of the first k letters of word
-    word, prods = (), [NCSeries.constant(1.0, n, inner_cap)]
-
-    values = [np.ones(1)]
-    for length in range(1, degree_cap + 1):
-        row = []
-        for w in _enumerate_canonical(n, length):
-            k = 0
-            while k < len(word) and word[k] == w[k]:
-                k += 1
-            del prods[k + 1:]
-            for letter in w[k:]:
-                prods.append(multiply(prods[-1], comps[letter], inner_cap))
-            word = w
-            row.append(tau.of_series(prods[-1]))
-        values.append(row)
-    return TraceTable(n, degree_cap, tau.cutoff, values, tail_estimate=tau.tail_estimate)
-
+    word, prods = (), [NCSeries.constant(1.0, tau.n_vars, cap)]
+    out = np.zeros(len(words))
+    for k in sorted(range(len(words)), key=words.__getitem__):
+        w = words[k]
+        common = 0
+        while common < min(len(word), len(w)) and word[common] == w[common]:
+            common += 1
+        del prods[common + 1:]
+        for letter in w[common:]:
+            prods.append(multiply(prods[-1], comps[letter], cap))
+        word = w
+        out[k] = tau.of_series(prods[-1])
+    return out

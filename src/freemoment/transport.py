@@ -267,8 +267,10 @@ def _refine_by_moment_matching(problem, start, t0):
     the series ``start``.
 
     Unknowns are the symmetric even-word-class coefficients of V; residuals
-    are the word-wise deviations between the pushforward of the V-law under
-    Y + DV and the directly solved law for W.  Both laws are solved at the
+    are the deviations, on one word of each fitted class, between the
+    pushforward of the V-law under Y + DV and the directly solved law for W.
+    Only those words are traced (``sdmoments._trace_words``), to the same
+    values ``pushforward_trace`` gives them.  Both laws are solved at the
     one cap ``problem.sd_cap``: a V-law truncated below its target's cap
     leaves a residual floor that V is then fitted to.  Returns V and the
     diagnostics: the max residual, the accepted steps, the stop test and the
@@ -280,11 +282,9 @@ def _refine_by_moment_matching(problem, start, t0):
     cap = problem.sd_cap
     tau_direct = sdmoments.solve_sd(W.truncate(cap), cap, cutoff=problem.cutoff)
     classes, support, owner = _symmetric_basis(W, D)
-
-    def on_classes(tau):
-        return np.concatenate([tau.at(length, codes) for length, codes in classes])
-
-    target_vals = on_classes(tau_direct)
+    target_vals = np.concatenate([tau_direct.at(length, codes) for length, codes in classes])
+    # the words of the fitted classes: the residual traces no other word
+    words = [tuple(w) for length, codes in classes for w in _digits(codes, n, length).tolist()]
     t_start = time.perf_counter()
     hint = _series(n, D, support, np.ones(len(support)))
     warm = {"tau": None}
@@ -302,8 +302,7 @@ def _refine_by_moment_matching(problem, start, t0):
         warm["tau"] = tau_y
         fmap = [NCSeries.variable(i, n, cap) + g.truncate(cap)
                 for i, g in enumerate(cyclic_gradient_vector(V))]
-        tau_x = sdmoments.pushforward_trace(tau_y, fmap, D)
-        return on_classes(tau_x) - target_vals
+        return sdmoments._trace_words(tau_y, fmap, words) - target_vals
 
     # the start's words lie in the support, sorted like it
     c = np.zeros(len(target_vals))

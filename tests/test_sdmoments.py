@@ -359,3 +359,22 @@ def test_solve_sd_matches_gauss_seidel_reference(n, cap, terms):
     assert all((tab.values[length][k] == 0.0).all() for length, k in enumerate(killed))
     assert max(float(np.abs(a - b).max()) / 3.0 ** length
                for length, (a, b) in enumerate(zip(tab.values, ref_values))) <= 1e-11
+
+
+@pytest.mark.parametrize("n,cap,terms,extra", [
+    (1, 30, {(0,) * 4: 0.05}, [(0, 0), (0,) * 6]),
+    (2, 14, {(0,) * 4: 0.02, (1,) * 4: 0.02, (0, 1, 0, 1): 0.01, (1, 0, 1, 0): 0.01},
+     [(0, 0), (1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1)]),
+    (3, 8, {(0,) * 4: 0.02, (1, 1, 2, 2): 0.01, (2, 2, 1, 1): 0.01,
+            (1, 2, 2, 1): 0.01, (2, 1, 1, 2): 0.01}, [(0, 0), (2, 2, 2, 2), (0, 1, 0, 1)]),
+])
+def test_support_hint_of_zero_words_leaves_the_table_unchanged(n, cap, terms, extra):
+    # the hint's words enter the cached support with coefficient 0
+    W = NCSeries(n, 4, terms)
+    hint = NCSeries(n, 6, {w: 1.0 for w in extra})
+    plain = sd.solve_sd(W, cap)
+    hinted = sd.solve_sd(W, cap, support_hint=hint)
+    assert [len(v) for v in hinted.values] == [len(v) for v in plain.values]
+    assert all(np.array_equal(a, b) for a, b in zip(hinted.values, plain.values))
+    assert hinted.tail_estimate == plain.tail_estimate
+    assert sd._support(n, 4, W.ranks.tobytes())[2] == _gradient_terms(W)

@@ -9,7 +9,7 @@ from freemoment import gibbs1d as G
 from freemoment import moment1d
 from freemoment import sdmoments as sd
 from freemoment import transport as T
-from freemoment.ncseries import (NCSeries, cyclic_gradient, cyclic_gradient_vector,
+from freemoment.ncseries import (NCSeries, _series, cyclic_gradient, cyclic_gradient_vector,
                                   cyclic_symmetrize, drop_constant, jacobian, multiply, norm_A,
                                   number_op, number_op_inverse, substitute)
 from freemoment.errors import ConvergenceError, InvalidInputError
@@ -480,3 +480,94 @@ def test_solution_json_roundtrip():
     back = T.TransportSolution.from_dict(sol.to_dict())
     assert back.V.terms == sol.V.terms
     assert back.tau_Y.value((0, 0)) == sol.tau_Y.value((0, 0))
+
+
+def mixed_w(degree):
+    return NCSeries(2, degree, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01,
+                                (0, 1, 0, 1): 0.005, (1, 0, 1, 0): 0.005})
+
+
+def pushed_map(V, cap):
+    return [NCSeries.variable(i, V.n_vars, cap) + g.truncate(cap)
+            for i, g in enumerate(cyclic_gradient_vector(V))]
+
+
+@pytest.mark.parametrize("n,cap,degree", [(1, 44, 6), (2, 14, 4), (3, 8, 4)])
+def test_trace_words_equals_pushforward_trace_exactly(n, cap, degree):
+    if n == 1:
+        V = T.solve_V(quiet_problem(NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10)).V
+    elif n == 2:
+        V = T.solve_V(quiet_problem(mixed_w(4), 4)).V
+    else:
+        V = NCSeries(3, 4, {(0, 0): 0.03, (1, 1): -0.02, (2, 2, 2, 2): 0.01,
+                            (0, 1, 0, 1): 0.005, (1, 0, 1, 0): 0.005})
+    tau = sd.solve_sd(V.truncate(cap), cap)
+    fmap = pushed_map(V, cap)
+    full = sd.pushforward_trace(tau, fmap, degree)
+    words = [w for length in range(1, degree + 1) for w in sd._enumerate_canonical(n, length)]
+    assert np.array_equal(sd._trace_words(tau, fmap, words), np.concatenate(full.values[1:]))
+    # out of order and with a repeat, each word's own value
+    picked = words[::-3] + [words[1]]
+    assert sd._trace_words(tau, fmap, picked).tolist() == [full.value(w) for w in picked]
+
+
+def test_gauss_newton_residual_is_the_pushforward_on_the_fitted_classes(monkeypatch):
+    newton_calls, tables = [], []
+    newton, solve_sd = T._newton, sd.solve_sd
+
+    def spy(residual, c, tol, max_steps):
+        out = newton(residual, c, tol, max_steps)
+        newton_calls.append((residual, out[0]))
+        return out
+
+    monkeypatch.setattr(T, "_newton", spy)
+    W, D = mixed_w(4), 4
+    problem = quiet_problem(W, D)
+    T.solve_V(problem)
+    # the Gauss-Newton is the last Newton of a mixed solve
+    residual, c = newton_calls[-1]
+    c = c * (1.0 + 1e-3)
+
+    def recorded(*args, **kwargs):
+        tables.append(solve_sd(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(sd, "solve_sd", recorded)
+    r = residual(c)
+    cap = problem.sd_cap
+    classes, support, owner = T._symmetric_basis(W, D)
+
+    def on_classes(tau):
+        return np.concatenate([tau.at(length, codes) for length, codes in classes])
+
+    V = _series(2, D, support, c[owner])
+    target = on_classes(solve_sd(W.truncate(cap), cap))
+    expected = on_classes(sd.pushforward_trace(tables[-1], pushed_map(V, cap), D)) - target
+    assert len(tables) == 1 and len(r) == 4 and np.abs(r).max() > 1e-8
+    assert np.array_equal(r, expected)
+
+
+def test_mixed_solve_derives_each_support_once(monkeypatch):
+    supports = []
+    solve_sd = sd.solve_sd
+
+    def counted(W, cap, *args, support_hint=None, **kwargs):
+        hint = W.ranks if support_hint is None else support_hint.ranks
+        supports.append((W.max_degree, np.union1d(W.ranks, hint).tobytes()))
+        return solve_sd(W, cap, *args, support_hint=support_hint, **kwargs)
+
+    monkeypatch.setattr(sd, "solve_sd", counted)
+    sd._support.cache_clear()
+    T.solve_V(quiet_problem(mixed_w(4), 4))
+    info = sd._support.cache_info()
+    # one support each for the target, the V-laws of every residual and the
+    # final trace
+    assert len(supports) == 15 and len(set(supports)) == 3
+    assert info.misses == len(set(supports)) and info.hits == 15 - info.misses
+
+
+def test_strong_quartic_at_degree_10_reaches_round_off():
+    # with one-sided differences in _newton's Jacobian this case stopped at
+    # 2.4e-5, not converged
+    sol = T.solve_V(quiet_problem(NCSeries(1, 10, {(0, 0, 0, 0): 1.0}), 10))
+    assert sol.diagnostics["converged"] and sol.diagnostics["residual"] <= 1e-12
