@@ -299,6 +299,112 @@ def test_separable_two_variable_solution():
     assert rep["sd_residual"] < 1e-3
 
 
+def test_split_diagonal_takes_a_constant_term():
+    parts, mixed = T._split_diagonal(NCSeries(2, 4, {(): 0.3, (0, 0): 0.1, (1, 1): 0.2}), 4)
+    assert not mixed
+    assert np.array_equal(parts, [[0.3, 0.0, 0.1, 0.0, 0.0], [0.0, 0.0, 0.2, 0.0, 0.0]])
+    parts, mixed = T._split_diagonal(NCSeries(2, 4, {(): 0.3, (0, 1, 0, 1): 0.1}), 4)
+    assert mixed
+    # a V read from a file may carry a constant, which moves neither law
+    W, sol = c14()
+    shifted = T.TransportSolution(sol.V + NCSeries.constant(0.3, 2, 8), sol.tau_Y, {})
+    assert T.verify_transport(shifted, W, 6) == T.verify_transport(sol, W, 6)
+
+
+def c14():
+    W = NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02})
+    return W, T.solve_V(quiet_problem(W, 8))
+
+
+def counting_solve_sd(monkeypatch):
+    """Patch solve_sd to record the number of variables of each call."""
+    seen = []
+    solve_sd = sd.solve_sd
+
+    def counted(W, *args, **kwargs):
+        seen.append(W.n_vars)
+        return solve_sd(W, *args, **kwargs)
+
+    monkeypatch.setattr(sd, "solve_sd", counted)
+    return seen
+
+
+def test_separable_check_is_exact_at_full_degree_in_one_variable(monkeypatch):
+    W, sol = c14()
+    seen = counting_solve_sd(monkeypatch)
+    rep = T.verify_transport(sol, W, 8)
+    # the n=2 check at cap 20 read 2.67e-3 here, its truncation error
+    assert rep["max_moment_deviation"] <= 1e-6 and rep["sd_residual"] <= 1e-6
+    assert rep["degree"] == 8
+    # the two variables share one pair (W_i, V_i): one law of V, one of W
+    assert seen == [1, 1]
+
+
+def test_separable_check_reports_the_worse_variable():
+    for a, b in ((0.02, 0.03), (0.03, 0.02)):
+        W = NCSeries(2, 8, {(0, 0, 0, 0): a, (1, 1, 1, 1): b})
+        rep = T.verify_transport(T.solve_V(quiet_problem(W, 8)), W, 8)
+        alone = []
+        for c in (a, b):
+            W1 = NCSeries(1, 8, {(0, 0, 0, 0): c})
+            alone.append(T.verify_transport(T.solve_V(quiet_problem(W1, 8)), W1, 8))
+        worse = int(alone[1]["max_moment_deviation"] > alone[0]["max_moment_deviation"])
+        assert alone[0]["max_moment_deviation"] != alone[1]["max_moment_deviation"]
+        assert rep["max_moment_deviation"] == alone[worse]["max_moment_deviation"]
+        assert rep["worst_word"] == [worse + 1] * len(alone[worse]["worst_word"])
+        # here the larger residual belongs to the other variable
+        assert rep["sd_residual"] == max(r["sd_residual"] for r in alone)
+        assert rep["sd_residual"] != alone[worse]["sd_residual"]
+
+
+def test_mixed_word_in_v_takes_the_joint_check(monkeypatch):
+    W, sol = c14()
+    V = sol.V + NCSeries(2, 8, {(0, 1, 0, 1): 1e-3, (1, 0, 1, 0): 1e-3})
+    seen = counting_solve_sd(monkeypatch)
+    rep = T.verify_transport(T.TransportSolution(V, sol.tau_Y, {}), W, 4)
+    assert seen == [2, 2]
+    assert rep["max_moment_deviation"] >= 1e-2 and rep["worst_word"] == [1, 2, 1, 2]
+
+
+def test_separable_check_catches_a_truncated_v():
+    W, sol = c14()
+    bad = T.TransportSolution(sol.V.truncate(6), sol.tau_Y, {})
+    assert T.verify_transport(bad, W, 6)["max_moment_deviation"] >= 1e-2
+
+
+def test_three_variable_separable_check_runs_one_pair(monkeypatch):
+    W = NCSeries(3, 4, {(i,) * 4: 0.01 for i in range(3)})
+    sol = T.solve_V(quiet_problem(W, 4))
+    seen = counting_solve_sd(monkeypatch)
+    rep = T.verify_transport(sol, W, 4)
+    assert seen == [1, 1]
+    assert rep["max_moment_deviation"] <= 1e-8
+
+
+def test_joint_laws_of_a_separable_solution_agree_with_its_marginals():
+    # the n=2 Schwinger-Dyson and pushforward tables of C14, against each
+    # other on every word, mixed ones included, and against the one-variable
+    # tables of the separable check on the one-letter words
+    W, sol = c14()
+    joint = {}
+    V_x = NCSeries(1, 8, {w: c for w, c in sol.V.terms.items() if set(w) == {0}})
+    for n, V, W_, cap in ((2, sol.V, W, 16), (1, V_x, NCSeries(1, 8, {(0, 0, 0, 0): 0.02}), 40)):
+        tau_y = sd.solve_sd(V.truncate(cap), cap)
+        pushed = sd.pushforward_trace(tau_y, pushed_map(V, cap), 4)
+        joint[n] = pushed, sd.solve_sd(W_.truncate(cap), cap)
+    pushed, direct = joint[2]
+    dev = [np.abs(a - b).max() for a, b in zip(pushed.values, direct.values)]
+    assert max(dev) <= 1e-4
+    # a free product of centered laws: tau(xxyy) = tau(xx) tau(yy), tau(xyxy) = 0
+    m2 = joint[1][0].value((0, 0))
+    assert abs(pushed.value((0, 0, 1, 1)) - m2 ** 2) <= 1e-4
+    assert abs(pushed.value((0, 1, 0, 1))) <= 1e-4
+    for length in range(5):
+        for i in range(2):
+            for table, one in zip(joint[2], joint[1]):
+                assert abs(table.value((i,) * length) - one.value((0,) * length)) <= 1e-4
+
+
 def test_nonseparable_mixed_term_solution(monkeypatch):
     # a mixed perturbation takes the general refinement path, in either regime,
     # and no Picard step
