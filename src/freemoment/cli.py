@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 from . import gibbs1d, measure1d, moment1d, sdmoments, transport
 from .errors import FreeMomentError, InvalidInputError
@@ -80,7 +79,9 @@ def cmd_gibbs1d(args):
 def _load_target(text):
     if text.startswith("builtin:"):
         return moment1d.builtin_target(text[len("builtin:"):])
-    return measure1d.GridMeasure.from_json(text)
+    target = measure1d.GridMeasure.from_json(text)
+    target.validate()
+    return target
 
 
 def cmd_moment1d(args):
@@ -104,20 +105,24 @@ def cmd_transport_nc(args):
     try:
         W = transport.NCSeries.from_json(args.series)
         degree = args.degree if args.degree else max(W.max_degree, W.degree())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            problem = transport.TransportProblem(W, degree, cutoff=args.cutoff, tol=args.tol)
+        problem = transport.TransportProblem(W, degree, cutoff=args.cutoff, tol=args.tol)
         sol = transport.solve_V(problem)
-        report = transport.verify_transport(sol, W, min(6, degree))
+        report, ok = _check_transport(sol, W)
         out = sol.to_dict()
         out["verification"] = report
         _emit(out, args.json, args.out)
         if not args.json:
             print(f"V norm_A = {sol.diagnostics['v_norm_A']!r}")
             print(f"verification = {report}")
-        return EXIT_OK if report["max_moment_deviation"] < MOMENT_DEVIATION_TOL else EXIT_INVALID
+        return EXIT_OK if ok else EXIT_INVALID
     except FreeMomentError as exc:
         return _fail(exc, "free_transport")
+
+
+def _check_transport(sol, W):
+    """The report of ``verify_transport`` to degree min(6, D), and whether it passes."""
+    report = transport.verify_transport(sol, W, min(6, sol.V.max_degree))
+    return report, report["max_moment_deviation"] < MOMENT_DEVIATION_TOL
 
 
 def _residuals_pass(report):
@@ -142,8 +147,7 @@ def cmd_verify(args):
                 raise InvalidInputError("verifying a transport solution needs --series W.json")
             W = transport.NCSeries.from_json(args.series)
             sol = transport.TransportSolution.from_dict(data)
-            report = transport.verify_transport(sol, W, min(6, sol.V.max_degree))
-            ok = report["max_moment_deviation"] < MOMENT_DEVIATION_TOL
+            report, ok = _check_transport(sol, W)
         elif "uprime" in data:
             report = moment1d.particle_residuals(data["uprime"]["x"], data["uprime"]["value"])
             ok = _residuals_pass(report)

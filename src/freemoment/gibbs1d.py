@@ -52,11 +52,29 @@ def _sine_density(a, theta):
     return -vals / np.pi
 
 
+def _density(a, r, x):
+    """Density at x of the one-cut law with Fourier coefficients ``a`` at
+    radius ``r``: the sine series, clipped at 0."""
+    theta = np.arccos(np.clip(-x / r, -1.0, 1.0))
+    return np.clip(_sine_density(a, theta), 0.0, None)
+
+
+def _theta_rule(a, r):
+    """The theta-Gauss rule ``(x, weights)`` of the one-cut law with Fourier
+    coefficients ``a`` at radius ``r``, so that the integral of f is
+    ``weights @ f(x)``, and the density at its nodes."""
+    theta, w = _gauss_theta(max(64, 4 * a.size + 16))
+    dens = _sine_density(a, theta)
+    return -r * np.cos(theta), w * dens * r * np.sin(theta), dens
+
+
 class EvenPotential:
     """Even polynomial u(x) = sum_k c_{2k} x^{2k} with positive leading term."""
 
     def __init__(self, even_coeffs):
         coeffs = [float(c) for c in even_coeffs]
+        if not all(map(math.isfinite, coeffs)):
+            raise InvalidInputError(f"even coefficients must be finite, got {coeffs}")
         while coeffs and coeffs[-1] == 0.0:
             coeffs.pop()
         if not coeffs:
@@ -120,6 +138,9 @@ def _float_radius(coeffs):
     """The root of ``solve_radius`` as np.roots gives it, from raw c_2, c_4, ...;
     RegimeError when there is none, which a negative top coefficient allows."""
     poly = [k * math.comb(2 * k, k) * c for k, c in enumerate(coeffs, start=1)]
+    if not all(map(math.isfinite, poly)):
+        raise RegimeError(f"no support radius: the radius equation of even coefficients "
+                          f"{[float(c) for c in coeffs]} overflows")
     roots = np.roots(list(reversed(poly)) + [-1.0])
     z = [z.real for z in roots if z.real > 0 and abs(z.imag) <= 1e-12 * abs(z)]
     if not z:
@@ -154,11 +175,10 @@ def _one_cut(coeffs, r=None):
         r = _float_radius(coeffs)
     a = fourier_coefficients(functools.partial(_even_deriv, coeffs), r,
                              max(2 * len(coeffs) - 1, 1))
-    theta, w = _gauss_theta(max(64, 4 * a.size + 16))
-    dens = _sine_density(a, theta)
+    x, weights, dens = _theta_rule(a, r)
     if not dens.min() >= -NEGATIVITY_TOL:
         raise RegimeError("one-cut assumption violated: density would be negative")
-    return a, -r * np.cos(theta), w * dens * r * np.sin(theta)
+    return a, x, weights
 
 
 class GibbsSolution(JSONMixin):
@@ -179,19 +199,13 @@ class GibbsSolution(JSONMixin):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if scalar and abs(x[0]) >= self.radius:
             raise InvalidInputError("density evaluation requires |x| < r")
-        theta = np.arccos(np.clip(-x / self.radius, -1.0, 1.0))
-        vals = _sine_density(self.fourier, theta)
-        vals[vals < -1e-12] = np.nan
-        vals = np.clip(vals, 0.0, None)
-        vals[np.abs(x) >= self.radius] = 0.0
+        vals = np.where(np.abs(x) < self.radius, _density(self.fourier, self.radius, x), 0.0)
         return float(vals[0]) if scalar else vals
 
     def _theta_integral(self, f):
-        # integral over [-r, r] of f(x) d(measure) via the theta substitution
-        theta, w = _gauss_theta(max(64, 4 * self.fourier.size + 16))
-        x = -self.radius * np.cos(theta)
-        dens = _sine_density(self.fourier, theta)
-        return float(np.sum(w * f(x) * dens * self.radius * np.sin(theta)))
+        # integral over [-r, r] of f(x) d(measure) by the theta-Gauss rule
+        x, weights, _ = _theta_rule(self.fourier, self.radius)
+        return float(weights @ f(x))
 
     def moment(self, k):
         """Exact k-th moment of the Fourier-form density."""
@@ -219,7 +233,7 @@ class GibbsSolution(JSONMixin):
                    GridMeasure.from_dict(d["measure"]))
 
 
-def free_gibbs_measure(u, n_nodes=measure1d.DEFAULT_NODES, n_cells=measure1d.DEFAULT_CELLS):
+def free_gibbs_measure(u):
     """Free Gibbs measure of an even polynomial potential.
 
     Fails with RegimeError when the candidate density dips below
@@ -247,12 +261,7 @@ def free_gibbs_measure(u, n_nodes=measure1d.DEFAULT_NODES, n_cells=measure1d.DEF
     if abs(mass - 1.0) > 1e-8:
         raise RegimeError(f"assembled density has mass {mass}, not 1")
 
-    def density_fn(x):
-        theta = np.arccos(np.clip(-x / r, -1.0, 1.0))
-        return np.clip(_sine_density(a, theta), 0.0, None)
-
-    sol.measure = GridMeasure.from_callable(density_fn, (-r, r), n_nodes=n_nodes,
-                                            n_cells=n_cells)
+    sol.measure = GridMeasure.from_callable(functools.partial(_density, a, r), (-r, r))
     sol.diagnostics = {"iterations": 0, "residual": residual, "converged": True,
                        "min_density": min_density, "seconds": time.perf_counter() - t0}
     return sol

@@ -104,18 +104,18 @@ class GridMeasure(JSONMixin):
         return m
 
     @classmethod
-    def from_callable(cls, fn, support, n_nodes=DEFAULT_NODES, n_cells=DEFAULT_CELLS,
-                      normalize=True, validate=True):
-        """Sample a density callable on a Chebyshev-spaced node grid."""
+    def from_callable(cls, fn, support, n_nodes=DEFAULT_NODES, n_cells=DEFAULT_CELLS):
+        """Sample a density callable on a Chebyshev-spaced node grid; normalize to mass one."""
         nodes = chebyshev_nodes(support[0], support[1], n_nodes)
         vals = np.clip(np.asarray(fn(nodes), dtype=float), 0.0, None)
-        return cls.from_density(nodes, vals, support=support, normalize=normalize,
-                                n_cells=n_cells, validate=validate)
+        return cls.from_density(nodes, vals, support=support, normalize=True, n_cells=n_cells)
 
     @classmethod
     def from_atoms(cls, atoms, n_cells=DEFAULT_CELLS):
         """A purely atomic measure from (location, mass) pairs."""
         atoms = sorted((float(x), float(w)) for x, w in atoms)
+        if not np.isfinite(atoms).all():
+            raise InvalidInputError(f"atom locations and masses must be finite, got {atoms}")
         if not atoms or any(w <= 0 for _, w in atoms):
             raise InvalidInputError("atoms must be nonempty with positive masses")
         total = sum(w for _, w in atoms)
@@ -280,9 +280,10 @@ class GridMeasure(JSONMixin):
         if not hi > lo or not np.isfinite([lo, hi]).all():
             raise InvalidInputError("support must be a finite nondegenerate interval")
         for xs, ds in self._segments:
-            if np.any(np.diff(xs) <= 0):
+            # written to fail on NaN as well
+            if not (np.diff(xs) > 0).all():
                 raise InvalidInputError("nodes must be strictly increasing")
-            if np.min(ds) < 0:
+            if not (ds >= 0).all():
                 raise InvalidInputError("density must be nonnegative")
             if xs[0] < lo - 1e-12 or xs[-1] > hi + 1e-12:
                 raise InvalidInputError("nodes outside support")
@@ -752,7 +753,5 @@ def displacement_interpolate(m0, m1, t):
         raise InvalidInputError("interpolation time must lie in [0, 1]")
     if m0.atoms:
         raise InvalidInputError("initial measure must be non-atomic")
-    n = max(m0.n_cells, m1.n_cells)
-    e0 = m0._resampled_edges(n)
-    e1 = m1._resampled_edges(n)
+    _, e0, e1 = _pair_grid(m0, m1)
     return GridMeasure.from_quantile_edges((1.0 - t) * e0 + t * e1, validate=False)

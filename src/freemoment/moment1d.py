@@ -50,7 +50,7 @@ class MonotoneMap:
 class MomentProblem:
     """Target measure plus solver knobs for the minimization of F."""
 
-    def __init__(self, target, n_particles=512, max_iters=20000, tol=1e-10, grad_tol=1e-6):
+    def __init__(self, target, n_particles=512, max_iters=20000, tol=1e-10):
         if not isinstance(target, GridMeasure):
             raise InvalidInputError("target must be a GridMeasure")
         if target.is_atomic() and len(target.atoms) == 1:
@@ -61,7 +61,6 @@ class MomentProblem:
             raise InvalidInputError("need at least two particles")
         self.max_iters = int(max_iters)
         self.tol = float(tol)
-        self.grad_tol = float(grad_tol)
         self.barycenter = measure1d.barycenter(target)
 
 
@@ -155,6 +154,8 @@ def _target_quantiles(mu, m):
 
 # halvings of the Newton step before the line search gives up
 MAX_BACKTRACKS = 40
+# largest stationarity residual of a solve reported as converged
+GRAD_TOL = 1e-6
 
 
 def minimize_F(problem):
@@ -173,7 +174,7 @@ def minimize_F(problem):
 
     The iteration stops when that residual is at most problem.tol, or when
     no step decreases F; the result is converged when the residual is at
-    most problem.grad_tol.  The solution's ``diagnostics`` hold the core
+    most GRAD_TOL.  The solution's ``diagnostics`` hold the core
     keys ``iterations``, ``residual``, ``converged`` and ``seconds``, and per
     step the ``objective`` and ``residuals`` (both starting at the initial
     iterate), the squared Newton decrements grad^T (H + 11^T/m)^-1 grad,
@@ -237,7 +238,7 @@ def minimize_F(problem):
         diagnostics["decrements"].append(decrement)
         diagnostics["backtracks"].append(backtracks)
         diagnostics["step_lengths"].append(t)
-    converged = residual <= problem.grad_tol
+    converged = residual <= GRAD_TOL
     diagnostics.update(iterations=it, residual=residual, converged=converged,
                        seconds=time.perf_counter() - t_start)
 
@@ -292,11 +293,8 @@ def verify_solution(sol, mu):
     y = sol.target_quantiles
     rep = particle_residuals(q, y)
     pushed = GridMeasure.from_quantile_edges(
-        np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]]), validate=False) \
-        if np.max(np.diff(y)) > 0 else None
+        np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]]), validate=False)
     mu_c = mu.translate(-measure1d.barycenter(mu))
-    if pushed is None:
-        pushed = GridMeasure.from_atoms([(float(y[0]), 1.0)])
     rep["pushforward_w2"] = math.sqrt(max(measure1d.wasserstein2_sq(pushed, mu_c), 0.0))
     return rep
 
@@ -304,23 +302,22 @@ def verify_solution(sol, mu):
 # -- builtin targets -------------------------------------------------------------
 
 
-def builtin_target(name, n_cells=measure1d.DEFAULT_CELLS):
+def builtin_target(name):
     """Named targets for the command line: semicircle, two_point:a, dirac:c,
     quartic_pushforward."""
     parts = name.split(":")
     kind = parts[0]
     if kind == "semicircle":
-        return measure1d.semicircle(n_cells=n_cells)
+        return measure1d.semicircle()
     if kind == "two_point":
         a = float(parts[1]) if len(parts) > 1 else 1.0
-        return measure1d.two_point(a, n_cells=n_cells)
+        return measure1d.two_point(a)
     if kind in ("dirac", "dirac0"):
         c = float(parts[1]) if len(parts) > 1 else 0.0
-        return measure1d.dirac(c, n_cells=n_cells)
+        return measure1d.dirac(c)
     if kind == "quartic_pushforward":
         from . import gibbs1d
 
-        sol = gibbs1d.free_gibbs_measure(gibbs1d.EvenPotential([0.0, 0.25]),
-                                         n_cells=n_cells)
+        sol = gibbs1d.free_gibbs_measure(gibbs1d.EvenPotential([0.0, 0.25]))
         return measure1d.pushforward_monotone(sol.measure, lambda x: x ** 3)
     raise InvalidInputError(f"unknown builtin target '{name}'")

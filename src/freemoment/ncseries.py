@@ -157,7 +157,10 @@ class NCSeries(JSONMixin):
             word = tuple(int(i) - 1 for i in item["word"])
             if any(i < 0 or i >= d["n_vars"] for i in word):
                 raise InvalidInputError("word letter out of range")
-            terms[word] = terms.get(word, 0.0) + float(item["coeff"])
+            coeff = float(item["coeff"])
+            if not np.isfinite(coeff):
+                raise InvalidInputError(f"coefficient {coeff} of word {item['word']} is not finite")
+            terms[word] = terms.get(word, 0.0) + coeff
         return cls(d["n_vars"], d["max_degree"], terms)
 
 

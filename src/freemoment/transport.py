@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 
 import numpy as np
 
@@ -81,9 +80,6 @@ class TransportProblem:
         self.tau_cap = self.degree + 4
         self.sd_cap = self.degree + 10
         self.guaranteed = norm_A(self.W, GUARANTEE_NORM_RADIUS) < GUARANTEE_MARGIN * DEFAULT_R
-        if not self.guaranteed:
-            warnings.warn("W is outside the guaranteed contraction regime; "
-                          "results are labeled unverified", stacklevel=2)
 
 
 class TransportSolution(JSONMixin):
@@ -102,8 +98,7 @@ class TransportSolution(JSONMixin):
 
     @property
     def transport_map(self):
-        n, D = self.V.n_vars, self.V.max_degree
-        return [NCSeries.variable(i, n, D) + g for i, g in enumerate(cyclic_gradient_vector(self.V))]
+        return _transport_map(self.V, self.V.max_degree)
 
     def to_dict(self):
         return {
@@ -118,6 +113,12 @@ class TransportSolution(JSONMixin):
     def from_dict(cls, d):
         return cls(NCSeries.from_dict(d["V"]), sdmoments.TraceTable.from_dict(d["tau_Y"]),
                    d.get("diagnostics", {}))
+
+
+def _transport_map(V, cap):
+    """The transport map Y + DV, one series per variable, truncated at ``cap``."""
+    return [NCSeries.variable(i, V.n_vars, cap) + g.truncate(cap)
+            for i, g in enumerate(cyclic_gradient_vector(V))]
 
 
 def _stored(diagnostics):
@@ -300,9 +301,7 @@ def _refine_by_moment_matching(problem, start, t0):
         except ConvergenceError:
             return None
         warm["tau"] = tau_y
-        fmap = [NCSeries.variable(i, n, cap) + g.truncate(cap)
-                for i, g in enumerate(cyclic_gradient_vector(V))]
-        return sdmoments._trace_words(tau_y, fmap, words) - target_vals
+        return sdmoments._trace_words(tau_y, _transport_map(V, cap), words) - target_vals
 
     # the start's words lie in the support, sorted like it
     c = np.zeros(len(target_vals))
@@ -453,15 +452,15 @@ def _one_variable(part, max_degree):
                                     if length and c})
 
 
-def _deviations(sol, W, degree, cap):
+def _deviations(V, W, degree, cap, table):
     """The deviation, on each canonical word up to ``degree`` in word order,
     of the law of V pushed through Y + DV from the law solved for W, and the
     pushed law's Schwinger-Dyson residual.  Both laws are solved at ``cap``
-    and the cutoff of the solution's table, the law of V from that table."""
-    tau_y = sdmoments.solve_sd(sol.V.truncate(cap), cap, cutoff=sol.tau_Y.cutoff, init=sol.tau_Y)
-    fmap = [c.truncate(cap) for c in sol.transport_map]
-    tau_x = sdmoments.pushforward_trace(tau_y, fmap, degree)
-    tau_direct = sdmoments.solve_sd(W.truncate(cap), cap, cutoff=sol.tau_Y.cutoff)
+    and the cutoff of the trace table ``table`` of V's law, the law of V
+    from that table."""
+    tau_y = sdmoments.solve_sd(V.truncate(cap), cap, cutoff=table.cutoff, init=table)
+    tau_x = sdmoments.pushforward_trace(tau_y, _transport_map(V, cap), degree)
+    tau_direct = sdmoments.solve_sd(W.truncate(cap), cap, cutoff=table.cutoff)
     dev = np.concatenate([np.abs(a - b) for a, b in zip(tau_x.values, tau_direct.values)])
     return dev, sdmoments.sd_residual(tau_x, W.truncate(degree), degree)
 
@@ -486,7 +485,7 @@ def verify_transport(sol, W, degree):
     w_parts, w_mixed = _split_diagonal(W, W.max_degree)
     v_parts, v_mixed = _split_diagonal(sol.V, sol.V.max_degree)
     if w_mixed or v_mixed:
-        dev, resid = _deviations(sol, W, degree, max(degree + 12, tau.degree_cap))
+        dev, resid = _deviations(sol.V, W, degree, max(degree + 12, tau.degree_cap), tau)
         words = [w for length in range(degree + 1)
                  for w in sdmoments._enumerate_canonical(n, length)]
     else:
@@ -497,8 +496,8 @@ def verify_transport(sol, W, degree):
                 marginal = sdmoments.TraceTable(1, tau.degree_cap, tau.cutoff, [
                     [tau.value((i,) * length)] for length in range(tau.degree_cap + 1)])
                 checked[key] = _deviations(
-                    TransportSolution(_one_variable(v, sol.V.max_degree), marginal, {}),
-                    _one_variable(w, W.max_degree), degree, max(6 * degree, 40, tau.degree_cap))
+                    _one_variable(v, sol.V.max_degree), _one_variable(w, W.max_degree), degree,
+                    max(6 * degree, 40, tau.degree_cap), marginal)
             rows.append(checked[key][0])
         dev, resid = np.array(rows).T.ravel(), max(r for _, r in checked.values())
         words = [(i,) * length for length in range(degree + 1) for i in range(n)]

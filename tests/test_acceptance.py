@@ -6,7 +6,6 @@ lines; every tolerance is pinned here.
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -230,9 +229,7 @@ def test_c12_evenness_preservation():
 def test_c13_transport_1d_cross_check():
     t0 = time.time()
     W = nc.NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sol = T.solve_V(T.TransportProblem(W, 10))
+    sol = T.solve_V(T.TransportProblem(W, 10))
     tau_y = sd.solve_sd(sol.V.truncate(44), 44)
     tau_x = sd.pushforward_trace(tau_y, [c.truncate(44) for c in sol.transport_map], 6)
     oracle = G.free_gibbs_measure(G.EvenPotential([0.5, 0.05]))
@@ -246,9 +243,7 @@ def test_c13_transport_1d_cross_check():
 def test_c14_transport_self_consistency_n2():
     t0 = time.time()
     W = nc.NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sol = T.solve_V(T.TransportProblem(W, 8))
+    sol = T.solve_V(T.TransportProblem(W, 8))
     rep = T.verify_transport(sol, W, 6)
     dt = time.time() - t0
     ok = rep["sd_residual"] < 1e-3 and rep["max_moment_deviation"] < 1e-3 and dt < 300.0

@@ -84,6 +84,36 @@ def test_moment1d_target_from_measure_file(tmp_path, capsys):
     assert abs(data["rho_hat"]["support"][1] - math.pi) < 0.3
 
 
+@pytest.mark.parametrize("sample", [-0.1, math.nan], ids=["negative", "nan"])
+def test_moment1d_target_file_is_validated(sample, tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"support": [-1.0, 1.0], "nodes": [-1.0, 0.0, 1.0],
+                                  "density": [0.5, sample, 0.5], "atoms": [],
+                                  "quantiles": [-0.5, 0.0, 0.5]}))
+    code, stdout, stderr = run(["moment1d", "--target", str(target)], capsys)
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr)["message"] == "density must be nonnegative"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["gibbs1d", "--even-coeffs", "nan"], "[nan]"),
+    (["gibbs1d", "--even-coeffs", "inf"], "[inf]"),
+    (["gibbs1d", "--even-coeffs", "0.5,inf"], "[0.5, inf]"),
+    (["gibbs1d", "--even-coeffs", "1e308,1e308"], "[1e+308, 1e+308]"),
+    (["moment1d", "--target", "builtin:two_point:nan"], "(nan, 0.5)"),
+    (["transport-nc", "--series", "w_nan.json"], "word [1, 2, 1, 2]"),
+], ids=["nan", "inf", "one-inf", "overflow", "two-point-nan", "w-nan"])
+def test_non_finite_input_exits_2(argv, named, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w_nan.json").write_text(
+        '{"n_vars": 2, "max_degree": 4, "terms": [{"word": [1, 1, 1, 1], "coeff": 0.01}, '
+        '{"word": [1, 2, 1, 2], "coeff": NaN}, {"word": [2, 1, 2, 1], "coeff": NaN}]}')
+    code, stdout, stderr = run(argv + ["--json"], capsys)
+    assert code == 2 and stdout == ""
+    err = json.loads(stderr)
+    assert err["code"] == 2 and named in err["message"]
+
+
 def test_moment1d_dirac_rejected(capsys):
     code, _, stderr = run(["moment1d", "--target", "builtin:dirac0"], capsys)
     assert code == 2
@@ -281,6 +311,11 @@ def _write_transport_inputs(directory):
     # 0.01 (x^4 + y^4) + 0.01 cyc(xyxy)
     NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01, (0, 1, 0, 1): 0.005,
                     (1, 0, 1, 0): 0.005}).to_json(str(directory / "w3.json"))
+    # the same W scaled by 1e-3, inside the guaranteed regime
+    NCSeries(2, 4, {(0, 0, 0, 0): 1e-5, (1, 1, 1, 1): 1e-5, (0, 1, 0, 1): 5e-6,
+                    (1, 0, 1, 0): 5e-6}).to_json(str(directory / "w4.json"))
+    NCSeries(2, 6, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01, (0, 1, 0, 1): 0.005,
+                    (1, 0, 1, 0): 0.005}).to_json(str(directory / "w6.json"))
 
 
 def _run_fresh(script, cwd, **env_vars):
@@ -301,10 +336,25 @@ def _run_fresh(script, cwd, **env_vars):
     "assert freemoment.cli.main(['transport-nc', '--series', 'w2.json', '--degree', '8']) == 0",
     "import freemoment.cli\n"
     "assert freemoment.cli.main(['transport-nc', '--series', 'w3.json', '--degree', '4']) == 0",
-], ids=["import", "gibbs1d", "transport-n1", "transport-separable", "transport-mixed"])
+    "import freemoment.cli\n"
+    "assert freemoment.cli.main(['transport-nc', '--series', 'w4.json', '--degree', '4']) == 0",
+    "import json, freemoment.cli\n"
+    "assert freemoment.cli.main(['transport-nc', '--series', 'w6.json', '--degree', '6', "
+    "'--out', 'v6.json']) == 0\n"
+    "assert json.load(open('v6.json'))['diagnostics']['converged'] is True\n"
+    "assert freemoment.cli.main(['verify', '--solution', 'v6.json', '--series', 'w6.json']) == 0",
+    "import json, freemoment.cli\n"
+    "assert freemoment.cli.main(['transport-nc', '--series', 'w2.json', '--degree', '8', "
+    "'--out', 'v2.json']) == 0\n"
+    "assert freemoment.cli.main(['verify', '--solution', 'v2.json', '--series', 'w2.json', "
+    "'--json', '--out', 'r2.json']) == 0\n"
+    "assert json.load(open('r2.json'))['max_moment_deviation'] <= 1e-8",
+], ids=["import", "gibbs1d", "transport-n1", "transport-separable", "transport-mixed",
+        "transport-mixed-guaranteed", "transport-mixed-d6-verify", "transport-separable-verify"])
 def test_cli_does_not_load_scipy(body, tmp_path):
     # SciPy is imported only by moment1d.minimize_F; a fresh interpreter shows
-    # whether anything else pulls it in
+    # whether anything else pulls it in.  The D = 6 mixed W must converge and
+    # pass verify, and C14 must verify to a deviation of at most 1e-8.
     _write_transport_inputs(tmp_path)
     script = body + "\nimport sys\nassert not [m for m in sys.modules " \
                     "if m == 'scipy' or m.startswith('scipy.')]"

@@ -152,6 +152,18 @@ def test_gibbs_measure_moment_quadrature(quartic_solution):
     assert abs(quartic_solution.moment(1)) < 1e-14
 
 
+def test_solution_integrals_take_the_one_cut_rule(quartic_solution):
+    # moments, mass and the SD number are integrals by the one theta-Gauss
+    # rule that _one_cut returns, to the last bit
+    sol = quartic_solution
+    a, x, weights = G._one_cut(sol.potential.even_coeffs, sol.radius)
+    assert np.array_equal(a, sol.fourier)
+    for k in range(7):
+        assert sol.moment(k) == float(weights @ x ** k)
+    assert sol.mass() == float(weights @ np.ones_like(x))
+    assert sol.sd_scalar() == float(weights @ (x * sol.potential.deriv(x)))
+
+
 def test_diagnostics_stay_out_of_json(quartic_solution):
     diag = quartic_solution.diagnostics
     assert {"iterations", "residual", "converged", "seconds", "min_density"} <= set(diag)

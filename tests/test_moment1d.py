@@ -214,7 +214,7 @@ def test_iteration_cap_reports_not_converged(semicircle):
     sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=256, max_iters=2))
     assert sol.iterations == 2
     assert not sol.converged and not sol.diagnostics["converged"]
-    assert sol.diagnostics["residual"] > mo.MomentProblem(semicircle).grad_tol
+    assert sol.diagnostics["residual"] > mo.GRAD_TOL
 
 
 def test_scaling_law(quartic_solution):

@@ -29,12 +29,6 @@ def even_ball_sample(rng, n, degree, a_radius, ball_radius):
     return f * scale
 
 
-def quiet_problem(W, degree, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return T.TransportProblem(W, degree, **kw)
-
-
 def test_problem_validation():
     with pytest.raises(InvalidInputError):
         T.TransportProblem(NCSeries(1, 6, {(0, 0, 0): 0.1}), 6)  # odd degree term
@@ -44,8 +38,11 @@ def test_problem_validation():
         T.TransportProblem(NCSeries(2, 6, {(0, 1, 0, 1): 0.1}), 6)  # not self-adjoint
     with pytest.raises(InvalidInputError, match="degree must be at least"):
         T.TransportProblem(NCSeries(2, 4, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}), 2)
-    with pytest.warns(UserWarning):
-        T.TransportProblem(NCSeries(1, 6, {(0, 0, 0, 0): 0.05}), 6)
+    assert not T.TransportProblem(NCSeries(1, 6, {(0, 0, 0, 0): 0.05}), 6).guaranteed
+    # C13 lies outside the guaranteed regime too, and building it warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not T.TransportProblem(NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10).guaranteed
 
 
 def test_picard_map_at_zero_is_zero():
@@ -195,7 +192,7 @@ def test_picard_map_three_variables():
 
 
 def test_solve_zero_perturbation():
-    prob = quiet_problem(NCSeries.zero(1, 8), 8)
+    prob = T.TransportProblem(NCSeries.zero(1, 8), 8)
     sol = T.solve_V(prob)
     assert sol.V.terms == {}
     assert sol.diagnostics["guaranteed_regime"]
@@ -214,7 +211,7 @@ def test_solve_guaranteed_regime_small_w():
 
 def test_solution_invariants_quartic():
     W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
-    sol = T.solve_V(quiet_problem(W, 10))
+    sol = T.solve_V(T.TransportProblem(W, 10))
     assert sol.V.is_even()
     assert sol.V.is_selfadjoint(tol=1e-12)
     # V lies in the range of the cyclic symmetrizer
@@ -252,7 +249,7 @@ def test_cyclic_derivative_of_bracket_vanishes_at_fixed_point():
 
 def test_end_to_end_matches_1d_oracle():
     W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
-    sol = T.solve_V(quiet_problem(W, 10))
+    sol = T.solve_V(T.TransportProblem(W, 10))
     tau_y = sd.solve_sd(sol.V.truncate(44), 44)
     tau_x = sd.pushforward_trace(tau_y, [c.truncate(44) for c in sol.transport_map], 6)
     oracle = G.free_gibbs_measure(G.EvenPotential([0.5, 0.05]))
@@ -262,7 +259,7 @@ def test_end_to_end_matches_1d_oracle():
 
 def test_verify_transport_detects_truncated_v():
     W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
-    sol = T.solve_V(quiet_problem(W, 10))
+    sol = T.solve_V(T.TransportProblem(W, 10))
     crippled = NCSeries(1, 10, {w: c for w, c in sol.V.terms.items() if len(w) <= 2})
     bad = T.TransportSolution(crippled, sol.tau_Y, sol.diagnostics)
     rep = T.verify_transport(bad, W, 6)
@@ -271,7 +268,7 @@ def test_verify_transport_detects_truncated_v():
 
 def test_verify_transport_reads_v_not_the_stored_map():
     W = NCSeries(1, 6, {(0, 0, 0, 0): 0.05})
-    sol = T.solve_V(quiet_problem(W, 6))
+    sol = T.solve_V(T.TransportProblem(W, 6))
     d = json.loads(json.dumps(sol.to_dict()))
     d["transport_map"] = [NCSeries.variable(0, 1, 6).to_dict()]
     back = T.TransportSolution.from_dict(d)
@@ -282,7 +279,7 @@ def test_verify_transport_reads_v_not_the_stored_map():
 def test_verify_transport_rejects_w_in_other_variables():
     # the other way round (an n=2 solution against an n=1 W) the rule's one-variable
     # cap of 40 would be applied to the n=2 solution; the same check stops it first
-    sol = T.solve_V(quiet_problem(NCSeries(1, 4, {(0,) * 4: 0.01}), 4))
+    sol = T.solve_V(T.TransportProblem(NCSeries(1, 4, {(0,) * 4: 0.01}), 4))
     W2 = NCSeries(2, 4, {(0,) * 4: 0.01, (1,) * 4: 0.01})
     with pytest.raises(InvalidInputError):
         T.verify_transport(sol, W2, 4)
@@ -290,7 +287,7 @@ def test_verify_transport_rejects_w_in_other_variables():
 
 def test_separable_two_variable_solution():
     W = NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02})
-    sol = T.solve_V(quiet_problem(W, 8))
+    sol = T.solve_V(T.TransportProblem(W, 8))
     assert sol.diagnostics.get("separable")
     # components agree across the exchange symmetry
     assert abs(sol.V.coeff((0, 0)) - sol.V.coeff((1, 1))) < 1e-14
@@ -313,7 +310,7 @@ def test_split_diagonal_takes_a_constant_term():
 
 def c14():
     W = NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02})
-    return W, T.solve_V(quiet_problem(W, 8))
+    return W, T.solve_V(T.TransportProblem(W, 8))
 
 
 def counting_solve_sd(monkeypatch):
@@ -343,11 +340,11 @@ def test_separable_check_is_exact_at_full_degree_in_one_variable(monkeypatch):
 def test_separable_check_reports_the_worse_variable():
     for a, b in ((0.02, 0.03), (0.03, 0.02)):
         W = NCSeries(2, 8, {(0, 0, 0, 0): a, (1, 1, 1, 1): b})
-        rep = T.verify_transport(T.solve_V(quiet_problem(W, 8)), W, 8)
+        rep = T.verify_transport(T.solve_V(T.TransportProblem(W, 8)), W, 8)
         alone = []
         for c in (a, b):
             W1 = NCSeries(1, 8, {(0, 0, 0, 0): c})
-            alone.append(T.verify_transport(T.solve_V(quiet_problem(W1, 8)), W1, 8))
+            alone.append(T.verify_transport(T.solve_V(T.TransportProblem(W1, 8)), W1, 8))
         worse = int(alone[1]["max_moment_deviation"] > alone[0]["max_moment_deviation"])
         assert alone[0]["max_moment_deviation"] != alone[1]["max_moment_deviation"]
         assert rep["max_moment_deviation"] == alone[worse]["max_moment_deviation"]
@@ -374,7 +371,7 @@ def test_separable_check_catches_a_truncated_v():
 
 def test_three_variable_separable_check_runs_one_pair(monkeypatch):
     W = NCSeries(3, 4, {(i,) * 4: 0.01 for i in range(3)})
-    sol = T.solve_V(quiet_problem(W, 4))
+    sol = T.solve_V(T.TransportProblem(W, 4))
     seen = counting_solve_sd(monkeypatch)
     rep = T.verify_transport(sol, W, 4)
     assert seen == [1, 1]
@@ -416,7 +413,7 @@ def test_nonseparable_mixed_term_solution(monkeypatch):
     for diag, mixed, guaranteed, bound in ((0.01, 0.01, False, 1e-3), (1e-5, 1e-5, True, 1e-9)):
         W = NCSeries(2, 4, {(0, 0, 0, 0): diag, (1, 1, 1, 1): diag}) \
             + mixed * cyclic_symmetrize(NCSeries.monomial((0, 1, 0, 1), 1.0, 2, 4))
-        sol = T.solve_V(quiet_problem(W, 4))
+        sol = T.solve_V(T.TransportProblem(W, 4))
         assert sol.diagnostics["converged"]
         assert sol.diagnostics["guaranteed_regime"] == guaranteed
         rep = T.verify_transport(sol, W, 4)
@@ -446,7 +443,7 @@ def test_mixed_w_at_degree_6_converges_with_one_sd_cap(monkeypatch):
     monkeypatch.setattr(sd, "solve_sd", counted)
     W = NCSeries(2, 6, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01,
                         (0, 1, 0, 1): 0.005, (1, 0, 1, 0): 0.005})
-    problem = quiet_problem(W, 6)
+    problem = T.TransportProblem(W, 6)
     sol = T.solve_V(problem)
     assert sol.diagnostics["converged"] and sol.diagnostics["residual"] <= 1e-9
     assert len(calls) <= 40 and set(calls) == {problem.sd_cap, problem.tau_cap}
@@ -464,7 +461,7 @@ def test_mixed_w_starts_from_its_diagonal_part(monkeypatch):
     monkeypatch.setattr(T, "_solve_one_variable", counted)
     W = NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.02}) \
         + 0.01 * cyclic_symmetrize(NCSeries.monomial((0, 1, 0, 1), 1.0, 2, 4))
-    sol = T.solve_V(quiet_problem(W, 4))
+    sol = T.solve_V(T.TransportProblem(W, 4))
     assert calls == [(0.0, 0.01), (0.0, 0.02)]
     assert sol.diagnostics["converged"] and "separable" not in sol.diagnostics
     assert T.verify_transport(sol, W, 4)["max_moment_deviation"] < 1e-3
@@ -473,7 +470,7 @@ def test_mixed_w_starts_from_its_diagonal_part(monkeypatch):
 def test_mixed_word_alone_converges_from_zero():
     W = 0.01 * cyclic_symmetrize(NCSeries.monomial((0, 1, 0, 1), 1.0, 2, 4))
     assert not T._split_diagonal(W, 4)[0].any()
-    sol = T.solve_V(quiet_problem(W, 4))
+    sol = T.solve_V(T.TransportProblem(W, 4))
     assert sol.diagnostics["converged"]
     assert T.verify_transport(sol, W, 4)["max_moment_deviation"] < 1e-3
 
@@ -492,7 +489,7 @@ def test_mixed_w_without_one_cut_diagonal_part_starts_from_zero(monkeypatch):
     with pytest.raises(InvalidInputError):
         T._solve_one_variable((0.0, -0.05), 4, 1e-10)
     with pytest.raises(ConvergenceError, match="cutoff bound persistently active"):
-        T.solve_V(quiet_problem(W, 4))
+        T.solve_V(T.TransportProblem(W, 4))
     assert len(starts) == 1 and starts[0].terms == {}
 
 
@@ -516,7 +513,7 @@ def test_quartic_sweep_matches_1d_oracle_at_every_degree():
     v4 = []
     for c in (0.04, 0.045, 0.048, 0.05, 0.0505, 0.055, 0.06):
         W = NCSeries(1, 10, {(0, 0, 0, 0): c})
-        sol = T.solve_V(quiet_problem(W, 10))
+        sol = T.solve_V(T.TransportProblem(W, 10))
         tau_y = sd.solve_sd(sol.V.truncate(60), 60)
         tau_x = sd.pushforward_trace(tau_y, [m.truncate(60) for m in sol.transport_map], 10)
         oracle = G.free_gibbs_measure(G.EvenPotential([0.5, c]))
@@ -531,7 +528,7 @@ def test_non_confining_one_cut_target():
     # critical coupling -1/48 its SD table converges slowly in the cap (off by
     # 1.6e-4 at cap 40), so the reference is the exact law
     W = NCSeries(1, 4, {(0, 0, 0, 0): -0.02})
-    sol = T.solve_V(quiet_problem(W, 4))
+    sol = T.solve_V(T.TransportProblem(W, 4))
     assert sol.diagnostics["converged"]
     _, x, weights = G._one_cut([0.5, -0.02])
     tau_y = sd.solve_sd(sol.V.truncate(40), 40)
@@ -542,7 +539,7 @@ def test_non_confining_one_cut_target():
 
 def test_c13_solution_is_exact_at_degree_10():
     W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
-    sol = T.solve_V(quiet_problem(W, 10))
+    sol = T.solve_V(T.TransportProblem(W, 10))
     assert sol.diagnostics["converged"] and sol.diagnostics["residual"] <= 1e-12
     assert T.verify_transport(sol, W, 10)["max_moment_deviation"] <= 1e-6
 
@@ -559,7 +556,7 @@ def test_one_variable_solve_takes_no_picard_step_or_particles(monkeypatch):
     for W, degree, guaranteed in ((NCSeries(1, 8, {(0, 0, 0, 0): w_small}), 8, True),
                                   (NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10, False),
                                   (NCSeries(2, 8, {(0,) * 4: 1e-6, (1,) * 4: 1e-6}), 8, True)):
-        prob = quiet_problem(W, degree)
+        prob = T.TransportProblem(W, degree)
         assert prob.guaranteed == guaranteed
         diagnostics = T.solve_V(prob).diagnostics
         assert diagnostics["converged"] and diagnostics["separable"]
@@ -567,7 +564,7 @@ def test_one_variable_solve_takes_no_picard_step_or_particles(monkeypatch):
 
 def test_diagnostics_core_keys_and_json():
     W = NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02})
-    sol = T.solve_V(quiet_problem(W, 8))
+    sol = T.solve_V(T.TransportProblem(W, 8))
     for diag in [sol.diagnostics] + sol.diagnostics["components"]:
         assert {"iterations", "residual", "converged", "seconds"} <= diag.keys()
         assert "picard_damping" not in diag
@@ -582,7 +579,7 @@ def test_diagnostics_core_keys_and_json():
 
 def test_solution_json_roundtrip():
     W = NCSeries(1, 8, {(0, 0, 0, 0): 0.01})
-    sol = T.solve_V(quiet_problem(W, 8))
+    sol = T.solve_V(T.TransportProblem(W, 8))
     back = T.TransportSolution.from_dict(sol.to_dict())
     assert back.V.terms == sol.V.terms
     assert back.tau_Y.value((0, 0)) == sol.tau_Y.value((0, 0))
@@ -601,9 +598,9 @@ def pushed_map(V, cap):
 @pytest.mark.parametrize("n,cap,degree", [(1, 44, 6), (2, 14, 4), (3, 8, 4)])
 def test_trace_words_equals_pushforward_trace_exactly(n, cap, degree):
     if n == 1:
-        V = T.solve_V(quiet_problem(NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10)).V
+        V = T.solve_V(T.TransportProblem(NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10)).V
     elif n == 2:
-        V = T.solve_V(quiet_problem(mixed_w(4), 4)).V
+        V = T.solve_V(T.TransportProblem(mixed_w(4), 4)).V
     else:
         V = NCSeries(3, 4, {(0, 0): 0.03, (1, 1): -0.02, (2, 2, 2, 2): 0.01,
                             (0, 1, 0, 1): 0.005, (1, 0, 1, 0): 0.005})
@@ -628,7 +625,7 @@ def test_gauss_newton_residual_is_the_pushforward_on_the_fitted_classes(monkeypa
 
     monkeypatch.setattr(T, "_newton", spy)
     W, D = mixed_w(4), 4
-    problem = quiet_problem(W, D)
+    problem = T.TransportProblem(W, D)
     T.solve_V(problem)
     # the Gauss-Newton is the last Newton of a mixed solve
     residual, c = newton_calls[-1]
@@ -664,7 +661,7 @@ def test_mixed_solve_derives_each_support_once(monkeypatch):
 
     monkeypatch.setattr(sd, "solve_sd", counted)
     sd._support.cache_clear()
-    T.solve_V(quiet_problem(mixed_w(4), 4))
+    T.solve_V(T.TransportProblem(mixed_w(4), 4))
     info = sd._support.cache_info()
     # one support each for the target, the V-laws of every residual and the
     # final trace
@@ -675,5 +672,5 @@ def test_mixed_solve_derives_each_support_once(monkeypatch):
 def test_strong_quartic_at_degree_10_reaches_round_off():
     # with one-sided differences in _newton's Jacobian this case stopped at
     # 2.4e-5, not converged
-    sol = T.solve_V(quiet_problem(NCSeries(1, 10, {(0, 0, 0, 0): 1.0}), 10))
+    sol = T.solve_V(T.TransportProblem(NCSeries(1, 10, {(0, 0, 0, 0): 1.0}), 10))
     assert sol.diagnostics["converged"] and sol.diagnostics["residual"] <= 1e-12
