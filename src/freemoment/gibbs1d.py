@@ -92,15 +92,6 @@ class EvenPotential:
             return cls(json.loads(text)["even_coeffs"])
         return cls([float(p) for p in text.split(",") if p.strip()])
 
-    @classmethod
-    def from_poly_coeffs(cls, coeffs):
-        """From dense coefficients [c0, c1, c2, ...]; odd terms must vanish."""
-        coeffs = [float(c) for c in coeffs]
-        for j, c in enumerate(coeffs):
-            if j % 2 == 1 and c != 0.0:
-                raise InvalidInputError("potential must be even")
-        return cls(coeffs[2::2])
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)

@@ -372,29 +372,26 @@ class GridMeasure(JSONMixin):
 # -- standard measures --------------------------------------------------------
 
 
-def semicircle(radius=2.0, center=0.0, n_nodes=DEFAULT_NODES, n_cells=DEFAULT_CELLS):
-    r = float(radius)
-
+def semicircle():
+    """The standard semicircle law, of radius 2 about 0."""
     def fn(x):
-        x = np.asarray(x, dtype=float) - center
-        return 2.0 / (np.pi * r * r) * np.sqrt(np.clip(r * r - x * x, 0.0, None))
+        x = np.asarray(x, dtype=float)
+        return 2.0 / (np.pi * 2.0 * 2.0) * np.sqrt(np.clip(4.0 - x * x, 0.0, None))
 
-    return GridMeasure.from_callable(fn, (center - r, center + r), n_nodes=n_nodes,
-                                     n_cells=n_cells)
-
-
-def uniform(a=0.0, b=1.0, n_nodes=DEFAULT_NODES, n_cells=DEFAULT_CELLS):
-    nodes = np.linspace(a, b, n_nodes)
-    density = np.full(n_nodes, 1.0 / (b - a))
-    return GridMeasure.from_density(nodes, density, support=(a, b), n_cells=n_cells)
+    return GridMeasure.from_callable(fn, (-2.0, 2.0))
 
 
-def two_point(a=1.0, n_cells=DEFAULT_CELLS):
-    return GridMeasure.from_atoms([(-a, 0.5), (a, 0.5)], n_cells=n_cells)
+def uniform(a=0.0, b=1.0):
+    nodes = np.linspace(a, b, DEFAULT_NODES)
+    return GridMeasure.from_density(nodes, np.full(DEFAULT_NODES, 1.0 / (b - a)), support=(a, b))
 
 
-def dirac(c=0.0, n_cells=DEFAULT_CELLS):
-    return GridMeasure.from_atoms([(c, 1.0)], n_cells=n_cells)
+def two_point(a=1.0):
+    return GridMeasure.from_atoms([(-a, 0.5), (a, 0.5)])
+
+
+def dirac(c=0.0):
+    return GridMeasure.from_atoms([(c, 1.0)])
 
 
 # -- operations ----------------------------------------------------------------

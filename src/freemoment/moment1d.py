@@ -48,18 +48,22 @@ class MonotoneMap:
 
 
 class MomentProblem:
-    """Target measure plus solver knobs for the minimization of F."""
+    """Target measure, particle count and stopping tolerance of the minimization of F."""
 
-    def __init__(self, target, n_particles=512, max_iters=20000, tol=1e-10):
+    def __init__(self, target, n_particles=512, tol=1e-10):
         if not isinstance(target, GridMeasure):
             raise InvalidInputError("target must be a GridMeasure")
         if target.is_atomic() and len(target.atoms) == 1:
             raise InvalidInputError("degenerate target: a single point mass has no moment potential")
+        if max(map(abs, target.support)) > SUPPORT_BOUND:
+            raise InvalidInputError(f"target support {list(target.support)} reaches past "
+                                    f"|x| = {SUPPORT_BOUND:g}")
+        if not 0.0 <= tol < math.inf:
+            raise InvalidInputError(f"tol must be finite and nonnegative, got {tol}")
         self.target = target
         self.n_particles = int(n_particles)
         if self.n_particles < 2:
             raise InvalidInputError("need at least two particles")
-        self.max_iters = int(max_iters)
         self.tol = float(tol)
         self.barycenter = measure1d.barycenter(target)
 
@@ -152,8 +156,13 @@ def _target_quantiles(mu, m):
     return measure1d.quantile(mu, s)
 
 
-# halvings of the Newton step before the line search gives up
+# Newton steps of a solve, and halvings of a step before the line search
+# gives up
+MAX_ITERS = 20000
 MAX_BACKTRACKS = 40
+# largest |x| of a target's support: targets out to 1e5 converge, and the
+# particle sums overflow on a support out to 1e200
+SUPPORT_BOUND = 1e100
 # largest stationarity residual of a solve reported as converged
 GRAD_TOL = 1e-6
 
@@ -172,10 +181,10 @@ def minimize_F(problem):
     max_i |2/(m-1) sum_{j != i} 1/(q_i - q_j) - y_i|, the discrete Hilbert
     identity (m times the largest gradient entry).
 
-    The iteration stops when that residual is at most problem.tol, or when
-    no step decreases F; the result is converged when the residual is at
-    most GRAD_TOL.  The solution's ``diagnostics`` hold the core
-    keys ``iterations``, ``residual``, ``converged`` and ``seconds``, and per
+    The iteration stops when that residual is at most problem.tol, when no
+    step decreases F, or after MAX_ITERS steps; the result is converged when
+    the residual is at most GRAD_TOL.  The solution's ``diagnostics`` hold
+    the core keys ``iterations``, ``residual``, ``converged`` and ``seconds``, and per
     step the ``objective`` and ``residuals`` (both starting at the initial
     iterate), the squared Newton decrements grad^T (H + 11^T/m)^-1 grad,
     the line-search ``backtracks`` and the accepted ``step_lengths``.
@@ -203,7 +212,7 @@ def minimize_F(problem):
     diagnostics = {"objective": [fval], "residuals": [residual], "decrements": [],
                    "backtracks": [], "step_lengths": []}
     it = 0
-    while residual > problem.tol and it < problem.max_iters:
+    while residual > problem.tol and it < MAX_ITERS:
         particle_hessian(q, out=hess)
         hess += 1.0 / m
         # hess is symmetric, so its transpose is the same matrix in the

@@ -331,7 +331,7 @@ def _reversed_codes(n, length):
 
 
 def _canonical_codes(n, length):
-    """Code of sdmoments.canonical_word for every base-n word code of a length.
+    """Least code among the rotations of each word code of a length and of its reversal.
 
     Word w_1..w_L has code sum_k w_k n^(L-k): codes of one length order like words.
     best[c] is the least code among the first ``span`` rotations of c; it is

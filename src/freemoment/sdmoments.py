@@ -26,27 +26,10 @@ from .ncseries import (NCSeries, _canonical_classes, _code, _digits, _positions,
                        _split, _word_ranks, _word_tuples, cyclic_gradient, multiply)
 
 DEFAULT_CUTOFF = 3.0
-# sweep budget and Jacobi damping of solve_sd
+# sweep budget, Jacobi damping and step tolerance of solve_sd
 MAX_SWEEPS = 2000
 DAMPING = 0.5
-
-
-def canonical_word(word):
-    """Lexicographically minimal rotation among the word and its reversal."""
-    k = len(word)
-    if k <= 1:
-        return tuple(word)
-    word = tuple(word)
-    rev = word[::-1]
-    best = word
-    for j in range(k):
-        rot = word[j:] + word[:j]
-        if rot < best:
-            best = rot
-        rot = rev[j:] + rev[:j]
-        if rot < best:
-            best = rot
-    return best
+SD_TOL = 1e-12
 
 
 def _variable_parities(W):
@@ -122,10 +105,13 @@ class TraceTable(JSONMixin):
                                  for length in range(1, cap + 1)]
         for item in d.get("values", []):
             w = tuple(int(i) - 1 for i in item["word"])
-            if not (0 < len(w) <= cap and all(0 <= i < n for i in w) and w == canonical_word(w)):
+            valid = 0 < len(w) <= cap and all(0 <= i < n for i in w)
+            reps, inv = _canonical_classes(n, len(w) if valid else 0)
+            # a canonical word's code is the representative of its class
+            if not (valid and reps[inv[_code(w, n)]] == _code(w, n)):
                 raise InvalidInputError("trace table words must be canonical, with 1 to "
                                         "degree_cap letters in 1..n_vars")
-            values[len(w)][_canonical_classes(n, len(w))[1][_code(w, n)]] = float(item["value"])
+            values[len(w)][inv[_code(w, n)]] = float(item["value"])
         return cls(n, cap, d["cutoff"], values)
 
 
@@ -180,6 +166,27 @@ def _support(n, max_degree, ranks):
     return support.is_even(), tuple(_variable_parities(support)), tuple(terms), tuple(term_ranks)
 
 
+def _orbits(n, length, even_overall, flips, perms):
+    """Orbits of the canonical classes of one length under the letter
+    permutations ``perms``: each live orbit's least code, in order, and the
+    orbit of each class, -1 when it is of odd length and ``even_overall`` or
+    has an odd count of a letter i with ``flips[i]``.  With no permutations
+    the orbits are the live classes."""
+    reps, inv = _canonical_classes(n, length)
+    digits = _digits(reps, n, length)
+    alive = np.full(len(reps), not (even_overall and length % 2 == 1))
+    for i in np.flatnonzero(flips):
+        alive &= (digits == i).sum(axis=1) % 2 == 0
+    # classes order like their codes, so the least class is the least code
+    least = np.arange(len(reps))
+    for perm in perms:
+        least = np.minimum(least, inv[perm[digits] @ n ** np.arange(length - 1, -1, -1)])
+    heads, orbit = np.unique(least[alive], return_inverse=True)
+    out = np.full(len(reps), -1, dtype=np.int64)
+    out[alive] = orbit
+    return reps[heads], out
+
+
 @functools.lru_cache(maxsize=64)
 def _build_structure(n, cap, even_overall, flips, terms):
     """Equation structure for gradient terms ``terms``, from integer word codes.
@@ -191,17 +198,12 @@ def _build_structure(n, cap, even_overall, flips, terms):
     # lookups[L][c]: row of the canonical word of code c, -1 if killed
     index, codes, lookups, nrows = [], [], [], 0
     for length in range(cap + 1):
-        reps, inv = _canonical_classes(n, length)
-        digits = _digits(reps, n, length)
-        alive = np.full(len(reps), not (even_overall and length % 2 == 1))
-        for i in np.flatnonzero(flips):
-            alive &= (digits == i).sum(axis=1) % 2 == 0
-        rows = np.full(len(reps), -1, dtype=np.int64)
-        rows[alive] = nrows + np.arange(np.count_nonzero(alive))
-        nrows += np.count_nonzero(alive)
+        live, orbit = _orbits(n, length, even_overall, flips, ())
+        rows = np.where(orbit >= 0, orbit + nrows, -1)
+        nrows += len(live)
         index.append(rows)
-        lookups.append(rows[inv])
-        codes.append(reps[alive])
+        lookups.append(rows[_canonical_classes(n, length)[1]])
+        codes.append(live)
 
     empty = np.zeros(0, dtype=np.int64)
     pairs, coups = [(empty,) * 3], [(empty,) * 3]
@@ -250,16 +252,15 @@ def _build_structure(n, cap, even_overall, flips, terms):
                       pair_right, terms, coup_rows, coup_terms, coup_targets, dropped)
 
 
-def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, init=None,
-             support_hint=None):
+def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, init=None, support_hint=None):
     """Solve the bounded Schwinger-Dyson equation for potential (1/2)|X|^2 + W.
 
     Damped Jacobi sweeps: each sweep evaluates the right-hand side of every
     word's equation from the current vector at once, starting from the free
-    semicircular family (exact for W = 0) or from ``init``.  Convergence is
-    judged in the cutoff-weighted sup norm.  Raises ConvergenceError when the
-    MAX_SWEEPS budget is exhausted or the cutoff clamp is active on the last
-    sweep.  The returned table carries a ``diagnostics`` dict.
+    semicircular family (exact for W = 0) or from ``init``, until a step is
+    below SD_TOL in the cutoff-weighted sup norm.  Raises ConvergenceError
+    when MAX_SWEEPS sweeps do not get there or the cutoff clamp is active on
+    the last sweep.  The returned table carries a ``diagnostics`` dict.
 
     ``support_hint``: a series whose words are treated as present in W with
     zero coefficient, so repeated solves over a family of potentials with
@@ -307,7 +308,7 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, tol=1e-12, init=None,
         clamped = np.minimum(np.maximum(new, -caps), caps)
         delta = float((np.abs(clamped - vals) / caps).max())
         vals = clamped
-        if delta < tol:
+        if delta < SD_TOL:
             break
     else:
         raise ConvergenceError("Schwinger-Dyson sweeps did not converge")

@@ -63,6 +63,8 @@ class TransportProblem:
     def __init__(self, W, degree, cutoff=sdmoments.DEFAULT_CUTOFF, tol=1e-10):
         if not isinstance(W, NCSeries):
             raise InvalidInputError("W must be an NCSeries")
+        if not 0.0 <= tol < np.inf:
+            raise InvalidInputError(f"tol must be finite and nonnegative, got {tol}")
         if W.coeff(()) != 0.0:
             raise InvalidInputError("W must have zero constant term")
         if not W.is_even():
@@ -206,25 +208,23 @@ def _symmetric_basis(W, degree):
     each word's orbit.
     """
     n = W.n_vars
-    flips = np.flatnonzero(sdmoments._variable_parities(W))
+    flips = sdmoments._variable_parities(W)
     _, lengths, pos, _, letter, _ = _positions(W)
     perms = []
-    for perm in map(np.array, itertools.permutations(range(n))):
+    # the identity comes first and moves no class
+    for perm in map(np.array, itertools.islice(itertools.permutations(range(n)), 1, None)):
         moved = _recode(W, perm[letter] * n ** (lengths - 1 - pos))
         if (np.abs((moved - W).coeffs) < 1e-14).all():
             perms.append(perm)
     classes, count = [], 0
     ranks, owners = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for length in range(2, degree + 1, 2):
-        reps, inv = _canonical_classes(n, length)
-        letters = _digits(np.arange(n ** length), n, length)
-        alive = ((letters[:, :, None] == flips).sum(axis=1) % 2 == 0).all(axis=1)
-        powers = n ** np.arange(length - 1, -1, -1)
-        orbit = np.min([reps[inv[perm[letters] @ powers]] for perm in perms], axis=0)
-        least, owner = np.unique(orbit[alive], return_inverse=True)
+        least, orbit = sdmoments._orbits(n, length, True, flips, perms)
+        owner = orbit[_canonical_classes(n, length)[1]]
+        words = np.flatnonzero(owner >= 0)
         classes.append((length, least))
-        ranks.append(_ranks(np.full(len(owner), length), np.flatnonzero(alive), n))
-        owners.append(count + owner)
+        ranks.append(_ranks(np.full(len(words), length), words, n))
+        owners.append(count + owner[words])
         count += len(least)
     return classes, np.concatenate(ranks), np.concatenate(owners)
 

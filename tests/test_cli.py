@@ -102,12 +102,24 @@ def test_moment1d_target_file_is_validated(sample, tmp_path, capsys):
     (["gibbs1d", "--even-coeffs", "1e308,1e308"], "[1e+308, 1e+308]"),
     (["moment1d", "--target", "builtin:two_point:nan"], "(nan, 0.5)"),
     (["transport-nc", "--series", "w_nan.json"], "word [1, 2, 1, 2]"),
-], ids=["nan", "inf", "one-inf", "overflow", "two-point-nan", "w-nan"])
+    (["moment1d", "--target", "builtin:two_point:1e200"], "support [-1e+200, 1e+200]"),
+    (["moment1d", "--target", "builtin:two_point:1e308"], "support [-1e+308, 1e+308]"),
+    (["moment1d", "--target", "builtin:semicircle", "--tol", "nan"], "tol"),
+    (["moment1d", "--target", "builtin:semicircle", "--tol", "inf"], "tol"),
+    (["moment1d", "--target", "builtin:semicircle", "--tol=-1"], "tol"),
+    (["transport-nc", "--series", "c13.json", "--degree", "10", "--tol", "nan"], "tol"),
+    (["transport-nc", "--series", "c13.json", "--degree", "10", "--tol", "inf"], "tol"),
+    (["transport-nc", "--series", "c13.json", "--degree", "10", "--tol=-1"], "tol"),
+], ids=["nan", "inf", "one-inf", "overflow", "two-point-nan", "w-nan", "target-1e200",
+        "target-1e308", "moment1d-tol-nan", "moment1d-tol-inf", "moment1d-tol-negative",
+        "transport-tol-nan", "transport-tol-inf", "transport-tol-negative"])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "w_nan.json").write_text(
         '{"n_vars": 2, "max_degree": 4, "terms": [{"word": [1, 1, 1, 1], "coeff": 0.01}, '
         '{"word": [1, 2, 1, 2], "coeff": NaN}, {"word": [2, 1, 2, 1], "coeff": NaN}]}')
+    (tmp_path / "c13.json").write_text(
+        '{"n_vars": 1, "max_degree": 4, "terms": [{"word": [1, 1, 1, 1], "coeff": 0.05}]}')
     code, stdout, stderr = run(argv + ["--json"], capsys)
     assert code == 2 and stdout == ""
     err = json.loads(stderr)
@@ -130,9 +142,7 @@ def test_moment1d_two_point(capsys):
 
 
 def test_moment1d_unconverged_exits_2(capsys, monkeypatch):
-    real = cli.moment1d.MomentProblem
-    monkeypatch.setattr(cli.moment1d, "MomentProblem",
-                        lambda target, **kw: real(target, max_iters=1, **kw))
+    monkeypatch.setattr(cli.moment1d, "MAX_ITERS", 1)
     code, stdout, _ = run(["moment1d", "--target", "builtin:semicircle",
                            "--particles", "128", "--json"], capsys)
     data = json.loads(stdout)

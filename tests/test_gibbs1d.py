@@ -138,8 +138,6 @@ def test_potential_validation():
         G.EvenPotential([])
     with pytest.raises(InvalidInputError):
         G.EvenPotential([1.0, -0.5])
-    with pytest.raises(InvalidInputError):
-        G.EvenPotential.from_poly_coeffs([0.0, 1.0, 0.5])  # odd term
     u = G.EvenPotential.parse("0,0.25")
     assert u.even_coeffs == (0.0, 0.25)
     u2 = G.EvenPotential.parse('{"even_coeffs": [0.5, 0.25]}')

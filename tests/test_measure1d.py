@@ -207,8 +207,9 @@ def test_max_correlation_examples(semicircle):
     assert abs(M.max_correlation(semicircle, M.dirac(0.0))) < 1e-14
     assert abs(M.max_correlation(semicircle, semicircle)
                - M._block_moment(semicircle, 2)) < 1e-12
-    sc = M.semicircle(n_cells=8192)
-    tp = M.two_point(1.0, n_cells=8192)
+    sc = M.GridMeasure.from_density(semicircle.nodes, semicircle.density,
+                                    support=semicircle.support, n_cells=8192)
+    tp = M.GridMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)], n_cells=8192)
     # oracle: integral of |x| against the semicircle, 8/(3 pi)
     assert abs(M.max_correlation(sc, tp) - 8.0 / (3.0 * math.pi)) < 1e-6
 

@@ -71,7 +71,8 @@ def test_minimize_two_point_target_finds_abs_potential():
 
 
 def test_recover_potential_derivative_identity(semicircle):
-    sc_fine = M.semicircle(n_cells=8192)
+    sc = M.semicircle()
+    sc_fine = M.GridMeasure.from_density(sc.nodes, sc.density, support=sc.support, n_cells=8192)
     rec = mo.recover_potential_derivative(sc_fine, sc_fine)
     xs = np.linspace(-1.8, 1.8, 101)
     assert np.max(np.abs(rec(xs) - xs)) < 1e-6
@@ -149,9 +150,10 @@ def test_gradient_matches_finite_differences():
             assert abs(fd - grad[k]) <= 1e-5 * max(1.0, abs(grad[k]))
 
 
-def test_objective_monotone_along_solver_path(semicircle):
+def test_objective_monotone_along_solver_path(semicircle, monkeypatch):
     # rerun a short solve and confirm the line search never accepts an increase
-    prob = mo.MomentProblem(semicircle, n_particles=128, max_iters=300)
+    monkeypatch.setattr(mo, "MAX_ITERS", 300)
+    prob = mo.MomentProblem(semicircle, n_particles=128)
     sol = mo.minimize_F(prob)
     assert sol.converged or sol.iterations == 300
     obj = np.asarray(sol.diagnostics["objective"])
@@ -210,8 +212,9 @@ def test_round_off_floor_ends_the_solve(semicircle):
     assert sol.diagnostics["residual"] < 1e-12
 
 
-def test_iteration_cap_reports_not_converged(semicircle):
-    sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=256, max_iters=2))
+def test_iteration_cap_reports_not_converged(semicircle, monkeypatch):
+    monkeypatch.setattr(mo, "MAX_ITERS", 2)
+    sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=256))
     assert sol.iterations == 2
     assert not sol.converged and not sol.diagnostics["converged"]
     assert sol.diagnostics["residual"] > mo.GRAD_TOL
@@ -238,7 +241,16 @@ def test_builtin_targets():
         mo.builtin_target("nope")
 
 
-def test_solution_serialization(semicircle):
-    sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=64, max_iters=50))
+def test_solution_serialization(semicircle, monkeypatch):
+    monkeypatch.setattr(mo, "MAX_ITERS", 50)
+    sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=64))
     d = sol.to_dict()
     assert "rho_hat" in d and "uprime" in d and "functional_value" in d
+
+
+def test_target_support_bound():
+    # a two-point target at 1e5 still converges; one far past the bound is
+    # refused before the particle sums can overflow
+    assert mo.MomentProblem(M.two_point(1e5)).target.support == (-1e5, 1e5)
+    with pytest.raises(InvalidInputError, match="support"):
+        mo.MomentProblem(M.two_point(10.0 * mo.SUPPORT_BOUND))

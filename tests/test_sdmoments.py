@@ -12,6 +12,24 @@ from freemoment.errors import ConvergenceError, InvalidInputError
 CATALAN = [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132]
 
 
+def canonical_word(word):
+    """Lexicographically minimal rotation among the word and its reversal."""
+    k = len(word)
+    if k <= 1:
+        return tuple(word)
+    word = tuple(word)
+    rev = word[::-1]
+    best = word
+    for j in range(k):
+        rot = word[j:] + word[:j]
+        if rot < best:
+            best = rot
+        rot = rev[j:] + rev[:j]
+        if rot < best:
+            best = rot
+    return best
+
+
 def test_catalan_moments():
     tab = sd.solve_sd(NCSeries.zero(1, 12), 12)
     got = [tab.value(tuple([0] * k)) for k in range(13)]
@@ -132,11 +150,11 @@ def test_cutoff_guard():
 
 
 def test_canonical_word():
-    assert sd.canonical_word((1, 0, 0)) == (0, 0, 1)
-    assert sd.canonical_word((0, 1, 1, 0)) == (0, 0, 1, 1)
-    assert sd.canonical_word(()) == ()
+    assert canonical_word((1, 0, 0)) == (0, 0, 1)
+    assert canonical_word((0, 1, 1, 0)) == (0, 0, 1, 1)
+    assert canonical_word(()) == ()
     # reversal included
-    assert sd.canonical_word((0, 1, 2)) == sd.canonical_word((2, 1, 0))
+    assert canonical_word((0, 1, 2)) == canonical_word((2, 1, 0))
 
 
 def test_table_json_roundtrip():
@@ -178,15 +196,16 @@ def test_table_with_listed_zeros_loads_to_the_same_table():
     assert back.to_dict() == data
 
 
-def test_warm_start_from_lower_cap_matches_cold_solve():
+def test_warm_start_from_lower_cap_matches_cold_solve(monkeypatch):
     W = NCSeries(2, 4, {(0,) * 4: 0.02, (1,) * 4: 0.02, (0, 1, 0, 1): 0.01, (1, 0, 1, 0): 0.01})
     # the sweeps stop on the step size, so two solves at tol agree only to a
     # small multiple of it; at tol 1e-13 they agree to 1e-12
-    low = sd.solve_sd(W, 8, tol=1e-13)
-    cold = sd.solve_sd(W, 14, tol=1e-13)
-    warm = sd.solve_sd(W, 14, tol=1e-13, init=low)
+    monkeypatch.setattr(sd, "SD_TOL", 1e-13)
+    low = sd.solve_sd(W, 8)
+    cold = sd.solve_sd(W, 14)
+    warm = sd.solve_sd(W, 14, init=low)
     # the start is read from the table: a solved table is already a fixed point
-    assert sd.solve_sd(W, 14, tol=1e-13, init=cold).diagnostics["iterations"] == 1
+    assert sd.solve_sd(W, 14, init=cold).diagnostics["iterations"] == 1
     gap = max(float(np.abs(a - b).max()) / 3.0 ** length
               for length, (a, b) in enumerate(zip(warm.values, cold.values)))
     assert gap <= 1e-12
@@ -214,7 +233,7 @@ def test_table_diagnostics_stay_out_of_json():
 def test_enumerate_canonical_matches_canonical_word():
     for n, max_len in ((2, 12), (3, 7)):
         for length in range(max_len + 1):
-            expected = sorted({sd.canonical_word(w)
+            expected = sorted({canonical_word(w)
                                for w in itertools.product(range(n), repeat=length)})
             assert list(sd._enumerate_canonical(n, length)) == expected
 
@@ -225,7 +244,7 @@ def test_canonical_codes_map_every_word_to_its_canonical_code():
         for length in range(1, max_len + 1):
             canon = _canonical_codes(n, length)
             expected = [sum(letter * n ** k
-                            for k, letter in enumerate(reversed(sd.canonical_word(w))))
+                            for k, letter in enumerate(reversed(canonical_word(w))))
                         for w in itertools.product(range(n), repeat=length)]
             assert canon.tolist() == expected
             reps, inv = sd._canonical_classes(n, length)
@@ -253,7 +272,7 @@ def _reference_structure(n, cap, even_overall, flips, terms):
     def index_of(word):
         if _killed_by_symmetry(word, even_overall, flips):
             return None
-        return index[sd.canonical_word(word)]
+        return index[canonical_word(word)]
 
     words = [()] + [w for length in range(1, cap + 1)
                     for w in sd._enumerate_canonical(n, length)

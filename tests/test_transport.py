@@ -9,7 +9,8 @@ from freemoment import gibbs1d as G
 from freemoment import moment1d
 from freemoment import sdmoments as sd
 from freemoment import transport as T
-from freemoment.ncseries import (NCSeries, _series, cyclic_gradient, cyclic_gradient_vector,
+from freemoment.ncseries import (NCSeries, _canonical_classes, _digits, _positions, _ranks,
+                                  _recode, _series, cyclic_gradient, cyclic_gradient_vector,
                                   cyclic_symmetrize, drop_constant, jacobian, multiply, norm_A,
                                   number_op, number_op_inverse, substitute)
 from freemoment.errors import ConvergenceError, InvalidInputError
@@ -674,3 +675,56 @@ def test_strong_quartic_at_degree_10_reaches_round_off():
     # 2.4e-5, not converged
     sol = T.solve_V(T.TransportProblem(NCSeries(1, 10, {(0, 0, 0, 0): 1.0}), 10))
     assert sol.diagnostics["converged"] and sol.diagnostics["residual"] <= 1e-12
+
+
+def _all_code_orbits(W, degree):
+    """The orbits of _symmetric_basis computed over every code of each length:
+    each code's least canonical code under W's variable permutations, and
+    the codes W's flip symmetries keep, both from the code's letters."""
+    n = W.n_vars
+    flips = np.flatnonzero(sd._variable_parities(W))
+    _, lengths, pos, _, letter, _ = _positions(W)
+    perms = []
+    for perm in map(np.array, itertools.permutations(range(n))):
+        moved = _recode(W, perm[letter] * n ** (lengths - 1 - pos))
+        if (np.abs((moved - W).coeffs) < 1e-14).all():
+            perms.append(perm)
+    classes, count = [], 0
+    ranks, owners = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for length in range(2, degree + 1, 2):
+        reps, inv = _canonical_classes(n, length)
+        letters = _digits(np.arange(n ** length), n, length)
+        alive = ((letters[:, :, None] == flips).sum(axis=1) % 2 == 0).all(axis=1)
+        powers = n ** np.arange(length - 1, -1, -1)
+        orbit = np.min([reps[inv[perm[letters] @ powers]] for perm in perms], axis=0)
+        least, owner = np.unique(orbit[alive], return_inverse=True)
+        classes.append((length, least))
+        ranks.append(_ranks(np.full(len(owner), length), np.flatnonzero(alive), n))
+        owners.append(count + owner)
+        count += len(least)
+    return classes, np.concatenate(ranks), np.concatenate(owners)
+
+
+def _s3_w(x4):
+    """0.005 (x_i x_j x_i x_j + x_j x_i x_j x_i) for i < j in three variables,
+    plus x4[i] x_i^4."""
+    terms = {(i,) * 4: c for i, c in enumerate(x4)}
+    for i, j in itertools.combinations(range(3), 2):
+        terms[(i, j, i, j)] = terms[(j, i, j, i)] = 0.005
+    return NCSeries(3, 4, terms)
+
+
+@pytest.mark.parametrize("W, degree", [
+    (mixed_w(4), 6),
+    (mixed_w(4) + NCSeries(2, 4, {(1, 1, 1, 1): 0.01}), 6),
+    (_s3_w([0.01, 0.01, 0.01]), 4),
+    (_s3_w([0.02, 0.01, 0.01]), 4),
+], ids=["swap", "no-swap", "s3", "s2-of-s3"])
+def test_symmetric_basis_matches_all_code_orbits(W, degree):
+    classes, support, owner = T._symmetric_basis(W, degree)
+    ref_classes, ref_support, ref_owner = _all_code_orbits(W, degree)
+    assert [length for length, _ in classes] == [length for length, _ in ref_classes]
+    for (_, codes), (_, ref) in zip(classes, ref_classes):
+        assert np.array_equal(codes, ref)
+    assert np.array_equal(support, ref_support)
+    assert np.array_equal(owner, ref_owner)
