@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from . import gibbs1d, measure1d, moment1d, sdmoments, transport
+from . import gibbs1d, measure1d, moment1d, transport
 from .errors import FreeMomentError, InvalidInputError
 
 EXIT_OK = 0
@@ -105,7 +105,7 @@ def cmd_transport_nc(args):
     try:
         W = transport.NCSeries.from_json(args.series)
         degree = args.degree if args.degree else max(W.max_degree, W.degree())
-        problem = transport.TransportProblem(W, degree, cutoff=args.cutoff, tol=args.tol)
+        problem = transport.TransportProblem(W, degree, tol=args.tol)
         sol = transport.solve_V(problem)
         report, ok = _check_transport(sol, W)
         out = sol.to_dict()
@@ -177,7 +177,6 @@ def build_parser():
     t = sub.add_parser("transport-nc", help="noncommutative transport for an even perturbation")
     t.add_argument("--series", required=True, help="W as NCSeries JSON")
     t.add_argument("--degree", type=int, default=None)
-    t.add_argument("--cutoff", type=float, default=sdmoments.DEFAULT_CUTOFF)
     v = sub.add_parser("verify", help="recheck a stored solution file")
     v.add_argument("--solution", required=True)
     v.add_argument("--series", default=None)

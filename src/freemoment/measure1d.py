@@ -49,6 +49,11 @@ def chebyshev_nodes(a, b, n):
     return 0.5 * (a + b) - 0.5 * (b - a) * np.cos(theta)
 
 
+def _flat_cells(e, d):
+    """Which cells of edges ``e`` (widths ``d``) are flat: atoms, not density blocks."""
+    return d <= _FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)
+
+
 class GridMeasure(JSONMixin):
     """A compactly supported probability measure on the line.
 
@@ -140,8 +145,7 @@ class GridMeasure(JSONMixin):
             raise InvalidInputError("quantile edges must be nondecreasing")
         edges = np.maximum.accumulate(edges)
         n = edges.size - 1
-        scale = edges[-1] - edges[0]
-        flat = np.diff(edges) <= _FLAT_TOL * (scale + 1.0)
+        flat = _flat_cells(edges, np.diff(edges))
         # maximal runs of flat cells j..k-1
         step = np.diff(np.concatenate([[0], flat.astype(np.int8), [0]]))
         atoms = [(float(edges[j]), (k - j) / n)
@@ -309,7 +313,7 @@ class GridMeasure(JSONMixin):
         """Midpoint density samples of the equal-mass block model."""
         e = self._edges
         d = np.diff(e)
-        keep = d > _FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)
+        keep = ~_flat_cells(e, d)
         mids = 0.5 * (e[:-1] + e[1:])[keep]
         dens = (1.0 / d.size) / d[keep]
         return mids, dens
@@ -418,7 +422,7 @@ def _block_moment(m, k):
     # Exact k-th moment of the equal-mass block model.
     e = m._edges
     d = np.diff(e)
-    flat = d <= _FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)
+    flat = _flat_cells(e, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (e[1:] ** (k + 1) - e[:-1] ** (k + 1)) / ((k + 1) * d)
     vals[flat] = e[:-1][flat] ** k
@@ -439,7 +443,7 @@ def absolute_moment(m):
     vals[same] = 0.5 * np.abs(a + b)[same]
     cross = ~same
     vals[cross] = (a[cross] ** 2 + b[cross] ** 2) / (2.0 * d[cross])
-    flat = d <= _FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)
+    flat = _flat_cells(e, d)
     vals[flat] = np.abs(a[flat])
     return float(np.mean(vals))
 
@@ -667,7 +671,7 @@ def log_energy(m):
         return math.inf
     e = m._edges
     d = np.diff(e)
-    if np.any(d <= _FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)):
+    if np.any(_flat_cells(e, d)):
         return math.inf
     n = d.size
     w = 1.0 / d

@@ -300,7 +300,7 @@ def cyclic_gradient_vector(f):
 # first letter most significant.  A matrix over M (x) M^op adds two leading
 # matrix axes, {(l, r): array of shape (k, k, n**l, n**r)}.  Blocks may be
 # absent or all zero.  The same codes index the words of the Schwinger-Dyson
-# solver, whose trace tables hold one value per class of _canonical_classes.
+# solver, whose trace tables hold one value per cyclic class of words.
 
 
 def _digits(codes, n, length):
@@ -313,60 +313,6 @@ def _code(word, n):
     for letter in word:
         code = code * n + letter
     return code
-
-
-def _reversed_codes(n, length):
-    """Code of the reversed word for every base-n word code of a length.
-
-    A word hi.lo reverses to rev(lo).rev(hi), so each length is built from
-    the tables of its two halves.
-    """
-    codes = np.arange(n ** length, dtype=np.int64)
-    if length <= 1:
-        return codes
-    half = length // 2
-    hi, lo = np.divmod(codes, n ** half)
-    return (_reversed_codes(n, half)[lo] * n ** (length - half)
-            + _reversed_codes(n, length - half)[hi])
-
-
-def _canonical_codes(n, length):
-    """Least code among the rotations of each word code of a length and of its reversal.
-
-    Word w_1..w_L has code sum_k w_k n^(L-k): codes of one length order like words.
-    best[c] is the least code among the first ``span`` rotations of c; it is
-    built by doubling, from best_{a+b}(c) = min(best_a(c), best_b(rot_a(c))).
-    """
-    codes = np.arange(n ** length, dtype=np.int64)
-
-    def rotated(shift):
-        # every code with its ``shift`` leading letters moved to the end
-        head, rest = np.divmod(codes, n ** (length - shift))
-        return rest * n ** shift + head
-
-    best, span = codes, 1
-    for bit in bin(length)[3:]:
-        best = np.minimum(best, best[rotated(span)])
-        span *= 2
-        if bit == "1":
-            best = np.minimum(best, rotated(span))
-            span += 1
-    return np.minimum(best, best[_reversed_codes(n, length)])
-
-
-@functools.lru_cache(maxsize=None)
-def _canonical_classes(n, length):
-    """Sorted canonical codes of a length, and each code's index among them.
-
-    A canonical code is its own canonical code, so the codes c with
-    best[c] == c are the classes in order, and a running count numbers them.
-    """
-    best = _canonical_codes(n, length)
-    is_rep = best == np.arange(len(best))
-    reps = np.flatnonzero(is_rep)
-    inv = (np.cumsum(is_rep) - 1)[best]
-    reps.flags.writeable = inv.flags.writeable = False
-    return reps, inv
 
 
 def _product(a, b, max_degree, spec):
@@ -489,7 +435,7 @@ def trace_contract(t, tau):
     if top > cap:
         raise InvalidInputError("tensor word exceeds the trace table cap")
     # each length's class array, expanded to all word codes
-    traces = [tau.values[length][_canonical_classes(n, length)[1]] for length in range(top + 1)]
+    traces = [tau.at(length, np.arange(n ** length)) for length in range(top + 1)]
     out = {}
     for (l, r), blk in t.items():
         out[r] = out.get(r, 0.0) + traces[l] @ blk

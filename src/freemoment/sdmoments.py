@@ -8,8 +8,7 @@ Computes the trace of the free Gibbs law with potential
 over canonical cyclic words (indexed by base-n integer codes) up to a degree
 cap, by damped Jacobi sweeps of the whole moment vector from the free
 semicircular family, clamped to the cutoff ball |tau(w)| <= T^|w|.  Equations
-that would reference moments above the cap drop those terms; the dropped
-coefficient mass is reported as a tail estimate.
+that would reference moments above the cap drop those terms.
 """
 
 from __future__ import annotations
@@ -22,14 +21,69 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
 from .jsonio import JSONMixin
-from .ncseries import (NCSeries, _canonical_classes, _code, _digits, _positions, _series,
-                       _split, _word_ranks, _word_tuples, cyclic_gradient, multiply)
+from .ncseries import (NCSeries, _code, _digits, _positions, _series, _split, _word_ranks,
+                       _word_tuples, cyclic_gradient, multiply)
 
-DEFAULT_CUTOFF = 3.0
+# the radius T of the bounded-moment ball |tau(w)| <= T^|w|
+CUTOFF = 3.0
 # sweep budget, Jacobi damping and step tolerance of solve_sd
 MAX_SWEEPS = 2000
 DAMPING = 0.5
 SD_TOL = 1e-12
+
+
+def _reversed_codes(n, length):
+    """Code of the reversed word for every base-n word code of a length.
+
+    A word hi.lo reverses to rev(lo).rev(hi), so each length is built from
+    the tables of its two halves.
+    """
+    codes = np.arange(n ** length, dtype=np.int64)
+    if length <= 1:
+        return codes
+    half = length // 2
+    hi, lo = np.divmod(codes, n ** half)
+    return (_reversed_codes(n, half)[lo] * n ** (length - half)
+            + _reversed_codes(n, length - half)[hi])
+
+
+def _canonical_codes(n, length):
+    """Least code among the rotations of each word code of a length and of its reversal.
+
+    Word w_1..w_L has code sum_k w_k n^(L-k): codes of one length order like words.
+    best[c] is the least code among the first ``span`` rotations of c; it is
+    built by doubling, from best_{a+b}(c) = min(best_a(c), best_b(rot_a(c))).
+    """
+    codes = np.arange(n ** length, dtype=np.int64)
+
+    def rotated(shift):
+        # every code with its ``shift`` leading letters moved to the end
+        head, rest = np.divmod(codes, n ** (length - shift))
+        return rest * n ** shift + head
+
+    best, span = codes, 1
+    for bit in bin(length)[3:]:
+        best = np.minimum(best, best[rotated(span)])
+        span *= 2
+        if bit == "1":
+            best = np.minimum(best, rotated(span))
+            span += 1
+    return np.minimum(best, best[_reversed_codes(n, length)])
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_classes(n, length):
+    """Sorted canonical codes of a length, and each code's index among them.
+
+    A canonical code is its own canonical code, so the codes c with
+    best[c] == c are the classes in order, and a running count numbers them.
+    """
+    best = _canonical_codes(n, length)
+    is_rep = best == np.arange(len(best))
+    reps = np.flatnonzero(is_rep)
+    inv = (np.cumsum(is_rep) - 1)[best]
+    reps.flags.writeable = inv.flags.writeable = False
+    return reps, inv
 
 
 def _variable_parities(W):
@@ -59,12 +113,10 @@ class TraceTable(JSONMixin):
     by a symmetry of the potential hold 0.  A word is looked up by its code.
     """
 
-    def __init__(self, n_vars, degree_cap, cutoff, values, tail_estimate=0.0):
+    def __init__(self, n_vars, degree_cap, values):
         self.n_vars = int(n_vars)
         self.degree_cap = int(degree_cap)
-        self.cutoff = float(cutoff)
         self.values = [np.asarray(v, dtype=float) for v in values]
-        self.tail_estimate = float(tail_estimate)
         self.diagnostics = {}
 
     def at(self, length, codes):
@@ -96,10 +148,15 @@ class TraceTable(JSONMixin):
                  for length, vals in enumerate(self.values[1:], start=1)
                  for k in np.flatnonzero(vals)]
         return {"n_vars": self.n_vars, "degree_cap": self.degree_cap,
-                "cutoff": self.cutoff, "values": items}
+                "cutoff": CUTOFF, "values": items}
 
     @classmethod
     def from_dict(cls, d):
+        """Read a table written by ``to_dict``: its cutoff must be CUTOFF and
+        its values must lie in the cutoff ball, as a solved table's do."""
+        if d.get("cutoff") != CUTOFF:
+            raise InvalidInputError(f"trace table cutoff must be {CUTOFF}, "
+                                    f"got {d.get('cutoff')!r}")
         n, cap = int(d["n_vars"]), int(d["degree_cap"])
         values = [np.ones(1)] + [np.zeros(len(_canonical_classes(n, length)[0]))
                                  for length in range(1, cap + 1)]
@@ -111,8 +168,13 @@ class TraceTable(JSONMixin):
             if not (valid and reps[inv[_code(w, n)]] == _code(w, n)):
                 raise InvalidInputError("trace table words must be canonical, with 1 to "
                                         "degree_cap letters in 1..n_vars")
-            values[len(w)][inv[_code(w, n)]] = float(item["value"])
-        return cls(n, cap, d["cutoff"], values)
+            value = float(item["value"])
+            # NaN fails the comparison too
+            if not abs(value) <= CUTOFF ** len(w):
+                raise InvalidInputError(f"trace table value {value} of word {item['word']} "
+                                        f"is outside the cutoff ball |tau(w)| <= {CUTOFF}^|w|")
+            values[len(w)][inv[_code(w, n)]] = value
+        return cls(n, cap, values)
 
 
 def noncrossing_pair_count(word):
@@ -144,10 +206,9 @@ def noncrossing_pair_count(word):
 # pair_rows[k] gets the split of w at a letter i into rows pair_left[k],
 # pair_right[k]; row coup_rows[k] gets tau(w * gw) = row coup_targets[k] for the
 # term terms[coup_terms[k]] = (i, gw) of D_i W.  Rows are sorted by word, then
-# split position or term order.  dropped[t] counts the equations whose term t
-# exceeds the cap; start is the free semicircular family.
+# split position or term order; start is the free semicircular family.
 _Structure = collections.namedtuple("_Structure", "index bounds lengths start pair_rows pair_left "
-                                   "pair_right terms coup_rows coup_terms coup_targets dropped")
+                                   "pair_right terms coup_rows coup_terms coup_targets")
 
 
 @functools.lru_cache(maxsize=64)
@@ -207,7 +268,6 @@ def _build_structure(n, cap, even_overall, flips, terms):
 
     empty = np.zeros(0, dtype=np.int64)
     pairs, coups = [(empty,) * 3], [(empty,) * 3]
-    dropped = np.zeros(len(terms), dtype=np.int64)
     for length in range(1, cap + 1):
         rows = lookups[length][codes[length]]
         m = length - 1
@@ -220,10 +280,9 @@ def _build_structure(n, cap, even_overall, flips, terms):
             keep = (letter == first) & (a >= 0) & (b >= 0)
             pairs.append((rows[keep], a[keep], b[keep]))
         for t, (i, gw) in enumerate(terms):
-            sel = first == i
             if m + len(gw) > cap:
-                dropped[t] += np.count_nonzero(sel)
                 continue
+            sel = first == i
             gcode = sum(letter * n ** k for k, letter in enumerate(reversed(gw)))
             j = lookups[m + len(gw)][w[sel] * n ** len(gw) + gcode]
             keep = j >= 0
@@ -249,18 +308,19 @@ def _build_structure(n, cap, even_overall, flips, terms):
     lengths = np.repeat(np.arange(cap + 1), [len(c) for c in codes])
     bounds = tuple(np.cumsum([0] + [len(rows) for rows in index]).tolist())
     return _Structure(np.concatenate(index), bounds, lengths, start, pair_rows, pair_left,
-                      pair_right, terms, coup_rows, coup_terms, coup_targets, dropped)
+                      pair_right, terms, coup_rows, coup_terms, coup_targets)
 
 
-def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, init=None, support_hint=None):
+def solve_sd(W, degree_cap, init=None, support_hint=None):
     """Solve the bounded Schwinger-Dyson equation for potential (1/2)|X|^2 + W.
 
     Damped Jacobi sweeps: each sweep evaluates the right-hand side of every
     word's equation from the current vector at once, starting from the free
     semicircular family (exact for W = 0) or from ``init``, until a step is
-    below SD_TOL in the cutoff-weighted sup norm.  Raises ConvergenceError
+    below SD_TOL in the CUTOFF-weighted sup norm.  Raises ConvergenceError
     when MAX_SWEEPS sweeps do not get there or the cutoff clamp is active on
-    the last sweep.  The returned table carries a ``diagnostics`` dict.
+    the last sweep.  The returned table carries a ``diagnostics`` dict, whose
+    ``residual`` is the last sweep's step, not the equation residual.
 
     ``support_hint``: a series whose words are treated as present in W with
     zero coefficient, so repeated solves over a family of potentials with
@@ -273,8 +333,6 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, init=None, support_hint=None)
         raise InvalidInputError("need at least one variable")
     if not W.is_selfadjoint(tol=0.0):
         raise InvalidInputError("perturbation W must be self-adjoint")
-    if cutoff <= 2.0:
-        raise InvalidInputError("cutoff must exceed 2")
     n = W.n_vars
     ranks = W.ranks if support_hint is None else np.union1d(W.ranks, support_hint.ranks)
     even_overall, flips, terms, term_ranks = _support(n, W.max_degree, ranks.tobytes())
@@ -297,7 +355,7 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, init=None, support_hint=None)
 
     # convergence is measured in the cutoff-weighted sup norm, the metric of
     # the bounded-moment space |tau(w)| <= T^|w|
-    caps = cutoff ** st.lengths
+    caps = CUTOFF ** st.lengths
     for sweeps in range(1, MAX_SWEEPS + 1):
         rhs = np.bincount(st.pair_rows, vals[st.pair_left] * vals[st.pair_right],
                           minlength=len(vals))
@@ -312,18 +370,13 @@ def solve_sd(W, degree_cap, cutoff=DEFAULT_CUTOFF, init=None, support_hint=None)
             break
     else:
         raise ConvergenceError("Schwinger-Dyson sweeps did not converge")
-    clamp_active = bool((clamped != new).any())
-    if clamp_active:
+    if (clamped != new).any():
         raise ConvergenceError("outside perturbative regime: cutoff bound persistently active")
 
-    tail = cutoff ** (degree_cap + 1) * float(np.abs(coeffs) @ st.dropped)
     # killed classes (row -1) read the appended 0
     flat = np.append(vals, 0.0)[st.index]
-    table = TraceTable(n, degree_cap, cutoff,
-                       [flat[a:b] for a, b in zip(st.bounds, st.bounds[1:])],
-                       tail_estimate=tail)
+    table = TraceTable(n, degree_cap, [flat[a:b] for a, b in zip(st.bounds, st.bounds[1:])])
     table.diagnostics = {"iterations": sweeps, "residual": delta, "converged": True,
-                         "clamp_active": clamp_active, "tail_estimate": tail,
                          "structure_cache": cache, "seconds": time.perf_counter() - t0}
     return table
 
@@ -377,9 +430,8 @@ def pushforward_trace(tau, f, degree_cap):
     words = [_enumerate_canonical(n, length) for length in range(1, degree_cap + 1)]
     flat = _trace_words(tau, f, [w for row in words for w in row])
     bounds = np.cumsum([0] + [len(row) for row in words])
-    return TraceTable(n, degree_cap, tau.cutoff,
-                      [np.ones(1)] + [flat[a:b] for a, b in zip(bounds, bounds[1:])],
-                      tail_estimate=tau.tail_estimate)
+    return TraceTable(n, degree_cap,
+                      [np.ones(1)] + [flat[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
 def _trace_words(tau, f, words):

@@ -25,7 +25,6 @@ from .errors import ConvergenceError, InvalidInputError, RegimeError
 from .jsonio import JSONMixin
 from .ncseries import (
     NCSeries,
-    _canonical_classes,
     _digits,
     _positions,
     _ranks,
@@ -60,7 +59,7 @@ NEWTON_STEPS = 15
 class TransportProblem:
     """Problem data for the transport solve."""
 
-    def __init__(self, W, degree, cutoff=sdmoments.DEFAULT_CUTOFF, tol=1e-10):
+    def __init__(self, W, degree, tol=1e-10):
         if not isinstance(W, NCSeries):
             raise InvalidInputError("W must be an NCSeries")
         if not 0.0 <= tol < np.inf:
@@ -75,7 +74,6 @@ class TransportProblem:
             raise InvalidInputError("degree must be at least the degree of W")
         self.W = W.truncate(degree)
         self.degree = int(degree)
-        self.cutoff = float(cutoff)
         self.tol = float(tol)
         # the cap of the stored trace table, and the one cap of every
         # Schwinger-Dyson solve in the Gauss-Newton
@@ -220,7 +218,7 @@ def _symmetric_basis(W, degree):
     ranks, owners = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for length in range(2, degree + 1, 2):
         least, orbit = sdmoments._orbits(n, length, True, flips, perms)
-        owner = orbit[_canonical_classes(n, length)[1]]
+        owner = orbit[sdmoments._canonical_classes(n, length)[1]]
         words = np.flatnonzero(owner >= 0)
         classes.append((length, least))
         ranks.append(_ranks(np.full(len(words), length), words, n))
@@ -281,7 +279,7 @@ def _refine_by_moment_matching(problem, start, t0):
     n = W.n_vars
     D = problem.degree
     cap = problem.sd_cap
-    tau_direct = sdmoments.solve_sd(W.truncate(cap), cap, cutoff=problem.cutoff)
+    tau_direct = sdmoments.solve_sd(W.truncate(cap), cap)
     classes, support, owner = _symmetric_basis(W, D)
     target_vals = np.concatenate([tau_direct.at(length, codes) for length, codes in classes])
     # the words of the fitted classes: the residual traces no other word
@@ -296,8 +294,8 @@ def _refine_by_moment_matching(problem, start, t0):
     def residual(c):
         V = assemble(c)
         try:
-            tau_y = sdmoments.solve_sd(V.truncate(cap), cap, cutoff=problem.cutoff,
-                                       init=warm["tau"], support_hint=hint)
+            tau_y = sdmoments.solve_sd(V.truncate(cap), cap, init=warm["tau"],
+                                       support_hint=hint)
         except ConvergenceError:
             return None
         warm["tau"] = tau_y
@@ -438,7 +436,7 @@ def solve_V(problem):
         V, diagnostics = _refine_by_moment_matching(problem, V, t0)
 
     t_final = time.perf_counter()
-    tau = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap, cutoff=problem.cutoff)
+    tau = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap)
     diagnostics["stage_seconds"]["final_trace"] = time.perf_counter() - t_final
     v_norm = norm_A(V, DEFAULT_A)
     diagnostics.update(v_norm_A=v_norm, norm_bound_satisfied=bool(v_norm <= DEFAULT_R + 1e-12),
@@ -455,12 +453,11 @@ def _one_variable(part, max_degree):
 def _deviations(V, W, degree, cap, table):
     """The deviation, on each canonical word up to ``degree`` in word order,
     of the law of V pushed through Y + DV from the law solved for W, and the
-    pushed law's Schwinger-Dyson residual.  Both laws are solved at ``cap``
-    and the cutoff of the trace table ``table`` of V's law, the law of V
-    from that table."""
-    tau_y = sdmoments.solve_sd(V.truncate(cap), cap, cutoff=table.cutoff, init=table)
+    pushed law's Schwinger-Dyson residual.  Both laws are solved at ``cap``,
+    the law of V warm-started from its trace table ``table``."""
+    tau_y = sdmoments.solve_sd(V.truncate(cap), cap, init=table)
     tau_x = sdmoments.pushforward_trace(tau_y, _transport_map(V, cap), degree)
-    tau_direct = sdmoments.solve_sd(W.truncate(cap), cap, cutoff=table.cutoff)
+    tau_direct = sdmoments.solve_sd(W.truncate(cap), cap)
     dev = np.concatenate([np.abs(a - b) for a, b in zip(tau_x.values, tau_direct.values)])
     return dev, sdmoments.sd_residual(tau_x, W.truncate(degree), degree)
 
@@ -485,7 +482,7 @@ def verify_transport(sol, W, degree):
     w_parts, w_mixed = _split_diagonal(W, W.max_degree)
     v_parts, v_mixed = _split_diagonal(sol.V, sol.V.max_degree)
     if w_mixed or v_mixed:
-        dev, resid = _deviations(sol.V, W, degree, max(degree + 12, tau.degree_cap), tau)
+        dev, resid = _deviations(sol.V, W, degree, degree + 12, tau)
         words = [w for length in range(degree + 1)
                  for w in sdmoments._enumerate_canonical(n, length)]
     else:
@@ -493,11 +490,11 @@ def verify_transport(sol, W, degree):
         for i, (w, v) in enumerate(zip(w_parts, v_parts)):
             key = (w[1:].tobytes(), v[1:].tobytes())
             if key not in checked:
-                marginal = sdmoments.TraceTable(1, tau.degree_cap, tau.cutoff, [
+                marginal = sdmoments.TraceTable(1, tau.degree_cap, [
                     [tau.value((i,) * length)] for length in range(tau.degree_cap + 1)])
                 checked[key] = _deviations(
                     _one_variable(v, sol.V.max_degree), _one_variable(w, W.max_degree), degree,
-                    max(6 * degree, 40, tau.degree_cap), marginal)
+                    max(6 * degree, 40), marginal)
             rows.append(checked[key][0])
         dev, resid = np.array(rows).T.ravel(), max(r for _, r in checked.values())
         words = [(i,) * length for length in range(degree + 1) for i in range(n)]

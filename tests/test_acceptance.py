@@ -218,7 +218,7 @@ def test_c12_evenness_preservation():
             if length % 2 == 0:
                 for k in range(len(values[-1])):
                     values[-1][k] = rng.uniform(-1, 1) * 2.0 ** length
-        tau = sd.TraceTable(2, 8, 3.0, values)
+        tau = sd.TraceTable(2, 8, values)
         out = T.picard_map(v, w, tau, 6)
         worst = max(worst, out.odd_mass())
     dt = time.time() - t0

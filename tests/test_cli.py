@@ -255,9 +255,11 @@ def test_tol_rejected_where_no_solver_uses_it(argv, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--norm-radius", "3"], ["--ball-radius", "0.25"]])
+@pytest.mark.parametrize("flag", [["--norm-radius", "3"], ["--ball-radius", "0.25"],
+                                  ["--cutoff", "4"]])
 def test_transport_cli_has_no_radius_flags(flag, tmp_path, capsys):
-    # the regime test uses fixed radii, so transport-nc takes none
+    # the regime test and the Schwinger-Dyson ball use fixed radii, so
+    # transport-nc takes none
     wfile = tmp_path / "w.json"
     NCSeries(1, 4, {(0, 0, 0, 0): 0.01}).to_json(str(wfile))
     with pytest.raises(SystemExit) as exc:
@@ -408,23 +410,6 @@ def _transport_file(tmp_path, capsys, *extra):
     return wfile, out
 
 
-def test_verification_solves_at_the_solution_cutoff(tmp_path, capsys, monkeypatch):
-    seen = []
-    solve_sd = cli.sdmoments.solve_sd
-
-    def spy(*args, **kw):
-        seen.append(kw["cutoff"])
-        return solve_sd(*args, **kw)
-
-    monkeypatch.setattr(cli.sdmoments, "solve_sd", spy)
-    wfile, out = _transport_file(tmp_path, capsys, "--cutoff", "4")
-    assert seen and set(seen) == {4.0}
-    seen.clear()
-    code, _, _ = run(["verify", "--solution", str(out), "--series", str(wfile)], capsys)
-    assert code == 0
-    assert seen and set(seen) == {4.0}
-
-
 @pytest.mark.parametrize("word", [[1, 3], [1] * 9, [2, 1, 1]],
                          ids=["letter", "length", "canonical"])
 def test_verify_rejects_bad_trace_table_words(tmp_path, capsys, word):
@@ -438,3 +423,50 @@ def test_verify_rejects_bad_trace_table_words(tmp_path, capsys, word):
     assert code == 2
     err = json.loads(stderr)
     assert err["code"] == 2 and "trace table" in err["message"]
+
+
+def _mixed_transport_file(tmp_path, capsys):
+    _write_transport_inputs(tmp_path)
+    wfile, out = tmp_path / "w3.json", tmp_path / "sol.json"
+    code, _, _ = run(["transport-nc", "--series", str(wfile), "--degree", "4",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    return wfile, out, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("value", math.nan, "[1, 1]"), ("value", 1e300, "[1, 1]"), ("cutoff", 4.0, "cutoff")],
+    ids=["nan", "huge", "cutoff"])
+def test_verify_rejects_trace_table_values_outside_the_ball(field, value, named, tmp_path,
+                                                           capsys):
+    # a solved table lies in |tau(w)| <= 3^|w|; the first listed word is x^2
+    wfile, _, data = _mixed_transport_file(tmp_path, capsys)
+    table = data["tau_Y"]
+    assert table["values"][0]["word"] == [1, 1]
+    if field == "value":
+        table["values"][0]["value"] = value
+    else:
+        table["cutoff"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, stderr = run(["verify", "--solution", str(bad), "--series", str(wfile)], capsys)
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["code"] == 2 and "trace table" in err["message"] and named in err["message"]
+
+
+def test_verify_cap_does_not_depend_on_the_stored_table_cap(tmp_path, capsys):
+    # the joint check runs at degree + 12 whatever degree_cap the file claims
+    wfile, out, data = _mixed_transport_file(tmp_path, capsys)
+    assert data["tau_Y"]["degree_cap"] == 8
+    data["tau_Y"]["degree_cap"] = 21
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    reports = []
+    for path in (out, edited):
+        code, stdout, _ = run(["verify", "--solution", str(path), "--series", str(wfile),
+                               "--json"], capsys)
+        assert code == 0
+        reports.append(json.loads(stdout))
+    assert reports[0]["worst_word"] == reports[1]["worst_word"]
+    assert abs(reports[0]["max_moment_deviation"] - reports[1]["max_moment_deviation"]) <= 1e-12

@@ -416,7 +416,7 @@ def test_rank_arrays_match_word_dict_oracle(n, cap, max_len, terms):
     # a trace table with seeded class values, and tensors from the Jacobian
     values = [rng.standard_normal(len(sd._canonical_classes(n, length)[0]))
               for length in range(cap + 1)]
-    tau = sd.TraceTable(n, cap, 3.0, values)
+    tau = sd.TraceTable(n, cap, values)
     assert abs(tau.of_series(nc.NCSeries(n, cap, prod)) - sum(
         c * tau.value(w) for w, c in prod.items())) <= 1e-14 * sum(
         abs(c * tau.value(w)) for w, c in prod.items())

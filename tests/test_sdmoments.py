@@ -1,4 +1,3 @@
-import collections
 import itertools
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from freemoment import gibbs1d as G
 from freemoment import sdmoments as sd
-from freemoment.ncseries import NCSeries, _canonical_codes, cyclic_gradient
+from freemoment.ncseries import NCSeries, cyclic_gradient
 from freemoment.errors import ConvergenceError, InvalidInputError
 
 CATALAN = [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132]
@@ -97,7 +96,7 @@ def test_residual_detects_perturbed_table():
     tab = sd.solve_sd(NCSeries.zero(1, 12), 12)
     values = [v.copy() for v in tab.values]
     values[2][0] += 0.1  # tau(xx)
-    bad = sd.TraceTable(1, 12, 3.0, values)
+    bad = sd.TraceTable(1, 12, values)
     assert sd.sd_residual(bad, NCSeries.zero(1, 12), 12) >= 0.1
 
 
@@ -213,18 +212,10 @@ def test_warm_start_from_lower_cap_matches_cold_solve(monkeypatch):
         sd.solve_sd(NCSeries(1, 4, {(0,) * 4: 0.02}), 8, init=low)
 
 
-def test_tail_estimate_reported():
-    W = NCSeries(1, 8, {(0,) * 4: 0.05})
-    tab = sd.solve_sd(W, 8)
-    assert tab.tail_estimate > 0.0
-
-
 def test_table_diagnostics_stay_out_of_json():
     tab = sd.solve_sd(NCSeries(1, 10, {(0,) * 4: 0.05}), 10)
     diag = tab.diagnostics
-    for key in ("iterations", "residual", "converged", "clamp_active",
-                "tail_estimate", "structure_cache", "seconds"):
-        assert key in diag
+    assert set(diag) == {"iterations", "residual", "converged", "structure_cache", "seconds"}
     assert diag["converged"] and diag["residual"] < 1e-12
     assert diag["structure_cache"] in ("hit", "miss")
     assert "diagnostics" not in tab.to_dict()
@@ -242,7 +233,7 @@ def test_canonical_codes_map_every_word_to_its_canonical_code():
     # _build_structure indexes this map at every word, not only at the representatives
     for n, max_len in ((1, 12), (2, 12), (3, 7), (4, 6)):
         for length in range(1, max_len + 1):
-            canon = _canonical_codes(n, length)
+            canon = sd._canonical_codes(n, length)
             expected = [sum(letter * n ** k
                             for k, letter in enumerate(reversed(canonical_word(w))))
                         for w in itertools.product(range(n), repeat=length)]
@@ -265,9 +256,9 @@ def _killed_by_symmetry(word, even_overall, flips):
 def _reference_structure(n, cap, even_overall, flips, terms):
     """Plain per-word loop over canonical words, the oracle for _build_structure.
 
-    For each canonical v = x_i w: the splits of w at the letter i, the
-    couplings tau(w * gw) of the gradient terms (i, gw), and the terms whose
-    word would exceed the cap.
+    For each canonical v = x_i w: the splits of w at the letter i and the
+    couplings tau(w * gw) of the gradient terms (i, gw) whose word stays
+    within the cap.
     """
     def index_of(word):
         if _killed_by_symmetry(word, even_overall, flips):
@@ -278,7 +269,7 @@ def _reference_structure(n, cap, even_overall, flips, terms):
                     for w in sd._enumerate_canonical(n, length)
                     if not _killed_by_symmetry(w, even_overall, flips)]
     index = {w: k for k, w in enumerate(words)}
-    pair_lists, coupling_lists, dropped = [[]], [[]], collections.Counter()
+    pair_lists, coupling_lists = [[]], [[]]
     for v in words[1:]:
         i, w = v[0], v[1:]
         pairs = []
@@ -292,14 +283,13 @@ def _reference_structure(n, cap, even_overall, flips, terms):
             if t_i != i:
                 continue
             if len(w + gw) > cap:
-                dropped[(i, gw)] += 1
                 continue
             j = index_of(w + gw)
             if j is not None:
                 coups.append((i, gw, j))
         pair_lists.append(pairs)
         coupling_lists.append(coups)
-    return words, pair_lists, coupling_lists, dropped
+    return words, pair_lists, coupling_lists
 
 
 STRUCTURE_CASES = [
@@ -317,7 +307,7 @@ def test_build_structure_matches_per_word_loop(n, cap, terms):
     W = NCSeries(n, 4, terms)
     key = (n, cap, W.is_even(), tuple(sd._variable_parities(W)), _gradient_terms(W))
     st = sd._build_structure(*key)
-    words, pair_lists, coupling_lists, dropped = _reference_structure(*key)
+    words, pair_lists, coupling_lists = _reference_structure(*key)
     # the word of each row, read back from the per-length class -> row index
     row_words = [None] * len(st.lengths)
     for length in range(cap + 1):
@@ -335,13 +325,12 @@ def test_build_structure_matches_per_word_loop(n, cap, terms):
         coups[r].append((*st.terms[t], j))
     assert pairs == pair_lists
     assert coups == coupling_lists
-    assert {st.terms[t]: c for t, c in enumerate(st.dropped) if c} == dict(dropped)
 
 
 def _reference_gauss_seidel(W, cap, cutoff=3.0, tol=1e-12, damping=0.5):
     """Damped Gauss-Seidel sweeps in increasing degree over the oracle structure."""
     grads = [cyclic_gradient(W, i) for i in range(W.n_vars)]
-    words, pair_lists, coupling_lists, _ = _reference_structure(
+    words, pair_lists, coupling_lists = _reference_structure(
         W.n_vars, cap, W.is_even(), sd._variable_parities(W), _gradient_terms(W))
     vals = [1.0] + [0.0] * (len(words) - 1)
     for k in range(1, len(words)):
@@ -395,5 +384,4 @@ def test_support_hint_of_zero_words_leaves_the_table_unchanged(n, cap, terms, ex
     hinted = sd.solve_sd(W, cap, support_hint=hint)
     assert [len(v) for v in hinted.values] == [len(v) for v in plain.values]
     assert all(np.array_equal(a, b) for a, b in zip(hinted.values, plain.values))
-    assert hinted.tail_estimate == plain.tail_estimate
     assert sd._support(n, 4, W.ranks.tobytes())[2] == _gradient_terms(W)

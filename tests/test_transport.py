@@ -9,10 +9,10 @@ from freemoment import gibbs1d as G
 from freemoment import moment1d
 from freemoment import sdmoments as sd
 from freemoment import transport as T
-from freemoment.ncseries import (NCSeries, _canonical_classes, _digits, _positions, _ranks,
-                                  _recode, _series, cyclic_gradient, cyclic_gradient_vector,
-                                  cyclic_symmetrize, drop_constant, jacobian, multiply, norm_A,
-                                  number_op, number_op_inverse, substitute)
+from freemoment.ncseries import (NCSeries, _digits, _positions, _ranks, _recode, _series,
+                                  cyclic_gradient, cyclic_gradient_vector, cyclic_symmetrize,
+                                  drop_constant, jacobian, multiply, norm_A, number_op,
+                                  number_op_inverse, substitute)
 from freemoment.errors import ConvergenceError, InvalidInputError
 
 
@@ -692,7 +692,7 @@ def _all_code_orbits(W, degree):
     classes, count = [], 0
     ranks, owners = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for length in range(2, degree + 1, 2):
-        reps, inv = _canonical_classes(n, length)
+        reps, inv = sd._canonical_classes(n, length)
         letters = _digits(np.arange(n ** length), n, length)
         alive = ((letters[:, :, None] == flips).sum(axis=1) % 2 == 0).all(axis=1)
         powers = n ** np.arange(length - 1, -1, -1)
