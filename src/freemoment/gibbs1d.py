@@ -32,7 +32,20 @@ def _gauss_theta(order):
     # Gauss-Legendre rule mapped to [0, pi]; exact to machine precision for
     # the trigonometric-polynomial integrands this module produces.
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
+    theta, w = 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
+    theta.flags.writeable = w.flags.writeable = False
+    return theta, w
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_sine(grid, n):
+    """Read-only sin(n theta) on a fixed grid: the nodes of the theta-Gauss
+    rule of ``grid`` points, or for ``grid`` None the 8192 uniform points of
+    [0, pi] on which free_gibbs_measure checks the density's sign."""
+    theta = np.linspace(0.0, np.pi, 8192) if grid is None else _gauss_theta(grid)[0]
+    row = np.sin(n * theta)
+    row.flags.writeable = False
+    return row
 
 
 def _even_deriv(coeffs, x):
@@ -44,11 +57,13 @@ def _even_deriv(coeffs, x):
     return out
 
 
-def _sine_density(a, theta):
-    """Density -(1/pi) sum_n a_n sin(n theta) at x = -r cos(theta), summed in n order."""
-    vals = np.zeros_like(theta)
-    for n in range(1, a.size):
-        vals += a[n] * np.sin(n * theta)
+def _sine_density(a, sine):
+    """Density -(1/pi) sum_n a_n sin(n theta), sin(n theta) read from
+    ``sine(n)``, summed in n order; a stack of coefficient vectors along the
+    last axis of ``a`` gives a stack of densities."""
+    vals = np.zeros(a.shape[:-1] + sine(1).shape)
+    for n in range(1, a.shape[-1]):
+        vals += a[..., n, None] * sine(n)
     return -vals / np.pi
 
 
@@ -56,16 +71,18 @@ def _density(a, r, x):
     """Density at x of the one-cut law with Fourier coefficients ``a`` at
     radius ``r``: the sine series, clipped at 0."""
     theta = np.arccos(np.clip(-x / r, -1.0, 1.0))
-    return np.clip(_sine_density(a, theta), 0.0, None)
+    return np.clip(_sine_density(a, lambda n: np.sin(n * theta)), 0.0, None)
 
 
 def _theta_rule(a, r):
     """The theta-Gauss rule ``(x, weights)`` of the one-cut law with Fourier
     coefficients ``a`` at radius ``r``, so that the integral of f is
-    ``weights @ f(x)``, and the density at its nodes."""
-    theta, w = _gauss_theta(max(64, 4 * a.size + 16))
-    dens = _sine_density(a, theta)
-    return -r * np.cos(theta), w * dens * r * np.sin(theta), dens
+    ``weights @ f(x)``, and the density at its nodes.  Weights and density
+    are linear in ``a``, and a stack of ``a`` gives a stack of each."""
+    order = max(64, 4 * a.shape[-1] + 16)
+    theta, w = _gauss_theta(order)
+    dens = _sine_density(a, functools.partial(_fixed_sine, order))
+    return -r * np.cos(theta), w * dens * r * _fixed_sine(order, 1), dens
 
 
 class EvenPotential:
@@ -110,19 +127,31 @@ class EvenPotential:
         return f"EvenPotential({list(self.even_coeffs)})"
 
 
+@functools.lru_cache(maxsize=None)
+def _boundary_grid(n_coeffs):
+    """-cos t on the uniform periodic grid of ``fourier_coefficients``, and
+    the rows cos(n t), n = 1..n_coeffs; read-only."""
+    mpts = 4 * (n_coeffs + 1)
+    theta = np.arange(mpts) * (2.0 * np.pi / mpts)
+    nodes, cosines = -np.cos(theta), np.cos(np.arange(1, n_coeffs + 1)[:, None] * theta)
+    nodes.flags.writeable = cosines.flags.writeable = False
+    return nodes, cosines
+
+
 def fourier_coefficients(uprime, r, n_coeffs):
     """Cosine coefficients a_0..a_N of the boundary values u'(-r cos t)/2.
 
     Trapezoid rule on a uniform periodic grid of 4*(N+1) points, exact when
-    u' is a polynomial of degree <= N.
+    u' is a polynomial of degree <= N.  A ``uprime`` that returns a stack of
+    functions along its first axes gives their coefficients along the same
+    axes.
     """
     if n_coeffs < 1:
         raise InvalidInputError("need at least one Fourier coefficient")
-    mpts = 4 * (n_coeffs + 1)
-    theta = np.arange(mpts) * (2.0 * np.pi / mpts)
-    vals = np.asarray(uprime(-r * np.cos(theta)), dtype=float)
-    cosines = np.cos(np.arange(1, n_coeffs + 1)[:, None] * theta)
-    return np.concatenate(([0.5 * np.mean(vals)], np.mean(vals * cosines, axis=1)))
+    nodes, cosines = _boundary_grid(n_coeffs)
+    vals = np.asarray(uprime(r * nodes), dtype=float)
+    return np.concatenate((0.5 * np.mean(vals, axis=-1)[..., None],
+                           np.mean(vals[..., None, :] * cosines, axis=-1)), axis=-1)
 
 
 def _float_radius(coeffs):
@@ -170,6 +199,43 @@ def _one_cut(coeffs, r=None):
     if not dens.min() >= -NEGATIVITY_TOL:
         raise RegimeError("one-cut assumption violated: density would be negative")
     return a, x, weights
+
+
+def _moment_map(coeffs, jac=False):
+    """The moments m_k of U'(y) under the one-cut law of U = sum_k c_2k y^2k,
+    at the even degrees 2k <= 2 len(coeffs), from raw c_2, c_4, ...: the
+    moment-measure map of Cordero-Erausquin-Klartag.  With ``jac``, also its
+    exact derivative dm_k/dc_2j.
+
+    Moving c_2j moves U' on the boundary circle y = -r cos t by the odd
+    polynomial 2j y^(2j-1) + dr_j y U''(y) / r, the second term through the
+    radius: P(r^2/4) = 1 for P(z) = sum_k k C(2k, k) c_2k z^k gives
+    dz_j = -j C(2j, j) z^j / P'(z), and dr_j = 2 dz_j / r.  That polynomial
+    gives the derivative of the Fourier coefficients, hence of the rule's
+    weights (linear in them, plus weights dr_j / r from their factor r), and
+    of U' at the nodes x = -r cos(theta).  RegimeError as ``_one_cut``.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    r = _float_radius(coeffs)
+    a, x, weights = _one_cut(coeffs, r)
+    f = _even_deriv(coeffs, x)
+    moments = np.array([weights @ f ** (2 * k) for k in range(1, len(coeffs) + 1)])
+    if not jac:
+        return moments
+    k = np.arange(1, len(coeffs) + 1)
+    z = r * r / 4
+    # pk = dP/dc_2k, and P'(z) = sum_k k pk c_2k / z
+    pk = k * np.array([math.comb(2 * j, j) for j in k.tolist()], dtype=float) * z ** k
+    dr = -2.0 / r * pk / (k * pk * coeffs).sum() * z
+    # column j: the even coefficients whose _even_deriv is that polynomial,
+    # y U''(y) being the _even_deriv of (2k - 1) c_2k
+    moved = np.eye(len(coeffs)) + np.outer((2 * k - 1) * coeffs / r, dr)
+    du = functools.partial(_even_deriv, moved[:, :, None])
+    dweights = _theta_rule(fourier_coefficients(du, r, a.size - 1), r)[1] \
+        + weights * (dr / r)[:, None]
+    powers = 2 * k[:, None]
+    return moments, (f ** powers @ dweights.T
+                     + (powers * f ** (powers - 1) * weights) @ du(x).T)
 
 
 class GibbsSolution(JSONMixin):
@@ -244,7 +310,7 @@ def free_gibbs_measure(u):
     sol = GibbsSolution(u, r, a, None)
 
     # a finer grid than the theta-Gauss nodes of _one_cut
-    min_density = float(_sine_density(a, np.linspace(0.0, np.pi, 8192)).min())
+    min_density = float(_sine_density(a, functools.partial(_fixed_sine, None)).min())
     if min_density < -NEGATIVITY_TOL:
         raise RegimeError("one-cut assumption violated: density would be negative")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
 from .jsonio import JSONMixin
-from .ncseries import (NCSeries, _code, _digits, _positions, _series, _split, _word_ranks,
+from .ncseries import (NCSeries, _code, _digits, _positions, _ranks, _series, _split,
                        _word_tuples, cyclic_gradient, multiply)
 
 # the radius T of the bounded-moment ball |tau(w)| <= T^|w|
@@ -215,16 +215,33 @@ _Structure = collections.namedtuple("_Structure", "index bounds lengths start pa
 def _support(n, max_degree, ranks):
     """Of a word support given as int64 rank bytes: whether it is even, its
     flip symmetries, its gradient terms (i, gw) by variable and then word,
-    and each variable's gw ranks."""
+    its ranks under ``max_degree``, the index among them of each word's
+    reversal (-1 outside them), and for every letter of every word, flat as
+    in ``_positions``, the word's index and its term's: the gradient term
+    coefficients are the words' coefficients summed by term in that order,
+    as ``cyclic_gradient`` sums them.  The arrays are read-only."""
     support = _series(n, max_degree, np.frombuffer(ranks, dtype=np.int64),
                       np.ones(len(ranks) // 8))
-    terms, term_ranks = [], []
+    word, length, pos, head, letter, rest = _positions(support)
+    grad = _ranks(length - 1, rest * n ** pos + head, n)
+    terms, letter_terms = [], np.zeros(len(word), dtype=np.int64)
     for i in range(n):
-        words = sorted(_word_tuples(cyclic_gradient(support, i).ranks, n))
-        terms += [(i, gw) for gw in words]
-        term_ranks.append(_word_ranks(words, n))
-        term_ranks[-1].flags.writeable = False
-    return support.is_even(), tuple(_variable_parities(support)), tuple(terms), tuple(term_ranks)
+        hit = letter == i
+        uniq, inv = np.unique(grad[hit], return_inverse=True)
+        words = _word_tuples(uniq, n)
+        order = sorted(range(len(words)), key=words.__getitem__)
+        # the place of each gradient word among the variable's terms
+        letter_terms[hit] = len(terms) + np.argsort(order).astype(np.int64)[inv]
+        terms += [(i, words[k]) for k in order]
+    codes = np.zeros(len(support.ranks), dtype=np.int64)
+    np.add.at(codes, word, letter * n ** pos)
+    mirrored = _ranks(_split(support.ranks, n)[0], codes, n)
+    at = np.searchsorted(support.ranks, mirrored)
+    reversal = np.where(np.append(support.ranks, -1)[at] == mirrored, at, -1)
+    for a in (support.ranks, reversal, word, letter_terms):
+        a.flags.writeable = False
+    return (support.is_even(), tuple(_variable_parities(support)), tuple(terms),
+            support.ranks, reversal, word, letter_terms)
 
 
 def _orbits(n, length, even_overall, flips, perms):
@@ -326,24 +343,27 @@ def solve_sd(W, degree_cap, init=None, support_hint=None):
     zero coefficient, so repeated solves over a family of potentials with
     varying coefficients share one support: its parities and gradient terms
     are derived once, and its equation structure is built once.  A call
-    then only reads W's gradient coefficients onto those terms.
+    then only sums W's coefficients onto those terms and checks them against
+    the reversal of each word.
     """
     t0 = time.perf_counter()
     if W.n_vars < 1:
         raise InvalidInputError("need at least one variable")
-    if not W.is_selfadjoint(tol=0.0):
-        raise InvalidInputError("perturbation W must be self-adjoint")
     n = W.n_vars
     ranks = W.ranks if support_hint is None else np.union1d(W.ranks, support_hint.ranks)
-    even_overall, flips, terms, term_ranks = _support(n, W.max_degree, ranks.tobytes())
+    even_overall, flips, terms, support, reversal, word, letter_terms = _support(
+        n, W.max_degree, ranks.tobytes())
+    # W's coefficients on the support; the last entry is the 0 that a
+    # reversal outside the support reads
+    c = np.zeros(len(support) + 1)
+    c[np.searchsorted(support, W.ranks)] = W.coeffs
+    if (c[:-1] - c[reversal] != 0.0).any():
+        raise InvalidInputError("perturbation W must be self-adjoint")
     hits = _build_structure.cache_info().hits
     st = _build_structure(n, degree_cap, even_overall, flips, terms)
     cache = "hit" if _build_structure.cache_info().hits > hits else "miss"
 
-    # one rank lookup per variable: each term's coefficient in D_i W, or 0
-    grads = [cyclic_gradient(W, i) for i in range(n)]
-    coeffs = np.concatenate([np.where(g.ranks == r[:, None], g.coeffs, 0.0).sum(axis=1)
-                             for g, r in zip(grads, term_ranks)])
+    coeffs = np.bincount(letter_terms, c[word], minlength=len(terms))
     coup_coeffs = coeffs[st.coup_terms]
     vals = st.start.copy()
     if init is not None:

@@ -177,3 +177,13 @@ def test_solution_json_roundtrip(quartic_solution):
     assert np.max(np.abs(back.fourier - quartic_solution.fourier)) == 0.0
     xs = np.linspace(-1.0, 1.0, 11)
     assert np.max(np.abs(back.density(xs) - quartic_solution.density(xs))) == 0.0
+
+
+def test_cached_sines_are_the_sines_read_only():
+    # the two fixed grids: the theta-Gauss nodes and the density-check grid
+    for grid, theta in ((64, G._gauss_theta(64)[0]), (None, np.linspace(0.0, np.pi, 8192))):
+        for n in range(1, 10):
+            row = G._fixed_sine(grid, n)
+            assert not row.flags.writeable and np.array_equal(row, np.sin(n * theta))
+    nodes, cosines = G._boundary_grid(9)
+    assert not nodes.flags.writeable and not cosines.flags.writeable

@@ -385,3 +385,33 @@ def test_support_hint_of_zero_words_leaves_the_table_unchanged(n, cap, terms, ex
     assert [len(v) for v in hinted.values] == [len(v) for v in plain.values]
     assert all(np.array_equal(a, b) for a, b in zip(hinted.values, plain.values))
     assert sd._support(n, 4, W.ranks.tobytes())[2] == _gradient_terms(W)
+    # the cached letter-to-term map sums each term's coefficient as
+    # cyclic_gradient does, to the last bit
+    ranks = np.union1d(W.ranks, hint.truncate(4).ranks)
+    _, _, terms, support, _, word, letter_terms = sd._support(n, 4, ranks.tobytes())
+    c = np.zeros(len(support))
+    c[np.searchsorted(support, W.ranks)] = W.coeffs
+    summed = np.bincount(letter_terms, c[word], minlength=len(terms))
+    assert summed.tolist() == [cyclic_gradient(W, i).coeff(gw) for i, gw in terms]
+
+
+def test_solve_sd_rejects_a_w_that_is_not_self_adjoint():
+    # the check reads each word's reversal off the cached support, with or
+    # without a hint, and agrees with NCSeries.is_selfadjoint
+    hint = NCSeries(2, 4, {(0, 1, 1, 1): 1.0, (1, 1, 1, 0): 1.0, (0, 0): 1.0})
+    for terms, adjoint in (({(0, 1, 1, 1): 0.01}, False),
+                           ({(0, 1, 1, 1): 0.01, (1, 1, 1, 0): 0.02}, False),
+                           ({(0, 1, 1, 1): 0.01, (1, 1, 1, 0): 0.01}, True),
+                           ({(0, 0, 1, 1): 0.01}, False),
+                           ({(0, 1, 1, 0): 0.01}, True),
+                           ({(0, 0, 1): 0.01, (1, 0, 0): 0.01}, True),
+                           ({(0, 0, 1): 0.01, (1, 0, 0): 0.01, (0, 1, 0): -1e-3}, True),
+                           ({(0, 0, 1): 0.01}, False)):
+        W = NCSeries(2, 4, {(0, 0, 0, 0): 0.05, (1, 1, 1, 1): 0.05, **terms})
+        assert W.is_selfadjoint() == adjoint
+        for support_hint in (None, hint):
+            if adjoint:
+                sd.solve_sd(W, 8, support_hint=support_hint)
+            else:
+                with pytest.raises(InvalidInputError, match="self-adjoint"):
+                    sd.solve_sd(W, 8, support_hint=support_hint)

@@ -341,14 +341,25 @@ def test_separable_check_is_exact_at_full_degree_in_one_variable(monkeypatch):
 def test_separable_check_reports_the_worse_variable():
     for a, b in ((0.02, 0.03), (0.03, 0.02)):
         W = NCSeries(2, 8, {(0, 0, 0, 0): a, (1, 1, 1, 1): b})
-        rep = T.verify_transport(T.solve_V(T.TransportProblem(W, 8)), W, 8)
-        alone = []
+        sol = T.solve_V(T.TransportProblem(W, 8))
+        rep = T.verify_transport(sol, W, 8)
+        alone, solved = [], []
         for c in (a, b):
             W1 = NCSeries(1, 8, {(0, 0, 0, 0): c})
-            alone.append(T.verify_transport(T.solve_V(T.TransportProblem(W1, 8)), W1, 8))
+            solved.append((W1, T.solve_V(T.TransportProblem(W1, 8))))
+            alone.append(T.verify_transport(solved[-1][1], W1, 8))
         worse = int(alone[1]["max_moment_deviation"] > alone[0]["max_moment_deviation"])
         assert alone[0]["max_moment_deviation"] != alone[1]["max_moment_deviation"]
-        assert rep["max_moment_deviation"] == alone[worse]["max_moment_deviation"]
+        # the joint check warm-starts from the marginal of the n = 2 table,
+        # 6.5e-7 off the n = 1 table, so it agrees with the n = 1 check to the
+        # Schwinger-Dyson tolerance, and from that marginal to the last bit
+        assert rep["max_moment_deviation"] == pytest.approx(
+            alone[worse]["max_moment_deviation"], rel=1e-4)
+        W1, sol1 = solved[worse]
+        marginal = sd.TraceTable(1, sol.tau_Y.degree_cap, [
+            [sol.tau_Y.value((worse,) * length)] for length in range(sol.tau_Y.degree_cap + 1)])
+        assert rep["max_moment_deviation"] == T.verify_transport(
+            T.TransportSolution(sol1.V, marginal, {}), W1, 8)["max_moment_deviation"]
         assert rep["worst_word"] == [worse + 1] * len(alone[worse]["worst_word"])
         # here the larger residual belongs to the other variable
         assert rep["sd_residual"] == max(r["sd_residual"] for r in alone)
@@ -502,9 +513,53 @@ def test_newton_halves_a_step_past_where_the_residual_is_undefined():
         seen.append(c[0])
         return None if c[0] <= 0.0 else np.log(c)
 
-    c, r, steps = T._newton(residual, np.array([10.0]), 1e-10, 50)
+    c, r, steps = T._newton(residual, lambda c, r: np.diag(1.0 / c), np.array([10.0]), 1e-10, 50)
     assert min(seen) < 0.0
     assert np.max(np.abs(r)) <= 1e-10 and abs(c[0] - 1.0) < 1e-9 and steps < 50
+
+
+def test_newton_builds_the_supplied_jacobian_once_while_steps_succeed():
+    # c^3 = 8 from c = 3: the chord of the first Jacobian converges alone
+    built = []
+
+    def jacobian(c, r):
+        built.append((c.copy(), r.copy()))
+        return np.diag(3.0 * c ** 2)
+
+    c, r, steps = T._newton(lambda c: c ** 3 - 8.0, jacobian, np.array([3.0]), 1e-12, 50)
+    assert abs(c[0] - 2.0) < 1e-12 and np.abs(r).max() <= 1e-12 and steps > 2
+    # built once, at the start, from the residual already in hand
+    assert len(built) == 1 and built[0][0] == 3.0 and built[0][1] == 19.0
+    # a fresh Jacobian pointing the wrong way fails its first step and stops
+    # the solve where it started
+    built.clear()
+    c, r, steps = T._newton(lambda c: c ** 3 - 8.0, lambda c, r: built.append(c) or -np.eye(1),
+                            np.array([3.0]), 1e-12, 50)
+    assert steps == 0 and c[0] == 3.0 and r[0] == 19.0 and len(built) == 1
+    # no Jacobian: no step
+    assert T._newton(lambda c: c - 1.0, lambda c, r: None, np.array([3.0]), 1e-12, 50)[2] == 0
+
+
+def _c13_u():
+    sol = T.solve_V(T.TransportProblem(NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10))
+    return [0.5 + sol.V.coeff((0, 0))] + [sol.V.coeff((0,) * k) for k in range(4, 11, 2)]
+
+
+@pytest.mark.parametrize("coeffs", [
+    _c13_u, lambda: [0.5, 1.0, 0.0, 0.0, 0.0], lambda: [0.5, -0.02],
+    lambda: [0.6, 0.1, -0.01, 0.002, 3e-4],
+], ids=["c13", "strong-quartic-d10", "non-confining-d4", "five-terms"])
+def test_moment_map_jacobian_matches_central_differences(coeffs):
+    u = np.array(coeffs())
+    moments, jac = G._moment_map(u, jac=True)
+    assert np.array_equal(moments, G._moment_map(u))
+    # a step of 1e-5 on the scale r^-2j at which c_2j y^2j is of order one
+    # on the support
+    r = G._float_radius(u)
+    h = 1e-5 * (np.abs(u) + r ** -np.arange(2.0, 2 * len(u) + 1, 2))
+    diff = np.column_stack([(G._moment_map(u + e) - G._moment_map(u - e)) / (2 * hj)
+                            for e, hj in zip(np.diag(h), h)])
+    assert np.abs(jac - diff).max() <= 1e-6 * np.abs(diff).max()
 
 
 def test_quartic_sweep_matches_1d_oracle_at_every_degree():
@@ -619,8 +674,8 @@ def test_gauss_newton_residual_is_the_pushforward_on_the_fitted_classes(monkeypa
     newton_calls, tables = [], []
     newton, solve_sd = T._newton, sd.solve_sd
 
-    def spy(residual, c, tol, max_steps):
-        out = newton(residual, c, tol, max_steps)
+    def spy(residual, jacobian, c, tol, max_steps):
+        out = newton(residual, jacobian, c, tol, max_steps)
         newton_calls.append((residual, out[0]))
         return out
 
@@ -665,14 +720,16 @@ def test_mixed_solve_derives_each_support_once(monkeypatch):
     T.solve_V(T.TransportProblem(mixed_w(4), 4))
     info = sd._support.cache_info()
     # one support each for the target, the V-laws of every residual and the
-    # final trace
-    assert len(supports) == 15 and len(set(supports)) == 3
-    assert info.misses == len(set(supports)) and info.hits == 15 - info.misses
+    # final trace.  The V-laws are those of the start, of the 4 one-sided
+    # difference columns of the one Jacobian and of the 3 accepted steps
+    assert len(supports) == 10 and len(set(supports)) == 3
+    assert info.misses == len(set(supports)) and info.hits == len(supports) - info.misses
 
 
 def test_strong_quartic_at_degree_10_reaches_round_off():
-    # with one-sided differences in _newton's Jacobian this case stopped at
-    # 2.4e-5, not converged
+    # a Jacobian of one-sided differences stopped this case at 2.4e-5, not
+    # converged; the exact Jacobian of gibbs1d._moment_map takes it to
+    # round-off, as central differences did
     sol = T.solve_V(T.TransportProblem(NCSeries(1, 10, {(0, 0, 0, 0): 1.0}), 10))
     assert sol.diagnostics["converged"] and sol.diagnostics["residual"] <= 1e-12
 
