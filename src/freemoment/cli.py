@@ -7,10 +7,11 @@ One executable with subcommands:
     freemoment transport-nc --series W.json --degree 10 --out sol.json
     freemoment verify      --solution sol.json [--series W.json]
 
-Exit codes: 0 success, 1 internal error, 2 invalid input, out-of-regime (any
-solver error, a solve that does not converge included), an unconverged
-moment1d solve or a solution that fails verification.
-Every error path prints a structured JSON object {code, message, module}.
+Exit codes: 0 success, 1 internal error, 2 invalid input (an input file that
+is missing or is not JSON included), out-of-regime (any solver error, a solve
+that does not converge included), an unconverged moment1d solve or a solution
+that fails verification.  Every error path prints a structured JSON object
+{code, message, module}, from ``main`` alone.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ def _emit(obj, as_json, path=None):
         print(text)
 
 
-def _fail(exc, module):
-    """Report a FreeMomentError: the input is invalid or out of any solver's regime."""
-    print(json.dumps({"code": EXIT_INVALID, "message": str(exc), "module": module}),
-          file=sys.stderr)
-    return EXIT_INVALID
-
-
 def _load_potential(text):
     if os.path.exists(text):
         with open(text) as fh:
@@ -58,22 +52,19 @@ def _load_potential(text):
 
 
 def cmd_gibbs1d(args):
-    try:
-        u = _load_potential(args.even_coeffs)
-        sol = gibbs1d.free_gibbs_measure(u)
-        residual = gibbs1d.hilbert_residual(sol)
-        out = sol.to_dict()
-        out["hilbert_residual"] = residual
-        out["sd_scalar"] = sol.sd_scalar()
-        _emit(out, args.json, args.out)
-        if args.out:
-            sol.measure.to_csv(os.path.splitext(args.out)[0] + ".csv")
-        if not args.json:
-            print(f"radius r = {sol.radius!r}")
-            print(f"hilbert residual = {residual:.3e}")
-        return EXIT_OK
-    except FreeMomentError as exc:
-        return _fail(exc, "free_gibbs_1d")
+    u = _load_potential(args.even_coeffs)
+    sol = gibbs1d.free_gibbs_measure(u)
+    residual = gibbs1d.hilbert_residual(sol)
+    out = sol.to_dict()
+    out["hilbert_residual"] = residual
+    out["sd_scalar"] = sol.sd_scalar()
+    _emit(out, args.json, args.out)
+    if args.out:
+        sol.measure.to_csv(os.path.splitext(args.out)[0] + ".csv")
+    if not args.json:
+        print(f"radius r = {sol.radius!r}")
+        print(f"hilbert residual = {residual:.3e}")
+    return EXIT_OK
 
 
 def _load_target(text):
@@ -85,38 +76,32 @@ def _load_target(text):
 
 
 def cmd_moment1d(args):
-    try:
-        target = _load_target(args.target)
-        problem = moment1d.MomentProblem(target, n_particles=args.particles, tol=args.tol)
-        sol = moment1d.minimize_F(problem)
-        report = moment1d.verify_solution(sol, target)
-        out = sol.to_dict()
-        out["residuals"] = report
-        _emit(out, args.json, args.out)
-        if not args.json:
-            print(f"functional value = {sol.functional_value!r}")
-            print(f"residuals = {report}")
-        return EXIT_OK if sol.converged else EXIT_INVALID
-    except FreeMomentError as exc:
-        return _fail(exc, "moment_measure_1d")
+    target = _load_target(args.target)
+    problem = moment1d.MomentProblem(target, n_particles=args.particles, tol=args.tol)
+    sol = moment1d.minimize_F(problem)
+    report = moment1d.verify_solution(sol, target)
+    out = sol.to_dict()
+    out["residuals"] = report
+    _emit(out, args.json, args.out)
+    if not args.json:
+        print(f"functional value = {sol.functional_value!r}")
+        print(f"residuals = {report}")
+    return EXIT_OK if sol.converged else EXIT_INVALID
 
 
 def cmd_transport_nc(args):
-    try:
-        W = transport.NCSeries.from_json(args.series)
-        degree = args.degree if args.degree else max(W.max_degree, W.degree())
-        problem = transport.TransportProblem(W, degree, tol=args.tol)
-        sol = transport.solve_V(problem)
-        report, ok = _check_transport(sol, W)
-        out = sol.to_dict()
-        out["verification"] = report
-        _emit(out, args.json, args.out)
-        if not args.json:
-            print(f"V norm_A = {sol.diagnostics['v_norm_A']!r}")
-            print(f"verification = {report}")
-        return EXIT_OK if ok else EXIT_INVALID
-    except FreeMomentError as exc:
-        return _fail(exc, "free_transport")
+    W = transport.NCSeries.from_json(args.series)
+    degree = args.degree if args.degree else max(W.max_degree, W.degree())
+    problem = transport.TransportProblem(W, degree, tol=args.tol)
+    sol = transport.solve_V(problem)
+    report, ok = _check_transport(sol, W)
+    out = sol.to_dict()
+    out["verification"] = report
+    _emit(out, args.json, args.out)
+    if not args.json:
+        print(f"V norm_A = {sol.diagnostics['v_norm_A']!r}")
+        print(f"verification = {report}")
+    return EXIT_OK if ok else EXIT_INVALID
 
 
 def _check_transport(sol, W):
@@ -131,34 +116,31 @@ def _residuals_pass(report):
 
 
 def cmd_verify(args):
-    try:
-        with open(args.solution) as fh:
-            data = json.load(fh)
-        if "fourier" in data:
-            sol = gibbs1d.GibbsSolution.from_dict(data)
-            report = {
-                "hilbert_residual": gibbs1d.hilbert_residual(sol),
-                "sd_scalar_error": abs(sol.sd_scalar() - 1.0),
-                "radius_condition": abs(sol.radius * float(sol.fourier[1]) + 2.0),
-            }
-            ok = _residuals_pass(report)
-        elif "V" in data:
-            if not args.series:
-                raise InvalidInputError("verifying a transport solution needs --series W.json")
-            W = transport.NCSeries.from_json(args.series)
-            sol = transport.TransportSolution.from_dict(data)
-            report, ok = _check_transport(sol, W)
-        elif "uprime" in data:
-            report = moment1d.particle_residuals(data["uprime"]["x"], data["uprime"]["value"])
-            ok = _residuals_pass(report)
-        else:
-            raise InvalidInputError("unrecognized solution file")
-        _emit(report, args.json, args.out)
-        if not args.json:
-            print(f"verification = {report}")
-        return EXIT_OK if ok else EXIT_INVALID
-    except FreeMomentError as exc:
-        return _fail(exc, "cli")
+    with open(args.solution) as fh:
+        data = json.load(fh)
+    if "fourier" in data:
+        sol = gibbs1d.GibbsSolution.from_dict(data)
+        report = {
+            "hilbert_residual": gibbs1d.hilbert_residual(sol),
+            "sd_scalar_error": abs(sol.sd_scalar() - 1.0),
+            "radius_condition": abs(sol.radius * float(sol.fourier[1]) + 2.0),
+        }
+        ok = _residuals_pass(report)
+    elif "V" in data:
+        if not args.series:
+            raise InvalidInputError("verifying a transport solution needs --series W.json")
+        W = transport.NCSeries.from_json(args.series)
+        sol = transport.TransportSolution.from_dict(data)
+        report, ok = _check_transport(sol, W)
+    elif "uprime" in data:
+        report = moment1d.particle_residuals(data["uprime"]["x"], data["uprime"]["value"])
+        ok = _residuals_pass(report)
+    else:
+        raise InvalidInputError("unrecognized solution file")
+    _emit(report, args.json, args.out)
+    if not args.json:
+        print(f"verification = {report}")
+    return EXIT_OK if ok else EXIT_INVALID
 
 
 def build_parser():
@@ -189,20 +171,30 @@ def build_parser():
     return p
 
 
+# each command's handler and the module its invalid-input errors name
+COMMANDS = {
+    "gibbs1d": (cmd_gibbs1d, "free_gibbs_1d"),
+    "moment1d": (cmd_moment1d, "moment_measure_1d"),
+    "transport-nc": (cmd_transport_nc, "free_transport"),
+    "verify": (cmd_verify, "cli"),
+}
+
+
+def _report(code, exc, module):
+    print(json.dumps({"code": code, "message": str(exc), "module": module}), file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    handlers = {
-        "gibbs1d": cmd_gibbs1d,
-        "moment1d": cmd_moment1d,
-        "transport-nc": cmd_transport_nc,
-        "verify": cmd_verify,
-    }
+    handler, module = COMMANDS[args.command]
     try:
-        return handlers[args.command](args)
+        return handler(args)
+    except (FreeMomentError, OSError, json.JSONDecodeError) as exc:
+        # invalid input, an unreadable input file, or out of any solver's regime
+        return _report(EXIT_INVALID, exc, module)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
-        print(json.dumps({"code": EXIT_INTERNAL, "message": str(exc), "module": "cli"}),
-              file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report(EXIT_INTERNAL, exc, "cli")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,6 @@
 class FreeMomentError(Exception):
     """Base class for all package errors."""
 
-    module = "freemoment"
-
 
 class InvalidInputError(FreeMomentError):
     """Input violates a documented precondition."""

@@ -11,7 +11,9 @@ diagonal part of W, its words x_i^L, decouples into one-variable problems
 whose condition is closed form on the one-cut moments of ``gibbs1d``, with
 an exact Jacobian.  Their solution is the answer for a separable W (every W
 in one variable), and the start of the Gauss-Newton at the truncation scale
-for any other W, whose Jacobian is one-sided differences.
+for any other W, whose Jacobian is one-sided differences.  V alone
+determines a solution: the law of Y, the transport map and Vtilde are
+derived from it, and ``verify_transport`` reads only V, W and the degree.
 """
 
 from __future__ import annotations
@@ -76,22 +78,25 @@ class TransportProblem:
         self.W = W.truncate(degree)
         self.degree = int(degree)
         self.tol = float(tol)
-        # the cap of the stored trace table, and the one cap of every
-        # Schwinger-Dyson solve in the Gauss-Newton
-        self.tau_cap = self.degree + 4
+        # the one cap of every Schwinger-Dyson solve in the Gauss-Newton
         self.sd_cap = self.degree + 10
         self.guaranteed = norm_A(self.W, GUARANTEE_NORM_RADIUS) < GUARANTEE_MARGIN * DEFAULT_R
 
 
 class TransportSolution(JSONMixin):
-    """V, the trace table of its law and the diagnostics.  The transport map
-    Y + DV and Vtilde = S Pi N V are derived from V; JSON keeps both, and
-    ``from_dict`` reads V alone."""
+    """V and the diagnostics.  The trace table of the law of Y, solved at
+    cap ``V.max_degree + 4``, the transport map Y + DV and
+    Vtilde = S Pi N V are derived from V on each access; JSON keeps all
+    three, and ``from_dict`` reads V alone."""
 
-    def __init__(self, V, tau_Y, diagnostics):
+    def __init__(self, V, diagnostics):
         self.V = V
-        self.tau_Y = tau_Y
         self.diagnostics = dict(diagnostics)
+
+    @property
+    def tau_Y(self):
+        cap = self.V.max_degree + 4
+        return sdmoments.solve_sd(self.V.truncate(cap), cap)
 
     @property
     def V_tilde(self):
@@ -112,8 +117,7 @@ class TransportSolution(JSONMixin):
 
     @classmethod
     def from_dict(cls, d):
-        return cls(NCSeries.from_dict(d["V"]), sdmoments.TraceTable.from_dict(d["tau_Y"]),
-                   d.get("diagnostics", {}))
+        return cls(NCSeries.from_dict(d["V"]), d.get("diagnostics", {}))
 
 
 def _transport_map(V, cap):
@@ -434,9 +438,9 @@ def solve_V(problem):
     The diagnostics' ``iterations`` (accepted chord steps), ``residual`` and
     ``converged`` are those of the last solve, and ``stage_seconds`` times
     the ``start`` (the target law: its one-cut moments or, for a mixed W,
-    the diagonal part's solve and the target's Schwinger-Dyson solve), the
-    ``refinement`` and the ``final_trace``; like ``seconds`` it is not
-    written to JSON.
+    the diagonal part's solve and the target's Schwinger-Dyson solve) and
+    the ``refinement``; like ``seconds`` it is not written to JSON.  The
+    law of Y is not solved here: ``TransportSolution.tau_Y`` derives it.
     """
     t0 = time.perf_counter()
     W, D = problem.W, problem.degree
@@ -449,14 +453,10 @@ def solve_V(problem):
         V = NCSeries.zero(W.n_vars, D)
     if mixed:
         V, diagnostics = _refine_by_moment_matching(problem, V, t0)
-
-    t_final = time.perf_counter()
-    tau = sdmoments.solve_sd(V.truncate(problem.tau_cap), problem.tau_cap)
-    diagnostics["stage_seconds"]["final_trace"] = time.perf_counter() - t_final
     v_norm = norm_A(V, DEFAULT_A)
     diagnostics.update(v_norm_A=v_norm, norm_bound_satisfied=bool(v_norm <= DEFAULT_R + 1e-12),
                        guaranteed_regime=problem.guaranteed, seconds=time.perf_counter() - t0)
-    return TransportSolution(V, tau, diagnostics)
+    return TransportSolution(V, diagnostics)
 
 
 def _one_variable(part, max_degree):
@@ -465,12 +465,12 @@ def _one_variable(part, max_degree):
                                     if length and c})
 
 
-def _deviations(V, W, degree, cap, table):
+def _deviations(V, W, degree, cap):
     """The deviation, on each canonical word up to ``degree`` in word order,
     of the law of V pushed through Y + DV from the law solved for W, and the
-    pushed law's Schwinger-Dyson residual.  Both laws are solved at ``cap``,
-    the law of V warm-started from its trace table ``table``."""
-    tau_y = sdmoments.solve_sd(V.truncate(cap), cap, init=table)
+    pushed law's Schwinger-Dyson residual.  Both laws are solved cold at
+    ``cap``, so the figures depend on V, W, the degree and the cap alone."""
+    tau_y = sdmoments.solve_sd(V.truncate(cap), cap)
     tau_x = sdmoments.pushforward_trace(tau_y, _transport_map(V, cap), degree)
     tau_direct = sdmoments.solve_sd(W.truncate(cap), cap)
     dev = np.concatenate([np.abs(a - b) for a, b in zip(tau_x.values, tau_direct.values)])
@@ -478,38 +478,35 @@ def _deviations(V, W, degree, cap, table):
 
 
 def verify_transport(sol, W, degree):
-    """Independent verification of a transport solution: the largest
-    deviation of ``_deviations``, its word and the Schwinger-Dyson residual.
+    """Independent verification of a transport solution from its V alone:
+    the largest deviation of ``_deviations``, its word and the
+    Schwinger-Dyson residual.
 
     When neither W nor V has a word other than the x_i^L, the law of
     x^2/2 + W and that of V are the free products of their marginals, and
     Y + DV acts letter by letter, so the two joint laws agree exactly when
     every marginal does.  Each distinct pair (W_i, V_i) is then checked
-    once as a one-variable solution at cap max(6 degree, 40), from the
-    marginal of the stored table, and the worst word is the first maximum
-    by length, then variable.  Any other solution is checked jointly at cap
-    degree + 12.
+    once as a one-variable solution at cap max(6 degree, 40), and the worst
+    word is the first maximum by length, then variable.  Any other solution
+    is checked jointly at cap degree + 12.
     """
     n = W.n_vars
     if sol.V.n_vars != n:
         raise InvalidInputError("W and the solution have different numbers of variables")
-    tau = sol.tau_Y
     w_parts, w_mixed = _split_diagonal(W, W.max_degree)
     v_parts, v_mixed = _split_diagonal(sol.V, sol.V.max_degree)
     if w_mixed or v_mixed:
-        dev, resid = _deviations(sol.V, W, degree, degree + 12, tau)
+        dev, resid = _deviations(sol.V, W, degree, degree + 12)
         words = [w for length in range(degree + 1)
                  for w in sdmoments._enumerate_canonical(n, length)]
     else:
         checked, rows = {}, []
-        for i, (w, v) in enumerate(zip(w_parts, v_parts)):
+        for w, v in zip(w_parts, v_parts):
             key = (w[1:].tobytes(), v[1:].tobytes())
             if key not in checked:
-                marginal = sdmoments.TraceTable(1, tau.degree_cap, [
-                    [tau.value((i,) * length)] for length in range(tau.degree_cap + 1)])
                 checked[key] = _deviations(
                     _one_variable(v, sol.V.max_degree), _one_variable(w, W.max_degree), degree,
-                    max(6 * degree, 40), marginal)
+                    max(6 * degree, 40))
             rows.append(checked[key][0])
         dev, resid = np.array(rows).T.ravel(), max(r for _, r in checked.values())
         words = [(i,) * length for length in range(degree + 1) for i in range(n)]

@@ -400,31 +400,6 @@ def test_gibbs1d_files_do_not_depend_on_blas_threads(tmp_path):
         assert (tmp_path / f"g1.{ext}").read_bytes() == (tmp_path / f"g2.{ext}").read_bytes()
 
 
-def _transport_file(tmp_path, capsys, *extra):
-    wfile = tmp_path / "w.json"
-    NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01}).to_json(str(wfile))
-    out = tmp_path / "sol.json"
-    code, _, _ = run(["transport-nc", "--series", str(wfile), "--degree", "4",
-                      "--out", str(out), *extra], capsys)
-    assert code == 0
-    return wfile, out
-
-
-@pytest.mark.parametrize("word", [[1, 3], [1] * 9, [2, 1, 1]],
-                         ids=["letter", "length", "canonical"])
-def test_verify_rejects_bad_trace_table_words(tmp_path, capsys, word):
-    # tau_Y of this file has two variables and degree cap 8
-    wfile, out = _transport_file(tmp_path, capsys)
-    data = json.loads(out.read_text())
-    data["tau_Y"]["values"].append({"word": word, "value": 0.1})
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    code, _, stderr = run(["verify", "--solution", str(bad), "--series", str(wfile)], capsys)
-    assert code == 2
-    err = json.loads(stderr)
-    assert err["code"] == 2 and "trace table" in err["message"]
-
-
 def _mixed_transport_file(tmp_path, capsys):
     _write_transport_inputs(tmp_path)
     wfile, out = tmp_path / "w3.json", tmp_path / "sol.json"
@@ -434,39 +409,39 @@ def _mixed_transport_file(tmp_path, capsys):
     return wfile, out, json.loads(out.read_text())
 
 
-@pytest.mark.parametrize("field, value, named", [
-    ("value", math.nan, "[1, 1]"), ("value", 1e300, "[1, 1]"), ("cutoff", 4.0, "cutoff")],
-    ids=["nan", "huge", "cutoff"])
-def test_verify_rejects_trace_table_values_outside_the_ball(field, value, named, tmp_path,
-                                                           capsys):
-    # a solved table lies in |tau(w)| <= 3^|w|; the first listed word is x^2
-    wfile, _, data = _mixed_transport_file(tmp_path, capsys)
-    table = data["tau_Y"]
-    assert table["values"][0]["word"] == [1, 1]
-    if field == "value":
-        table["values"][0]["value"] = value
-    else:
-        table["cutoff"] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    code, _, stderr = run(["verify", "--solution", str(bad), "--series", str(wfile)], capsys)
-    assert code == 2
-    err = json.loads(stderr)
-    assert err["code"] == 2 and "trace table" in err["message"] and named in err["message"]
-
-
-def test_verify_cap_does_not_depend_on_the_stored_table_cap(tmp_path, capsys):
-    # the joint check runs at degree + 12 whatever degree_cap the file claims
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("tau_Y"),
+    lambda d: d["tau_Y"]["values"][0].update(value=math.nan),
+    lambda d: d["tau_Y"]["values"][0].update(value=1e300),
+    lambda d: d["tau_Y"]["values"].append({"word": [2, 1, 1], "value": 0.1}),
+    lambda d: d["tau_Y"]["values"].append({"word": [1] * 9, "value": 0.1}),
+    lambda d: d["tau_Y"]["values"].append({"word": [1, 3], "value": 0.1}),
+    lambda d: d["tau_Y"].update(cutoff=4.0),
+    lambda d: d["tau_Y"].update(degree_cap=21),
+], ids=["deleted", "nan", "huge", "canonical", "length", "letter", "cutoff", "degree-cap"])
+def test_verify_reads_v_and_w_alone(edit, tmp_path, capsys):
+    # the file's tau_Y is output only, like its transport_map and V_tilde
     wfile, out, data = _mixed_transport_file(tmp_path, capsys)
-    assert data["tau_Y"]["degree_cap"] == 8
-    data["tau_Y"]["degree_cap"] = 21
+    edit(data)
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(data))
-    reports = []
-    for path in (out, edited):
-        code, stdout, _ = run(["verify", "--solution", str(path), "--series", str(wfile),
-                               "--json"], capsys)
-        assert code == 0
-        reports.append(json.loads(stdout))
-    assert reports[0]["worst_word"] == reports[1]["worst_word"]
-    assert abs(reports[0]["max_moment_deviation"] - reports[1]["max_moment_deviation"]) <= 1e-12
+    reports = [run(["verify", "--solution", str(path), "--series", str(wfile), "--json"], capsys)
+               for path in (out, edited)]
+    assert reports[0][0] == 0 and reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("argv, module", [
+    (["verify", "--solution", "missing.json"], "cli"),
+    (["transport-nc", "--series", "bad.txt"], "free_transport"),
+    (["moment1d", "--target", "missing.json"], "moment_measure_1d"),
+    (["gibbs1d", "--even-coeffs", "bad.txt"], "free_gibbs_1d"),
+], ids=["verify", "transport-nc", "moment1d", "gibbs1d"])
+def test_unreadable_input_file_exits_2(argv, module, tmp_path, capsys, monkeypatch):
+    # a missing file or one that is not JSON is invalid input, not an internal error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("not json")
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    err = json.loads(stderr)
+    assert err.keys() == {"code", "message", "module"}
+    assert err["code"] == 2 and err["module"] == module

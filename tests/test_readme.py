@@ -30,5 +30,5 @@ def test_library_tour_matches_its_comments():
     assert np.max(np.abs(uprime - x ** 3)) <= 5e-3
     # the C13 check: moment deviations ~ 3e-8
     assert c13["max_moment_deviation"] < 1e-7
-    # the separable degree-8 check: ~ 7e-10
+    # the separable degree-8 check: ~ 5e-10
     assert c14["max_moment_deviation"] < 1e-9

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from freemoment import gibbs1d as G
 from freemoment import sdmoments as sd
+from freemoment import transport as T
 from freemoment.ncseries import NCSeries, cyclic_gradient
 from freemoment.errors import ConvergenceError, InvalidInputError
 
@@ -193,6 +195,39 @@ def test_table_with_listed_zeros_loads_to_the_same_table():
     for a, b in zip(back.values, tab.values):
         assert np.array_equal(a, b)
     assert back.to_dict() == data
+
+
+def _stored_tau_y(W):
+    """The tau_Y that a transport-nc file of W at degree 4 lists: the law of
+    its V at cap 8."""
+    return T.solve_V(T.TransportProblem(W, 4)).tau_Y.to_dict()
+
+
+@pytest.mark.parametrize("word", [[1, 3], [1] * 9, [2, 1, 1]],
+                         ids=["letter", "length", "canonical"])
+def test_table_from_dict_rejects_bad_words(word):
+    data = _stored_tau_y(NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01}))
+    assert data["n_vars"] == 2 and data["degree_cap"] == 8
+    data["values"].append({"word": word, "value": 0.1})
+    with pytest.raises(InvalidInputError, match="trace table"):
+        sd.TraceTable.from_dict(data)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("value", math.nan, "[1, 1]"), ("value", 1e300, "[1, 1]"), ("cutoff", 4.0, "cutoff")],
+    ids=["nan", "huge", "cutoff"])
+def test_table_from_dict_rejects_values_outside_the_ball(field, value, named):
+    # a solved table lies in |tau(w)| <= 3^|w|; the first listed word is x^2
+    table = _stored_tau_y(NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01,
+                                          (0, 1, 0, 1): 0.005, (1, 0, 1, 0): 0.005}))
+    assert table["values"][0]["word"] == [1, 1]
+    if field == "value":
+        table["values"][0]["value"] = value
+    else:
+        table["cutoff"] = value
+    with pytest.raises(InvalidInputError) as exc:
+        sd.TraceTable.from_dict(table)
+    assert "trace table" in str(exc.value) and named in str(exc.value)
 
 
 def test_warm_start_from_lower_cap_matches_cold_solve(monkeypatch):

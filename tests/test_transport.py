@@ -232,7 +232,8 @@ def test_cyclic_derivative_of_bracket_vanishes_at_fixed_point():
     W = NCSeries(1, 8, {(0, 0, 0, 0): w_val})
     prob = T.TransportProblem(W, 8)
     sol = T.solve_V(prob)
-    cap = prob.tau_cap
+    tau = sol.tau_Y
+    cap = tau.degree_cap
     V = sol.V
     dv = [g.truncate(cap) for g in cyclic_gradient_vector(V)]
     args = [NCSeries.variable(i, 1, cap) + dv[i] for i in range(1)]
@@ -243,7 +244,7 @@ def test_cyclic_derivative_of_bracket_vanishes_at_fixed_point():
     bracket = bracket + sq * 0.5
     # the cyclic gradient does not see the constant and the commutators that
     # _trace_log leaves out
-    bracket = bracket - T._trace_log(jacobian(dv), sol.tau_Y)
+    bracket = bracket - T._trace_log(jacobian(dv), tau)
     resid = cyclic_gradient(bracket.truncate(8), 0)
     assert norm_A(resid, 3.0) < 1e-8
 
@@ -262,7 +263,7 @@ def test_verify_transport_detects_truncated_v():
     W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
     sol = T.solve_V(T.TransportProblem(W, 10))
     crippled = NCSeries(1, 10, {w: c for w, c in sol.V.terms.items() if len(w) <= 2})
-    bad = T.TransportSolution(crippled, sol.tau_Y, sol.diagnostics)
+    bad = T.TransportSolution(crippled, sol.diagnostics)
     rep = T.verify_transport(bad, W, 6)
     assert rep["max_moment_deviation"] >= 1e-2
 
@@ -305,7 +306,7 @@ def test_split_diagonal_takes_a_constant_term():
     assert mixed
     # a V read from a file may carry a constant, which moves neither law
     W, sol = c14()
-    shifted = T.TransportSolution(sol.V + NCSeries.constant(0.3, 2, 8), sol.tau_Y, {})
+    shifted = T.TransportSolution(sol.V + NCSeries.constant(0.3, 2, 8), {})
     assert T.verify_transport(shifted, W, 6) == T.verify_transport(sol, W, 6)
 
 
@@ -339,45 +340,36 @@ def test_separable_check_is_exact_at_full_degree_in_one_variable(monkeypatch):
 
 
 def test_separable_check_reports_the_worse_variable():
-    for a, b in ((0.02, 0.03), (0.03, 0.02)):
+    for a, b in ((0.02, 0.03), (0.03, 0.02), (0.02, 0.04)):
         W = NCSeries(2, 8, {(0, 0, 0, 0): a, (1, 1, 1, 1): b})
         sol = T.solve_V(T.TransportProblem(W, 8))
         rep = T.verify_transport(sol, W, 8)
-        alone, solved = [], []
+        alone = []
         for c in (a, b):
             W1 = NCSeries(1, 8, {(0, 0, 0, 0): c})
-            solved.append((W1, T.solve_V(T.TransportProblem(W1, 8))))
-            alone.append(T.verify_transport(solved[-1][1], W1, 8))
+            alone.append(T.verify_transport(T.solve_V(T.TransportProblem(W1, 8)), W1, 8))
         worse = int(alone[1]["max_moment_deviation"] > alone[0]["max_moment_deviation"])
         assert alone[0]["max_moment_deviation"] != alone[1]["max_moment_deviation"]
-        # the joint check warm-starts from the marginal of the n = 2 table,
-        # 6.5e-7 off the n = 1 table, so it agrees with the n = 1 check to the
-        # Schwinger-Dyson tolerance, and from that marginal to the last bit
-        assert rep["max_moment_deviation"] == pytest.approx(
-            alone[worse]["max_moment_deviation"], rel=1e-4)
-        W1, sol1 = solved[worse]
-        marginal = sd.TraceTable(1, sol.tau_Y.degree_cap, [
-            [sol.tau_Y.value((worse,) * length)] for length in range(sol.tau_Y.degree_cap + 1)])
-        assert rep["max_moment_deviation"] == T.verify_transport(
-            T.TransportSolution(sol1.V, marginal, {}), W1, 8)["max_moment_deviation"]
+        # both checks solve the same one-variable pair cold: the same figure
+        assert rep["max_moment_deviation"] == alone[worse]["max_moment_deviation"]
         assert rep["worst_word"] == [worse + 1] * len(alone[worse]["worst_word"])
-        # here the larger residual belongs to the other variable
         assert rep["sd_residual"] == max(r["sd_residual"] for r in alone)
-        assert rep["sd_residual"] != alone[worse]["sd_residual"]
+    # at (0.02, 0.04) the larger residual belongs to the other variable
+    assert rep["sd_residual"] != alone[worse]["sd_residual"]
 
 
 def test_mixed_word_in_v_takes_the_joint_check(monkeypatch):
     W, sol = c14()
     V = sol.V + NCSeries(2, 8, {(0, 1, 0, 1): 1e-3, (1, 0, 1, 0): 1e-3})
     seen = counting_solve_sd(monkeypatch)
-    rep = T.verify_transport(T.TransportSolution(V, sol.tau_Y, {}), W, 4)
+    rep = T.verify_transport(T.TransportSolution(V, {}), W, 4)
     assert seen == [2, 2]
     assert rep["max_moment_deviation"] >= 1e-2 and rep["worst_word"] == [1, 2, 1, 2]
 
 
 def test_separable_check_catches_a_truncated_v():
     W, sol = c14()
-    bad = T.TransportSolution(sol.V.truncate(6), sol.tau_Y, {})
+    bad = T.TransportSolution(sol.V.truncate(6), {})
     assert T.verify_transport(bad, W, 6)["max_moment_deviation"] >= 1e-2
 
 
@@ -432,7 +424,7 @@ def test_nonseparable_mixed_term_solution(monkeypatch):
         assert rep["max_moment_deviation"] < bound
         assert rep["sd_residual"] < 1e-3
         stages = sol.diagnostics["stage_seconds"]
-        assert stages.keys() == {"start", "refinement", "final_trace"}
+        assert stages.keys() == {"start", "refinement"}
         assert min(stages.values()) >= 0.0
         assert sum(stages.values()) <= sol.diagnostics["seconds"]
         assert "stage_seconds" not in json.dumps(sol.to_dict())
@@ -458,7 +450,7 @@ def test_mixed_w_at_degree_6_converges_with_one_sd_cap(monkeypatch):
     problem = T.TransportProblem(W, 6)
     sol = T.solve_V(problem)
     assert sol.diagnostics["converged"] and sol.diagnostics["residual"] <= 1e-9
-    assert len(calls) <= 40 and set(calls) == {problem.sd_cap, problem.tau_cap}
+    assert len(calls) <= 40 and set(calls) == {problem.sd_cap}
     assert T.verify_transport(sol, W, 6)["max_moment_deviation"] <= 1e-5
 
 
@@ -633,17 +625,35 @@ def test_diagnostics_core_keys_and_json():
     assert stored["converged"] and stored["residual"] < 1e-8
 
 
-def test_solution_json_roundtrip():
-    W = NCSeries(1, 8, {(0, 0, 0, 0): 0.01})
-    sol = T.solve_V(T.TransportProblem(W, 8))
-    back = T.TransportSolution.from_dict(sol.to_dict())
-    assert back.V.terms == sol.V.terms
-    assert back.tau_Y.value((0, 0)) == sol.tau_Y.value((0, 0))
-
-
 def mixed_w(degree):
     return NCSeries(2, degree, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01,
                                 (0, 1, 0, 1): 0.005, (1, 0, 1, 0): 0.005})
+
+
+def test_solution_json_roundtrip():
+    W = NCSeries(1, 8, {(0, 0, 0, 0): 0.01})
+    sol = T.solve_V(T.TransportProblem(W, 8))
+    back = T.TransportSolution.from_json(sol.to_json())
+    assert back.V.terms == sol.V.terms
+    assert back.tau_Y.to_json() == sol.tau_Y.to_json()
+
+
+@pytest.mark.parametrize("W, D", [(NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10),
+                                  (NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}), 8),
+                                  (mixed_w(4), 4)], ids=["c13", "c14", "mixed"])
+def test_tau_y_is_derived_from_v(W, D, monkeypatch):
+    calls = []
+    solve_sd = sd.solve_sd
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_sd(*args, **kwargs)
+
+    monkeypatch.setattr(sd, "solve_sd", counted)
+    sol = T.solve_V(T.TransportProblem(W, D))
+    # the solve leaves the law of Y to the solution, which solves it cold
+    assert D + 4 not in calls
+    assert sol.tau_Y.to_json() == solve_sd(sol.V.truncate(D + 4), D + 4).to_json()
 
 
 def pushed_map(V, cap):
@@ -719,10 +729,10 @@ def test_mixed_solve_derives_each_support_once(monkeypatch):
     sd._support.cache_clear()
     T.solve_V(T.TransportProblem(mixed_w(4), 4))
     info = sd._support.cache_info()
-    # one support each for the target, the V-laws of every residual and the
-    # final trace.  The V-laws are those of the start, of the 4 one-sided
-    # difference columns of the one Jacobian and of the 3 accepted steps
-    assert len(supports) == 10 and len(set(supports)) == 3
+    # one support each for the target and the V-laws of every residual.  The
+    # V-laws are those of the start, of the 4 one-sided difference columns of
+    # the one Jacobian and of the 3 accepted steps
+    assert len(supports) == 9 and len(set(supports)) == 2
     assert info.misses == len(set(supports)) and info.hits == len(supports) - info.misses
 
 
