@@ -23,8 +23,7 @@ from .moment1d import MomentProblem, MomentSolution, MonotoneMap, builtin_target
 from .ncseries import NCSeries, apply_to_vector, cyclic_gradient, cyclic_symmetrize, \
     difference_quotient, drop_constant, jacobian, log_neumann, multiply, norm_A, norm_AB, \
     number_op, number_op_inverse, substitute, trace_contract
-from .sdmoments import TraceTable, noncrossing_pair_count, pushforward_trace, sd_residual, \
-    solve_sd
+from .sdmoments import TraceTable, pushforward_trace, sd_residual, solve_sd
 from .transport import TransportProblem, TransportSolution, lipschitz_bound, \
     picard_map, solve_V, verify_transport
 

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from . import gibbs1d, measure1d, moment1d, transport
+from . import gibbs1d, jsonio, measure1d, moment1d, transport
 from .errors import FreeMomentError, InvalidInputError
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def _emit(obj, as_json, path=None):
 def _load_potential(text):
     if os.path.exists(text):
         with open(text) as fh:
-            return gibbs1d.EvenPotential(json.load(fh)["even_coeffs"])
+            return gibbs1d.EvenPotential(jsonio.loads(fh.read())["even_coeffs"])
     return gibbs1d.EvenPotential.parse(text)
 
 
@@ -117,7 +117,7 @@ def _residuals_pass(report):
 
 def cmd_verify(args):
     with open(args.solution) as fh:
-        data = json.load(fh)
+        data = jsonio.loads(fh.read())
     if "fourier" in data:
         sol = gibbs1d.GibbsSolution.from_dict(data)
         report = {

@@ -10,14 +10,13 @@ pinned by the residue condition r*a_1 = -2, a polynomial equation in r^2/4.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from . import measure1d
+from . import jsonio, measure1d
 from .errors import InvalidInputError, RegimeError
 from .jsonio import JSONMixin
 from .measure1d import GridMeasure
@@ -106,7 +105,7 @@ class EvenPotential:
         """Parse "c2,c4,..." or a JSON object {"even_coeffs": [...]}."""
         text = text.strip()
         if text.startswith("{"):
-            return cls(json.loads(text)["even_coeffs"])
+            return cls(jsonio.loads(text)["even_coeffs"])
         return cls([float(p) for p in text.split(",") if p.strip()])
 
     def __call__(self, x):

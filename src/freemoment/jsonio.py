@@ -4,6 +4,20 @@ from __future__ import annotations
 
 import json
 
+from .errors import InvalidInputError
+
+
+class _Object(dict):
+    """A parsed JSON object: a key that a reader needs and it lacks is
+    invalid input, named in the error."""
+
+    def __missing__(self, key):
+        raise InvalidInputError(f"missing key {key!r}")
+
+
+def loads(text):
+    return json.loads(text, object_hook=_Object)
+
 
 class JSONMixin:
     """``to_json``/``from_json`` on top of a class's ``to_dict``/``from_dict``."""
@@ -22,8 +36,8 @@ class JSONMixin:
     def from_json(cls, text_or_path):
         """Parse JSON text; anything that does not parse is read as a file path."""
         try:
-            d = json.loads(text_or_path)
+            d = loads(text_or_path)
         except (ValueError, TypeError):
             with open(text_or_path) as fh:
-                d = json.load(fh)
+                d = loads(fh.read())
         return cls.from_dict(d)

@@ -106,7 +106,8 @@ def _enumerate_canonical(n, length):
 
 
 class TraceTable(JSONMixin):
-    """Trace values on canonical cyclic words up to a degree cap.
+    """Trace values on canonical cyclic words up to a degree cap; written to
+    JSON, never read back.
 
     ``values[L]`` holds tau on the canonical classes of length L, in the order
     of ``_canonical_classes(n, L)``; ``values[0]`` is [1.0] and classes killed
@@ -149,55 +150,6 @@ class TraceTable(JSONMixin):
                  for k in np.flatnonzero(vals)]
         return {"n_vars": self.n_vars, "degree_cap": self.degree_cap,
                 "cutoff": CUTOFF, "values": items}
-
-    @classmethod
-    def from_dict(cls, d):
-        """Read a table written by ``to_dict``: its cutoff must be CUTOFF and
-        its values must lie in the cutoff ball, as a solved table's do."""
-        if d.get("cutoff") != CUTOFF:
-            raise InvalidInputError(f"trace table cutoff must be {CUTOFF}, "
-                                    f"got {d.get('cutoff')!r}")
-        n, cap = int(d["n_vars"]), int(d["degree_cap"])
-        values = [np.ones(1)] + [np.zeros(len(_canonical_classes(n, length)[0]))
-                                 for length in range(1, cap + 1)]
-        for item in d.get("values", []):
-            w = tuple(int(i) - 1 for i in item["word"])
-            valid = 0 < len(w) <= cap and all(0 <= i < n for i in w)
-            reps, inv = _canonical_classes(n, len(w) if valid else 0)
-            # a canonical word's code is the representative of its class
-            if not (valid and reps[inv[_code(w, n)]] == _code(w, n)):
-                raise InvalidInputError("trace table words must be canonical, with 1 to "
-                                        "degree_cap letters in 1..n_vars")
-            value = float(item["value"])
-            # NaN fails the comparison too
-            if not abs(value) <= CUTOFF ** len(w):
-                raise InvalidInputError(f"trace table value {value} of word {item['word']} "
-                                        f"is outside the cutoff ball |tau(w)| <= {CUTOFF}^|w|")
-            values[len(w)][inv[_code(w, n)]] = value
-        return cls(n, cap, values)
-
-
-def noncrossing_pair_count(word):
-    """Brute-force count of non-crossing pairings matching equal letters.
-
-    Independent oracle for the moments of a free semicircular family; only
-    intended for short words.
-    """
-    word = tuple(word)
-    if len(word) % 2 == 1:
-        return 0
-
-    def rec(w):
-        if not w:
-            return 1
-        first = w[0]
-        total = 0
-        for j in range(1, len(w)):
-            if w[j] == first:
-                total += rec(w[1:j]) * rec(w[j + 1:])
-        return total
-
-    return rec(word)
 
 
 # Equations of the canonical words v = x_i w that no symmetry kills, one row

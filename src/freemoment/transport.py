@@ -14,6 +14,8 @@ in one variable), and the start of the Gauss-Newton at the truncation scale
 for any other W, whose Jacobian is one-sided differences.  V alone
 determines a solution: the law of Y, the transport map and Vtilde are
 derived from it, and ``verify_transport`` reads only V, W and the degree.
+Every one-variable law (the solver's target, the separable check's, Y's for
+n = 1) is a one-cut law from ``_one_cut_law``, not a Schwinger-Dyson table.
 """
 
 from __future__ import annotations
@@ -84,10 +86,11 @@ class TransportProblem:
 
 
 class TransportSolution(JSONMixin):
-    """V and the diagnostics.  The trace table of the law of Y, solved at
-    cap ``V.max_degree + 4``, the transport map Y + DV and
-    Vtilde = S Pi N V are derived from V on each access; JSON keeps all
-    three, and ``from_dict`` reads V alone."""
+    """V and the diagnostics.  The trace table of the law of Y to cap
+    ``V.max_degree + 4`` (its one-cut moments for an even V in one variable,
+    else ``solve_sd``'s), the transport map Y + DV and Vtilde = S Pi N V are
+    derived from V on each access; JSON keeps all three, and ``from_dict``
+    reads V alone."""
 
     def __init__(self, V, diagnostics):
         self.V = V
@@ -96,7 +99,13 @@ class TransportSolution(JSONMixin):
     @property
     def tau_Y(self):
         cap = self.V.max_degree + 4
-        return sdmoments.solve_sd(self.V.truncate(cap), cap)
+        if self.V.n_vars > 1 or not self.V.is_even():
+            return sdmoments.solve_sd(self.V.truncate(cap), cap)
+        even = _split_diagonal(self.V, self.V.max_degree)[0][0, 2::2]
+        _, y, weights = _one_cut_law(even, self.V.max_degree)
+        moments = y ** np.arange(cap + 1)[:, None] @ weights
+        moments[0], moments[1::2] = 1.0, 0.0
+        return sdmoments.TraceTable(1, cap, moments[:, None])
 
     @property
     def V_tilde(self):
@@ -327,19 +336,34 @@ def _refine_by_moment_matching(problem, start, t0):
                                            "refinement": time.perf_counter() - t_start}}
 
 
+def _one_cut_law(even, degree):
+    """The one-cut law of U = y^2/2 + sum_k even[k-1] y^2k: U's even
+    coefficients, padded to degree ``degree``, and the theta-Gauss rule
+    (y, weights) of ``gibbs1d._one_cut``, so that the integral of f is
+    weights @ f(y).  InvalidInputError when U has no one-cut law."""
+    u = np.zeros(max(degree // 2, 1))
+    u[:len(even)] = even
+    u[0] += 0.5
+    try:
+        _, y, weights = gibbs1d._one_cut(u)
+    except RegimeError as exc:
+        raise InvalidInputError(f"U = {u.tolist()} has no one-cut free Gibbs law: {exc}") from None
+    return u, y, weights
+
+
 def _solve_one_variable(w, degree, tol):
     """Newton on the closed-form transport condition for W = sum_k w[k-1] x^2k.
 
-    y + V'(y) is U' for U = y^2/2 + V, which pushes the free Gibbs law of U
-    onto that of x^2/2 + W (Cordero-Erausquin-Klartag): V solves the transport
-    when the moments of U' under the one-cut law of U match those of
-    x^2/2 + W at every even degree <= D.  Newton from V = 0 diverges at
+    y + V'(y) is U' for U = y^2/2 + V, which pushes the free Gibbs law of U onto
+    that of x^2/2 + W (Cordero-Erausquin-Klartag): V solves the transport when
+    the moments of U' under the one-cut law of U match those of x^2/2 + W
+    (``_one_cut_law``) at every even degree <= D.  Newton from V = 0 diverges at
     D = 10, so stage D' = 2, 4, ..., D starts from the last with v_D' = 0 and
     runs ``_newton`` down to 1e-3 tol: below tol, short of round-off.  Its
-    Jacobian is the exact derivative of ``gibbs1d._moment_map``, one one-cut
-    law and its derivative per build: C13 (0.05 x^4, D = 10) takes 26 steps
-    on one Jacobian per stage.  A stage that leaves the one-cut regime or runs
-    out of steps hands its last iterate on.  Returns (v_2, ..., v_D) and the
+    Jacobian is the exact derivative of ``gibbs1d._moment_map``, one one-cut law
+    and its derivative per build: C13 (0.05 x^4, D = 10) takes 26 steps on one
+    Jacobian per stage.  A stage that leaves the one-cut regime or runs out of
+    steps hands its last iterate on.  Returns (v_2, ..., v_D) and the
     diagnostics; ``converged`` means a final residual of at most tol.
     """
     t0 = time.perf_counter()
@@ -358,13 +382,7 @@ def _solve_one_variable(w, degree, tol):
         out = moment_map(v, True)
         return None if out is None else out[1]
 
-    u = np.zeros(max(degree // 2, 1))
-    u[:len(w)] = w
-    u[0] += 0.5
-    try:
-        _, y, weights = gibbs1d._one_cut(u)
-    except RegimeError as exc:
-        raise InvalidInputError(f"x^2/2 + W has no one-cut free Gibbs law ({exc})") from None
+    u, y, weights = _one_cut_law(w, degree)
     target = np.array([weights @ y ** (2 * k) for k in range(1, len(u) + 1)])
     t_newton = time.perf_counter()
     v, f, steps = np.zeros(0), np.zeros(0), 0
@@ -459,44 +477,47 @@ def solve_V(problem):
     return TransportSolution(V, diagnostics)
 
 
-def _one_variable(part, max_degree):
-    """The one-variable series sum_{L > 0} part[L] x^L."""
-    return NCSeries(1, max_degree, {(0,) * length: c for length, c in enumerate(part.tolist())
-                                    if length and c})
-
-
-def _deviations(V, W, degree, cap):
-    """The deviation, on each canonical word up to ``degree`` in word order,
-    of the law of V pushed through Y + DV from the law solved for W, and the
-    pushed law's Schwinger-Dyson residual.  Both laws are solved cold at
-    ``cap``, so the figures depend on V, W, the degree and the cap alone."""
-    tau_y = sdmoments.solve_sd(V.truncate(cap), cap)
-    tau_x = sdmoments.pushforward_trace(tau_y, _transport_map(V, cap), degree)
-    tau_direct = sdmoments.solve_sd(W.truncate(cap), cap)
-    dev = np.concatenate([np.abs(a - b) for a, b in zip(tau_x.values, tau_direct.values)])
-    return dev, sdmoments.sd_residual(tau_x, W.truncate(degree), degree)
+def _one_cut_deviations(v, w, degree):
+    """For V = sum_L v[L] y^L and W = sum_L w[L] x^L, both even: the
+    deviation at each degree 0..``degree`` of the moments of U'(y) under the
+    one-cut law of U = y^2/2 + V from those of x under that of x^2/2 + W,
+    and the pushed moments' Schwinger-Dyson residual for W."""
+    u, y, weights = _one_cut_law(v[2::2], len(v) - 1)
+    _, x, x_weights = _one_cut_law(w[2::2], len(w) - 1)
+    powers = np.arange(degree + 1)[:, None]
+    pushed = gibbs1d._even_deriv(u, y) ** powers @ weights
+    W = NCSeries(1, degree, {(0,) * length: c for length, c in enumerate(w.tolist()) if length})
+    return (np.abs(pushed - x ** powers @ x_weights),
+            sdmoments.sd_residual(sdmoments.TraceTable(1, degree, pushed[:, None]), W))
 
 
 def verify_transport(sol, W, degree):
     """Independent verification of a transport solution from its V alone:
-    the largest deviation of ``_deviations``, its word and the
+    the largest deviation of the moments of the law of V pushed through
+    Y + DV from those of the law of x^2/2 + W, its word and the pushed law's
     Schwinger-Dyson residual.
 
-    When neither W nor V has a word other than the x_i^L, the law of
-    x^2/2 + W and that of V are the free products of their marginals, and
-    Y + DV acts letter by letter, so the two joint laws agree exactly when
-    every marginal does.  Each distinct pair (W_i, V_i) is then checked
-    once as a one-variable solution at cap max(6 degree, 40), and the worst
-    word is the first maximum by length, then variable.  Any other solution
-    is checked jointly at cap degree + 12.
+    When W and V are even and have no word other than the x_i^L, the law of
+    x^2/2 + W and that of V are the free products of their one-cut
+    marginals, and Y + DV acts letter by letter, so the two joint laws agree
+    exactly when every marginal does; in one variable, free transport is the
+    monotone rearrangement.  Each distinct pair (W_i, V_i) is then checked
+    once by ``_one_cut_deviations``, and the worst word is the first maximum
+    by length, then variable.  Any other solution is checked on every
+    canonical word, both laws solved cold at cap degree + 12.
     """
     n = W.n_vars
     if sol.V.n_vars != n:
         raise InvalidInputError("W and the solution have different numbers of variables")
     w_parts, w_mixed = _split_diagonal(W, W.max_degree)
     v_parts, v_mixed = _split_diagonal(sol.V, sol.V.max_degree)
-    if w_mixed or v_mixed:
-        dev, resid = _deviations(sol.V, W, degree, degree + 12)
+    if w_mixed or v_mixed or w_parts[:, 1::2].any() or v_parts[:, 1::2].any():
+        cap = degree + 12
+        tau_y = sdmoments.solve_sd(sol.V.truncate(cap), cap)
+        tau_x = sdmoments.pushforward_trace(tau_y, _transport_map(sol.V, cap), degree)
+        tau_w = sdmoments.solve_sd(W.truncate(cap), cap)
+        dev = np.concatenate([np.abs(a - b) for a, b in zip(tau_x.values, tau_w.values)])
+        resid = sdmoments.sd_residual(tau_x, W.truncate(degree), degree)
         words = [w for length in range(degree + 1)
                  for w in sdmoments._enumerate_canonical(n, length)]
     else:
@@ -504,9 +525,7 @@ def verify_transport(sol, W, degree):
         for w, v in zip(w_parts, v_parts):
             key = (w[1:].tobytes(), v[1:].tobytes())
             if key not in checked:
-                checked[key] = _deviations(
-                    _one_variable(v, sol.V.max_degree), _one_variable(w, W.max_degree), degree,
-                    max(6 * degree, 40))
+                checked[key] = _one_cut_deviations(v, w, degree)
             rows.append(checked[key][0])
         dev, resid = np.array(rows).T.ravel(), max(r for _, r in checked.values())
         words = [(i,) * length for length in range(degree + 1) for i in range(n)]

@@ -32,3 +32,26 @@ def random_bump_measure(rng, n_nodes=1024, n_cells=512):
 
     return measure1d.GridMeasure.from_callable(fn, (lo, hi), n_nodes=n_nodes,
                                                n_cells=n_cells)
+
+
+def noncrossing_pair_count(word):
+    """Brute-force count of non-crossing pairings matching equal letters.
+
+    Independent oracle for the moments of a free semicircular family; only
+    intended for short words.
+    """
+    word = tuple(word)
+    if len(word) % 2 == 1:
+        return 0
+
+    def rec(w):
+        if not w:
+            return 1
+        first = w[0]
+        total = 0
+        for j in range(1, len(w)):
+            if w[j] == first:
+                total += rec(w[1:j]) * rec(w[j + 1:])
+        return total
+
+    return rec(word)

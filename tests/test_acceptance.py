@@ -16,7 +16,7 @@ from freemoment import ncseries as nc
 from freemoment import sdmoments as sd
 from freemoment import transport as T
 
-from conftest import random_bump_measure
+from conftest import noncrossing_pair_count, random_bump_measure
 
 QUARTIC_RADIUS = 2.0 / 3.0 ** 0.25
 
@@ -162,7 +162,7 @@ def test_c10_catalan_oracle():
     err2 = 0.0
     for length in range(1, 9):
         for w in sd._enumerate_canonical(2, length):
-            err2 = max(err2, abs((tab2.value(w) or 0.0) - sd.noncrossing_pair_count(w)))
+            err2 = max(err2, abs((tab2.value(w) or 0.0) - noncrossing_pair_count(w)))
     dt = time.time() - t0
     _report("C10 Catalan oracle", err < 1e-10 and err2 < 1e-10 and dt < 10.0,
             f"n=1 err={err:.2e}, n=2 pairing err={err2:.2e}, time={dt:.1f}s")

@@ -194,15 +194,16 @@ def test_transport_cli_zero_and_invalid(tmp_path, capsys):
 
 
 def test_transport_cli_solver_errors_exit_2(tmp_path, capsys):
-    # near the one-cut critical coupling the check's Schwinger-Dyson solve does
-    # not converge: an out-of-regime input, not an internal error
-    near = tmp_path / "wnear.json"
-    NCSeries(1, 4, {(0, 0, 0, 0): -0.02}).to_json(str(near))
+    # a strong mixed W leaves the Schwinger-Dyson cutoff ball: an out-of-regime
+    # input, not an internal error
+    strong = tmp_path / "wstrong.json"
+    NCSeries(2, 4, {(0, 1, 0, 1): 0.1, (1, 0, 1, 0): 0.1}).to_json(str(strong))
     # a word too long for an int64 rank
     too_long = tmp_path / "wlong.json"
     too_long.write_text(json.dumps({"n_vars": 2, "max_degree": 80,
                                 "terms": [{"word": [1] * 70, "coeff": 1.0}]}))
-    for wfile, degree, words in ((near, "10", "did not converge"), (too_long, "80", "int64")):
+    for wfile, degree, words in ((strong, "4", "outside perturbative regime"),
+                                 (too_long, "80", "int64")):
         code, _, stderr = run(["transport-nc", "--series", str(wfile), "--degree", degree],
                               capsys)
         assert code == 2
@@ -282,6 +283,22 @@ def test_transport_cli_quartic(tmp_path, capsys):
     code2, stdout2, _ = run(["verify", "--solution", str(out), "--series", str(wfile),
                              "--json"], capsys)
     assert code2 == 0
+
+
+@pytest.mark.parametrize("coeff", [1.0, -0.02], ids=["strong", "near-critical"])
+def test_transport_cli_one_variable_check_reads_the_one_cut_law(coeff, tmp_path, capsys):
+    # the one-cut law of 1.0 x^4's V has radius 3.74, past the Schwinger-Dyson
+    # cutoff 3, and -0.02 x^4 lies near the critical coupling: a check on
+    # Schwinger-Dyson tables rejected both solves, which converge
+    wfile, out = tmp_path / "w.json", tmp_path / "sol.json"
+    NCSeries(1, 4, {(0, 0, 0, 0): coeff}).to_json(str(wfile))
+    code, stdout, _ = run(["transport-nc", "--series", str(wfile), "--degree", "10",
+                           "--out", str(out), "--json"], capsys)
+    assert code == 0
+    assert json.loads(stdout)["verification"]["max_moment_deviation"] <= 1e-12
+    code, stdout, _ = run(["verify", "--solution", str(out), "--series", str(wfile), "--json"],
+                          capsys)
+    assert code == 0 and json.loads(stdout)["max_moment_deviation"] <= 1e-12
 
 
 def test_verify_gibbs_solution(tmp_path, capsys):
@@ -445,3 +462,21 @@ def test_unreadable_input_file_exits_2(argv, module, tmp_path, capsys, monkeypat
     err = json.loads(stderr)
     assert err.keys() == {"code", "message", "module"}
     assert err["code"] == 2 and err["module"] == module
+
+
+@pytest.mark.parametrize("argv, text, key, module", [
+    (["gibbs1d", "--even-coeffs", "in.json"], {"coeffs": [0.5]}, "even_coeffs", "free_gibbs_1d"),
+    (["transport-nc", "--series", "in.json"], {"max_degree": 4, "terms": []}, "n_vars",
+     "free_transport"),
+    (["moment1d", "--target", "in.json"], {"nodes": [0.0], "density": [1.0]}, "support",
+     "moment_measure_1d"),
+    (["verify", "--solution", "in.json"], {"fourier": [0, 1]}, "even_coeffs", "cli"),
+], ids=["gibbs1d", "transport-nc", "moment1d", "verify"])
+def test_input_without_a_key_exits_2(argv, text, key, module, tmp_path, capsys, monkeypatch):
+    # a key that a reader needs is named in the error, not reported as internal
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(text))
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    err = json.loads(stderr)
+    assert err == {"code": 2, "message": f"missing key {key!r}", "module": module}

@@ -28,7 +28,7 @@ def test_library_tour_matches_its_comments():
     # rec.uprime(np.linspace(-1, 1, 5)): ~ x**3
     x = np.linspace(-1, 1, 5)
     assert np.max(np.abs(uprime - x ** 3)) <= 5e-3
-    # the C13 check: moment deviations ~ 3e-8
-    assert c13["max_moment_deviation"] < 1e-7
-    # the separable degree-8 check: ~ 5e-10
-    assert c14["max_moment_deviation"] < 1e-9
+    # the C13 check: moment deviations ~ 4e-16
+    assert c13["max_moment_deviation"] <= 1e-12
+    # the separable degree-8 check: ~ 3e-14
+    assert c14["max_moment_deviation"] <= 1e-12

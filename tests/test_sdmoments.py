@@ -1,14 +1,14 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from freemoment import gibbs1d as G
 from freemoment import sdmoments as sd
-from freemoment import transport as T
 from freemoment.ncseries import NCSeries, cyclic_gradient
 from freemoment.errors import ConvergenceError, InvalidInputError
+
+from conftest import noncrossing_pair_count
 
 CATALAN = [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132]
 
@@ -48,7 +48,7 @@ def test_pairing_oracle_cross_check():
     tab = sd.solve_sd(NCSeries.zero(2, 8), 8)
     for length in range(1, 9):
         for w in sd._enumerate_canonical(2, length):
-            assert abs((tab.value(w) or 0.0) - sd.noncrossing_pair_count(w)) < 1e-12
+            assert abs((tab.value(w) or 0.0) - noncrossing_pair_count(w)) < 1e-12
 
 
 def test_even_perturbation_matches_1d_oracle():
@@ -158,76 +158,15 @@ def test_canonical_word():
     assert canonical_word((0, 1, 2)) == canonical_word((2, 1, 0))
 
 
-def test_table_json_roundtrip():
-    W = NCSeries(1, 10, {(0,) * 4: 0.05})
-    tab = sd.solve_sd(W, 10)
-    back = sd.TraceTable.from_json(tab.to_json())
-    for length in range(1, 11):
-        for w, v in zip(sd._enumerate_canonical(1, length), tab.values[length]):
-            assert back.value(w) == v
-    # not canonical, letters outside 1..n_vars, too long, empty
-    for word in ([2, 1], [1, 3], [0, 1], [1] * 5, []):
-        with pytest.raises(InvalidInputError):
-            sd.TraceTable.from_dict({"n_vars": 2, "degree_cap": 4, "cutoff": 3.0,
-                                     "values": [{"word": word, "value": 0.1}]})
-
-
-def test_table_json_roundtrip_keeps_class_arrays():
+def test_table_to_dict_writes_the_nonzero_classes():
     W = NCSeries(2, 4, {(0,) * 4: 0.02, (1,) * 4: 0.02, (0, 1, 0, 1): 0.01, (1, 0, 1, 0): 0.01})
     tab = sd.solve_sd(W, 10)
     data = tab.to_dict()
     # exact zeros (here every odd length, and odd letter counts) are implied
     assert all(item["value"] != 0.0 for item in data["values"])
-    back = sd.TraceTable.from_dict(data)
-    assert len(back.values) == len(tab.values) == 11
-    for a, b in zip(back.values, tab.values):
-        assert np.array_equal(a, b)
-
-
-def test_table_with_listed_zeros_loads_to_the_same_table():
-    # tables written before exact zeros were omitted list them, xyxy at W = 0 among them
-    tab = sd.solve_sd(NCSeries.zero(2, 4), 4)
-    assert tab.value((0, 1, 0, 1)) == 0.0
-    data = tab.to_dict()
-    listed = dict(data, values=data["values"] + [
-        {"word": [1, 2, 1, 2], "value": 0.0}, {"word": [1, 2], "value": 0.0}])
-    back = sd.TraceTable.from_dict(listed)
-    for a, b in zip(back.values, tab.values):
-        assert np.array_equal(a, b)
-    assert back.to_dict() == data
-
-
-def _stored_tau_y(W):
-    """The tau_Y that a transport-nc file of W at degree 4 lists: the law of
-    its V at cap 8."""
-    return T.solve_V(T.TransportProblem(W, 4)).tau_Y.to_dict()
-
-
-@pytest.mark.parametrize("word", [[1, 3], [1] * 9, [2, 1, 1]],
-                         ids=["letter", "length", "canonical"])
-def test_table_from_dict_rejects_bad_words(word):
-    data = _stored_tau_y(NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01}))
-    assert data["n_vars"] == 2 and data["degree_cap"] == 8
-    data["values"].append({"word": word, "value": 0.1})
-    with pytest.raises(InvalidInputError, match="trace table"):
-        sd.TraceTable.from_dict(data)
-
-
-@pytest.mark.parametrize("field, value, named", [
-    ("value", math.nan, "[1, 1]"), ("value", 1e300, "[1, 1]"), ("cutoff", 4.0, "cutoff")],
-    ids=["nan", "huge", "cutoff"])
-def test_table_from_dict_rejects_values_outside_the_ball(field, value, named):
-    # a solved table lies in |tau(w)| <= 3^|w|; the first listed word is x^2
-    table = _stored_tau_y(NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01,
-                                          (0, 1, 0, 1): 0.005, (1, 0, 1, 0): 0.005}))
-    assert table["values"][0]["word"] == [1, 1]
-    if field == "value":
-        table["values"][0]["value"] = value
-    else:
-        table["cutoff"] = value
-    with pytest.raises(InvalidInputError) as exc:
-        sd.TraceTable.from_dict(table)
-    assert "trace table" in str(exc.value) and named in str(exc.value)
+    for item in data["values"]:
+        assert tab.value(tuple(i - 1 for i in item["word"])) == item["value"]
+    assert len(data["values"]) == sum(np.count_nonzero(v) for v in tab.values[1:])
 
 
 def test_warm_start_from_lower_cap_matches_cold_solve(monkeypatch):

@@ -279,8 +279,8 @@ def test_verify_transport_reads_v_not_the_stored_map():
 
 
 def test_verify_transport_rejects_w_in_other_variables():
-    # the other way round (an n=2 solution against an n=1 W) the rule's one-variable
-    # cap of 40 would be applied to the n=2 solution; the same check stops it first
+    # the other way round (an n=2 solution against an n=1 W) the separable check
+    # would read the solution's first variable alone; the same check stops it first
     sol = T.solve_V(T.TransportProblem(NCSeries(1, 4, {(0,) * 4: 0.01}), 4))
     W2 = NCSeries(2, 4, {(0,) * 4: 0.01, (1,) * 4: 0.01})
     with pytest.raises(InvalidInputError):
@@ -328,15 +328,31 @@ def counting_solve_sd(monkeypatch):
     return seen
 
 
+def counting_one_cut_law(monkeypatch):
+    """Patch _one_cut_law to record the even coefficients of each call."""
+    laws = []
+    one_cut_law = T._one_cut_law
+
+    def counted(even, degree):
+        laws.append(tuple(even))
+        return one_cut_law(even, degree)
+
+    monkeypatch.setattr(T, "_one_cut_law", counted)
+    return laws
+
+
 def test_separable_check_is_exact_at_full_degree_in_one_variable(monkeypatch):
     W, sol = c14()
     seen = counting_solve_sd(monkeypatch)
+    laws = counting_one_cut_law(monkeypatch)
     rep = T.verify_transport(sol, W, 8)
     # the n=2 check at cap 20 read 2.67e-3 here, its truncation error
-    assert rep["max_moment_deviation"] <= 1e-6 and rep["sd_residual"] <= 1e-6
+    assert rep["max_moment_deviation"] <= 1e-12 and rep["sd_residual"] <= 1e-12
     assert rep["degree"] == 8
-    # the two variables share one pair (W_i, V_i): one law of V, one of W
-    assert seen == [1, 1]
+    # the two variables share one pair (W_i, V_i): one one-cut law of V_i and
+    # one of W_i, and no Schwinger-Dyson table
+    assert seen == []
+    assert laws == [tuple(sol.V.coeff((0,) * k) for k in (2, 4, 6, 8)), (0.0, 0.02, 0.0, 0.0)]
 
 
 def test_separable_check_reports_the_worse_variable():
@@ -367,6 +383,38 @@ def test_mixed_word_in_v_takes_the_joint_check(monkeypatch):
     assert rep["max_moment_deviation"] >= 1e-2 and rep["worst_word"] == [1, 2, 1, 2]
 
 
+def test_separable_check_does_not_depend_on_its_quadrature():
+    # U's coefficients zero-padded give a larger theta-Gauss rule, and the
+    # same moments of U'(y) under U's law and of x under that of x^2/2 + W
+    W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
+    sol = T.solve_V(T.TransportProblem(W, 10))
+    powers = np.arange(11)[:, None]
+    for even, f in ((T._split_diagonal(sol.V, 10)[0][0, 2::2], G._even_deriv),
+                    ((0.0, 0.05, 0.0, 0.0, 0.0), lambda u, y: y)):
+        moments = []
+        for degree in (10, 40):
+            u, y, weights = T._one_cut_law(even, degree)
+            assert len(u) == degree // 2
+            moments.append(f(u, y) ** powers @ weights)
+        assert np.max(np.abs(moments[1] - moments[0])) <= 1e-12
+    assert T._one_cut_law(even, 10)[1].size < T._one_cut_law(even, 40)[1].size
+    assert T.verify_transport(sol, W, 10)["max_moment_deviation"] <= 1e-12
+
+
+def test_odd_diagonal_word_takes_the_joint_check(monkeypatch):
+    W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
+    sol = T.solve_V(T.TransportProblem(W, 10))
+    odd = NCSeries(1, 10, {(0, 0, 0): 1e-3})
+    seen = counting_solve_sd(monkeypatch)
+    laws = counting_one_cut_law(monkeypatch)
+    for V, W_ in ((sol.V + odd, W), (sol.V, W + odd)):
+        seen.clear()
+        rep = T.verify_transport(T.TransportSolution(V, {}), W_, 4)
+        # the law of V and that of W, solved at cap degree + 12
+        assert seen == [1, 1] and laws == []
+        assert rep["max_moment_deviation"] >= 1e-3 and rep["worst_word"] == [1, 1, 1]
+
+
 def test_separable_check_catches_a_truncated_v():
     W, sol = c14()
     bad = T.TransportSolution(sol.V.truncate(6), {})
@@ -377,15 +425,17 @@ def test_three_variable_separable_check_runs_one_pair(monkeypatch):
     W = NCSeries(3, 4, {(i,) * 4: 0.01 for i in range(3)})
     sol = T.solve_V(T.TransportProblem(W, 4))
     seen = counting_solve_sd(monkeypatch)
+    laws = counting_one_cut_law(monkeypatch)
     rep = T.verify_transport(sol, W, 4)
-    assert seen == [1, 1]
+    assert seen == []
+    assert laws == [(sol.V.coeff((0, 0)), sol.V.coeff((0,) * 4)), (0.0, 0.01)]
     assert rep["max_moment_deviation"] <= 1e-8
 
 
 def test_joint_laws_of_a_separable_solution_agree_with_its_marginals():
     # the n=2 Schwinger-Dyson and pushforward tables of C14, against each
-    # other on every word, mixed ones included, and against the one-variable
-    # tables of the separable check on the one-letter words
+    # other on every word, mixed ones included, and against one-variable
+    # tables at cap 40 on the one-letter words
     W, sol = c14()
     joint = {}
     V_x = NCSeries(1, 8, {w: c for w, c in sol.V.terms.items() if set(w) == {0}})
@@ -589,7 +639,7 @@ def test_c13_solution_is_exact_at_degree_10():
     W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
     sol = T.solve_V(T.TransportProblem(W, 10))
     assert sol.diagnostics["converged"] and sol.diagnostics["residual"] <= 1e-12
-    assert T.verify_transport(sol, W, 10)["max_moment_deviation"] <= 1e-6
+    assert T.verify_transport(sol, W, 10)["max_moment_deviation"] <= 1e-12
 
 
 def test_one_variable_solve_takes_no_picard_step_or_particles(monkeypatch):
@@ -638,9 +688,8 @@ def test_solution_json_roundtrip():
     assert back.tau_Y.to_json() == sol.tau_Y.to_json()
 
 
-@pytest.mark.parametrize("W, D", [(NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10),
-                                  (NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}), 8),
-                                  (mixed_w(4), 4)], ids=["c13", "c14", "mixed"])
+@pytest.mark.parametrize("W, D", [(NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}), 8),
+                                  (mixed_w(4), 4)], ids=["c14", "mixed"])
 def test_tau_y_is_derived_from_v(W, D, monkeypatch):
     calls = []
     solve_sd = sd.solve_sd
@@ -654,6 +703,25 @@ def test_tau_y_is_derived_from_v(W, D, monkeypatch):
     # the solve leaves the law of Y to the solution, which solves it cold
     assert D + 4 not in calls
     assert sol.tau_Y.to_json() == solve_sd(sol.V.truncate(D + 4), D + 4).to_json()
+
+
+def test_one_variable_tau_y_is_the_one_cut_law(monkeypatch):
+    W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
+    sol = T.solve_V(T.TransportProblem(W, 10))
+    sd_table = sd.solve_sd(sol.V.truncate(14), 14).to_dict()
+    seen = counting_solve_sd(monkeypatch)
+    table = sol.tau_Y.to_dict()
+    assert seen == []
+    # the same words as the Schwinger-Dyson table at cap D + 4, which is off
+    # the exact law by 1e-1 (relative) on x^14
+    assert [item["word"] for item in table["values"]] == \
+        [item["word"] for item in sd_table["values"]]
+    assert table["degree_cap"] == sd_table["degree_cap"] == 14
+    exact = G.free_gibbs_measure(G.EvenPotential(
+        [0.5 + sol.V.coeff((0, 0))] + [sol.V.coeff((0,) * k) for k in (4, 6, 8, 10)]))
+    for item in table["values"]:
+        m = exact.moment(len(item["word"]))
+        assert abs(item["value"] - m) <= 1e-12 * abs(m)
 
 
 def pushed_map(V, cap):
