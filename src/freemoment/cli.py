@@ -47,7 +47,7 @@ def _emit(obj, as_json, path=None):
 def _load_potential(text):
     if os.path.exists(text):
         with open(text) as fh:
-            return gibbs1d.EvenPotential(jsonio.loads(fh.read())["even_coeffs"])
+            return gibbs1d.EvenPotential.from_dict(jsonio.loads(fh.read()))
     return gibbs1d.EvenPotential.parse(text)
 
 
@@ -133,7 +133,8 @@ def cmd_verify(args):
         sol = transport.TransportSolution.from_dict(data)
         report, ok = _check_transport(sol, W)
     elif "uprime" in data:
-        report = moment1d.particle_residuals(data["uprime"]["x"], data["uprime"]["value"])
+        report = moment1d.particle_residuals(*(jsonio.field(data["uprime"], key, jsonio.floats)
+                                               for key in ("x", "value")))
         ok = _residuals_pass(report)
     else:
         raise InvalidInputError("unrecognized solution file")

@@ -37,14 +37,13 @@ def _gauss_theta(order):
 
 
 @functools.lru_cache(maxsize=None)
-def _fixed_sine(grid, n):
-    """Read-only sin(n theta) on a fixed grid: the nodes of the theta-Gauss
-    rule of ``grid`` points, or for ``grid`` None the 8192 uniform points of
-    [0, pi] on which free_gibbs_measure checks the density's sign."""
+def _sines(grid, n_max):
+    """Read-only sin(n theta), n = 1..n_max, at the nodes of the theta-Gauss rule of
+    ``grid`` points or, for ``grid`` None, at the 8192 of free_gibbs_measure's sign check."""
     theta = np.linspace(0.0, np.pi, 8192) if grid is None else _gauss_theta(grid)[0]
-    row = np.sin(n * theta)
-    row.flags.writeable = False
-    return row
+    rows = np.sin(np.multiply.outer(np.arange(1, n_max + 1), theta))
+    rows.flags.writeable = False
+    return rows
 
 
 def _even_deriv(coeffs, x):
@@ -56,21 +55,16 @@ def _even_deriv(coeffs, x):
     return out
 
 
-def _sine_density(a, sine):
-    """Density -(1/pi) sum_n a_n sin(n theta), sin(n theta) read from
-    ``sine(n)``, summed in n order; a stack of coefficient vectors along the
-    last axis of ``a`` gives a stack of densities."""
-    vals = np.zeros(a.shape[:-1] + sine(1).shape)
-    for n in range(1, a.shape[-1]):
-        vals += a[..., n, None] * sine(n)
-    return -vals / np.pi
+def _sine_density(a, sines):
+    """Density -(1/pi) sum_n a_n sin(n theta) from rows sin(n theta), n >= 1, per row of a."""
+    return -(a[..., 1:] @ sines) / np.pi
 
 
 def _density(a, r, x):
-    """Density at x of the one-cut law with Fourier coefficients ``a`` at
-    radius ``r``: the sine series, clipped at 0."""
-    theta = np.arccos(np.clip(-x / r, -1.0, 1.0))
-    return np.clip(_sine_density(a, lambda n: np.sin(n * theta)), 0.0, None)
+    """Density at x of the one-cut law with Fourier coefficients ``a`` at radius ``r``, clipped
+    at 0: the sine series at |x|, so that the even law's flat top stays flat to the bit."""
+    angles = np.multiply.outer(np.arange(1, a.size), np.arccos(np.clip(-np.abs(x) / r, -1.0, 1.0)))
+    return np.clip(_sine_density(a, np.sin(angles)), 0.0, None)
 
 
 def _theta_rule(a, r):
@@ -80,8 +74,9 @@ def _theta_rule(a, r):
     are linear in ``a``, and a stack of ``a`` gives a stack of each."""
     order = max(64, 4 * a.shape[-1] + 16)
     theta, w = _gauss_theta(order)
-    dens = _sine_density(a, functools.partial(_fixed_sine, order))
-    return -r * np.cos(theta), w * dens * r * _fixed_sine(order, 1), dens
+    sines = _sines(order, a.shape[-1] - 1)
+    dens = _sine_density(a, sines)
+    return -r * np.cos(theta), w * dens * r * sines[0], dens
 
 
 class EvenPotential:
@@ -101,12 +96,19 @@ class EvenPotential:
         self.degree = 2 * len(coeffs)
 
     @classmethod
+    def from_dict(cls, d):
+        return cls(jsonio.field(d, "even_coeffs", jsonio.floats))
+
+    @classmethod
     def parse(cls, text):
         """Parse "c2,c4,..." or a JSON object {"even_coeffs": [...]}."""
         text = text.strip()
         if text.startswith("{"):
-            return cls(jsonio.loads(text)["even_coeffs"])
-        return cls([float(p) for p in text.split(",") if p.strip()])
+            return cls.from_dict(jsonio.loads(text))
+        try:
+            return cls([float(p) for p in text.split(",") if p.strip()])
+        except ValueError:
+            raise InvalidInputError(f"even coefficients {text!r} are not numbers") from None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -154,14 +156,18 @@ def fourier_coefficients(uprime, r, n_coeffs):
 
 
 def _float_radius(coeffs):
-    """The root of ``solve_radius`` as np.roots gives it, from raw c_2, c_4, ...;
-    RegimeError when there is none, which a negative top coefficient allows."""
-    poly = [k * math.comb(2 * k, k) * c for k, c in enumerate(coeffs, start=1)]
+    """The root of ``solve_radius`` by np.roots' companion matrix, from raw c_2, c_4,
+    ...; RegimeError when there is none, which a negative top coefficient allows."""
+    poly = [k * math.comb(2 * k, k) * float(c) for k, c in enumerate(coeffs, start=1)]
     if not all(map(math.isfinite, poly)):
         raise RegimeError(f"no support radius: the radius equation of even coefficients "
                           f"{[float(c) for c in coeffs]} overflows")
-    roots = np.roots(list(reversed(poly)) + [-1.0])
-    z = [z.real for z in roots if z.real > 0 and abs(z.imag) <= 1e-12 * abs(z)]
+    # zero top coefficients trimmed, as np.roots does
+    poly = poly[:max((k for k, p in enumerate(poly, start=1) if p), default=0)]
+    companion = np.eye(len(poly), k=-1)
+    companion[:1] = -np.array(poly[-2::-1] + [-1.0]) / poly[-1] if poly else 0.0
+    roots = np.linalg.eigvals(companion)
+    z = [z.real for z in roots.tolist() if z.real > 0 and abs(z.imag) <= 1e-12 * abs(z)]
     if not z:
         raise RegimeError("no support radius: r*a_1 = -2 has no positive root")
     return 2.0 * math.sqrt(min(z))
@@ -175,7 +181,7 @@ def solve_radius(u):
     positive real root, the first radius at which r*a_1 + 2 changes sign.
     """
     poly = [k * math.comb(2 * k, k) * Fraction(c) for k, c in enumerate(u.even_coeffs, start=1)]
-    # np.roots leaves r a few ulp off; one Newton step on P(r^2/4) - 1 in exact
+    # the eigenvalues leave r a few ulp off; one Newton step on P(r^2/4) - 1 in exact
     # rational arithmetic lands on the double nearest the root
     r = Fraction(_float_radius(u.even_coeffs))
     q = r * r / 4
@@ -184,16 +190,27 @@ def solve_radius(u):
     return float(r - f / df)
 
 
+@functools.lru_cache(maxsize=None)
+def _odd_powers(n_coeffs):
+    """Read-only (-cos t)^(2k-1), k = 1..``n_coeffs``: its Fourier coefficients
+    and its values at the nodes of their theta-Gauss rule, both at radius 1."""
+    odd = np.arange(1, 2 * n_coeffs, 2)[:, None]
+    means = fourier_coefficients(lambda y: y ** odd, 1.0, max(2 * n_coeffs - 1, 1))
+    powers = _theta_rule(means[0], 1.0)[0] ** odd
+    means.flags.writeable = powers.flags.writeable = False
+    return means, powers
+
+
 def _one_cut(coeffs, r=None):
     """The one-cut law of u = sum_k c_2k x^2k from raw c_2, c_4, ..., the top one
     possibly negative: the Fourier coefficients ``a`` at radius ``r`` (default
-    ``_float_radius``) and the theta-Gauss rule ``(x, weights)``, so that the
-    integral of f is ``weights @ f(x)``.  RegimeError when the density is
-    negative (or NaN) at a node."""
+    ``_float_radius``), the ``_odd_powers`` tables scaled by 2k c_2k r^(2k-1), and
+    the theta-Gauss rule ``(x, weights)``: the integral of f is ``weights @ f(x)``.
+    RegimeError when the density is negative (or NaN) at a node."""
     if r is None:
         r = _float_radius(coeffs)
-    a = fourier_coefficients(functools.partial(_even_deriv, coeffs), r,
-                             max(2 * len(coeffs) - 1, 1))
+    k = np.arange(1, len(coeffs) + 1)
+    a = 2 * k * coeffs * r ** (2 * k - 1) @ _odd_powers(len(coeffs))[0]
     x, weights, dens = _theta_rule(a, r)
     if not dens.min() >= -NEGATIVITY_TOL:
         raise RegimeError("one-cut assumption violated: density would be negative")
@@ -204,7 +221,7 @@ def _moment_map(coeffs, jac=False):
     """The moments m_k of U'(y) under the one-cut law of U = sum_k c_2k y^2k,
     at the even degrees 2k <= 2 len(coeffs), from raw c_2, c_4, ...: the
     moment-measure map of Cordero-Erausquin-Klartag.  With ``jac``, also its
-    exact derivative dm_k/dc_2j.
+    exact derivative dm_k/dc_2j, from the same law and so with the same moments.
 
     Moving c_2j moves U' on the boundary circle y = -r cos t by the odd
     polynomial 2j y^(2j-1) + dr_j y U''(y) / r, the second term through the
@@ -216,25 +233,27 @@ def _moment_map(coeffs, jac=False):
     """
     coeffs = np.asarray(coeffs, dtype=float)
     r = _float_radius(coeffs)
-    a, x, weights = _one_cut(coeffs, r)
-    f = _even_deriv(coeffs, x)
-    moments = np.array([weights @ f ** (2 * k) for k in range(1, len(coeffs) + 1)])
+    _, _, weights = _one_cut(coeffs, r)
+    k = np.arange(1, len(coeffs) + 1)
+    means, odd = _odd_powers(len(coeffs))
+    # U' at the nodes and its even powers, by products: pow costs more than the law
+    scale = 2 * k * r ** (2 * k - 1)
+    f = scale * coeffs @ odd
+    even = np.cumprod(np.broadcast_to(f * f, (len(k), f.size)), axis=0)
+    moments = even @ weights
     if not jac:
         return moments
-    k = np.arange(1, len(coeffs) + 1)
     z = r * r / 4
     # pk = dP/dc_2k, and P'(z) = sum_k k pk c_2k / z
     pk = k * np.array([math.comb(2 * j, j) for j in k.tolist()], dtype=float) * z ** k
     dr = -2.0 / r * pk / (k * pk * coeffs).sum() * z
-    # column j: the even coefficients whose _even_deriv is that polynomial,
-    # y U''(y) being the _even_deriv of (2k - 1) c_2k
-    moved = np.eye(len(coeffs)) + np.outer((2 * k - 1) * coeffs / r, dr)
-    du = functools.partial(_even_deriv, moved[:, :, None])
-    dweights = _theta_rule(fourier_coefficients(du, r, a.size - 1), r)[1] \
-        + weights * (dr / r)[:, None]
-    powers = 2 * k[:, None]
-    return moments, (f ** powers @ dweights.T
-                     + (powers * f ** (powers - 1) * weights) @ du(x).T)
+    # column j: that polynomial's coefficients, y U''(y) being the derivative
+    # of sum_k (2k - 1) c_2k y^2k, scaled as in _one_cut
+    moved = scale[:, None] * (np.eye(len(coeffs)) + np.outer((2 * k - 1) * coeffs / r, dr))
+    dweights = _theta_rule(moved.T @ means, r)[1] + weights * (dr / r)[:, None]
+    # d f^2k = 2k f^(2k-1) df
+    odd_f = 2 * k[:, None] * f * np.vstack((np.ones_like(f), even[:-1]))
+    return moments, even @ dweights.T + (odd_f * weights) @ (moved.T @ odd).T
 
 
 class GibbsSolution(JSONMixin):
@@ -284,9 +303,8 @@ class GibbsSolution(JSONMixin):
 
     @classmethod
     def from_dict(cls, d):
-        return cls(EvenPotential(d["even_coeffs"]), d["radius"],
-                   np.asarray(d["fourier"], dtype=float),
-                   GridMeasure.from_dict(d["measure"]))
+        return cls(EvenPotential.from_dict(d), jsonio.field(d, "radius", float),
+                   jsonio.field(d, "fourier", jsonio.floats), GridMeasure.from_dict(d["measure"]))
 
 
 def free_gibbs_measure(u):
@@ -309,7 +327,7 @@ def free_gibbs_measure(u):
     sol = GibbsSolution(u, r, a, None)
 
     # a finer grid than the theta-Gauss nodes of _one_cut
-    min_density = float(_sine_density(a, functools.partial(_fixed_sine, None)).min())
+    min_density = float(_sine_density(a, _sines(None, a.size - 1)).min())
     if min_density < -NEGATIVITY_TOL:
         raise RegimeError("one-cut assumption violated: density would be negative")
 

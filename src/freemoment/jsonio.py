@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 
@@ -16,11 +18,36 @@ class _Object(dict):
 
 
 def loads(text):
-    return json.loads(text, object_hook=_Object)
+    """Parse JSON text whose top level is an object."""
+    data = json.loads(text, object_hook=_Object)
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"expected a JSON object, got {type(data).__name__}")
+    return data
 
 
-class JSONMixin:
-    """``to_json``/``from_json`` on top of a class's ``to_dict``/``from_dict``."""
+def field(d, key, convert, *default):
+    """``convert(d[key])``, or ``convert(default)`` when ``d`` lacks the key
+    and a default is given.  InvalidInputError naming the key when ``d`` is
+    not an object or ``convert`` raises TypeError or ValueError."""
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"expected an object with key {key!r}, got {type(d).__name__}")
+    try:
+        return convert(d[key] if key in d or not default else default[0])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"invalid value of key {key!r}: {exc}") from None
+
+
+def floats(value, size=None):
+    """A JSON list of numbers as a float array, of ``size`` entries when given."""
+    out = np.asarray(value, dtype=float)
+    if out.ndim != 1 or size not in (None, out.size):
+        raise ValueError(f"expected {size or 'a list of'} numbers, got {value!r}")
+    return out
+
+
+class JSONWriter:
+    """``to_json`` on top of a class's ``to_dict``, for a type that is
+    written and never read back."""
 
     # empty, so that slotted subclasses gain no per-instance __dict__
     __slots__ = ()
@@ -31,6 +58,12 @@ class JSONMixin:
             with open(path, "w") as fh:
                 fh.write(text)
         return text
+
+
+class JSONMixin(JSONWriter):
+    """``to_json``/``from_json`` on top of a class's ``to_dict``/``from_dict``."""
+
+    __slots__ = ()
 
     @classmethod
     def from_json(cls, text_or_path):

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from . import jsonio
 from .errors import InvalidInputError
 from .jsonio import JSONMixin
 
@@ -337,17 +338,18 @@ class GridMeasure(JSONMixin):
 
     @classmethod
     def from_dict(cls, d):
-        support = tuple(d["support"])
-        atoms = [tuple(a) for a in d.get("atoms", [])]
-        q = np.asarray(d.get("quantiles", []), dtype=float)
+        support = jsonio.field(d, "support", lambda s: jsonio.floats(s, 2))
+        atoms = jsonio.field(d, "atoms", lambda a: [jsonio.floats(p, 2) for p in a], [])
+        q = jsonio.field(d, "quantiles", jsonio.floats, [])
         edges = np.concatenate([[support[0]], q, [support[1]]])
         primary = bool(d.get("quantiles_primary"))
         segments = []
         if not primary or d.get("segment_lengths"):
-            nodes = np.asarray(d.get("nodes", []), dtype=float)
-            dens = np.asarray(d.get("density", []), dtype=float)
+            nodes = jsonio.field(d, "nodes", jsonio.floats, [])
+            dens = jsonio.field(d, "density", jsonio.floats, [])
             if nodes.size:
-                lengths = d.get("segment_lengths", [nodes.size])
+                lengths = jsonio.field(d, "segment_lengths", lambda v: [int(n) for n in v],
+                                       [nodes.size])
                 pos = 0
                 for ln in lengths:
                     segments.append((nodes[pos:pos + ln], dens[pos:pos + ln]))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import measure1d
 from .errors import InvalidInputError
-from .jsonio import JSONMixin
+from .jsonio import JSONWriter
 from .measure1d import GridMeasure
 
 
@@ -68,7 +68,7 @@ class MomentProblem:
         self.barycenter = measure1d.barycenter(target)
 
 
-class MomentSolution(JSONMixin):
+class MomentSolution(JSONWriter):
     def __init__(self, rho_hat, uprime, functional_value, residuals, positions,
                  target_quantiles, iterations, converged, diagnostics):
         self.rho_hat = rho_hat

@@ -20,6 +20,7 @@ import functools
 
 import numpy as np
 
+from . import jsonio
 from .errors import InvalidInputError
 from .jsonio import JSONMixin
 
@@ -152,16 +153,17 @@ class NCSeries(JSONMixin):
 
     @classmethod
     def from_dict(cls, d):
+        n = jsonio.field(d, "n_vars", int)
         terms = {}
-        for item in d.get("terms", []):
-            word = tuple(int(i) - 1 for i in item["word"])
-            if any(i < 0 or i >= d["n_vars"] for i in word):
+        for item in jsonio.field(d, "terms", list, []):
+            word = jsonio.field(item, "word", lambda w: tuple(int(i) - 1 for i in w))
+            if any(i < 0 or i >= n for i in word):
                 raise InvalidInputError("word letter out of range")
-            coeff = float(item["coeff"])
+            coeff = jsonio.field(item, "coeff", float)
             if not np.isfinite(coeff):
                 raise InvalidInputError(f"coefficient {coeff} of word {item['word']} is not finite")
             terms[word] = terms.get(word, 0.0) + coeff
-        return cls(d["n_vars"], d["max_degree"], terms)
+        return cls(n, jsonio.field(d, "max_degree", int), terms)
 
 
 # -- word ranks ----------------------------------------------------------------------

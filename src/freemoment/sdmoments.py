@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .jsonio import JSONMixin
+from .jsonio import JSONWriter
 from .ncseries import (NCSeries, _code, _digits, _positions, _ranks, _series, _split,
                        _word_tuples, cyclic_gradient, multiply)
 
@@ -105,7 +105,7 @@ def _enumerate_canonical(n, length):
     return tuple(map(tuple, _digits(reps, n, length).tolist()))
 
 
-class TraceTable(JSONMixin):
+class TraceTable(JSONWriter):
     """Trace values on canonical cyclic words up to a degree cap; written to
     JSON, never read back.
 

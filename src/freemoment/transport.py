@@ -7,15 +7,16 @@ as the fixed point of a contraction, the cyclic symmetrized Picard map on
 Vtilde; ``picard_map`` and ``lipschitz_bound`` keep that map and its
 constant.  ``solve_V`` solves the transport condition itself, with one chord
 Newton (``_newton``) for every W, each caller supplying its Jacobian.  The
-diagonal part of W, its words x_i^L, decouples into one-variable problems
-whose condition is closed form on the one-cut moments of ``gibbs1d``, with
-an exact Jacobian.  Their solution is the answer for a separable W (every W
-in one variable), and the start of the Gauss-Newton at the truncation scale
-for any other W, whose Jacobian is one-sided differences.  V alone
-determines a solution: the law of Y, the transport map and Vtilde are
-derived from it, and ``verify_transport`` reads only V, W and the degree.
-Every one-variable law (the solver's target, the separable check's, Y's for
-n = 1) is a one-cut law from ``_one_cut_law``, not a Schwinger-Dyson table.
+diagonal part of W, its words x_i^L, decouples into one-variable problems,
+closed form on the one-cut law of ``gibbs1d``: moments and exact Jacobian
+from one law, stages short of degree D stopped at sqrt(tol).  Their solution
+is the answer for a separable W (every W in one variable), and the start of
+the Gauss-Newton for any other W, whose Jacobian is one-sided differences.
+V alone determines a solution: the law of Y, the transport map and Vtilde
+are derived from it, and ``verify_transport`` reads only V, W and the
+degree.  Every one-variable law (the solver's target, the separable check's,
+Y's for n = 1) is a one-cut law from ``_one_cut_law``, not a
+Schwinger-Dyson table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import time
 
 import numpy as np
 
-from . import gibbs1d, sdmoments
+from . import gibbs1d, jsonio, sdmoments
 from .errors import ConvergenceError, InvalidInputError, RegimeError
 from .jsonio import JSONMixin
 from .ncseries import (
@@ -126,7 +127,7 @@ class TransportSolution(JSONMixin):
 
     @classmethod
     def from_dict(cls, d):
-        return cls(NCSeries.from_dict(d["V"]), d.get("diagnostics", {}))
+        return cls(NCSeries.from_dict(d["V"]), jsonio.field(d, "diagnostics", dict, {}))
 
 
 def _transport_map(V, cap):
@@ -359,11 +360,12 @@ def _solve_one_variable(w, degree, tol):
     the moments of U' under the one-cut law of U match those of x^2/2 + W
     (``_one_cut_law``) at every even degree <= D.  Newton from V = 0 diverges at
     D = 10, so stage D' = 2, 4, ..., D starts from the last with v_D' = 0 and
-    runs ``_newton`` down to 1e-3 tol: below tol, short of round-off.  Its
-    Jacobian is the exact derivative of ``gibbs1d._moment_map``, one one-cut law
-    and its derivative per build: C13 (0.05 x^4, D = 10) takes 26 steps on one
-    Jacobian per stage.  A stage that leaves the one-cut regime or runs out of
-    steps hands its last iterate on.  Returns (v_2, ..., v_D) and the
+    runs ``_newton`` down to 1e-3 tol, below tol and short of round-off; a stage
+    D' < D only starts the next, so it stops at max(sqrt(tol), 1e-3 tol).  The
+    Jacobian is the exact derivative of ``gibbs1d._moment_map`` from the same
+    law: C13 (0.05 x^4, D = 10) takes 12 steps and 22 evaluations of the map.
+    A stage that leaves the one-cut regime or runs out of steps hands its last
+    iterate on.  Returns (v_2, ..., v_D) and the
     diagnostics; ``converged`` means a final residual of at most tol.
     """
     t0 = time.perf_counter()
@@ -386,9 +388,10 @@ def _solve_one_variable(w, degree, tol):
     target = np.array([weights @ y ** (2 * k) for k in range(1, len(u) + 1)])
     t_newton = time.perf_counter()
     v, f, steps = np.zeros(0), np.zeros(0), 0
-    for _ in range(degree // 2):
-        # appending v_D' = 0 keeps U, whose residual was evaluated
-        v, f, taken = _newton(residual, jacobian, np.append(v, 0.0), 1e-3 * tol, NEWTON_STEPS)
+    for stage in range(1, degree // 2 + 1):
+        # appending v_D' = 0 keeps U, whose residual was evaluated; D' < D starts D' + 2
+        stop = 1e-3 * tol if stage == degree // 2 else max(np.sqrt(tol), 1e-3 * tol)
+        v, f, taken = _newton(residual, jacobian, np.append(v, 0.0), stop, NEWTON_STEPS)
         steps += taken
     t_end = time.perf_counter()
     worst = float(np.max(np.abs(f), initial=0.0))

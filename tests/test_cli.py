@@ -391,6 +391,15 @@ def test_cli_does_not_load_scipy(body, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_builds_no_gibbs1d_table(tmp_path):
+    # the cached tables of the one-cut law are built on first use
+    script = ("import freemoment\nfrom freemoment import gibbs1d as G\n"
+              "tables = (G._gauss_theta, G._sines, G._boundary_grid, G._odd_powers)\n"
+              "assert [f.cache_info().currsize for f in tables] == [0] * 4")
+    proc = _run_fresh(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_transport_files_do_not_depend_on_blas_threads(tmp_path):
     # the one-variable and separable paths factor no Hessian
     _write_transport_inputs(tmp_path)
@@ -480,3 +489,51 @@ def test_input_without_a_key_exits_2(argv, text, key, module, tmp_path, capsys, 
     assert code == 2 and stdout == ""
     err = json.loads(stderr)
     assert err == {"code": 2, "message": f"missing key {key!r}", "module": module}
+
+
+def test_written_types_have_no_reader_and_read_types_round_trip(semicircle, quartic_solution):
+    # TraceTable and MomentSolution are written, never read back
+    from freemoment import moment1d, sdmoments, transport
+
+    assert not hasattr(sdmoments.TraceTable, "from_json")
+    assert not hasattr(moment1d.MomentSolution, "from_json")
+    W = NCSeries(1, 4, {(0, 0, 0, 0): 0.05})
+    for obj in (W, semicircle, quartic_solution,
+                transport.solve_V(transport.TransportProblem(W, 4))):
+        text = obj.to_json()
+        assert type(obj).from_json(text).to_json() == text
+
+
+_TERM = {"word": [1, 1, 1, 1], "coeff": "x"}
+
+
+@pytest.mark.parametrize("argv, text, message, module", [
+    (["gibbs1d", "--even-coeffs", "in.json"], [0.5], "expected a JSON object, got list",
+     "free_gibbs_1d"),
+    (["gibbs1d", "--even-coeffs", "in.json"], {"even_coeffs": 0.5},
+     "invalid value of key 'even_coeffs'", "free_gibbs_1d"),
+    (["gibbs1d", "--even-coeffs", "0.5,x"], {}, "even coefficients '0.5,x' are not numbers",
+     "free_gibbs_1d"),
+    (["transport-nc", "--series", "in.json"], [0.5], "expected a JSON object, got list",
+     "free_transport"),
+    (["transport-nc", "--series", "in.json"], {"n_vars": 1, "max_degree": 4, "terms": [_TERM]},
+     "invalid value of key 'coeff': could not convert string to float: 'x'", "free_transport"),
+    (["moment1d", "--target", "in.json"], [0.5], "expected a JSON object, got list",
+     "moment_measure_1d"),
+    (["moment1d", "--target", "in.json"], {"support": [0, "a"], "nodes": [0], "density": [1]},
+     "invalid value of key 'support'", "moment_measure_1d"),
+    (["verify", "--solution", "in.json"], [0.5], "expected a JSON object, got list", "cli"),
+    (["verify", "--solution", "in.json"], {"uprime": {"x": [0, 1], "value": "x"}},
+     "invalid value of key 'value'", "cli"),
+], ids=["gibbs1d-list", "gibbs1d-number", "gibbs1d-inline", "transport-nc-list",
+        "transport-nc-string", "moment1d-list", "moment1d-string", "verify-list", "verify-string"])
+def test_input_of_the_wrong_type_exits_2(argv, text, message, module, tmp_path, capsys,
+                                         monkeypatch):
+    # a top level that is not an object, or a value that does not convert,
+    # is invalid input naming the key, not an internal error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(text))
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    err = json.loads(stderr)
+    assert err["code"] == 2 and err["module"] == module and err["message"].startswith(message)

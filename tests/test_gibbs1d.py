@@ -79,6 +79,15 @@ def test_density_vanishes_at_edges(quartic_solution):
     assert quartic_solution.density(np.array([-r, r])).max() == 0.0
 
 
+def test_even_law_samples_are_even_to_the_bit():
+    # a round-off slope across the flat top cell of this law's samples made
+    # GridMeasure's quantile solve cancel, and free_gibbs_measure reject it
+    sol = G.free_gibbs_measure(G.EvenPotential([0.4851956472759906, 0.11473525167380104]))
+    xs = np.linspace(0.0, sol.radius, 101)
+    assert np.array_equal(sol.density(xs), sol.density(-xs))
+    assert abs(M.quantile(sol.measure, 0.5)) < 1e-12
+
+
 def test_mass_without_normalization(quartic_solution):
     assert abs(quartic_solution.mass() - 1.0) < 1e-12
 
@@ -182,8 +191,17 @@ def test_solution_json_roundtrip(quartic_solution):
 def test_cached_sines_are_the_sines_read_only():
     # the two fixed grids: the theta-Gauss nodes and the density-check grid
     for grid, theta in ((64, G._gauss_theta(64)[0]), (None, np.linspace(0.0, np.pi, 8192))):
-        for n in range(1, 10):
-            row = G._fixed_sine(grid, n)
-            assert not row.flags.writeable and np.array_equal(row, np.sin(n * theta))
+        rows = G._sines(grid, 9)
+        assert not rows.flags.writeable and rows.shape == (9, theta.size)
+        for n, row in enumerate(rows, start=1):
+            assert np.array_equal(row, np.sin(n * theta))
     nodes, cosines = G._boundary_grid(9)
     assert not nodes.flags.writeable and not cosines.flags.writeable
+    # the odd powers of -cos at the boundary grid, as Fourier coefficients,
+    # and at the nodes of the rule for those coefficients, 64 for 10 of them
+    means, powers = G._odd_powers(5)
+    assert not means.flags.writeable and not powers.flags.writeable
+    odd = np.arange(1, 10, 2)[:, None]
+    assert np.array_equal(means, G.fourier_coefficients(lambda y: y ** odd, 1.0, 9))
+    theta = G._gauss_theta(64)[0]
+    assert np.array_equal(powers, (-np.cos(theta)) ** odd)

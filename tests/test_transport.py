@@ -356,22 +356,21 @@ def test_separable_check_is_exact_at_full_degree_in_one_variable(monkeypatch):
 
 
 def test_separable_check_reports_the_worse_variable():
-    for a, b in ((0.02, 0.03), (0.03, 0.02), (0.02, 0.04)):
-        W = NCSeries(2, 8, {(0, 0, 0, 0): a, (1, 1, 1, 1): b})
-        sol = T.solve_V(T.TransportProblem(W, 8))
-        rep = T.verify_transport(sol, W, 8)
+    # a known deviation: 1e-6 added to one variable's x^4 coefficient of a
+    # solved V, so that which variable is worse is not decided at round-off
+    W = NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.03})
+    V = T.solve_V(T.TransportProblem(W, 8)).V
+    for i in range(2):
+        moved = V + NCSeries(2, 8, {(i,) * 4: 1e-6})
+        rep = T.verify_transport(T.TransportSolution(moved, {}), W, 8)
         alone = []
-        for c in (a, b):
-            W1 = NCSeries(1, 8, {(0, 0, 0, 0): c})
-            alone.append(T.verify_transport(T.solve_V(T.TransportProblem(W1, 8)), W1, 8))
-        worse = int(alone[1]["max_moment_deviation"] > alone[0]["max_moment_deviation"])
-        assert alone[0]["max_moment_deviation"] != alone[1]["max_moment_deviation"]
-        # both checks solve the same one-variable pair cold: the same figure
-        assert rep["max_moment_deviation"] == alone[worse]["max_moment_deviation"]
-        assert rep["worst_word"] == [worse + 1] * len(alone[worse]["worst_word"])
+        for v, w in zip(T._split_diagonal(moved, 8)[0], T._split_diagonal(W, 8)[0]):
+            V1, W1 = (NCSeries(1, 8, {(0,) * L: c for L, c in enumerate(p) if c}) for p in (v, w))
+            alone.append(T.verify_transport(T.TransportSolution(V1, {}), W1, 8))
+        assert alone[1 - i]["max_moment_deviation"] <= 1e-12
+        assert rep["max_moment_deviation"] == alone[i]["max_moment_deviation"] > 1e-8
+        assert rep["worst_word"] == [i + 1] * len(alone[i]["worst_word"])
         assert rep["sd_residual"] == max(r["sd_residual"] for r in alone)
-    # at (0.02, 0.04) the larger residual belongs to the other variable
-    assert rep["sd_residual"] != alone[worse]["sd_residual"]
 
 
 def test_mixed_word_in_v_takes_the_joint_check(monkeypatch):
@@ -587,10 +586,50 @@ def _c13_u():
     return [0.5 + sol.V.coeff((0, 0))] + [sol.V.coeff((0,) * k) for k in range(4, 11, 2)]
 
 
-@pytest.mark.parametrize("coeffs", [
+MOMENT_MAP_CASES = pytest.mark.parametrize("coeffs", [
     _c13_u, lambda: [0.5, 1.0, 0.0, 0.0, 0.0], lambda: [0.5, -0.02],
     lambda: [0.6, 0.1, -0.01, 0.002, 3e-4],
 ], ids=["c13", "strong-quartic-d10", "non-confining-d4", "five-terms"])
+
+
+@MOMENT_MAP_CASES
+def test_moment_map_is_the_moments_of_the_free_gibbs_law(coeffs):
+    # the integrals of U'^2k by the theta-Gauss rule of free_gibbs_measure's
+    # solution, U' summed term by term at its nodes.  EvenPotential refuses
+    # the non-confining top coefficient, which the one-cut law allows
+    u = np.array(coeffs())
+    potential = object.__new__(G.EvenPotential)
+    potential.even_coeffs = tuple(u.tolist())
+    sol = G.free_gibbs_measure(potential)
+    expected = [sol._theta_integral(lambda x: potential.deriv(x) ** (2 * k))
+                for k in range(1, len(u) + 1)]
+    assert np.allclose(G._moment_map(u), expected, rtol=1e-14, atol=0.0)
+
+
+def test_moment_map_solves_one_law_for_moments_and_jacobian(monkeypatch):
+    calls = []
+    for name in ("_float_radius", "_one_cut"):
+        monkeypatch.setattr(G, name, lambda *args, f=getattr(G, name), name=name:
+                            calls.append(name) or f(*args))
+    G._moment_map(np.array([0.6, 0.1, -0.01, 0.002, 3e-4]), jac=True)
+    assert calls == ["_float_radius", "_one_cut"]
+
+
+def test_c13_one_variable_solve_stops_its_early_stages_at_sqrt_tol(monkeypatch):
+    # each stage D' < D stops at sqrt(tol), the last at 1e-3 tol: 12 steps and
+    # 22 evaluations of the moment map, where stopping every stage at 1e-3
+    # tol took 26 and 36
+    calls = []
+    moment_map = G._moment_map
+    monkeypatch.setattr(G, "_moment_map",
+                        lambda c, jac=False: calls.append(jac) or moment_map(c, jac))
+    sol = T.solve_V(T.TransportProblem(NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10))
+    diag = sol.diagnostics
+    assert diag["converged"] and diag["residual"] <= 1e-12
+    assert diag["iterations"] <= 14 and len(calls) <= 24
+
+
+@MOMENT_MAP_CASES
 def test_moment_map_jacobian_matches_central_differences(coeffs):
     u = np.array(coeffs())
     moments, jac = G._moment_map(u, jac=True)
