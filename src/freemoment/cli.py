@@ -12,6 +12,11 @@ is missing or is not JSON included), out-of-regime (any solver error, a solve
 that does not converge included), an unconverged moment1d solve or a solution
 that fails verification.  Every error path prints a structured JSON object
 {code, message, module}, from ``main`` alone.
+
+The one module that opens files, by ``_read`` and ``_write``.  ``--series``,
+``--solution`` and a ``--target`` that is not ``builtin:`` are paths, and
+``--even-coeffs`` is one when that file exists: a name that is valid JSON
+still names a file.
 """
 
 from __future__ import annotations
@@ -35,19 +40,28 @@ HILBERT_RESIDUAL_TOL = 1e-3
 SD_SCALAR_TOL = 1e-5
 
 
+def _read(path):
+    """The JSON object in the file at ``path``."""
+    with open(path) as fh:
+        return jsonio.loads(fh.read())
+
+
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _emit(obj, as_json, path=None):
     text = json.dumps(obj, sort_keys=True)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write(path, text)
     if as_json:
         print(text)
 
 
 def _load_potential(text):
     if os.path.exists(text):
-        with open(text) as fh:
-            return gibbs1d.EvenPotential.from_dict(jsonio.loads(fh.read()))
+        return gibbs1d.EvenPotential.from_dict(_read(text))
     return gibbs1d.EvenPotential.parse(text)
 
 
@@ -60,7 +74,7 @@ def cmd_gibbs1d(args):
     out["sd_scalar"] = sol.sd_scalar()
     _emit(out, args.json, args.out)
     if args.out:
-        sol.measure.to_csv(os.path.splitext(args.out)[0] + ".csv")
+        _write(os.path.splitext(args.out)[0] + ".csv", sol.measure.to_csv())
     if not args.json:
         print(f"radius r = {sol.radius!r}")
         print(f"hilbert residual = {residual:.3e}")
@@ -70,7 +84,7 @@ def cmd_gibbs1d(args):
 def _load_target(text):
     if text.startswith("builtin:"):
         return moment1d.builtin_target(text[len("builtin:"):])
-    target = measure1d.GridMeasure.from_json(text)
+    target = measure1d.GridMeasure.from_dict(_read(text))
     target.validate()
     return target
 
@@ -90,7 +104,7 @@ def cmd_moment1d(args):
 
 
 def cmd_transport_nc(args):
-    W = transport.NCSeries.from_json(args.series)
+    W = transport.NCSeries.from_dict(_read(args.series))
     degree = args.degree if args.degree else max(W.max_degree, W.degree())
     problem = transport.TransportProblem(W, degree, tol=args.tol)
     sol = transport.solve_V(problem)
@@ -116,8 +130,7 @@ def _residuals_pass(report):
 
 
 def cmd_verify(args):
-    with open(args.solution) as fh:
-        data = jsonio.loads(fh.read())
+    data = _read(args.solution)
     if "fourier" in data:
         sol = gibbs1d.GibbsSolution.from_dict(data)
         report = {
@@ -129,7 +142,7 @@ def cmd_verify(args):
     elif "V" in data:
         if not args.series:
             raise InvalidInputError("verifying a transport solution needs --series W.json")
-        W = transport.NCSeries.from_json(args.series)
+        W = transport.NCSeries.from_dict(_read(args.series))
         sol = transport.TransportSolution.from_dict(data)
         report, ok = _check_transport(sol, W)
     elif "uprime" in data:
@@ -158,11 +171,11 @@ def build_parser():
                     help="measure JSON file or builtin:<semicircle|two_point:a|dirac:c|quartic_pushforward>")
     gm.add_argument("--particles", type=int, default=512)
     t = sub.add_parser("transport-nc", help="noncommutative transport for an even perturbation")
-    t.add_argument("--series", required=True, help="W as NCSeries JSON")
+    t.add_argument("--series", required=True, help="W as an NCSeries JSON file")
     t.add_argument("--degree", type=int, default=None)
     v = sub.add_parser("verify", help="recheck a stored solution file")
-    v.add_argument("--solution", required=True)
-    v.add_argument("--series", default=None)
+    v.add_argument("--solution", required=True, help="a solution JSON file")
+    v.add_argument("--series", default=None, help="W as an NCSeries JSON file")
 
     for q in (gm, t):
         q.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
@@ -191,7 +204,7 @@ def main(argv=None):
     handler, module = COMMANDS[args.command]
     try:
         return handler(args)
-    except (FreeMomentError, OSError, json.JSONDecodeError) as exc:
+    except (FreeMomentError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         # invalid input, an unreadable input file, or out of any solver's regime
         return _report(EXIT_INVALID, exc, module)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises

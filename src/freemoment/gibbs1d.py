@@ -18,7 +18,6 @@ import numpy as np
 
 from . import jsonio, measure1d
 from .errors import InvalidInputError, RegimeError
-from .jsonio import JSONMixin
 from .measure1d import GridMeasure
 
 # most negative value the sampled density may take before the potential is
@@ -256,7 +255,7 @@ def _moment_map(coeffs, jac=False):
     return moments, even @ dweights.T + (odd_f * weights) @ (moved.T @ odd).T
 
 
-class GibbsSolution(JSONMixin):
+class GibbsSolution(jsonio.JSONWriter):
     """Radius, boundary Fourier coefficients, and the assembled measure."""
 
     def __init__(self, potential, radius, fourier, measure):

@@ -1,4 +1,6 @@
-"""The JSON round trip shared by every serializable type."""
+"""The JSON round trip shared by every serializable type: ``to_json`` returns
+text, and a type with a ``from_dict`` reads ``from_dict(loads(text))``.
+Nothing here opens a file; the command line does."""
 
 from __future__ import annotations
 
@@ -46,31 +48,10 @@ def floats(value, size=None):
 
 
 class JSONWriter:
-    """``to_json`` on top of a class's ``to_dict``, for a type that is
-    written and never read back."""
+    """``to_json`` on top of a class's ``to_dict``."""
 
     # empty, so that slotted subclasses gain no per-instance __dict__
     __slots__ = ()
 
-    def to_json(self, path=None):
-        text = json.dumps(self.to_dict())
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-
-class JSONMixin(JSONWriter):
-    """``to_json``/``from_json`` on top of a class's ``to_dict``/``from_dict``."""
-
-    __slots__ = ()
-
-    @classmethod
-    def from_json(cls, text_or_path):
-        """Parse JSON text; anything that does not parse is read as a file path."""
-        try:
-            d = loads(text_or_path)
-        except (ValueError, TypeError):
-            with open(text_or_path) as fh:
-                d = loads(fh.read())
-        return cls.from_dict(d)
+    def to_json(self):
+        return json.dumps(self.to_dict())

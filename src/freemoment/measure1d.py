@@ -15,15 +15,12 @@ between them hold to round-off rather than to quadrature tolerance.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 
 import numpy as np
 
 from . import jsonio
 from .errors import InvalidInputError
-from .jsonio import JSONMixin
 
 DEFAULT_NODES = 2048
 DEFAULT_CELLS = 1024
@@ -55,7 +52,7 @@ def _flat_cells(e, d):
     return d <= _FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)
 
 
-class GridMeasure(JSONMixin):
+class GridMeasure(jsonio.JSONWriter):
     """A compactly supported probability measure on the line.
 
     Instances are immutable by convention; every operation returns a new
@@ -222,11 +219,12 @@ class GridMeasure(JSONMixin):
         x0, x1, d0, d1, mass = (a[order[i]] for a in (x0, x1, d0, d1, mass))
         rem = np.minimum(np.maximum(level - cum[i], 0.0), mass)
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (d1 - d0) / (x1 - x0)
-            linear = x0 + (rem / mass) * (x1 - x0)
-            root = (np.sqrt(np.maximum(d0 * d0 + 2.0 * slope * rem, 0.0)) - d0) / slope
-        out = np.where(np.abs(slope) < 1e-300, linear, np.minimum(np.maximum(x0 + root, x0), x1))
-        return np.where(x1 == x0, x0, out)
+            # the offset u of d0 u + (d1 - d0) u^2 / (2 w) = rem in a cell of
+            # width w, by the root without cancellation: rem / d0 at slope 0
+            w = x1 - x0
+            u = 2.0 * rem / (np.sqrt(np.maximum(d0 * d0 + 2.0 * (d1 - d0) * rem / w, 0.0)) + d0)
+        out = np.minimum(np.maximum(x0 + u, x0), x1)
+        return np.where((x1 == x0) | (rem == 0.0), x0, out)
 
     def cdf(self, x):
         """CDF at x (right-continuous), exact for the stored representation."""
@@ -300,11 +298,9 @@ class GridMeasure(JSONMixin):
         if np.any(np.diff(self._edges) < -1e-12 * (hi - lo)):
             raise InvalidInputError("quantiles must be nondecreasing")
         if self._segments and not self.atoms:
-            # quantile table consistent with the density CDF at interior grid points
-            s = np.linspace(0.0, 1.0, min(self.n_cells, 64) + 1)[1:-1]
-            q = self._exact_quantile(s)
-            f = self.cdf(q)
-            if np.max(np.abs(f - s)) > _CDF_TOL:
+            # the quantile table, read at its levels j/n by the density's CDF
+            s = np.linspace(0.0, 1.0, self.n_cells + 1)[1:-1]
+            if np.max(np.abs(self.cdf(self.quantiles) - s)) > _CDF_TOL:
                 raise InvalidInputError("quantiles inconsistent with density CDF")
         return True
 
@@ -356,18 +352,10 @@ class GridMeasure(JSONMixin):
                     pos += ln
         return cls(support, segments, atoms, edges, quantiles_primary=primary)
 
-    def to_csv(self, path=None):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["node", "density"])
-        if self.nodes is not None:
-            for x, d in zip(self.nodes, self.density):
-                w.writerow([repr(float(x)), repr(float(d))])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+    def to_csv(self):
+        """Node and density columns as CSV text, with CRLF line ends."""
+        rows = zip(self.nodes, self.density) if self.nodes is not None else ()
+        return "node,density\r\n" + "".join(f"{float(x)!r},{float(d)!r}\r\n" for x, d in rows)
 
     def __repr__(self):
         kind = "atomic" if self.is_atomic() else ("mixed" if self.mixed else "ac")
@@ -594,32 +582,28 @@ def _segment_hilbert(xs, ds, tw, x, tol):
     BLAS, so a row's value does not depend on the rest of the batch.
     """
     a, b = xs[0], xs[-1]
-    out = np.empty_like(x)
-    inside = (a <= x) & (x <= b)
+    inside = np.flatnonzero((a <= x) & (x <= b))
     xi = x[inside]
     rho, slope = _local_cubic(xs, ds, xi)
-    g = ds - rho[:, None]
+    # the subtracted value c, the local cubic's inside and the nearer end's
+    # sample outside, integrates to c log|(x - a)/(b - x)|
+    c = np.where(x < a, ds[0], ds[-1])
+    c[inside] = rho
+    g = ds - c[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        g /= np.subtract.outer(xi, xs)
-        log_term = rho * np.log(np.abs((xi - a) / (b - xi)))
-    # nodes within tol of a point take the cubic's limit -slope; they lie in
-    # the window j0..j1-1 that searchsorted finds around the point
+        g /= np.subtract.outer(x, xs)
+        log_term = c * np.log(np.abs((x - a) / (b - x)))
+    # nodes within tol of an inside point take the cubic's limit -slope; they
+    # lie in the window j0..j1-1 that searchsorted finds around the point
     j0 = np.searchsorted(xs, xi - 2.0 * tol)
     j1 = np.searchsorted(xs, xi + 2.0 * tol, side="right")
     for off in range(int(np.max(j1 - j0, initial=0))):
         r = np.flatnonzero(j1 - j0 > off)
-        c = j0[r] + off
-        near = np.abs(xi[r] - xs[c]) < tol
-        g[r[near], c[near]] = -slope[r[near]]
-    log_term[rho == 0.0] = 0.0
-    out[inside] = np.einsum("ij,j->i", g, tw) + log_term
-    # outside, the end value de integrates to de log|(x - a)/(x - b)|
-    xo = x[~inside]
-    de = np.where(xo < a, ds[0], ds[-1])
-    g = ds - de[:, None]
-    g /= np.subtract.outer(xo, xs)
-    out[~inside] = np.einsum("ij,j->i", g, tw) + de * np.log(np.abs((xo - a) / (xo - b)))
-    return out
+        col = j0[r] + off
+        near = np.abs(xi[r] - xs[col]) < tol
+        g[inside[r[near]], col[near]] = -slope[r[near]]
+    log_term[inside[rho == 0.0]] = 0.0
+    return np.einsum("ij,j->i", g, tw) + log_term
 
 
 def hilbert_transform(m, x):

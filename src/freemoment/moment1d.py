@@ -316,14 +316,19 @@ def builtin_target(name):
     quartic_pushforward."""
     parts = name.split(":")
     kind = parts[0]
+
+    def param(default):
+        try:
+            return float(parts[1]) if len(parts) > 1 else default
+        except ValueError:
+            raise InvalidInputError(f"builtin target '{name}': parameter is not a number") from None
+
     if kind == "semicircle":
         return measure1d.semicircle()
     if kind == "two_point":
-        a = float(parts[1]) if len(parts) > 1 else 1.0
-        return measure1d.two_point(a)
+        return measure1d.two_point(param(1.0))
     if kind in ("dirac", "dirac0"):
-        c = float(parts[1]) if len(parts) > 1 else 0.0
-        return measure1d.dirac(c)
+        return measure1d.dirac(param(0.0))
     if kind == "quartic_pushforward":
         from . import gibbs1d
 

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import jsonio
 from .errors import InvalidInputError
-from .jsonio import JSONMixin
 
 
-class NCSeries(JSONMixin):
+class NCSeries(jsonio.JSONWriter):
     """A real-coefficient noncommutative polynomial / truncated power series."""
 
     __slots__ = ("n_vars", "max_degree", "ranks", "coeffs")

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import gibbs1d, jsonio, sdmoments
 from .errors import ConvergenceError, InvalidInputError, RegimeError
-from .jsonio import JSONMixin
 from .ncseries import (
     NCSeries,
     _digits,
@@ -86,7 +85,7 @@ class TransportProblem:
         self.guaranteed = norm_A(self.W, GUARANTEE_NORM_RADIUS) < GUARANTEE_MARGIN * DEFAULT_R
 
 
-class TransportSolution(JSONMixin):
+class TransportSolution(jsonio.JSONWriter):
     """V and the diagnostics.  The trace table of the law of Y to cap
     ``V.max_degree + 4`` (its one-cut moments for an even V in one variable,
     else ``solve_sd``'s), the transport map Y + DV and Vtilde = S Pi N V are

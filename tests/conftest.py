@@ -14,6 +14,11 @@ def quartic_solution():
     return gibbs1d.free_gibbs_measure(gibbs1d.EvenPotential([0.0, 0.25]))
 
 
+def write_json(path, obj):
+    """Write ``obj.to_json()`` to the file ``path``."""
+    path.write_text(obj.to_json())
+
+
 def random_bump_measure(rng, n_nodes=1024, n_cells=512):
     """A random smooth compactly supported probability measure."""
     k = int(rng.integers(1, 4))

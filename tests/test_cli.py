@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import freemoment
-from freemoment import cli
+from freemoment import cli, jsonio
 from freemoment.errors import InvalidInputError
 from freemoment.ncseries import NCSeries
+
+from conftest import write_json
 
 
 def run(argv, capsys):
@@ -76,12 +78,47 @@ def test_moment1d_target_from_measure_file(tmp_path, capsys):
     from freemoment import measure1d as M
 
     target = tmp_path / "mu.json"
-    M.two_point(1.0).to_json(str(target))
+    write_json(target, M.two_point(1.0))
     code, stdout, _ = run(["moment1d", "--target", str(target), "--particles", "128",
                            "--json"], capsys)
     assert code == 0
     data = json.loads(stdout)
     assert abs(data["rho_hat"]["support"][1] - math.pi) < 0.3
+
+
+def test_moment1d_target_file_whose_table_contradicts_its_density_exits_2(semicircle, tmp_path,
+                                                                          capsys):
+    # a uniform quantile table on [-2, 2] with semicircle density samples
+    data = semicircle.to_dict()
+    data["quantiles"] = list(np.linspace(-2.0, 2.0, semicircle.n_cells + 1)[1:-1])
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(data))
+    code, stdout, stderr = run(["moment1d", "--target", str(target)], capsys)
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr)["message"] == "quantiles inconsistent with density CDF"
+
+
+@pytest.mark.parametrize("name", ["2", "null"])
+@pytest.mark.parametrize("command", ["transport-nc", "moment1d", "verify"])
+def test_input_file_whose_name_is_json_is_read_as_a_file(command, name, tmp_path, capsys,
+                                                         monkeypatch):
+    # the name of an input file is never parsed as JSON text
+    from freemoment import measure1d as M
+
+    monkeypatch.chdir(tmp_path)
+    W = NCSeries(1, 4, {(0, 0, 0, 0): 0.05})
+    if command == "moment1d":
+        write_json(tmp_path / name, M.two_point(1.0))
+        argv = ["moment1d", "--target", name, "--particles", "128"]
+    else:
+        write_json(tmp_path / name, W)
+        argv = ["transport-nc", "--series", name, "--degree", "4"]
+        if command == "verify":
+            assert run(argv + ["--out", "sol.json"], capsys)[0] == 0
+            argv = ["verify", "--solution", "sol.json", "--series", name]
+    code, stdout, stderr = run(argv + ["--json"], capsys)
+    assert code == 0 and stderr == ""
+    assert json.loads(stdout)
 
 
 @pytest.mark.parametrize("sample", [-0.1, math.nan], ids=["negative", "nan"])
@@ -170,7 +207,7 @@ def test_verify_moment1d_solution(tmp_path, capsys):
 
 def test_transport_cli_zero_and_invalid(tmp_path, capsys):
     wfile = tmp_path / "w0.json"
-    NCSeries.zero(1, 8).to_json(str(wfile))
+    write_json(wfile, NCSeries.zero(1, 8))
     code, stdout, _ = run(["transport-nc", "--series", str(wfile), "--degree", "8",
                            "--json"], capsys)
     assert code == 0
@@ -178,14 +215,14 @@ def test_transport_cli_zero_and_invalid(tmp_path, capsys):
     assert data["V"]["terms"] == []
 
     bad = tmp_path / "wodd.json"
-    NCSeries(1, 8, {(0, 0, 0): 0.1}).to_json(str(bad))
+    write_json(bad, NCSeries(1, 8, {(0, 0, 0): 0.1}))
     code, _, stderr = run(["transport-nc", "--series", str(bad)], capsys)
     assert code == 2
     assert "even degree" in json.loads(stderr)["message"]
 
     # x^2/2 - 0.05 x^4 has no one-cut law: the residue polynomial has no positive root
     no_law = tmp_path / "wneg.json"
-    NCSeries(1, 4, {(0, 0, 0, 0): -0.05}).to_json(str(no_law))
+    write_json(no_law, NCSeries(1, 4, {(0, 0, 0, 0): -0.05}))
     code, _, stderr = run(["transport-nc", "--series", str(no_law)], capsys)
     assert code == 2
     err = json.loads(stderr)
@@ -197,7 +234,7 @@ def test_transport_cli_solver_errors_exit_2(tmp_path, capsys):
     # a strong mixed W leaves the Schwinger-Dyson cutoff ball: an out-of-regime
     # input, not an internal error
     strong = tmp_path / "wstrong.json"
-    NCSeries(2, 4, {(0, 1, 0, 1): 0.1, (1, 0, 1, 0): 0.1}).to_json(str(strong))
+    write_json(strong, NCSeries(2, 4, {(0, 1, 0, 1): 0.1, (1, 0, 1, 0): 0.1}))
     # a word too long for an int64 rank
     too_long = tmp_path / "wlong.json"
     too_long.write_text(json.dumps({"n_vars": 2, "max_degree": 80,
@@ -221,7 +258,7 @@ def test_transport_cli_exit_code_ignores_tol(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.transport, "verify_transport", fake_verify)
     wfile = tmp_path / "w0.json"
-    NCSeries.zero(1, 8).to_json(str(wfile))
+    write_json(wfile, NCSeries.zero(1, 8))
     code, stdout, _ = run(["transport-nc", "--series", str(wfile), "--degree", "8",
                            "--tol", "0.5", "--json"], capsys)
     assert json.loads(stdout)["verification"]["max_moment_deviation"] == 1e-2
@@ -239,7 +276,7 @@ def test_tol_reaches_the_solver_as_given(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.moment1d, "MomentProblem", capture)
     monkeypatch.setattr(cli.transport, "TransportProblem", capture)
     wfile = tmp_path / "w0.json"
-    NCSeries.zero(1, 8).to_json(str(wfile))
+    write_json(wfile, NCSeries.zero(1, 8))
     for argv in (["moment1d", "--target", "builtin:semicircle"],
                  ["transport-nc", "--series", str(wfile)]):
         assert run(argv + ["--tol", "0"], capsys)[0] == 2
@@ -262,7 +299,7 @@ def test_transport_cli_has_no_radius_flags(flag, tmp_path, capsys):
     # the regime test and the Schwinger-Dyson ball use fixed radii, so
     # transport-nc takes none
     wfile = tmp_path / "w.json"
-    NCSeries(1, 4, {(0, 0, 0, 0): 0.01}).to_json(str(wfile))
+    write_json(wfile, NCSeries(1, 4, {(0, 0, 0, 0): 0.01}))
     with pytest.raises(SystemExit) as exc:
         cli.main(["transport-nc", "--series", str(wfile)] + flag)
     assert exc.value.code == 2
@@ -271,7 +308,7 @@ def test_transport_cli_has_no_radius_flags(flag, tmp_path, capsys):
 
 def test_transport_cli_quartic(tmp_path, capsys):
     wfile = tmp_path / "w.json"
-    NCSeries(1, 10, {(0, 0, 0, 0): 0.05}).to_json(str(wfile))
+    write_json(wfile, NCSeries(1, 10, {(0, 0, 0, 0): 0.05}))
     out = tmp_path / "sol.json"
     code, stdout, _ = run(["transport-nc", "--series", str(wfile), "--degree", "10",
                            "--out", str(out), "--json"], capsys)
@@ -291,7 +328,7 @@ def test_transport_cli_one_variable_check_reads_the_one_cut_law(coeff, tmp_path,
     # cutoff 3, and -0.02 x^4 lies near the critical coupling: a check on
     # Schwinger-Dyson tables rejected both solves, which converge
     wfile, out = tmp_path / "w.json", tmp_path / "sol.json"
-    NCSeries(1, 4, {(0, 0, 0, 0): coeff}).to_json(str(wfile))
+    write_json(wfile, NCSeries(1, 4, {(0, 0, 0, 0): coeff}))
     code, stdout, _ = run(["transport-nc", "--series", str(wfile), "--degree", "10",
                            "--out", str(out), "--json"], capsys)
     assert code == 0
@@ -319,7 +356,7 @@ def test_verify_gibbs_solution(tmp_path, capsys):
 
 def test_determinism_byte_identical(tmp_path, capsys):
     wfile = tmp_path / "w.json"
-    NCSeries(1, 10, {(0, 0, 0, 0): 0.05}).to_json(str(wfile))
+    write_json(wfile, NCSeries(1, 10, {(0, 0, 0, 0): 0.05}))
     commands = {
         "gibbs1d": ["gibbs1d", "--even-coeffs", "0.5,0.25"],
         "transport": ["transport-nc", "--series", str(wfile), "--degree", "10"],
@@ -335,16 +372,16 @@ def test_determinism_byte_identical(tmp_path, capsys):
 
 
 def _write_transport_inputs(directory):
-    NCSeries(1, 10, {(0, 0, 0, 0): 0.05}).to_json(str(directory / "w1.json"))
-    NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}).to_json(str(directory / "w2.json"))
+    write_json(directory / "w1.json", NCSeries(1, 10, {(0, 0, 0, 0): 0.05}))
+    write_json(directory / "w2.json", NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}))
     # 0.01 (x^4 + y^4) + 0.01 cyc(xyxy)
-    NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01, (0, 1, 0, 1): 0.005,
-                    (1, 0, 1, 0): 0.005}).to_json(str(directory / "w3.json"))
+    write_json(directory / "w3.json", NCSeries(2, 4, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01,
+                                                      (0, 1, 0, 1): 0.005, (1, 0, 1, 0): 0.005}))
     # the same W scaled by 1e-3, inside the guaranteed regime
-    NCSeries(2, 4, {(0, 0, 0, 0): 1e-5, (1, 1, 1, 1): 1e-5, (0, 1, 0, 1): 5e-6,
-                    (1, 0, 1, 0): 5e-6}).to_json(str(directory / "w4.json"))
-    NCSeries(2, 6, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01, (0, 1, 0, 1): 0.005,
-                    (1, 0, 1, 0): 0.005}).to_json(str(directory / "w6.json"))
+    write_json(directory / "w4.json", NCSeries(2, 4, {(0, 0, 0, 0): 1e-5, (1, 1, 1, 1): 1e-5,
+                                                      (0, 1, 0, 1): 5e-6, (1, 0, 1, 0): 5e-6}))
+    write_json(directory / "w6.json", NCSeries(2, 6, {(0, 0, 0, 0): 0.01, (1, 1, 1, 1): 0.01,
+                                                      (0, 1, 0, 1): 0.005, (1, 0, 1, 0): 0.005}))
 
 
 def _run_fresh(script, cwd, **env_vars):
@@ -461,11 +498,14 @@ def test_verify_reads_v_and_w_alone(edit, tmp_path, capsys):
     (["transport-nc", "--series", "bad.txt"], "free_transport"),
     (["moment1d", "--target", "missing.json"], "moment_measure_1d"),
     (["gibbs1d", "--even-coeffs", "bad.txt"], "free_gibbs_1d"),
-], ids=["verify", "transport-nc", "moment1d", "gibbs1d"])
+    (["verify", "--solution", "binary.json"], "cli"),
+], ids=["verify", "transport-nc", "moment1d", "gibbs1d", "not-utf-8"])
 def test_unreadable_input_file_exits_2(argv, module, tmp_path, capsys, monkeypatch):
-    # a missing file or one that is not JSON is invalid input, not an internal error
+    # a missing file, one that is not JSON or one that is not text is invalid
+    # input, not an internal error
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.txt").write_text("not json")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
     code, stdout, stderr = run(argv, capsys)
     assert code == 2 and stdout == ""
     err = json.loads(stderr)
@@ -495,13 +535,15 @@ def test_written_types_have_no_reader_and_read_types_round_trip(semicircle, quar
     # TraceTable and MomentSolution are written, never read back
     from freemoment import moment1d, sdmoments, transport
 
-    assert not hasattr(sdmoments.TraceTable, "from_json")
-    assert not hasattr(moment1d.MomentSolution, "from_json")
+    assert not hasattr(sdmoments.TraceTable, "from_dict")
+    assert not hasattr(moment1d.MomentSolution, "from_dict")
     W = NCSeries(1, 4, {(0, 0, 0, 0): 0.05})
     for obj in (W, semicircle, quartic_solution,
                 transport.solve_V(transport.TransportProblem(W, 4))):
+        # one reader for every type, and none that takes a path
+        assert not hasattr(obj, "from_json")
         text = obj.to_json()
-        assert type(obj).from_json(text).to_json() == text
+        assert type(obj).from_dict(jsonio.loads(text)).to_json() == text
 
 
 _TERM = {"word": [1, 1, 1, 1], "coeff": "x"}
@@ -525,8 +567,13 @@ _TERM = {"word": [1, 1, 1, 1], "coeff": "x"}
     (["verify", "--solution", "in.json"], [0.5], "expected a JSON object, got list", "cli"),
     (["verify", "--solution", "in.json"], {"uprime": {"x": [0, 1], "value": "x"}},
      "invalid value of key 'value'", "cli"),
+    (["moment1d", "--target", "builtin:two_point:abc"], {},
+     "builtin target 'two_point:abc': parameter is not a number", "moment_measure_1d"),
+    (["moment1d", "--target", "builtin:dirac:abc"], {},
+     "builtin target 'dirac:abc': parameter is not a number", "moment_measure_1d"),
 ], ids=["gibbs1d-list", "gibbs1d-number", "gibbs1d-inline", "transport-nc-list",
-        "transport-nc-string", "moment1d-list", "moment1d-string", "verify-list", "verify-string"])
+        "transport-nc-string", "moment1d-list", "moment1d-string", "verify-list", "verify-string",
+        "two-point-string", "dirac-string"])
 def test_input_of_the_wrong_type_exits_2(argv, text, message, module, tmp_path, capsys,
                                          monkeypatch):
     # a top level that is not an object, or a value that does not convert,

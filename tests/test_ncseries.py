@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -322,7 +323,7 @@ def test_operators_linear_and_preserve_selfadjointness():
 
 def test_series_json_roundtrip():
     f = nc.NCSeries(2, 6, {(0, 1, 1): 0.125, (): -3.0})
-    back = nc.NCSeries.from_json(f.to_json())
+    back = nc.NCSeries.from_dict(json.loads(f.to_json()))
     assert back.terms == f.terms
 
 

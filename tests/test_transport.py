@@ -722,7 +722,7 @@ def mixed_w(degree):
 def test_solution_json_roundtrip():
     W = NCSeries(1, 8, {(0, 0, 0, 0): 0.01})
     sol = T.solve_V(T.TransportProblem(W, 8))
-    back = T.TransportSolution.from_json(sol.to_json())
+    back = T.TransportSolution.from_dict(json.loads(sol.to_json()))
     assert back.V.terms == sol.V.terms
     assert back.tau_Y.to_json() == sol.tau_Y.to_json()
 
