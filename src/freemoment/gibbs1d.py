@@ -100,10 +100,7 @@ class EvenPotential:
 
     @classmethod
     def parse(cls, text):
-        """Parse "c2,c4,..." or a JSON object {"even_coeffs": [...]}."""
-        text = text.strip()
-        if text.startswith("{"):
-            return cls.from_dict(jsonio.loads(text))
+        """Parse the inline list "c2,c4,..."."""
         try:
             return cls([float(p) for p in text.split(",") if p.strip()])
         except ValueError:

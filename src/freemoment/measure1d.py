@@ -64,7 +64,6 @@ class GridMeasure(jsonio.JSONWriter):
         self._segments = [(np.asarray(x, float), np.asarray(d, float)) for x, d in segments]
         self.atoms = sorted((float(x), float(w)) for x, w in atoms)
         self._edges = np.asarray(edges, dtype=float)
-        self.mixed = bool(self._segments) and bool(self.atoms)
         # when True the stored quantile table is the authoritative view and
         # any density samples are a derived convenience (pushforwards,
         # displacement interpolants, particle clouds)
@@ -73,9 +72,9 @@ class GridMeasure(jsonio.JSONWriter):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_density(cls, nodes, density, support=None, atoms=(), normalize=False,
-                     n_cells=DEFAULT_CELLS, validate=True):
-        """Build a measure from density samples (piecewise linear between nodes).
+    def from_density(cls, nodes, density, support, atoms=(), normalize=False,
+                     n_cells=DEFAULT_CELLS):
+        """Build a validated measure from density samples (piecewise linear between nodes).
 
         ``normalize=True`` rescales the density so that the total mass
         (including any atoms) is exactly one.
@@ -96,14 +95,9 @@ class GridMeasure(jsonio.JSONWriter):
                 raise InvalidInputError("cannot normalize a zero density")
             density = density * ((1.0 - atom_mass) / ac_mass)
             ac_mass = 1.0 - atom_mass
-        if support is None:
-            lo = min([nodes[0]] + [x for x, _ in atoms])
-            hi = max([nodes[-1]] + [x for x, _ in atoms])
-            support = (lo, hi)
         m = cls(support, [(nodes, density)], list(atoms), np.zeros(2))
         m._edges = m._exact_quantile(np.linspace(0.0, 1.0, n_cells + 1))
-        if validate:
-            m.validate()
+        m.validate()
         return m
 
     @classmethod
@@ -130,8 +124,8 @@ class GridMeasure(jsonio.JSONWriter):
         return m
 
     @classmethod
-    def from_quantile_edges(cls, edges, validate=True):
-        """Build a measure from quantile values on the uniform edge grid j/m.
+    def from_quantile_edges(cls, edges):
+        """Build a validated measure from quantile values on the uniform edge grid j/m.
 
         Runs of exactly equal edges become atoms; the rest is carried as the
         equal-mass block model with no density samples attached.
@@ -149,8 +143,7 @@ class GridMeasure(jsonio.JSONWriter):
         atoms = [(float(edges[j]), (k - j) / n)
                  for j, k in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))]
         m = cls((edges[0], edges[-1]), [], atoms, edges, quantiles_primary=True)
-        if validate:
-            m.validate()
+        m.validate()
         return m
 
     # -- basic accessors ---------------------------------------------------
@@ -200,14 +193,19 @@ class GridMeasure(jsonio.JSONWriter):
     def _exact_quantile(self, s):
         """Generalized inverse CDF, exact for the stored representation."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
+        ax = np.array([x for x, _ in self.atoms], dtype=float)
         # mass-carrying pieces (x0, x1, d0, d1, mass): density cells of positive
-        # mass, then atoms as zero-width pieces, stably ordered by (x0, x1)
+        # mass, each segment cut at the atoms inside it (where its density is
+        # linear), then atoms as zero-width pieces, stably ordered by (x0, x1)
         pieces = []
         for xs, ds in self._segments:
+            inner = ax[(ax > xs[0]) & (ax < xs[-1])]
+            if inner.size:
+                split = np.union1d(xs, inner)
+                xs, ds = split, np.interp(split, xs, ds)
             mass = 0.5 * (ds[:-1] + ds[1:]) * np.diff(xs)
             pos = mass > 0
             pieces.append((xs[:-1][pos], xs[1:][pos], ds[:-1][pos], ds[1:][pos], mass[pos]))
-        ax = np.array([x for x, _ in self.atoms], dtype=float)
         zero = np.zeros_like(ax)
         pieces.append((ax, ax, zero, zero, np.array([w for _, w in self.atoms], dtype=float)))
         x0, x1, d0, d1, mass = (np.concatenate(col) for col in zip(*pieces))
@@ -223,7 +221,8 @@ class GridMeasure(jsonio.JSONWriter):
             # width w, by the root without cancellation: rem / d0 at slope 0
             w = x1 - x0
             u = 2.0 * rem / (np.sqrt(np.maximum(d0 * d0 + 2.0 * (d1 - d0) * rem / w, 0.0)) + d0)
-        out = np.minimum(np.maximum(x0 + u, x0), x1)
+        # a level at a piece's cumulative end is its right end, exactly
+        out = np.where(level >= cum[i + 1], x1, np.minimum(np.maximum(x0 + u, x0), x1))
         return np.where((x1 == x0) | (rem == 0.0), x0, out)
 
     def cdf(self, x):
@@ -274,9 +273,6 @@ class GridMeasure(jsonio.JSONWriter):
         atoms = [(x + c, w) for x, w in self.atoms]
         return GridMeasure((self.support[0] + c, self.support[1] + c),
                            segs, atoms, self._edges + c, self._quantiles_primary)
-
-    def center(self):
-        return self.translate(-barycenter(self))
 
     def validate(self):
         lo, hi = self.support
@@ -358,7 +354,7 @@ class GridMeasure(jsonio.JSONWriter):
         return "node,density\r\n" + "".join(f"{float(x)!r},{float(d)!r}\r\n" for x, d in rows)
 
     def __repr__(self):
-        kind = "atomic" if self.is_atomic() else ("mixed" if self.mixed else "ac")
+        kind = "atomic" if self.is_atomic() else ("mixed" if self._segments and self.atoms else "ac")
         return (f"GridMeasure({kind}, support=[{self.support[0]:.6g}, {self.support[1]:.6g}], "
                 f"atoms={len(self.atoms)})")
 
@@ -741,4 +737,4 @@ def displacement_interpolate(m0, m1, t):
     if m0.atoms:
         raise InvalidInputError("initial measure must be non-atomic")
     _, e0, e1 = _pair_grid(m0, m1)
-    return GridMeasure.from_quantile_edges((1.0 - t) * e0 + t * e1, validate=False)
+    return GridMeasure.from_quantile_edges((1.0 - t) * e0 + t * e1)

@@ -263,7 +263,7 @@ def _measure_from_particles(q):
     edges[1:-1] = 0.5 * (q[:-1] + q[1:])
     edges[0] = q[0] - 0.5 * (q[1] - q[0])
     edges[-1] = q[-1] + 0.5 * (q[-1] - q[-2])
-    return GridMeasure.from_quantile_edges(edges, validate=False)
+    return GridMeasure.from_quantile_edges(edges)
 
 
 def particle_residuals(q, y):
@@ -284,17 +284,6 @@ def particle_residuals(q, y):
     return {"hilbert_residual": hres, "pushforward_w2": None, "sd_scalar_error": sd}
 
 
-def recover_potential_derivative(rho_hat, mu):
-    """u' as the monotone rearrangement from rho_hat to mu (u' = Q_mu o F_rho)."""
-    if rho_hat.atoms:
-        raise InvalidInputError("source measure must be non-atomic")
-    m = rho_hat.n_cells
-    s = (np.arange(m) + 0.5) / m
-    xs = rho_hat._model_quantile(s)
-    vals = measure1d.quantile(mu, s)
-    return MonotoneMap(xs, vals)
-
-
 def verify_solution(sol, mu):
     """Residual report: Hilbert-transform identity, pushforward error, and the
     scalar Schwinger-Dyson check."""
@@ -302,7 +291,7 @@ def verify_solution(sol, mu):
     y = sol.target_quantiles
     rep = particle_residuals(q, y)
     pushed = GridMeasure.from_quantile_edges(
-        np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]]), validate=False)
+        np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]]))
     mu_c = mu.translate(-measure1d.barycenter(mu))
     rep["pushforward_w2"] = math.sqrt(max(measure1d.wasserstein2_sq(pushed, mu_c), 0.0))
     return rep
@@ -327,7 +316,7 @@ def builtin_target(name):
         return measure1d.semicircle()
     if kind == "two_point":
         return measure1d.two_point(param(1.0))
-    if kind in ("dirac", "dirac0"):
+    if kind == "dirac":
         return measure1d.dirac(param(0.0))
     if kind == "quartic_pushforward":
         from . import gibbs1d

@@ -86,6 +86,18 @@ def test_moment1d_target_from_measure_file(tmp_path, capsys):
     assert abs(data["rho_hat"]["support"][1] - math.pi) < 0.3
 
 
+def test_moment1d_target_with_an_atom_inside_a_density_cell(tmp_path, capsys):
+    from freemoment import measure1d as M
+
+    x = np.linspace(-1.0, 1.0, 301)
+    target = tmp_path / "mixed.json"
+    write_json(target, M.GridMeasure.from_density(x, 1.0 + x ** 2, (-1.0, 1.0),
+                                                  atoms=[(0.3031, 0.2)], normalize=True))
+    code, stdout, _ = run(["moment1d", "--target", str(target), "--particles", "128",
+                           "--json"], capsys)
+    assert code == 0 and json.loads(stdout)["converged"]
+
+
 def test_moment1d_target_file_whose_table_contradicts_its_density_exits_2(semicircle, tmp_path,
                                                                           capsys):
     # a uniform quantile table on [-2, 2] with semicircle density samples
@@ -164,7 +176,7 @@ def test_non_finite_input_exits_2(argv, named, tmp_path, capsys, monkeypatch):
 
 
 def test_moment1d_dirac_rejected(capsys):
-    code, _, stderr = run(["moment1d", "--target", "builtin:dirac0"], capsys)
+    code, _, stderr = run(["moment1d", "--target", "builtin:dirac"], capsys)
     assert code == 2
     assert "degenerate" in json.loads(stderr)["message"]
 

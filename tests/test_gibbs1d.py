@@ -149,8 +149,6 @@ def test_potential_validation():
         G.EvenPotential([1.0, -0.5])
     u = G.EvenPotential.parse("0,0.25")
     assert u.even_coeffs == (0.0, 0.25)
-    u2 = G.EvenPotential.parse('{"even_coeffs": [0.5, 0.25]}')
-    assert u2.even_coeffs == (0.5, 0.25)
 
 
 def test_gibbs_measure_moment_quadrature(quartic_solution):

@@ -116,12 +116,11 @@ def _mixed_measure():
     nodes = np.linspace(0.0, 1.0, 257)
     density = np.full(nodes.size, 0.5)
     return M.GridMeasure.from_density(nodes, density, support=(0.0, 2.0),
-                                      atoms=[(2.0, 0.5)], validate=False)
+                                      atoms=[(2.0, 0.5)])
 
 
 def test_mixed_measure_quantiles_and_moments():
     m = _mixed_measure()
-    assert m.mixed
     assert abs(m.total_mass() - 1.0) < 1e-12
     assert abs(M.quantile(m, 0.25) - 0.5) < 1e-12
     assert M.quantile(m, 0.75) == 2.0
@@ -297,7 +296,7 @@ def test_displacement_convexity_structural():
 def test_measure_validation(semicircle):
     assert semicircle.validate()
     with pytest.raises(InvalidInputError):
-        M.GridMeasure.from_density([0.0, 1.0], [-1.0, 2.0])
+        M.GridMeasure.from_density([0.0, 1.0], [-1.0, 2.0], support=(0.0, 1.0))
     with pytest.raises(InvalidInputError):
         M.GridMeasure.from_atoms([(0.0, 0.4)])
 
@@ -333,7 +332,7 @@ def test_csv_export(semicircle):
 def test_center_and_barycenter(semicircle):
     shifted = semicircle.translate(0.8)
     assert abs(M.barycenter(shifted) - 0.8) < 1e-10
-    recentered = shifted.center()
+    recentered = shifted.translate(-M.barycenter(shifted))
     assert abs(M.barycenter(recentered)) < 1e-10
 
 
@@ -406,6 +405,11 @@ def _loop_exact_quantile(m, s):
     # one mass-carrying piece at a time, one level at a time
     items = []
     for xs, ds in m._segments:
+        # cut at the atoms inside the segment but not on a node
+        cuts = [x for x, _ in m.atoms if xs[0] < x < xs[-1] and x not in xs]
+        if cuts:
+            split = sorted(xs.tolist() + cuts)
+            xs, ds = np.array(split), np.array([np.interp(x, xs, ds) for x in split])
         masses = 0.5 * (ds[:-1] + ds[1:]) * np.diff(xs)
         for i in range(xs.size - 1):
             if masses[i] > 0:
@@ -427,6 +431,9 @@ def _loop_exact_quantile(m, s):
         if rem == 0.0:
             out[k] = x0
             continue
+        if sk * total >= cum[i + 1]:
+            out[k] = x1
+            continue
         disc = d0 * d0 + 2.0 * (d1 - d0) * rem / (x1 - x0)
         root = 2.0 * rem / (math.sqrt(max(disc, 0.0)) + d0)
         out[k] = min(max(x0 + root, x0), x1)
@@ -437,8 +444,8 @@ def test_exact_quantile_matches_level_loop(semicircle):
     nodes = np.linspace(-1.0, 1.0, 301)
     # an atom strictly inside a density cell, one on a node, one past the end
     atoms = [(0.3031, 0.2), (float(nodes[90]), 0.1), (1.5, 0.05)]
-    inner = M.GridMeasure.from_density(nodes, 1.0 + nodes ** 2, atoms=atoms, normalize=True,
-                                       validate=False)
+    inner = M.GridMeasure.from_density(nodes, 1.0 + nodes ** 2, support=(-1.0, 1.5),
+                                       atoms=atoms, normalize=True)
     # levels on every cumulative-mass boundary of _mixed_measure (multiples of 2^-9)
     # and at 0 and 1
     s = np.concatenate([np.linspace(0.0, 1.0, 1025), np.arange(513) / 512.0,
@@ -448,12 +455,41 @@ def test_exact_quantile_matches_level_loop(semicircle):
         assert np.array_equal(m._exact_quantile(s), _loop_exact_quantile(m, s))
 
 
+def test_quantile_with_an_atom_inside_a_density_cell():
+    # the atom at 0.3031 lies strictly inside a cell of the grid; the cell's
+    # mass used to sort wholly before it, and the quantile fell back past it
+    nodes = np.linspace(-1.0, 1.0, 301)
+    one = [(0.3031, 0.2)]
+    # the same with one more atom on a node and one past the density's end
+    three = one + [(float(nodes[90]), 0.1), (1.5, 0.05)]
+    s = np.linspace(0.0, 1.0, 100001)[1:-1]
+    for atoms, support in ((one, (-1.0, 1.0)), (three, (-1.0, 1.5))):
+        m = M.GridMeasure.from_density(nodes, 1.0 + nodes ** 2, support, atoms=atoms,
+                                       normalize=True)
+        q = M.quantile(m, s)
+        assert np.all(np.diff(q) >= 0.0)
+        # a generalized inverse: F(q-) <= s <= F(q)
+        cdf = m.cdf(q)
+        jump = sum(np.where(q == x, w, 0.0) for x, w in m.atoms)
+        assert np.all(cdf - jump <= s + 1e-12) and np.all(s <= cdf + 1e-12)
+
+
+def test_quantile_table_ends_on_the_support(quartic_solution):
+    # the quartic law's density vanishes at its ends, where the root of the
+    # last cell misses the end by the square root of round-off
+    m = quartic_solution.measure
+    back = M.GridMeasure.from_dict(json.loads(m.to_json()))
+    assert np.array_equal(back._edges, m._edges)
+    mu = M.pushforward_monotone(m, lambda x: x ** 3)
+    assert mu.support[1] == mu.nodes[-1]
+
+
 def test_quantile_of_a_flat_cell_one_ulp_off_is_exact():
     # a uniform density with one sample one ulp high: the form of the root
     # that cancels misses the median by 2.4e-4 in CDF, and validate rejects it
     density = np.full(2048, 0.5)
     density[1024] = np.nextafter(0.5, 1.0)
-    m = M.GridMeasure.from_density(np.linspace(-1.0, 1.0, 2048), density)
+    m = M.GridMeasure.from_density(np.linspace(-1.0, 1.0, 2048), density, support=(-1.0, 1.0))
     s = np.linspace(0.0, 1.0, m.n_cells + 1)[1:-1]
     assert np.max(np.abs(m.cdf(m.quantiles) - s)) <= 1e-15
 
@@ -567,7 +603,7 @@ def test_hilbert_near_nodes_matches_full_table_rule():
     # points at nodes and within 1e-12 * scale of them; the nodes 0 and 1e-13
     # are both that close to the points 0 and 1e-13
     nodes = np.concatenate([np.linspace(-1.0, 0.0, 40), [1e-13], np.linspace(0.05, 1.0, 30)])
-    m = M.GridMeasure.from_density(nodes, 1.0 - nodes ** 2, normalize=True)
+    m = M.GridMeasure.from_density(nodes, 1.0 - nodes ** 2, support=(-1.0, 1.0), normalize=True)
     x = np.concatenate([nodes[1:-1], nodes[1:-1] + 3e-13, [5e-14]])
     ref = _full_table_hilbert(m, x)
     assert np.all(np.isfinite(ref))

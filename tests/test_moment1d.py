@@ -70,29 +70,6 @@ def test_minimize_two_point_target_finds_abs_potential():
     assert abs(sol.uprime(-2.0) + 1.0) < 5e-2
 
 
-def test_recover_potential_derivative_identity(semicircle):
-    sc = M.semicircle()
-    sc_fine = M.GridMeasure.from_density(sc.nodes, sc.density, support=sc.support, n_cells=8192)
-    rec = mo.recover_potential_derivative(sc_fine, sc_fine)
-    xs = np.linspace(-1.8, 1.8, 101)
-    assert np.max(np.abs(rec(xs) - xs)) < 1e-6
-
-
-def test_recover_potential_derivative_quartic(quartic_solution):
-    nu = quartic_solution.measure
-    mu = M.pushforward_monotone(nu, lambda x: x ** 3)
-    rec = mo.recover_potential_derivative(nu, mu)
-    r = quartic_solution.radius
-    xs = np.linspace(-0.9 * r, 0.9 * r, 101)
-    assert np.max(np.abs(rec(xs) - xs ** 3)) < 1e-3
-
-
-def test_recover_potential_derivative_translation(semicircle):
-    rec = mo.recover_potential_derivative(semicircle, semicircle.translate(0.9))
-    xs = np.linspace(-1.5, 1.5, 31)
-    assert np.max(np.abs(rec(xs) - (xs + 0.9))) < 1e-5
-
-
 def test_verify_solution_semicircle(semicircle):
     sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=512))
     rep = mo.verify_solution(sol, semicircle)
@@ -128,8 +105,9 @@ def test_minimize_quartic_target(quartic_solution):
 
 def test_translation_quotient():
     base = random_bump_measure(np.random.default_rng(23))
-    sol0 = mo.minimize_F(mo.MomentProblem(base.center(), n_particles=256))
-    sol1 = mo.minimize_F(mo.MomentProblem(base.center().translate(1.7), n_particles=256))
+    centered = base.translate(-M.barycenter(base))
+    sol0 = mo.minimize_F(mo.MomentProblem(centered, n_particles=256))
+    sol1 = mo.minimize_F(mo.MomentProblem(centered.translate(1.7), n_particles=256))
     assert np.max(np.abs(sol0.positions - sol1.positions)) < 1e-3
 
 
