@@ -10,7 +10,11 @@ A measure is carried in two coupled representations:
 
 The transport functionals all evaluate the same piecewise-linear quantile
 model (equal-mass blocks between quantile edges), so algebraic identities
-between them hold to round-off rather than to quadrature tolerance.
+between them hold to round-off rather than to quadrature tolerance.  CDF
+and quantile read one set of mass pieces: the table's blocks for a
+pushforward, an interpolant or a particle cloud, whose table is primary,
+and the density cells and atoms for any other measure, whose table
+validate checks as the generalized inverse of that CDF.
 """
 
 from __future__ import annotations
@@ -190,13 +194,21 @@ class GridMeasure(jsonio.JSONWriter):
 
     # -- exact CDF / quantile machinery -------------------------------------
 
-    def _exact_quantile(self, s):
-        """Generalized inverse CDF, exact for the stored representation."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
+    def _pieces(self):
+        """Ordered mass pieces (x0, x1, d0, d1, mass) and their cumulative masses.
+
+        A non-atomic measure whose table is primary or alone has the table's
+        blocks, flat ones zero-width.  Any other has its density cells of
+        positive mass, cut at the atoms inside them (where the density is
+        linear), and its atoms, zero-width, stably ordered by (x0, x1)."""
+        if not self.is_atomic() and (self._quantiles_primary or not self._segments):
+            e, n = self._edges, self.n_cells
+            w = np.diff(e)
+            flat = _flat_cells(e, w)
+            d = np.divide(1.0 / n, w, out=np.zeros(n), where=~flat)
+            x1 = np.where(flat, e[:-1], e[1:])
+            return (e[:-1], x1, d, d, np.full(n, 1.0 / n)), np.linspace(0.0, 1.0, n + 1)
         ax = np.array([x for x, _ in self.atoms], dtype=float)
-        # mass-carrying pieces (x0, x1, d0, d1, mass): density cells of positive
-        # mass, each segment cut at the atoms inside it (where its density is
-        # linear), then atoms as zero-width pieces, stably ordered by (x0, x1)
         pieces = []
         for xs, ds in self._segments:
             inner = ax[(ax > xs[0]) & (ax < xs[-1])]
@@ -208,13 +220,18 @@ class GridMeasure(jsonio.JSONWriter):
             pieces.append((xs[:-1][pos], xs[1:][pos], ds[:-1][pos], ds[1:][pos], mass[pos]))
         zero = np.zeros_like(ax)
         pieces.append((ax, ax, zero, zero, np.array([w for _, w in self.atoms], dtype=float)))
-        x0, x1, d0, d1, mass = (np.concatenate(col) for col in zip(*pieces))
-        order = np.lexsort((x1, x0))
-        cum = np.concatenate([[0.0], np.cumsum(mass[order])])
+        cols = [np.concatenate(col) for col in zip(*pieces)]
+        order = np.lexsort((cols[1], cols[0]))
+        return tuple(c[order] for c in cols), np.concatenate([[0.0], np.cumsum(cols[4][order])])
+
+    def _exact_quantile(self, s):
+        """Generalized inverse of ``cdf``, exact on the mass pieces."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        pieces, cum = self._pieces()
         # mass level s*total falls in piece i when cum[i] < s*total <= cum[i+1]
         level = s * cum[-1]
-        i = np.clip(np.searchsorted(cum, level, side="left") - 1, 0, mass.size - 1)
-        x0, x1, d0, d1, mass = (a[order[i]] for a in (x0, x1, d0, d1, mass))
+        i = np.clip(np.searchsorted(cum, level, side="left") - 1, 0, cum.size - 2)
+        x0, x1, d0, d1, mass = (a[i] for a in pieces)
         rem = np.minimum(np.maximum(level - cum[i], 0.0), mass)
         with np.errstate(divide="ignore", invalid="ignore"):
             # the offset u of d0 u + (d1 - d0) u^2 / (2 w) = rem in a cell of
@@ -226,32 +243,17 @@ class GridMeasure(jsonio.JSONWriter):
         return np.where((x1 == x0) | (rem == 0.0), x0, out)
 
     def cdf(self, x):
-        """CDF at x (right-continuous), exact for the stored representation."""
+        """CDF at x (right-continuous): the mass of the pieces up to x."""
         xq = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._block_model():
-            # with k edges <= x, x lies in block k - 1, of positive width when
-            # 0 < k <= n; the blocks before it (flat ones are atoms) count whole
-            e, n = self._edges, self.n_cells
-            k = np.searchsorted(e, xq, side="right")
-            j = np.clip(k - 1, 0, n - 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.clip((xq - e[j]) / (e[j + 1] - e[j]), 0.0, 1.0)
-            out = np.where(k > n, 1.0, (j + t) / n)
-            return out if np.ndim(x) else float(out[0])
-        out = np.zeros_like(xq)
-        for xs, ds in self._segments:
-            widths = np.diff(xs)
-            cellmass = 0.5 * (ds[:-1] + ds[1:]) * widths
-            cum = np.concatenate([[0.0], np.cumsum(cellmass)])
-            pos = np.clip(np.searchsorted(xs, xq, side="right") - 1, 0, xs.size - 2)
-            t = np.clip((xq - xs[pos]) / widths[pos], 0.0, 1.0)
-            d0 = ds[pos]
-            slope = (ds[pos + 1] - ds[pos])
-            part = widths[pos] * (d0 * t + 0.5 * slope * t * t)
-            inside = cum[pos] + part
-            out += np.where(xq < xs[0], 0.0, np.where(xq >= xs[-1], cum[-1], inside))
-        for xa, wa in self.atoms:
-            out += np.where(xq >= xa, wa, 0.0)
+        (x0, x1, d0, d1, _), cum = self._pieces()
+        # x lies in or right of piece i, the last one starting at or before it
+        i = np.searchsorted(x0, xq, side="right") - 1
+        j = np.maximum(i, 0)
+        w = x1[j] - x0[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip((xq - x0[j]) / w, 0.0, 1.0)
+        inside = cum[j] + w * (d0[j] * t + 0.5 * (d1[j] - d0[j]) * t * t)
+        out = np.where(i < 0, 0.0, np.where(xq >= x1[j], cum[j + 1], inside))
         return out if np.ndim(x) else float(out[0])
 
     # -- model quantile (equal-mass block) -----------------------------------
@@ -293,10 +295,12 @@ class GridMeasure(jsonio.JSONWriter):
             raise InvalidInputError(f"total mass {total} differs from 1")
         if np.any(np.diff(self._edges) < -1e-12 * (hi - lo)):
             raise InvalidInputError("quantiles must be nondecreasing")
-        if self._segments and not self.atoms:
-            # the quantile table, read at its levels j/n by the density's CDF
-            s = np.linspace(0.0, 1.0, self.n_cells + 1)[1:-1]
-            if np.max(np.abs(self.cdf(self.quantiles) - s)) > _CDF_TOL:
+        if self._segments and not self._quantiles_primary:
+            # the table inverts the CDF: F(q-) <= j/n <= F(q) at its levels j/n,
+            # with F(q-) read one float below q; written to fail on NaN as well
+            q, s = self.quantiles, np.linspace(0.0, 1.0, self.n_cells + 1)[1:-1]
+            below, at = self.cdf(np.stack([np.nextafter(q, -np.inf), q]))
+            if not np.all((below - _CDF_TOL <= s) & (s <= at + _CDF_TOL)):
                 raise InvalidInputError("quantiles inconsistent with density CDF")
         return True
 
@@ -435,20 +439,14 @@ def absolute_moment(m):
 
 
 def quantile(m, s):
-    """Generalized inverse CDF.
-
-    Exact inversion of the stored density/atom representation; measures whose
-    quantile table is the authoritative or the only view (pushforwards,
-    interpolants, particle clouds) interpolate that table instead.
-    """
+    """Generalized inverse CDF, the exact inverse of ``m.cdf`` on the same
+    mass pieces: the table's blocks for pushforwards, interpolants and
+    particle clouds, the density cells and atoms for any other measure."""
     scalar = np.ndim(s) == 0
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any((s <= 0.0) | (s >= 1.0)):
         raise InvalidInputError("quantile level must lie in (0, 1)")
-    if (m._quantiles_primary and not m.is_atomic()) or m._block_model():
-        out = m._model_quantile(s)
-    else:
-        out = m._exact_quantile(s)
+    out = m._exact_quantile(s)
     return float(out[0]) if scalar else out
 
 

@@ -65,7 +65,6 @@ class MomentProblem:
         if self.n_particles < 2:
             raise InvalidInputError("need at least two particles")
         self.tol = float(tol)
-        self.barycenter = measure1d.barycenter(target)
 
 
 class MomentSolution(JSONWriter):
@@ -195,7 +194,10 @@ def minimize_F(problem):
     t_start = time.perf_counter()
     mu = problem.target
     m = problem.n_particles
-    y = _target_quantiles(mu, m) - problem.barycenter
+    y = _target_quantiles(mu, m)
+    # centred by their own mean: the pair terms of the gradient sum to zero,
+    # so no move of the particles can remove mean(y)
+    y = y - np.mean(y)
     if float(np.max(y) - np.min(y)) <= 0.0:
         raise InvalidInputError("degenerate target")
 

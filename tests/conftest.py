@@ -39,6 +39,18 @@ def random_bump_measure(rng, n_nodes=1024, n_cells=512):
                                                n_cells=n_cells)
 
 
+def atoms_in_cells_measures():
+    """Two mixed measures with density 1 + x^2 on 301 nodes of [-1, 1]: one
+    atom strictly inside a density cell, then that atom and one more on a
+    node and one past the density's end."""
+    nodes = np.linspace(-1.0, 1.0, 301)
+    one = [(0.3031, 0.2)]
+    three = one + [(float(nodes[90]), 0.1), (1.5, 0.05)]
+    return [measure1d.GridMeasure.from_density(nodes, 1.0 + nodes ** 2, support, atoms=atoms,
+                                               normalize=True)
+            for atoms, support in ((one, (-1.0, 1.0)), (three, (-1.0, 1.5)))]
+
+
 def noncrossing_pair_count(word):
     """Brute-force count of non-crossing pairings matching equal letters.
 

@@ -10,7 +10,7 @@ import pytest
 from freemoment import gibbs1d, measure1d as M
 from freemoment.errors import InvalidInputError
 
-from conftest import random_bump_measure
+from conftest import atoms_in_cells_measures, random_bump_measure
 
 
 def test_moment_point_mass_at_origin():
@@ -458,20 +458,50 @@ def test_exact_quantile_matches_level_loop(semicircle):
 def test_quantile_with_an_atom_inside_a_density_cell():
     # the atom at 0.3031 lies strictly inside a cell of the grid; the cell's
     # mass used to sort wholly before it, and the quantile fell back past it
-    nodes = np.linspace(-1.0, 1.0, 301)
-    one = [(0.3031, 0.2)]
-    # the same with one more atom on a node and one past the density's end
-    three = one + [(float(nodes[90]), 0.1), (1.5, 0.05)]
     s = np.linspace(0.0, 1.0, 100001)[1:-1]
-    for atoms, support in ((one, (-1.0, 1.0)), (three, (-1.0, 1.5))):
-        m = M.GridMeasure.from_density(nodes, 1.0 + nodes ** 2, support, atoms=atoms,
-                                       normalize=True)
+    for m in atoms_in_cells_measures():
         q = M.quantile(m, s)
         assert np.all(np.diff(q) >= 0.0)
         # a generalized inverse: F(q-) <= s <= F(q)
         cdf = m.cdf(q)
         jump = sum(np.where(q == x, w, 0.0) for x, w in m.atoms)
         assert np.all(cdf - jump <= s + 1e-12) and np.all(s <= cdf + 1e-12)
+
+
+def test_cdf_inverts_the_quantile_of_table_measures(quartic_solution):
+    # quantile and cdf of a pushforward both read its table; cdf used to read
+    # the pushed density, and missed s by 2.3e-3 on x^3 and 1.4e-4 on u'
+    s = np.linspace(0.0, 1.0, 10001)[1:-1]
+    particles = M.GridMeasure.from_quantile_edges(
+        np.sort(np.random.default_rng(1).standard_normal(129)))
+    for m in (M.pushforward_monotone(quartic_solution.measure, lambda x: x ** 3),
+              M.pushforward_monotone(quartic_solution.measure,
+                                     gibbs1d.EvenPotential([0.35, 0.11]).deriv),
+              particles):
+        assert np.max(np.abs(m.cdf(M.quantile(m, s)) - s)) <= 1e-12
+
+
+def test_validate_checks_the_table_of_a_measure_with_atoms(semicircle, quartic_solution):
+    one, three = atoms_in_cells_measures()
+    for m in (one, three):
+        assert M.GridMeasure.from_dict(json.loads(m.to_json())).validate()
+    # a uniform table on [-1, 1] is no generalized inverse of one's CDF
+    data = one.to_dict()
+    data["quantiles"] = list(np.linspace(-1.0, 1.0, one.n_cells + 1)[1:-1])
+    with pytest.raises(InvalidInputError, match="quantiles inconsistent"):
+        M.GridMeasure.from_dict(data).validate()
+    # and so is a NaN entry, which the check by |F(q) - j/n| let through
+    for m in (one, semicircle):
+        data = m.to_dict()
+        data["quantiles"][5] = math.nan
+        with pytest.raises(InvalidInputError, match="quantiles inconsistent"):
+            M.GridMeasure.from_dict(data).validate()
+    # a pushforward's table is its CDF, and its density samples are still checked
+    data = M.pushforward_monotone(quartic_solution.measure, lambda x: 2.0 * x).to_dict()
+    assert M.GridMeasure.from_dict(data).validate()
+    data["density"][100] = -1e-3
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        M.GridMeasure.from_dict(data).validate()
 
 
 def test_quantile_table_ends_on_the_support(quartic_solution):
