@@ -2,8 +2,9 @@
 
 A measure is carried in two coupled representations:
 
-* density samples on a node grid (plus optional exact atoms), used for
-  pointwise work such as Hilbert transforms and moments, and
+* at most one density segment, samples on one increasing node grid, plus
+  exact atoms (which may lie inside a density cell), used for pointwise
+  work such as Hilbert transforms and moments, and
 * a quantile table on a uniform mass grid, used for every optimal-transport
   functional (Wasserstein distance, maximal correlation, displacement
   interpolation, logarithmic energy).
@@ -11,10 +12,11 @@ A measure is carried in two coupled representations:
 The transport functionals all evaluate the same piecewise-linear quantile
 model (equal-mass blocks between quantile edges), so algebraic identities
 between them hold to round-off rather than to quadrature tolerance.  CDF
-and quantile read one set of mass pieces: the table's blocks for a
-pushforward, an interpolant or a particle cloud, whose table is primary,
-and the density cells and atoms for any other measure, whose table
-validate checks as the generalized inverse of that CDF.
+and quantile read one set of mass pieces: the table's blocks for a measure
+without samples (an interpolant, a particle cloud) and for a pushforward of
+one with samples, whose table is primary, and the density cells and atoms
+for any other measure, whose table validate checks as the generalized
+inverse of that CDF.
 """
 
 from __future__ import annotations
@@ -63,15 +65,17 @@ class GridMeasure(jsonio.JSONWriter):
     measure.  Use the ``from_*`` constructors, not ``__init__`` directly.
     """
 
-    def __init__(self, support, segments, atoms, edges, quantiles_primary=False):
+    def __init__(self, support, nodes, density, atoms, edges, quantiles_primary=False):
         self.support = (float(support[0]), float(support[1]))
-        self._segments = [(np.asarray(x, float), np.asarray(d, float)) for x, d in segments]
+        # the one density segment, or None for both when the measure has no samples
+        self.nodes = None if nodes is None else np.asarray(nodes, dtype=float)
+        self.density = None if density is None else np.asarray(density, dtype=float)
         self.atoms = sorted((float(x), float(w)) for x, w in atoms)
         self._edges = np.asarray(edges, dtype=float)
-        # when True the stored quantile table is the authoritative view and
-        # any density samples are a derived convenience (pushforwards,
-        # displacement interpolants, particle clouds)
-        self._quantiles_primary = bool(quantiles_primary)
+        # a pushforward's table is its CDF, and its samples serve only pointwise
+        # work (moments, Hilbert transforms); without samples the table is the
+        # measure anyway, so the flag is kept only on a measure with samples
+        self._quantiles_primary = bool(quantiles_primary) and self.nodes is not None
 
     # -- constructors ------------------------------------------------------
 
@@ -99,7 +103,7 @@ class GridMeasure(jsonio.JSONWriter):
                 raise InvalidInputError("cannot normalize a zero density")
             density = density * ((1.0 - atom_mass) / ac_mass)
             ac_mass = 1.0 - atom_mass
-        m = cls(support, [(nodes, density)], list(atoms), np.zeros(2))
+        m = cls(support, nodes, density, list(atoms), np.zeros(2))
         m._edges = m._exact_quantile(np.linspace(0.0, 1.0, n_cells + 1))
         m.validate()
         return m
@@ -123,7 +127,7 @@ class GridMeasure(jsonio.JSONWriter):
         if abs(total - 1.0) > 1e-10:
             raise InvalidInputError("atom masses must sum to one")
         support = (atoms[0][0], atoms[-1][0])
-        m = cls(support, [], atoms, np.zeros(2))
+        m = cls(support, None, None, atoms, np.zeros(2))
         m._edges = m._exact_quantile(np.linspace(0.0, 1.0, n_cells + 1))
         return m
 
@@ -146,27 +150,11 @@ class GridMeasure(jsonio.JSONWriter):
         step = np.diff(np.concatenate([[0], flat.astype(np.int8), [0]]))
         atoms = [(float(edges[j]), (k - j) / n)
                  for j, k in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))]
-        m = cls((edges[0], edges[-1]), [], atoms, edges, quantiles_primary=True)
+        m = cls((edges[0], edges[-1]), None, None, atoms, edges)
         m.validate()
         return m
 
     # -- basic accessors ---------------------------------------------------
-
-    @property
-    def nodes(self):
-        if not self._segments:
-            return None
-        if len(self._segments) == 1:
-            return self._segments[0][0]
-        return np.concatenate([x for x, _ in self._segments])
-
-    @property
-    def density(self):
-        if not self._segments:
-            return None
-        if len(self._segments) == 1:
-            return self._segments[0][1]
-        return np.concatenate([d for _, d in self._segments])
 
     @property
     def quantiles(self):
@@ -179,17 +167,17 @@ class GridMeasure(jsonio.JSONWriter):
 
     def is_atomic(self):
         # the atoms carry all the mass; a quantile table's other cells carry the rest
-        return not self._segments and abs(sum(w for _, w in self.atoms) - 1.0) <= _MASS_TOL
+        return self.nodes is None and abs(sum(w for _, w in self.atoms) - 1.0) <= _MASS_TOL
 
     def _block_model(self):
         """True when the measure is its quantile table alone, read as the
         equal-mass block model: no density samples, and not purely atomic."""
-        return not self._segments and not self.is_atomic()
+        return self.nodes is None and not self.is_atomic()
 
     def total_mass(self):
         if self._block_model():
             return 1.0
-        ac = sum(float(np.trapezoid(d, x)) for x, d in self._segments)
+        ac = 0.0 if self.nodes is None else float(np.trapezoid(self.density, self.nodes))
         return ac + sum(w for _, w in self.atoms)
 
     # -- exact CDF / quantile machinery -------------------------------------
@@ -201,7 +189,7 @@ class GridMeasure(jsonio.JSONWriter):
         blocks, flat ones zero-width.  Any other has its density cells of
         positive mass, cut at the atoms inside them (where the density is
         linear), and its atoms, zero-width, stably ordered by (x0, x1)."""
-        if not self.is_atomic() and (self._quantiles_primary or not self._segments):
+        if not self.is_atomic() and (self._quantiles_primary or self.nodes is None):
             e, n = self._edges, self.n_cells
             w = np.diff(e)
             flat = _flat_cells(e, w)
@@ -210,7 +198,8 @@ class GridMeasure(jsonio.JSONWriter):
             return (e[:-1], x1, d, d, np.full(n, 1.0 / n)), np.linspace(0.0, 1.0, n + 1)
         ax = np.array([x for x, _ in self.atoms], dtype=float)
         pieces = []
-        for xs, ds in self._segments:
+        if self.nodes is not None:
+            xs, ds = self.nodes, self.density
             inner = ax[(ax > xs[0]) & (ax < xs[-1])]
             if inner.size:
                 split = np.union1d(xs, inner)
@@ -256,31 +245,21 @@ class GridMeasure(jsonio.JSONWriter):
         out = np.where(i < 0, 0.0, np.where(xq >= x1[j], cum[j + 1], inside))
         return out if np.ndim(x) else float(out[0])
 
-    # -- model quantile (equal-mass block) -----------------------------------
-
-    def _model_quantile(self, s):
-        grid = np.linspace(0.0, 1.0, self._edges.size)
-        return np.interp(s, grid, self._edges)
-
-    def _resampled_edges(self, n_cells):
-        if n_cells == self.n_cells:
-            return self._edges
-        return self._model_quantile(np.linspace(0.0, 1.0, n_cells + 1))
-
     # -- misc ----------------------------------------------------------------
 
     def translate(self, c):
         c = float(c)
-        segs = [(x + c, d.copy()) for x, d in self._segments]
+        nodes = None if self.nodes is None else self.nodes + c
         atoms = [(x + c, w) for x, w in self.atoms]
-        return GridMeasure((self.support[0] + c, self.support[1] + c),
-                           segs, atoms, self._edges + c, self._quantiles_primary)
+        return GridMeasure((self.support[0] + c, self.support[1] + c), nodes, self.density,
+                           atoms, self._edges + c, self._quantiles_primary)
 
     def validate(self):
         lo, hi = self.support
         if not hi > lo or not np.isfinite([lo, hi]).all():
             raise InvalidInputError("support must be a finite nondegenerate interval")
-        for xs, ds in self._segments:
+        xs, ds = self.nodes, self.density
+        if xs is not None:
             # written to fail on NaN as well
             if not (np.diff(xs) > 0).all():
                 raise InvalidInputError("nodes must be strictly increasing")
@@ -291,11 +270,11 @@ class GridMeasure(jsonio.JSONWriter):
         if any(w <= 0 for _, w in self.atoms):
             raise InvalidInputError("atom masses must be positive")
         total = self.total_mass()
-        if self._segments and abs(total - 1.0) > _MASS_TOL:
+        if xs is not None and abs(total - 1.0) > _MASS_TOL:
             raise InvalidInputError(f"total mass {total} differs from 1")
         if np.any(np.diff(self._edges) < -1e-12 * (hi - lo)):
             raise InvalidInputError("quantiles must be nondecreasing")
-        if self._segments and not self._quantiles_primary:
+        if xs is not None and not self._quantiles_primary:
             # the table inverts the CDF: F(q-) <= j/n <= F(q) at its levels j/n,
             # with F(q-) read one float below q; written to fail on NaN as well
             q, s = self.quantiles, np.linspace(0.0, 1.0, self.n_cells + 1)[1:-1]
@@ -306,30 +285,17 @@ class GridMeasure(jsonio.JSONWriter):
 
     # -- serialization -------------------------------------------------------
 
-    def block_density_estimate(self):
-        """Midpoint density samples of the equal-mass block model."""
-        e = self._edges
-        d = np.diff(e)
-        keep = ~_flat_cells(e, d)
-        mids = 0.5 * (e[:-1] + e[1:])[keep]
-        dens = (1.0 / d.size) / d[keep]
-        return mids, dens
-
     def to_dict(self):
-        nodes, density = self.nodes, self.density
-        if nodes is None and not self.is_atomic():
-            nodes, density = self.block_density_estimate()
+        """Samples ([] when it has none), atoms, table, and quantiles_primary if set."""
         d = {
             "support": [self.support[0], self.support[1]],
-            "nodes": [] if nodes is None else list(map(float, nodes)),
-            "density": [] if density is None else list(map(float, density)),
+            "nodes": [] if self.nodes is None else list(map(float, self.nodes)),
+            "density": [] if self.density is None else list(map(float, self.density)),
             "atoms": [[x, w] for x, w in self.atoms],
             "quantiles": list(map(float, self.quantiles)),
         }
         if self._quantiles_primary:
             d["quantiles_primary"] = True
-        if len(self._segments) > 1 or (self._segments and self._quantiles_primary):
-            d["segment_lengths"] = [int(x.size) for x, _ in self._segments]
         return d
 
     @classmethod
@@ -338,19 +304,14 @@ class GridMeasure(jsonio.JSONWriter):
         atoms = jsonio.field(d, "atoms", lambda a: [jsonio.floats(p, 2) for p in a], [])
         q = jsonio.field(d, "quantiles", jsonio.floats, [])
         edges = np.concatenate([[support[0]], q, [support[1]]])
-        primary = bool(d.get("quantiles_primary"))
-        segments = []
-        if not primary or d.get("segment_lengths"):
-            nodes = jsonio.field(d, "nodes", jsonio.floats, [])
-            dens = jsonio.field(d, "density", jsonio.floats, [])
-            if nodes.size:
-                lengths = jsonio.field(d, "segment_lengths", lambda v: [int(n) for n in v],
-                                       [nodes.size])
-                pos = 0
-                for ln in lengths:
-                    segments.append((nodes[pos:pos + ln], dens[pos:pos + ln]))
-                    pos += ln
-        return cls(support, segments, atoms, edges, quantiles_primary=primary)
+        nodes = jsonio.field(d, "nodes", jsonio.floats, [])
+        density = jsonio.field(d, "density", jsonio.floats, [])
+        if nodes.size != density.size:
+            raise InvalidInputError(f"'nodes' and 'density' differ in length: "
+                                    f"{nodes.size} and {density.size}")
+        if not nodes.size:
+            nodes = density = None
+        return cls(support, nodes, density, atoms, edges, bool(d.get("quantiles_primary")))
 
     def to_csv(self):
         """Node and density columns as CSV text, with CRLF line ends."""
@@ -358,7 +319,7 @@ class GridMeasure(jsonio.JSONWriter):
         return "node,density\r\n" + "".join(f"{float(x)!r},{float(d)!r}\r\n" for x, d in rows)
 
     def __repr__(self):
-        kind = "atomic" if self.is_atomic() else ("mixed" if self._segments and self.atoms else "ac")
+        kind = "atomic" if self.is_atomic() else ("mixed" if self.atoms else "ac")
         return (f"GridMeasure({kind}, support=[{self.support[0]:.6g}, {self.support[1]:.6g}], "
                 f"atoms={len(self.atoms)})")
 
@@ -403,8 +364,8 @@ def moment(m, k):
     if m._block_model():
         return _block_moment(m, k)
     total = sum(w * x ** k for x, w in m.atoms)
-    for xs, ds in m._segments:
-        total += float(np.trapezoid(xs ** k * ds, xs))
+    if m.nodes is not None:
+        total += float(np.trapezoid(m.nodes ** k * m.density, m.nodes))
     return total
 
 
@@ -472,8 +433,10 @@ def pushforward_monotone(m, f):
 
     f must be vectorized (array in, array out): it is called once on each
     grid of points, and on scalars only to bisect the ends of flat runs.
-    Densities transform by the change-of-variables rule; intervals where f is
-    flat collapse to exact atoms.
+    Intervals where f is flat collapse to exact atoms.  The density nodes
+    outside the flat runs are pushed as one segment, by the change-of-variables
+    rule; a run inside the density leaves its atom inside one density cell.
+    The result's table is its CDF (quantiles_primary) when it has samples.
     """
     lo, hi = m.support
     scale = hi - lo
@@ -489,7 +452,8 @@ def pushforward_monotone(m, f):
         merged = {}
         for y, (_, w) in zip(atom_y.tolist(), m.atoms):
             merged[y] = merged.get(y, 0.0) + w
-        return GridMeasure((min(merged), max(merged)), [], sorted(merged.items()), new_edges)
+        return GridMeasure((min(merged), max(merged)), None, None, sorted(merged.items()),
+                           new_edges)
 
     flat_tol = 1e-12 * fscale
     mids = 0.5 * (m._edges[:-1] + m._edges[1:])
@@ -511,27 +475,18 @@ def pushforward_monotone(m, f):
             atoms.append((v, mass))
             flat_x.append((xl, xr))
 
-    segments = []
-    for xs, ds in m._segments:
-        keep = np.ones(xs.size, dtype=bool)
+    nodes = density = None
+    if m.nodes is not None:
+        keep = np.ones(m.nodes.size, dtype=bool)
         for xl, xr in flat_x:
-            keep &= ~((xs > xl + 1e-13 * scale) & (xs < xr - 1e-13 * scale))
-        idx = np.flatnonzero(keep)
-        if idx.size == 0:
-            continue
-        # contiguous runs of kept indices form the surviving density pieces
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        pieces = np.split(idx, breaks + 1)
-        for piece in pieces:
-            if piece.size < 2:
-                continue
-            xs_p = xs[piece]
-            ys = np.asarray(f(xs_p), dtype=float)
-            fpv = _fprime(f, xs_p, scale)
-            dens = np.divide(ds[piece], fpv, out=np.zeros_like(fpv), where=fpv > 1e-300)
-            good = np.concatenate([[True], np.diff(ys) > 0]) & np.isfinite(dens)
-            if np.count_nonzero(good) >= 2:
-                segments.append((ys[good], dens[good]))
+            keep &= ~((m.nodes > xl + 1e-13 * scale) & (m.nodes < xr - 1e-13 * scale))
+        xs = m.nodes[keep]
+        ys = np.asarray(f(xs), dtype=float)
+        fpv = _fprime(f, xs, scale)
+        dens = np.divide(m.density[keep], fpv, out=np.zeros_like(fpv), where=fpv > 1e-300)
+        good = np.concatenate([[True], np.diff(ys) > 0]) & np.isfinite(dens)
+        if np.trapezoid(dens[good], ys[good]) > 0.0:
+            nodes, density = ys[good], dens[good]
 
     # input atoms outside every flat run keep their own image atoms
     atoms_all = list(atoms)
@@ -539,7 +494,7 @@ def pushforward_monotone(m, f):
         if not any(xl <= xa <= xr for xl, xr in flat_x):
             atoms_all.append((ya, wa))
     support = (float(new_edges[0]), float(new_edges[-1]))
-    return GridMeasure(support, segments, atoms_all, new_edges, quantiles_primary=True)
+    return GridMeasure(support, nodes, density, atoms_all, new_edges, quantiles_primary=True)
 
 
 def _local_cubic(xs, ds, x):
@@ -603,11 +558,11 @@ def _segment_hilbert(xs, ds, tw, x, tol):
 def hilbert_transform(m, x):
     """(1/pi) PV integral of dm(t)/(x - t), at a point or at each point of an array.
 
-    Uses the subtract-the-singularity rule on each density segment [a, b]:
+    Uses the subtract-the-singularity rule on the density segment [a, b]:
     inside, with the local cubic interpolant of the samples; outside, with the
     nearer end's sample, whose integral is closed-form.  So only a bounded
-    integrand is quadratured, by the trapezoid rule on the segment's nodes;
-    requires density samples or a purely atomic measure.  At a segment end
+    integrand is quadratured, by the trapezoid rule on the nodes; requires
+    density samples or a purely atomic measure.  At a segment end
     rho log|(x - a)/(b - x)| is taken as 0 where the interpolated density is
     0.  Returns a float for a scalar x and an array for an array x.
     """
@@ -623,7 +578,8 @@ def hilbert_transform(m, x):
     total = np.zeros_like(x)
     for xa, w in m.atoms:
         total += w / (x - xa)
-    for xs, ds in m._segments:
+    if m.nodes is not None:
+        xs, ds = m.nodes, m.density
         h = 0.5 * np.diff(xs)
         tw = np.concatenate([h, [0.0]])
         tw[1:] += h
@@ -699,9 +655,11 @@ def _simpson_pl(valsA, valsB, s):
 
 
 def _pair_grid(m1, m2):
+    # the finer table's levels, and each measure's quantiles there
     n = max(m1.n_cells, m2.n_cells)
     s = np.linspace(0.0, 1.0, n + 1)
-    return s, m1._resampled_edges(n), m2._resampled_edges(n)
+    q1, q2 = (m._edges if m.n_cells == n else m._exact_quantile(s) for m in (m1, m2))
+    return s, q1, q2
 
 
 def wasserstein2_sq(m1, m2):

@@ -576,6 +576,9 @@ _TERM = {"word": [1, 1, 1, 1], "coeff": "x"}
      "moment_measure_1d"),
     (["moment1d", "--target", "in.json"], {"support": [0, "a"], "nodes": [0], "density": [1]},
      "invalid value of key 'support'", "moment_measure_1d"),
+    (["moment1d", "--target", "in.json"],
+     {"support": [-1, 1], "nodes": [-1, 0, 1], "density": [0.5, 0.5]},
+     "'nodes' and 'density' differ in length: 3 and 2", "moment_measure_1d"),
     (["verify", "--solution", "in.json"], [0.5], "expected a JSON object, got list", "cli"),
     (["verify", "--solution", "in.json"], {"uprime": {"x": [0, 1], "value": "x"}},
      "invalid value of key 'value'", "cli"),
@@ -584,8 +587,8 @@ _TERM = {"word": [1, 1, 1, 1], "coeff": "x"}
     (["moment1d", "--target", "builtin:dirac:abc"], {},
      "builtin target 'dirac:abc': parameter is not a number", "moment_measure_1d"),
 ], ids=["gibbs1d-list", "gibbs1d-number", "gibbs1d-inline", "transport-nc-list",
-        "transport-nc-string", "moment1d-list", "moment1d-string", "verify-list", "verify-string",
-        "two-point-string", "dirac-string"])
+        "transport-nc-string", "moment1d-list", "moment1d-string", "moment1d-lengths",
+        "verify-list", "verify-string", "two-point-string", "dirac-string"])
 def test_input_of_the_wrong_type_exits_2(argv, text, message, module, tmp_path, capsys,
                                          monkeypatch):
     # a top level that is not an object, or a value that does not convert,
