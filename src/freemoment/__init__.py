@@ -18,8 +18,8 @@ from .gibbs1d import EvenPotential, GibbsSolution, free_gibbs_measure, fourier_c
 from .measure1d import GridMeasure, displacement_interpolate, \
     hilbert_transform, log_energy, max_correlation, moment, pushforward_monotone, \
     quantile, semicircle, two_point, uniform, dirac, wasserstein2_sq
-from .moment1d import MomentProblem, MomentSolution, MonotoneMap, builtin_target, \
-    functional_F, minimize_F, verify_solution
+from .moment1d import MomentProblem, MomentSolution, builtin_target, functional_F, \
+    minimize_F, verify_solution
 from .ncseries import NCSeries, apply_to_vector, cyclic_gradient, cyclic_symmetrize, \
     difference_quotient, drop_constant, jacobian, log_neumann, multiply, norm_A, norm_AB, \
     number_op, number_op_inverse, substitute, trace_contract

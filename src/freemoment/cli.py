@@ -9,9 +9,10 @@ One executable with subcommands:
 
 Exit codes: 0 success, 1 internal error, 2 invalid input (an input file that
 is missing or is not JSON included), out-of-regime (any solver error, a solve
-that does not converge included), an unconverged moment1d solve or a solution
-that fails verification.  Every error path prints a structured JSON object
-{code, message, module}, from ``main`` alone.
+that does not converge included), an unconverged moment1d solve, a gibbs1d
+solution past verify's residual bounds, or a solution that fails verify.
+Every error path prints a structured JSON object {code, message, module},
+from ``main`` alone.
 
 The one module that opens files, by ``_read`` and ``_write``.  ``--series``,
 ``--solution`` and a ``--target`` that is not ``builtin:`` are paths, and
@@ -66,19 +67,16 @@ def _load_potential(text):
 
 
 def cmd_gibbs1d(args):
-    u = _load_potential(args.even_coeffs)
-    sol = gibbs1d.free_gibbs_measure(u)
-    residual = gibbs1d.hilbert_residual(sol)
-    out = sol.to_dict()
-    out["hilbert_residual"] = residual
-    out["sd_scalar"] = sol.sd_scalar()
-    _emit(out, args.json, args.out)
+    sol = gibbs1d.free_gibbs_measure(_load_potential(args.even_coeffs))
+    report = {"hilbert_residual": gibbs1d.hilbert_residual(sol), "sd_scalar": sol.sd_scalar()}
+    _emit(dict(sol.to_dict(), **report), args.json, args.out)
     if args.out:
         _write(os.path.splitext(args.out)[0] + ".csv", sol.measure.to_csv())
     if not args.json:
         print(f"radius r = {sol.radius!r}")
-        print(f"hilbert residual = {residual:.3e}")
-    return EXIT_OK
+        print(f"hilbert residual = {report['hilbert_residual']:.3e}")
+    report["sd_scalar_error"] = abs(report["sd_scalar"] - 1.0)
+    return EXIT_OK if _residuals_pass(report) else EXIT_INVALID
 
 
 def _load_target(text):
@@ -98,7 +96,7 @@ def cmd_moment1d(args):
     out["residuals"] = report
     _emit(out, args.json, args.out)
     if not args.json:
-        print(f"functional value = {sol.functional_value!r}")
+        print(f"functional value = {sol.diagnostics['objective'][-1]!r}")
         print(f"residuals = {report}")
     return EXIT_OK if sol.converged else EXIT_INVALID
 

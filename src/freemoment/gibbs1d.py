@@ -36,11 +36,9 @@ def _gauss_theta(order):
 
 
 @functools.lru_cache(maxsize=None)
-def _sines(grid, n_max):
-    """Read-only sin(n theta), n = 1..n_max, at the nodes of the theta-Gauss rule of
-    ``grid`` points or, for ``grid`` None, at the 8192 of free_gibbs_measure's sign check."""
-    theta = np.linspace(0.0, np.pi, 8192) if grid is None else _gauss_theta(grid)[0]
-    rows = np.sin(np.multiply.outer(np.arange(1, n_max + 1), theta))
+def _sines(order, n_max):
+    """Read-only sin(n theta), n = 1..n_max, at the nodes of the theta-Gauss rule of order."""
+    rows = np.sin(np.multiply.outer(np.arange(1, n_max + 1), _gauss_theta(order)[0]))
     rows.flags.writeable = False
     return rows
 
@@ -60,10 +58,10 @@ def _sine_density(a, sines):
 
 
 def _density(a, r, x):
-    """Density at x of the one-cut law with Fourier coefficients ``a`` at radius ``r``, clipped
-    at 0: the sine series at |x|, so that the even law's flat top stays flat to the bit."""
+    """Density at x of the one-cut law with Fourier coefficients ``a`` at radius ``r``,
+    unclipped: the sine series at |x|, so that the even law's flat top stays flat to the bit."""
     angles = np.multiply.outer(np.arange(1, a.size), np.arccos(np.clip(-np.abs(x) / r, -1.0, 1.0)))
-    return np.clip(_sine_density(a, np.sin(angles)), 0.0, None)
+    return _sine_density(a, np.sin(angles))
 
 
 def _theta_rule(a, r):
@@ -271,6 +269,7 @@ class GibbsSolution(jsonio.JSONWriter):
         if scalar and abs(x[0]) >= self.radius:
             raise InvalidInputError("density evaluation requires |x| < r")
         vals = np.where(np.abs(x) < self.radius, _density(self.fourier, self.radius, x), 0.0)
+        vals = np.clip(vals, 0.0, None)
         return float(vals[0]) if scalar else vals
 
     def _theta_integral(self, f):
@@ -306,32 +305,28 @@ class GibbsSolution(jsonio.JSONWriter):
 def free_gibbs_measure(u):
     """Free Gibbs measure of an even polynomial potential.
 
-    Fails with RegimeError when the candidate density dips below
-    -NEGATIVITY_TOL anywhere (the potential is outside the one-cut regime).
-    The solution's ``diagnostics`` hold the core keys (``iterations`` is 0:
+    Fails with RegimeError when the density dips below -NEGATIVITY_TOL at a
+    node of the measure (the potential is outside the one-cut regime).  The
+    solution's ``diagnostics`` hold the core keys (``iterations`` is 0:
     nothing is iterated), the radius-condition residual |r*a_1 + 2| as
-    ``residual`` and the minimum of the sampled density as ``min_density``.
+    ``residual`` and the minimum of the unclipped samples as ``min_density``.
     """
     t0 = time.perf_counter()
     if not isinstance(u, EvenPotential):
         raise InvalidInputError("potential must be an EvenPotential")
     r = solve_radius(u)
-    a, _, weights = _one_cut(u.even_coeffs, r)
+    a, _, _ = _one_cut(u.even_coeffs, r)
     residual = float(abs(r * a[1] + 2.0))
     if residual > 1e-10:
         raise RegimeError("radius condition r*a_1 = -2 not met")
-    sol = GibbsSolution(u, r, a, None)
 
-    # a finer grid than the theta-Gauss nodes of _one_cut
-    min_density = float(_sine_density(a, _sines(None, a.size - 1)).min())
-    if min_density < -NEGATIVITY_TOL:
+    nodes = measure1d.chebyshev_nodes(-r, r, measure1d.DEFAULT_NODES)
+    dens = _density(a, r, nodes)
+    min_density = float(dens.min())
+    # written to fail on NaN as well
+    if not min_density >= -NEGATIVITY_TOL:
         raise RegimeError("one-cut assumption violated: density would be negative")
-
-    mass = float(weights.sum())
-    if abs(mass - 1.0) > 1e-8:
-        raise RegimeError(f"assembled density has mass {mass}, not 1")
-
-    sol.measure = GridMeasure.from_callable(functools.partial(_density, a, r), (-r, r))
+    sol = GibbsSolution(u, r, a, GridMeasure.from_density(nodes, dens, (-r, r), normalize=True))
     sol.diagnostics = {"iterations": 0, "residual": residual, "converged": True,
                        "min_density": min_density, "seconds": time.perf_counter() - t0}
     return sol

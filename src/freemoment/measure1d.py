@@ -417,7 +417,7 @@ def _fprime(f, x, scale):
 
 
 def _refine_flat_boundary(f, x_flat, x_move, v, tol):
-    # Monotone f: bisect for the boundary of the region where f == v.
+    # Monotone f: bisect for the boundary of the region where f == v; (flat, moving) side.
     lo, hi = (x_flat, x_move)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -425,7 +425,7 @@ def _refine_flat_boundary(f, x_flat, x_move, v, tol):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
 
 
 def pushforward_monotone(m, f):
@@ -435,7 +435,8 @@ def pushforward_monotone(m, f):
     grid of points, and on scalars only to bisect the ends of flat runs.
     Intervals where f is flat collapse to exact atoms.  The density nodes
     outside the flat runs are pushed as one segment, by the change-of-variables
-    rule; a run inside the density leaves its atom inside one density cell.
+    rule; a run inside the density leaves its atom inside one density cell,
+    and one that reaches an end node of the density ends the segment there.
     The result's table is its CDF (quantiles_primary) when it has samples.
     """
     lo, hi = m.support
@@ -456,6 +457,7 @@ def pushforward_monotone(m, f):
                            new_edges)
 
     flat_tol = 1e-12 * fscale
+    tol = 1e-13 * scale
     mids = 0.5 * (m._edges[:-1] + m._edges[1:])
     fmids = np.asarray(f(mids), dtype=float)
     # maximal runs of cells j0..j1 whose consecutive images agree within flat_tol
@@ -465,25 +467,42 @@ def pushforward_monotone(m, f):
 
     atoms = []
     flat_x = []
+    # the pushed nodes lie strictly between the moving-side ends of the runs
+    # that reach the density's end nodes
+    first, last = (m.nodes[0], m.nodes[-1]) if m.nodes is not None else (math.nan, math.nan)
+    seg_lo, seg_hi = -math.inf, math.inf
     for j0, j1 in runs:
         v = fmids[j0]
-        xl = _refine_flat_boundary(f, mids[j0], lo, v, flat_tol)
-        xr = _refine_flat_boundary(f, mids[j1], hi, v, flat_tol)
+        xl, move_l = _refine_flat_boundary(f, mids[j0], lo, v, flat_tol)
+        xr, move_r = _refine_flat_boundary(f, mids[j1], hi, v, flat_tol)
         # CDF difference already includes any input atoms sitting inside the run
         mass = float(m.cdf(xr) - m.cdf(xl))
         if mass > 1e-13:
             atoms.append((v, mass))
             flat_x.append((xl, xr))
+            if xl - tol <= first <= xr + tol:
+                seg_lo = move_r
+            elif xl - tol <= last <= xr + tol:
+                seg_hi = move_l
 
     nodes = density = None
     if m.nodes is not None:
-        keep = np.ones(m.nodes.size, dtype=bool)
+        keep = (m.nodes > seg_lo) & (m.nodes < seg_hi)
         for xl, xr in flat_x:
-            keep &= ~((m.nodes > xl + 1e-13 * scale) & (m.nodes < xr - 1e-13 * scale))
-        xs = m.nodes[keep]
+            keep &= ~((m.nodes > xl + tol) & (m.nodes < xr - tol))
+        xs, rho = m.nodes[keep], m.density[keep]
         ys = np.asarray(f(xs), dtype=float)
         fpv = _fprime(f, xs, scale)
-        dens = np.divide(m.density[keep], fpv, out=np.zeros_like(fpv), where=fpv > 1e-300)
+        dens = np.divide(rho, fpv, out=np.zeros_like(fpv), where=fpv > 1e-300)
+        for x, k in ((seg_lo, 0), (seg_hi, -1)):
+            if xs.size and math.isfinite(x):
+                # the run's end x pushed, with the density giving the cell beside it the mass of
+                # m's density there: rho(x)/f' where f is linear, finite where f' vanishes at x
+                y = float(np.asarray(f(np.array([x])), dtype=float)[0])
+                cell = 0.5 * (np.interp(x, m.nodes, m.density) + rho[k]) * (xs[k] - x)
+                d = max(2.0 * cell / (ys[k] - y) - dens[k], 0.0) if ys[k] != y else 0.0
+                at = 0 if k == 0 else ys.size
+                ys, dens = np.insert(ys, at, y), np.insert(dens, at, d)
         good = np.concatenate([[True], np.diff(ys) > 0]) & np.isfinite(dens)
         if np.trapezoid(dens[good], ys[good]) > 0.0:
             nodes, density = ys[good], dens[good]

@@ -33,20 +33,6 @@ from .jsonio import JSONWriter
 from .measure1d import GridMeasure
 
 
-class MonotoneMap:
-    """A nondecreasing map given by samples, evaluated by linear interpolation."""
-
-    def __init__(self, xs, values):
-        self.xs = np.asarray(xs, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-
-    def __call__(self, x):
-        return np.interp(x, self.xs, self.values)
-
-    def to_dict(self):
-        return {"x": list(map(float, self.xs)), "value": list(map(float, self.values))}
-
-
 class MomentProblem:
     """Target measure, particle count and stopping tolerance of the minimization of F."""
 
@@ -68,25 +54,30 @@ class MomentProblem:
 
 
 class MomentSolution(JSONWriter):
-    def __init__(self, rho_hat, uprime, functional_value, residuals, positions,
-                 target_quantiles, iterations, converged, diagnostics):
-        self.rho_hat = rho_hat
-        self.uprime = uprime
-        self.functional_value = float(functional_value)
-        self.residuals = dict(residuals)
-        self.positions = np.asarray(positions, dtype=float)
-        self.target_quantiles = np.asarray(target_quantiles, dtype=float)
-        self.iterations = int(iterations)
-        self.converged = bool(converged)
-        # solver history and timing, kept out of to_dict so output files
-        # stay byte-identical
+    """Particle positions q minimizing the discrete F and the centred target quantiles
+    y; u' is the monotone rearrangement q -> y, read by linear interpolation."""
+
+    def __init__(self, positions, target_quantiles, diagnostics):
+        self.positions = q = np.asarray(positions, dtype=float)
+        self.target_quantiles = y = np.asarray(target_quantiles, dtype=float)
+        # cells of mass 1/m split at the midpoints of neighbouring particles
+        self.rho_hat = GridMeasure.from_quantile_edges(np.concatenate(
+            [[q[0] - 0.5 * (q[1] - q[0])], 0.5 * (q[:-1] + q[1:]), [q[-1] + 0.5 * (q[-1] - q[-2])]]))
+        self.residuals = particle_residuals(q, y)
+        # solver history and timing, kept out of to_dict so output files stay byte-identical
         self.diagnostics = dict(diagnostics)
+        self.iterations = int(self.diagnostics["iterations"])
+        self.converged = bool(self.diagnostics["converged"])
+
+    def uprime(self, x):
+        return np.interp(x, self.positions, self.target_quantiles)
 
     def to_dict(self):
         return {
             "rho_hat": self.rho_hat.to_dict(),
-            "uprime": self.uprime.to_dict(),
-            "functional_value": self.functional_value,
+            "uprime": {"x": list(map(float, self.positions)),
+                       "value": list(map(float, self.target_quantiles))},
+            "functional_value": float(self.diagnostics["objective"][-1]),
             "residuals": self.residuals,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -104,16 +95,15 @@ def functional_F(rho, mu):
     return energy + measure1d.max_correlation(rho, mu)
 
 
-def particle_objective(q, y, eps_sep):
-    """Discrete F on sorted particle positions q against target quantiles y.
+def particle_objective(q, y):
+    """Discrete F on separated, sorted particle positions q against target quantiles y.
 
-    The pair energy is the U-statistic -2/(m(m-1)) sum_{i<j} log|q_i - q_j|,
-    with gaps floored at eps_sep; the correlation is mean(q * y).
+    The pair energy is the U-statistic -2/(m(m-1)) sum_{i<j} log|q_i - q_j|;
+    the correlation is mean(q * y).
     """
     m = q.size
     logs = np.subtract.outer(q, q)
     np.abs(logs, out=logs)
-    np.maximum(logs, eps_sep, out=logs)
     np.fill_diagonal(logs, 1.0)
     np.log(logs, out=logs)
     energy = -1.0 / (m * (m - 1)) * float(np.sum(logs))
@@ -121,15 +111,12 @@ def particle_objective(q, y, eps_sep):
     return energy + corr
 
 
-def particle_gradient(q, y, eps_sep):
-    """Analytic gradient of the discrete F with respect to each position."""
+def particle_gradient(q, y):
+    """Analytic gradient of the discrete F at separated positions q."""
     m = q.size
     diffs = np.subtract.outer(q, q)
     np.fill_diagonal(diffs, np.inf)
-    with np.errstate(divide="ignore"):
-        np.reciprocal(diffs, out=diffs)
-    # gaps below eps_sep count as eps_sep, with their sign
-    np.clip(diffs, -1.0 / eps_sep, 1.0 / eps_sep, out=diffs)
+    np.reciprocal(diffs, out=diffs)
     return -2.0 / (m * (m - 1)) * np.sum(diffs, axis=1) + y / m
 
 
@@ -148,11 +135,6 @@ def particle_hessian(q, out=None):
     out *= -2.0 / (m * (m - 1))
     np.fill_diagonal(out, -np.sum(out, axis=1))
     return out
-
-
-def _target_quantiles(mu, m):
-    s = (np.arange(m) + 0.5) / m
-    return measure1d.quantile(mu, s)
 
 
 # Newton steps of a solve, and halvings of a step before the line search
@@ -192,24 +174,23 @@ def minimize_F(problem):
     from scipy import linalg
 
     t_start = time.perf_counter()
-    mu = problem.target
     m = problem.n_particles
-    y = _target_quantiles(mu, m)
+    # the target's quantiles and the semicircle start at the same m mass levels
+    s = (np.arange(m) + 0.5) / m
+    y = measure1d.quantile(problem.target, s)
     # centred by their own mean: the pair terms of the gradient sum to zero,
     # so no move of the particles can remove mean(y)
     y = y - np.mean(y)
     if float(np.max(y) - np.min(y)) <= 0.0:
         raise InvalidInputError("degenerate target")
 
-    sc = measure1d.semicircle()
-    q = measure1d.quantile(sc, (np.arange(m) + 0.5) / m)
-    span = max(q[-1] - q[0], 1.0)
-    eps_sep = 1e-9 * span
+    q = measure1d.quantile(measure1d.semicircle(), s)
+    eps_sep = 1e-9 * max(q[-1] - q[0], 1.0)
 
     w = 2.0 / (m * (m - 1))
     hess = np.empty((m, m))
-    fval = particle_objective(q, y, eps_sep)
-    grad = particle_gradient(q, y, eps_sep)
+    fval = particle_objective(q, y)
+    grad = particle_gradient(q, y)
     residual = m * float(np.max(np.abs(grad)))
     diagnostics = {"objective": [fval], "residuals": [residual], "decrements": [],
                    "backtracks": [], "step_lengths": []}
@@ -232,13 +213,13 @@ def minimize_F(problem):
         for backtracks in range(MAX_BACKTRACKS):
             q_new = q + t * step
             if np.min(np.diff(q_new)) > eps_sep:
-                f_new = particle_objective(q_new, y, eps_sep)
+                f_new = particle_objective(q_new, y)
                 if quadratic or f_new <= fval - 1e-4 * t * decrement:
                     break
             t *= 0.5
         else:
             break  # no step decreases F
-        grad_new = particle_gradient(q_new, y, eps_sep)
+        grad_new = particle_gradient(q_new, y)
         residual_new = m * float(np.max(np.abs(grad_new)))
         if quadratic and residual_new >= residual:
             break  # the residual is at its round-off floor
@@ -253,19 +234,7 @@ def minimize_F(problem):
     diagnostics.update(iterations=it, residual=residual, converged=converged,
                        seconds=time.perf_counter() - t_start)
 
-    rho_hat = _measure_from_particles(q)
-    uprime = MonotoneMap(q, y)
-    residuals = particle_residuals(q, y)
-    return MomentSolution(rho_hat, uprime, fval, residuals, q, y, it, converged, diagnostics)
-
-
-def _measure_from_particles(q):
-    m = q.size
-    edges = np.empty(m + 1)
-    edges[1:-1] = 0.5 * (q[:-1] + q[1:])
-    edges[0] = q[0] - 0.5 * (q[1] - q[0])
-    edges[-1] = q[-1] + 0.5 * (q[-1] - q[-2])
-    return GridMeasure.from_quantile_edges(edges)
+    return MomentSolution(q, y, diagnostics)
 
 
 def particle_residuals(q, y):
@@ -289,9 +258,8 @@ def particle_residuals(q, y):
 def verify_solution(sol, mu):
     """Residual report: Hilbert-transform identity, pushforward error, and the
     scalar Schwinger-Dyson check."""
-    q = sol.positions
     y = sol.target_quantiles
-    rep = particle_residuals(q, y)
+    rep = dict(sol.residuals)
     pushed = GridMeasure.from_quantile_edges(
         np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]]))
     mu_c = mu.translate(-measure1d.barycenter(mu))

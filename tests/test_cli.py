@@ -366,6 +366,21 @@ def test_verify_gibbs_solution(tmp_path, capsys):
     assert f"'radius_condition': {rep['radius_condition']!r}" in stdout3
 
 
+def test_gibbs1d_exits_as_verify_on_its_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "g.json"
+    argv = ["gibbs1d", "--even-coeffs", "0,0.25", "--out", str(out)]
+    assert run(argv, capsys)[0] == 0
+    assert run(["verify", "--solution", str(out)], capsys)[0] == 0
+    # past verify's Hilbert bound the file and its CSV are still written
+    out.unlink()
+    (tmp_path / "g.csv").unlink()
+    monkeypatch.setattr(cli.gibbs1d, "hilbert_residual", lambda sol: 1.0)
+    assert run(argv, capsys)[0] == 2
+    assert json.loads(out.read_text())["hilbert_residual"] == 1.0
+    assert (tmp_path / "g.csv").exists()
+    assert run(["verify", "--solution", str(out)], capsys)[0] == 2
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     wfile = tmp_path / "w.json"
     write_json(wfile, NCSeries(1, 10, {(0, 0, 0, 0): 0.05}))

@@ -134,6 +134,21 @@ def test_one_cut_violation():
         G.free_gibbs_measure(G.EvenPotential([-1.5, 0.25]))
 
 
+def test_near_critical_double_well_is_not_one_cut():
+    # at c2 = -1.0001 the density dips to -3.2e-5 at the origin: the
+    # theta-Gauss nodes of _one_cut miss it, the measure's own nodes do not
+    with pytest.raises(RegimeError):
+        G.free_gibbs_measure(G.EvenPotential([-1.0001, 0.25]))
+
+
+def test_min_density_reads_the_kept_samples():
+    # the sign check reads the unclipped density at the measure's nodes
+    for coeffs in ([0.0, 0.25], [-1.0, 0.25], [0.4, 0.1, 0.03]):
+        sol = G.free_gibbs_measure(G.EvenPotential(coeffs))
+        samples = G._density(sol.fourier, sol.radius, sol.measure.nodes)
+        assert sol.diagnostics["min_density"] == float(samples.min())
+
+
 def test_critical_double_well_still_one_cut():
     # at c2 = -1 the quartic density touches zero at the origin but stays nonnegative
     sol = G.free_gibbs_measure(G.EvenPotential([-1.0, 0.25]))
@@ -187,10 +202,11 @@ def test_solution_json_roundtrip(quartic_solution):
 
 
 def test_cached_sines_are_the_sines_read_only():
-    # the two fixed grids: the theta-Gauss nodes and the density-check grid
-    for grid, theta in ((64, G._gauss_theta(64)[0]), (None, np.linspace(0.0, np.pi, 8192))):
-        rows = G._sines(grid, 9)
-        assert not rows.flags.writeable and rows.shape == (9, theta.size)
+    # the one grid: the nodes of the theta-Gauss rule of each order
+    for order in (64, 80):
+        theta = G._gauss_theta(order)[0]
+        rows = G._sines(order, 9)
+        assert not rows.flags.writeable and rows.shape == (9, order)
         for n, row in enumerate(rows, start=1):
             assert np.array_equal(row, np.sin(n * theta))
     nodes, cosines = G._boundary_grid(9)

@@ -117,14 +117,13 @@ def test_gradient_matches_finite_differences():
         q = np.sort(rng.uniform(-2, 2, size=32))
         q += np.linspace(0, 1e-3, 32)  # enforce separation
         y = np.sort(rng.standard_normal(32))
-        eps = 1e-9 * (q[-1] - q[0])
-        grad = mo.particle_gradient(q, y, eps)
+        grad = mo.particle_gradient(q, y)
         h = 1e-6
         for k in (0, 7, 31):
             qp, qm = q.copy(), q.copy()
             qp[k] += h
             qm[k] -= h
-            fd = (mo.particle_objective(qp, y, eps) - mo.particle_objective(qm, y, eps)) / (2 * h)
+            fd = (mo.particle_objective(qp, y) - mo.particle_objective(qm, y)) / (2 * h)
             assert abs(fd - grad[k]) <= 1e-5 * max(1.0, abs(grad[k]))
 
 
@@ -147,14 +146,13 @@ def test_hessian_matches_finite_differences():
         q = np.sort(rng.uniform(-2.0, 2.0, size=32))
         q += np.linspace(0.0, 2e-3, 32)
         y = np.sort(rng.standard_normal(32))
-        eps = 1e-9 * (q[-1] - q[0])
         hess = mo.particle_hessian(q)
         h = 1e-6
         for k in range(32):
             qp, qm = q.copy(), q.copy()
             qp[k] += h
             qm[k] -= h
-            fd = (mo.particle_gradient(qp, y, eps) - mo.particle_gradient(qm, y, eps)) / (2 * h)
+            fd = (mo.particle_gradient(qp, y) - mo.particle_gradient(qm, y)) / (2 * h)
             worst = max(worst, float(np.max(np.abs(fd - hess[:, k])
                                             / np.maximum(1.0, np.abs(hess[:, k])))))
     assert worst < 1e-5
@@ -235,6 +233,27 @@ def test_solution_serialization(semicircle, monkeypatch):
     sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=64))
     d = sol.to_dict()
     assert "rho_hat" in d and "uprime" in d and "functional_value" in d
+
+
+def test_solution_is_its_particles(semicircle, monkeypatch):
+    # u' is the rearrangement of the positions onto the target quantiles, and
+    # the file holds those two arrays as they are
+    monkeypatch.setattr(mo, "MAX_ITERS", 50)
+    sol = mo.minimize_F(mo.MomentProblem(semicircle, n_particles=64))
+    xs = np.linspace(-2.5, 2.5, 101)
+    assert np.array_equal(sol.uprime(xs), np.interp(xs, sol.positions, sol.target_quantiles))
+    d = sol.to_dict()
+    assert d["uprime"] == {"x": sol.positions.tolist(), "value": sol.target_quantiles.tolist()}
+    assert d["functional_value"] == sol.diagnostics["objective"][-1]
+    assert d["residuals"] == mo.particle_residuals(sol.positions, sol.target_quantiles)
+    assert (d["iterations"], d["converged"]) == (sol.iterations, sol.converged)
+    assert mo.verify_solution(sol, semicircle)["hilbert_residual"] == sol.residuals["hilbert_residual"]
+
+
+def test_package_exports_no_monotone_map():
+    import freemoment
+
+    assert not hasattr(freemoment, "MonotoneMap") and not hasattr(mo, "MonotoneMap")
 
 
 def test_target_support_bound():
