@@ -136,7 +136,7 @@ def cmd_verify(args):
             "sd_scalar_error": abs(sol.sd_scalar() - 1.0),
             "radius_condition": abs(sol.radius * float(sol.fourier[1]) + 2.0),
         }
-        ok = _residuals_pass(report)
+        ok = _residuals_pass(report) and report["radius_condition"] <= gibbs1d.RADIUS_CONDITION_TOL
     elif "V" in data:
         if not args.series:
             raise InvalidInputError("verifying a transport solution needs --series W.json")

@@ -23,6 +23,8 @@ from .measure1d import GridMeasure
 # most negative value the sampled density may take before the potential is
 # taken to be outside the one-cut regime
 NEGATIVITY_TOL = 1e-9
+# largest |r*a_1 + 2| of a solve, and of a file that verify passes
+RADIUS_CONDITION_TOL = 1e-10
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,16 +253,23 @@ def _moment_map(coeffs, jac=False):
 
 
 class GibbsSolution(jsonio.JSONWriter):
-    """Radius, boundary Fourier coefficients, and the assembled measure."""
+    """Radius and boundary Fourier coefficients, and the measure they give on
+    the Chebyshev nodes of [-r, r]; RegimeError when an unclipped sample is
+    below -NEGATIVITY_TOL (the potential is outside the one-cut regime)."""
 
-    def __init__(self, potential, radius, fourier, measure):
+    def __init__(self, potential, radius, fourier):
         self.potential = potential
-        self.radius = float(radius)
+        self.radius = r = float(radius)
         self.fourier = np.asarray(fourier, dtype=float)
-        self.measure = measure
-        # solver residual and timing, kept out of to_dict so output files
-        # stay byte-identical
-        self.diagnostics = {}
+        nodes = measure1d.chebyshev_nodes(-r, r, measure1d.DEFAULT_NODES)
+        dens = _density(self.fourier, r, nodes)
+        min_density = float(dens.min())
+        # written to fail on NaN as well
+        if not min_density >= -NEGATIVITY_TOL:
+            raise RegimeError("one-cut assumption violated: density would be negative")
+        self.measure = GridMeasure.from_density(nodes, dens, (-r, r), normalize=True)
+        # a solve adds its residual and timing; all kept out of to_dict
+        self.diagnostics = {"min_density": min_density}
 
     def density(self, x):
         """Density at x from the Fourier representation; 0 outside (-r, r)."""
@@ -293,23 +302,22 @@ class GibbsSolution(jsonio.JSONWriter):
             "even_coeffs": list(self.potential.even_coeffs),
             "radius": self.radius,
             "fourier": list(map(float, self.fourier)),
-            "measure": self.measure.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d):
         return cls(EvenPotential.from_dict(d), jsonio.field(d, "radius", float),
-                   jsonio.field(d, "fourier", jsonio.floats), GridMeasure.from_dict(d["measure"]))
+                   jsonio.field(d, "fourier", jsonio.floats))
 
 
 def free_gibbs_measure(u):
     """Free Gibbs measure of an even polynomial potential.
 
-    Fails with RegimeError when the density dips below -NEGATIVITY_TOL at a
-    node of the measure (the potential is outside the one-cut regime).  The
-    solution's ``diagnostics`` hold the core keys (``iterations`` is 0:
-    nothing is iterated), the radius-condition residual |r*a_1 + 2| as
-    ``residual`` and the minimum of the unclipped samples as ``min_density``.
+    Fails with RegimeError when the radius condition misses by more than
+    RADIUS_CONDITION_TOL, or as ``GibbsSolution`` does.  The solution's
+    ``diagnostics`` hold the core keys (``iterations`` is 0: nothing is
+    iterated), the radius-condition residual |r*a_1 + 2| as ``residual`` and
+    ``min_density``.
     """
     t0 = time.perf_counter()
     if not isinstance(u, EvenPotential):
@@ -317,18 +325,11 @@ def free_gibbs_measure(u):
     r = solve_radius(u)
     a, _, _ = _one_cut(u.even_coeffs, r)
     residual = float(abs(r * a[1] + 2.0))
-    if residual > 1e-10:
+    if residual > RADIUS_CONDITION_TOL:
         raise RegimeError("radius condition r*a_1 = -2 not met")
-
-    nodes = measure1d.chebyshev_nodes(-r, r, measure1d.DEFAULT_NODES)
-    dens = _density(a, r, nodes)
-    min_density = float(dens.min())
-    # written to fail on NaN as well
-    if not min_density >= -NEGATIVITY_TOL:
-        raise RegimeError("one-cut assumption violated: density would be negative")
-    sol = GibbsSolution(u, r, a, GridMeasure.from_density(nodes, dens, (-r, r), normalize=True))
-    sol.diagnostics = {"iterations": 0, "residual": residual, "converged": True,
-                       "min_density": min_density, "seconds": time.perf_counter() - t0}
+    sol = GibbsSolution(u, r, a)
+    sol.diagnostics.update(iterations=0, residual=residual, converged=True,
+                           seconds=time.perf_counter() - t0)
     return sol
 
 

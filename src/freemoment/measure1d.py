@@ -175,10 +175,8 @@ class GridMeasure(jsonio.JSONWriter):
         return self.nodes is None and not self.is_atomic()
 
     def total_mass(self):
-        if self._block_model():
-            return 1.0
-        ac = 0.0 if self.nodes is None else float(np.trapezoid(self.density, self.nodes))
-        return ac + sum(w for _, w in self.atoms)
+        """The mass of the pieces that ``cdf`` and ``quantile`` read."""
+        return float(self._pieces()[1][-1])
 
     # -- exact CDF / quantile machinery -------------------------------------
 

@@ -239,18 +239,15 @@ def minimize_F(problem):
 
 def particle_residuals(q, y):
     """Residuals of particle positions q against target quantiles y: the
-    discrete Hilbert identity max_i |2/(m-1) sum_{j != i} 1/(q_i - q_j) - y_i|
-    and the scalar Schwinger-Dyson relation |mean(q y) - 1|.  Both vanish at
-    the exact minimizer of the discrete F, so they measure the solver."""
+    discrete Hilbert identity max_i |2/(m-1) sum_{j != i} 1/(q_i - q_j) - y_i|,
+    which is m max|grad F| as minimize_F reads it, and the scalar
+    Schwinger-Dyson relation |mean(q y) - 1|.  Both vanish at the exact
+    minimizer of the discrete F, so they measure the solver."""
     q = np.asarray(q, dtype=float)
     y = np.asarray(y, dtype=float)
     if q.ndim != 1 or q.size < 2 or q.shape != y.shape:
         raise InvalidInputError("need at least two positions and one target quantile for each")
-    m = q.size
-    diffs = np.subtract.outer(q, q)
-    np.fill_diagonal(diffs, np.inf)
-    np.reciprocal(diffs, out=diffs)
-    hres = float(np.max(np.abs(2.0 / (m - 1) * np.sum(diffs, axis=1) - y)))
+    hres = q.size * float(np.max(np.abs(particle_gradient(q, y))))
     sd = abs(float(np.mean(q * y)) - 1.0)
     return {"hilbert_residual": hres, "pushforward_w2": None, "sd_scalar_error": sd}
 

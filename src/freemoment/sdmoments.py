@@ -20,7 +20,6 @@ import time
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .jsonio import JSONWriter
 from .ncseries import (NCSeries, _code, _digits, _positions, _ranks, _series, _split,
                        _word_tuples, cyclic_gradient, multiply)
 
@@ -105,9 +104,8 @@ def _enumerate_canonical(n, length):
     return tuple(map(tuple, _digits(reps, n, length).tolist()))
 
 
-class TraceTable(JSONWriter):
-    """Trace values on canonical cyclic words up to a degree cap; written to
-    JSON, never read back.
+class TraceTable:
+    """Trace values on canonical cyclic words up to a degree cap.
 
     ``values[L]`` holds tau on the canonical classes of length L, in the order
     of ``_canonical_classes(n, L)``; ``values[0]`` is [1.0] and classes killed
@@ -141,15 +139,6 @@ class TraceTable(JSONWriter):
                 break
             total += series.coeffs[lo:hi] @ self.at(length, codes[lo:hi])
         return float(total)
-
-    def to_dict(self):
-        # exact zeros are implied, so only the nonzero classes are written
-        items = [{"word": [i + 1 for i in _enumerate_canonical(self.n_vars, length)[k]],
-                  "value": float(vals[k])}
-                 for length, vals in enumerate(self.values[1:], start=1)
-                 for k in np.flatnonzero(vals)]
-        return {"n_vars": self.n_vars, "degree_cap": self.degree_cap,
-                "cutoff": CUTOFF, "values": items}
 
 
 # Equations of the canonical words v = x_i w that no symmetry kills, one row

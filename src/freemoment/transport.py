@@ -89,8 +89,8 @@ class TransportSolution(jsonio.JSONWriter):
     """V and the diagnostics.  The trace table of the law of Y to cap
     ``V.max_degree + 4`` (its one-cut moments for an even V in one variable,
     else ``solve_sd``'s), the transport map Y + DV and Vtilde = S Pi N V are
-    derived from V on each access; JSON keeps all three, and ``from_dict``
-    reads V alone."""
+    derived from V on each access.  JSON keeps the two exact series, the
+    map and Vtilde, next to V, not the table; ``from_dict`` reads V alone."""
 
     def __init__(self, V, diagnostics):
         self.V = V
@@ -119,7 +119,6 @@ class TransportSolution(jsonio.JSONWriter):
         return {
             "V": self.V.to_dict(),
             "V_tilde": self.V_tilde.to_dict(),
-            "tau_Y": self.tau_Y.to_dict(),
             "transport_map": [c.to_dict() for c in self.transport_map],
             "diagnostics": _stored(self.diagnostics),
         }

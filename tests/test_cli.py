@@ -34,15 +34,66 @@ def test_gibbs1d_quartic(tmp_path, capsys):
     assert rows[0] == "node,density"
 
 
-def test_gibbs1d_semicircle(capsys):
-    code, stdout, _ = run(["gibbs1d", "--even-coeffs", "0.5", "--json"], capsys)
+def test_gibbs1d_semicircle(tmp_path, capsys):
+    # the samples are in the CSV next to the --out file, not in the JSON
+    code, stdout, _ = run(["gibbs1d", "--even-coeffs", "0.5", "--out", str(tmp_path / "s.json"),
+                           "--json"], capsys)
     assert code == 0
     data = json.loads(stdout)
     assert abs(data["radius"] - 2.0) < 1e-12
-    dens = np.asarray(data["measure"]["density"])
-    nodes = np.asarray(data["measure"]["nodes"])
+    rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+    nodes, dens = np.array([row.split(",") for row in rows], dtype=float).T
     target = np.sqrt(np.clip(4 - nodes ** 2, 0, None)) / (2 * np.pi)
     assert np.max(np.abs(dens - target)) < 1e-6
+
+
+def test_solution_files_hold_what_determines_the_solution(tmp_path, capsys):
+    # a gibbs1d file is the law's radius and Fourier coefficients, with the
+    # two residuals the command reports; a transport file is V with its two
+    # exact series, not the law of Y
+    g = tmp_path / "g.json"
+    assert run(["gibbs1d", "--even-coeffs", "0.4,0.1,0.03", "--out", str(g)], capsys)[0] == 0
+    assert set(json.loads(g.read_text())) == {"even_coeffs", "radius", "fourier",
+                                              "hilbert_residual", "sd_scalar"}
+    _write_transport_inputs(tmp_path)
+    t = tmp_path / "t.json"
+    assert run(["transport-nc", "--series", str(tmp_path / "w2.json"), "--degree", "8",
+                "--out", str(t)], capsys)[0] == 0
+    assert set(json.loads(t.read_text())) == {"V", "V_tilde", "transport_map", "diagnostics",
+                                              "verification"}
+
+
+def test_verify_judges_the_radius_condition(tmp_path, capsys):
+    # a radius off by 1e-9 (relative) keeps the Hilbert residual in bounds,
+    # but not the radius condition that the solve holds to RADIUS_CONDITION_TOL
+    out = tmp_path / "g.json"
+    assert run(["gibbs1d", "--even-coeffs", "0.4,0.1,0.03", "--out", str(out)], capsys)[0] == 0
+    data = json.loads(out.read_text())
+    data["radius"] *= 1.0 + 1e-9
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(data))
+    assert run(["verify", "--solution", str(out)], capsys)[0] == 0
+    code, stdout, _ = run(["verify", "--solution", str(moved), "--json"], capsys)
+    rep = json.loads(stdout)
+    assert rep["hilbert_residual"] < cli.HILBERT_RESIDUAL_TOL
+    assert 1e-9 < rep["radius_condition"] < 3e-9
+    assert code == 2
+
+
+def test_verify_rejects_coefficients_of_a_negative_density(tmp_path, capsys):
+    # at c2 = -1.0001 the density dips to -3.2e-5 at the origin, which the
+    # theta-Gauss nodes of _one_cut miss; a file of its coefficients is
+    # sampled as a solve is, and fails as the solve does
+    from freemoment import gibbs1d as G
+
+    coeffs = [-1.0001, 0.25]
+    r = G.solve_radius(G.EvenPotential(coeffs))
+    a = G._one_cut(coeffs, r)[0]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"even_coeffs": coeffs, "radius": r, "fourier": a.tolist()}))
+    code, stdout, stderr = run(["verify", "--solution", str(path)], capsys)
+    assert code == 2 and stdout == ""
+    assert "negative" in json.loads(stderr)["message"]
 
 
 def test_gibbs1d_one_cut_error(capsys):
@@ -84,6 +135,31 @@ def test_moment1d_target_from_measure_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(stdout)
     assert abs(data["rho_hat"]["support"][1] - math.pi) < 0.3
+
+
+@pytest.mark.parametrize("uprime, builtin", [
+    (lambda x: x ** 3, "builtin:quartic_pushforward"),
+    (freemoment.EvenPotential([0.35, 0.11]).deriv, None),
+], ids=["cube", "uprime"])
+def test_moment1d_target_from_a_pushforward_file(uprime, builtin, tmp_path, capsys,
+                                                 quartic_solution):
+    # a pushforward's law is its quantile table, of mass one, not the
+    # trapezoid mass of its pushed samples (1.002 for x^3)
+    from freemoment import measure1d as M, moment1d
+
+    mu = M.pushforward_monotone(quartic_solution.measure, uprime)
+    path = tmp_path / "mu.json"
+    write_json(path, mu)
+    assert M.GridMeasure.from_dict(json.loads(path.read_text())).validate()
+    code, stdout, _ = run(["moment1d", "--target", str(path), "--particles", "128", "--json"],
+                          capsys)
+    assert code == 0
+    sol = moment1d.minimize_F(moment1d.MomentProblem(mu, n_particles=128))
+    expected = dict(sol.to_dict(), residuals=moment1d.verify_solution(sol, mu))
+    assert stdout == json.dumps(expected, sort_keys=True) + "\n"
+    if builtin:
+        assert run(["moment1d", "--target", builtin, "--particles", "128", "--json"],
+                   capsys)[:2] == (0, stdout)
 
 
 def test_moment1d_target_with_an_atom_inside_a_density_cell(tmp_path, capsys):
@@ -499,25 +575,73 @@ def _mixed_transport_file(tmp_path, capsys):
     return wfile, out, json.loads(out.read_text())
 
 
+def _parent_tau_y(data):
+    """The tau_Y entry that transport files held before the format dropped it:
+    the law of Y, its nonzero classes written as words from 1."""
+    from freemoment import sdmoments, transport
+
+    table = transport.TransportSolution.from_dict(data).tau_Y
+    words = sdmoments._enumerate_canonical
+    return {"n_vars": table.n_vars, "degree_cap": table.degree_cap, "cutoff": sdmoments.CUTOFF,
+            "values": [{"word": [i + 1 for i in words(table.n_vars, length)[k]],
+                        "value": float(vals[k])}
+                       for length, vals in enumerate(table.values[1:], start=1)
+                       for k in np.flatnonzero(vals)]}
+
+
+# a transport file's derived entries, each with the keys of its items, of an
+# item's value and of its cap: the series V_tilde and Y + DV, and the table
+# tau_Y of a file in the parent format
+_DERIVED = {"V_tilde": ("terms", "coeff", "max_degree"),
+            "transport_map": ("terms", "coeff", "max_degree"),
+            "tau_Y": ("values", "value", "degree_cap")}
+
+
 @pytest.mark.parametrize("edit", [
-    lambda d: d.pop("tau_Y"),
-    lambda d: d["tau_Y"]["values"][0].update(value=math.nan),
-    lambda d: d["tau_Y"]["values"][0].update(value=1e300),
-    lambda d: d["tau_Y"]["values"].append({"word": [2, 1, 1], "value": 0.1}),
-    lambda d: d["tau_Y"]["values"].append({"word": [1] * 9, "value": 0.1}),
-    lambda d: d["tau_Y"]["values"].append({"word": [1, 3], "value": 0.1}),
-    lambda d: d["tau_Y"].update(cutoff=4.0),
-    lambda d: d["tau_Y"].update(degree_cap=21),
+    None,
+    lambda e, items, value, cap: e[items][0].update({value: math.nan}),
+    lambda e, items, value, cap: e[items][0].update({value: 1e300}),
+    lambda e, items, value, cap: e[items].append({"word": [2, 1, 1], value: 0.1}),
+    lambda e, items, value, cap: e[items].append({"word": [1] * 9, value: 0.1}),
+    lambda e, items, value, cap: e[items].append({"word": [1, 3], value: 0.1}),
+    lambda e, items, value, cap: e.update(cutoff=4.0),
+    lambda e, items, value, cap: e.update({cap: 21}),
 ], ids=["deleted", "nan", "huge", "canonical", "length", "letter", "cutoff", "degree-cap"])
 def test_verify_reads_v_and_w_alone(edit, tmp_path, capsys):
-    # the file's tau_Y is output only, like its transport_map and V_tilde
+    # V_tilde, the transport map and a parent-format file's tau_Y are output only
     wfile, out, data = _mixed_transport_file(tmp_path, capsys)
-    edit(data)
-    edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps(data))
-    reports = [run(["verify", "--solution", str(path), "--series", str(wfile), "--json"], capsys)
-               for path in (out, edited)]
-    assert reports[0][0] == 0 and reports[1] == reports[0]
+    data["tau_Y"] = _parent_tau_y(data)
+    base = run(["verify", "--solution", str(out), "--series", str(wfile), "--json"], capsys)
+    assert base[0] == 0
+    for key, fields in _DERIVED.items():
+        edited = json.loads(json.dumps(data))
+        if edit is None:
+            del edited[key]
+        else:
+            edit(edited[key][1] if key == "transport_map" else edited[key], *fields)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(edited))
+        assert run(["verify", "--solution", str(path), "--series", str(wfile), "--json"],
+                   capsys) == base
+
+
+def test_verify_reads_parent_format_files(tmp_path, capsys):
+    # a gibbs1d file with the sampled measure and a transport file with tau_Y,
+    # as files were written before, verify as the files without them
+    from freemoment import gibbs1d
+
+    g = tmp_path / "g.json"
+    assert run(["gibbs1d", "--even-coeffs", "0.4,0.1,0.03", "--out", str(g)], capsys)[0] == 0
+    data = json.loads(g.read_text())
+    data["measure"] = gibbs1d.GibbsSolution.from_dict(data).measure.to_dict()
+    wfile, t, tdata = _mixed_transport_file(tmp_path, capsys)
+    tdata["tau_Y"] = _parent_tau_y(tdata)
+    for path, parent, extra in ((g, data, []), (t, tdata, ["--series", str(wfile)])):
+        old = tmp_path / "parent.json"
+        old.write_text(json.dumps(parent))
+        reports = [run(["verify", "--solution", str(p), "--json", *extra], capsys)
+                   for p in (path, old)]
+        assert reports[0][0] == 0 and reports[1] == reports[0]
 
 
 @pytest.mark.parametrize("argv, module", [
@@ -559,10 +683,11 @@ def test_input_without_a_key_exits_2(argv, text, key, module, tmp_path, capsys, 
 
 
 def test_written_types_have_no_reader_and_read_types_round_trip(semicircle, quartic_solution):
-    # TraceTable and MomentSolution are written, never read back
+    # MomentSolution is written, never read back, and TraceTable not written
     from freemoment import moment1d, sdmoments, transport
 
     assert not hasattr(sdmoments.TraceTable, "from_dict")
+    assert not hasattr(sdmoments.TraceTable, "to_dict")
     assert not hasattr(moment1d.MomentSolution, "from_dict")
     W = NCSeries(1, 4, {(0, 0, 0, 0): 0.05})
     for obj in (W, semicircle, quartic_solution,

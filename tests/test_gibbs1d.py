@@ -189,8 +189,10 @@ def test_diagnostics_stay_out_of_json(quartic_solution):
     assert {"iterations", "residual", "converged", "seconds", "min_density"} <= set(diag)
     assert diag["iterations"] == 0 and diag["converged"] and diag["residual"] <= 1e-10
     assert diag["min_density"] >= -G.NEGATIVITY_TOL
-    assert set(quartic_solution.to_dict()) == {"even_coeffs", "radius", "fourier", "measure"}
-    assert G.GibbsSolution.from_dict(quartic_solution.to_dict()).diagnostics == {}
+    assert set(quartic_solution.to_dict()) == {"even_coeffs", "radius", "fourier"}
+    # a solution read back samples its measure, and has no solve to time
+    back = G.GibbsSolution.from_dict(quartic_solution.to_dict())
+    assert back.diagnostics == {"min_density": diag["min_density"]}
 
 
 def test_solution_json_roundtrip(quartic_solution):
@@ -199,6 +201,11 @@ def test_solution_json_roundtrip(quartic_solution):
     assert np.max(np.abs(back.fourier - quartic_solution.fourier)) == 0.0
     xs = np.linspace(-1.0, 1.0, 11)
     assert np.max(np.abs(back.density(xs) - quartic_solution.density(xs))) == 0.0
+    # the file holds no measure: reading it back samples the same one
+    m, m_back = quartic_solution.measure, back.measure
+    for a, b in ((m.nodes, m_back.nodes), (m.density, m_back.density),
+                 (m.quantiles, m_back.quantiles)):
+        assert np.array_equal(a, b)
 
 
 def test_cached_sines_are_the_sines_read_only():

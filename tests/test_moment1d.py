@@ -181,6 +181,13 @@ def test_newton_reaches_round_off(target, m):
     assert "diagnostics" not in sol.to_dict()
 
 
+@pytest.mark.parametrize("target", ["semicircle", "two_point:1.2", "quartic_pushforward"])
+def test_hilbert_residual_is_the_solver_residual(target):
+    # one Hilbert residual: m max|grad F| at the particles, which the solve stops on
+    sol = mo.minimize_F(mo.MomentProblem(mo.builtin_target(target), n_particles=256))
+    assert sol.residuals["hilbert_residual"] == sol.diagnostics["residual"]
+
+
 @pytest.mark.parametrize("n_atoms,m", [(3, 128), (3, 256), (3, 512), (1, 128)])
 def test_targets_with_atoms_converge(n_atoms, m):
     # the target quantiles are centred by their own mean, which no move of the

@@ -86,6 +86,10 @@ def test_residual_solved_table_is_small():
     # residual grows with the degree window; both stay far below detection scale
     assert sd.sd_residual(tab, W, 12) < 1e-6
     assert sd.sd_residual(tab, W, 16) < 1e-5
+    diag = tab.diagnostics
+    assert set(diag) == {"iterations", "residual", "converged", "structure_cache", "seconds"}
+    assert diag["converged"] and diag["residual"] < 1e-12
+    assert diag["structure_cache"] in ("hit", "miss")
 
 
 def test_residual_detects_wrong_potential():
@@ -158,17 +162,6 @@ def test_canonical_word():
     assert canonical_word((0, 1, 2)) == canonical_word((2, 1, 0))
 
 
-def test_table_to_dict_writes_the_nonzero_classes():
-    W = NCSeries(2, 4, {(0,) * 4: 0.02, (1,) * 4: 0.02, (0, 1, 0, 1): 0.01, (1, 0, 1, 0): 0.01})
-    tab = sd.solve_sd(W, 10)
-    data = tab.to_dict()
-    # exact zeros (here every odd length, and odd letter counts) are implied
-    assert all(item["value"] != 0.0 for item in data["values"])
-    for item in data["values"]:
-        assert tab.value(tuple(i - 1 for i in item["word"])) == item["value"]
-    assert len(data["values"]) == sum(np.count_nonzero(v) for v in tab.values[1:])
-
-
 def test_warm_start_from_lower_cap_matches_cold_solve(monkeypatch):
     W = NCSeries(2, 4, {(0,) * 4: 0.02, (1,) * 4: 0.02, (0, 1, 0, 1): 0.01, (1, 0, 1, 0): 0.01})
     # the sweeps stop on the step size, so two solves at tol agree only to a
@@ -184,15 +177,6 @@ def test_warm_start_from_lower_cap_matches_cold_solve(monkeypatch):
     assert gap <= 1e-12
     with pytest.raises(InvalidInputError):
         sd.solve_sd(NCSeries(1, 4, {(0,) * 4: 0.02}), 8, init=low)
-
-
-def test_table_diagnostics_stay_out_of_json():
-    tab = sd.solve_sd(NCSeries(1, 10, {(0,) * 4: 0.05}), 10)
-    diag = tab.diagnostics
-    assert set(diag) == {"iterations", "residual", "converged", "structure_cache", "seconds"}
-    assert diag["converged"] and diag["residual"] < 1e-12
-    assert diag["structure_cache"] in ("hit", "miss")
-    assert "diagnostics" not in tab.to_dict()
 
 
 def test_enumerate_canonical_matches_canonical_word():
