@@ -254,12 +254,16 @@ def _moment_map(coeffs, jac=False):
 
 class GibbsSolution(jsonio.JSONWriter):
     """Radius and boundary Fourier coefficients, and the measure they give on
-    the Chebyshev nodes of [-r, r]; RegimeError when an unclipped sample is
-    below -NEGATIVITY_TOL (the potential is outside the one-cut regime)."""
+    the Chebyshev nodes of [-r, r]; InvalidInputError when the radius is not
+    finite and positive, RegimeError when an unclipped sample is below
+    -NEGATIVITY_TOL (the potential is outside the one-cut regime)."""
 
     def __init__(self, potential, radius, fourier):
         self.potential = potential
         self.radius = r = float(radius)
+        # written to fail on NaN as well
+        if not (r > 0 and math.isfinite(r)):
+            raise InvalidInputError(f"radius must be finite and positive, got {r!r}")
         self.fourier = np.asarray(fourier, dtype=float)
         nodes = measure1d.chebyshev_nodes(-r, r, measure1d.DEFAULT_NODES)
         dens = _density(self.fourier, r, nodes)

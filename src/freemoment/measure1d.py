@@ -36,14 +36,15 @@ _FLAT_TOL = 1e-14
 # that GridMeasure.validate accepts
 _CDF_TOL = 1e-8
 _MASS_TOL = 1e-10
-# block rows per strip of the log_energy pair sum; strips of 16 or 32 rows
-# were slower at 1024 cells
+# block rows per strip of the log_energy pair sum; at 1024 cells strips of
+# 32, 48 or 80 rows were no faster and 96 rows slower
 _ENERGY_ROWS = 64
 # quadrature-table entries per batch of points in hilbert_transform; tables
 # of 512 KiB stay in cache and reuse their memory from batch to batch
 _HILBERT_ENTRIES = 1 << 16
-# stands in for a zero kernel argument, so that log() sees no zero: its
-# square underflows to 0, which is the kernel's value there
+# stands in for the zero squared gap of an edge with itself, so that log()
+# sees no zero; the kernel's value there, s (log s - 3) = -1.6e-305, is
+# negligible next to any other pair's
 _TINY = np.finfo(float).tiny
 
 
@@ -76,6 +77,8 @@ class GridMeasure(jsonio.JSONWriter):
         # work (moments, Hilbert transforms); without samples the table is the
         # measure anyway, so the flag is kept only on a measure with samples
         self._quantiles_primary = bool(quantiles_primary) and self.nodes is not None
+        # the pieces of the samples and atoms, once _pieces has computed them
+        self._sample_pieces = None
 
     # -- constructors ------------------------------------------------------
 
@@ -186,7 +189,8 @@ class GridMeasure(jsonio.JSONWriter):
         A non-atomic measure whose table is primary or alone has the table's
         blocks, flat ones zero-width.  Any other has its density cells of
         positive mass, cut at the atoms inside them (where the density is
-        linear), and its atoms, zero-width, stably ordered by (x0, x1)."""
+        linear), and its atoms, zero-width, stably ordered by (x0, x1); those
+        are computed once and kept, as samples and atoms never change."""
         if not self.is_atomic() and (self._quantiles_primary or self.nodes is None):
             e, n = self._edges, self.n_cells
             w = np.diff(e)
@@ -194,6 +198,11 @@ class GridMeasure(jsonio.JSONWriter):
             d = np.divide(1.0 / n, w, out=np.zeros(n), where=~flat)
             x1 = np.where(flat, e[:-1], e[1:])
             return (e[:-1], x1, d, d, np.full(n, 1.0 / n)), np.linspace(0.0, 1.0, n + 1)
+        if self._sample_pieces is None:
+            self._sample_pieces = self._compute_sample_pieces()
+        return self._sample_pieces
+
+    def _compute_sample_pieces(self):
         ax = np.array([x for x, _ in self.atoms], dtype=float)
         pieces = []
         if self.nodes is not None:
@@ -614,11 +623,14 @@ def log_energy(m):
     closed form on every block pair, including the diagonal: the pair (a, b)
     is the block second difference of G(u) = u^2 (3/4 - log(u)/2), the second
     primitive of -log|u|, over the two cells' edges, divided by the widths
-    d_a d_b.  The pair sum is symmetric (the kernel is even), so it runs over
-    the upper triangle in strips of _ENERGY_ROWS block rows: each strip's
-    diagonal tile counts once and the tiles right of it count twice.  A strip
-    is summed as the weighted row reduction w_r . (block . w_c), w = 1/d, so
-    no n x n table is formed.
+    d_a d_b.  The kernel is evaluated on the squared edge gaps s = u^2 as
+    s (log s - 3) = -4 G(u).  The pair sum is symmetric (the kernel is even),
+    so it runs over the upper triangle in strips of _ENERGY_ROWS block rows:
+    each strip's diagonal tile counts once and the tiles right of it count
+    twice.  A strip is differenced down its rows only; the column difference
+    is moved onto the column weights by summation by parts, so the strip is
+    summed as w_r . (rows . c) with w = 1/d and c_j = wc_j - wc_(j-1), wc the
+    strip's column weights.  No n x n table is formed.
     """
     if m.atoms:
         return math.inf
@@ -628,36 +640,40 @@ def log_energy(m):
         return math.inf
     n = d.size
     w = 1.0 / d
+    # w_j - w_(j-1) on edges 0..n, with w_(-1) = w_n = 0
+    dw = np.diff(w, prepend=0.0, append=0.0)
     # two scratch tables of the first strip's size, reused by every strip
     size = (min(_ENERGY_ROWS, n) + 1) * (n + 1)
-    ubuf, gbuf = np.empty(size), np.empty(size)
+    sbuf, gbuf = np.empty(size), np.empty(size)
     total = 0.0
     for r0 in range(0, n, _ENERGY_ROWS):
         r1 = min(r0 + _ENERGY_ROWS, n)
         k = r1 - r0
         shape = (k + 1, n + 1 - r0)
-        u = ubuf[:shape[0] * shape[1]].reshape(shape)
-        g = gbuf[:u.size].reshape(shape)
-        # edges r0..r1 against edges r0..n; the edges increase, so u > 0
-        # right of the diagonal tile
-        np.subtract(e[r0:], e[r0:r1 + 1, None], out=u)
-        tile = u[:, :k + 1]
-        np.abs(tile, out=tile)
-        np.maximum(tile, _TINY, out=tile)
-        # -2 G(u) = u^2 (log u - 3/2); the factor -2 leaves the sum at the end
-        np.log(u, out=g)
-        g -= 1.5
-        g *= u
-        g *= u
-        # the block second difference, as the difference along the columns
-        # of the differences down the rows: where a cell is narrow, its
+        s = sbuf[:shape[0] * shape[1]].reshape(shape)
+        g = gbuf[:s.size].reshape(shape)
+        # squared gaps of edges r0..r1 against edges r0..n; the edges
+        # increase, so only an edge against itself gives 0.  A row copy and
+        # a column subtract take less time than one broadcast subtract
+        np.copyto(s, e[r0:])
+        s -= e[r0:r1 + 1, None]
+        np.square(s, out=s)
+        np.fill_diagonal(s, _TINY)
+        # -4 G(u) = s (log s - 3); the factor -4 leaves the sum at the end
+        np.log(s, out=g)
+        g -= 3.0
+        g *= s
+        # the differences down the rows: where a cell is narrow, its
         # difference of nearly equal kernel values is exact
-        rows = np.subtract(g[1:], g[:-1], out=u[:-1])
-        block = np.subtract(rows[:, :-1], rows[:, 1:], out=g[:-1, :-1])
-        wc = w[r0:].copy()
-        wc[k:] *= 2.0
-        total += float(np.dot(w[r0:r1], np.einsum("ij,j->i", block, wc)))
-    return -0.5 * total / (n * n)
+        rows = np.subtract(g[1:], g[:-1], out=s[:-1])
+        # the column weights' differences; wc is w doubled right of the
+        # diagonal tile and 0 outside the strip
+        c = 2.0 * dw[r0:]
+        c[:k] = dw[r0:r1]
+        c[0] = w[r0]
+        c[k] += w[r1 - 1]
+        total += float(np.dot(w[r0:r1], rows @ c))
+    return -0.25 * total / (n * n)
 
 
 def _simpson_pl(valsA, valsB, s):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_verify_judges_the_radius_condition(tmp_path, capsys):
     assert rep["hilbert_residual"] < cli.HILBERT_RESIDUAL_TOL
     assert 1e-9 < rep["radius_condition"] < 3e-9
     assert code == 2
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_verify_rejects_a_radius_that_is_not_finite_and_positive(tmp_path, capsys, radius):
+    out = tmp_path / "g.json"
+    assert run(["gibbs1d", "--even-coeffs", "0.5", "--out", str(out)], capsys)[0] == 0
+    data = json.loads(out.read_text())
+    data["radius"] = radius
+    out.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, stderr = run(["verify", "--solution", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert "radius" in json.loads(stderr)["message"]
 
 
 def test_verify_rejects_coefficients_of_a_negative_density(tmp_path, capsys):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -448,10 +449,42 @@ def test_log_energy_matches_extended_precision_sum(quartic_solution):
             assert abs(M.log_energy(m) - ref) <= 1e-11 * abs(ref)
 
 
+def test_log_energy_forms_no_n_by_n_table():
+    # at 1024 cells an n x n float table is 8.4 MB, the two strips of 65
+    # rows 1.1 MB
+    m = random_bump_measure(np.random.default_rng(5), n_cells=1024)
+    tracemalloc.start()
+    try:
+        M.log_energy(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_log_energy_infinite_for_atoms_and_flat_cells():
     flat = M.GridMeasure((0.0, 1.0), None, None, [], [0.0, 0.25, 0.25, 0.5, 1.0])
     for m in (M.dirac(0.3), M.two_point(1.0), _mixed_measure(), flat):
         assert M.log_energy(m) == _dense_log_energy(m) == math.inf
+
+
+def test_sample_pieces_are_computed_once_per_measure(monkeypatch):
+    calls = []
+    compute = M.GridMeasure._compute_sample_pieces
+
+    def counted(self):
+        calls.append(self)
+        return compute(self)
+
+    monkeypatch.setattr(M.GridMeasure, "_compute_sample_pieces", counted)
+    for make in (M.semicircle, _mixed_measure, lambda: M.two_point(1.0),
+                 lambda: gibbs1d.free_gibbs_measure(gibbs1d.EvenPotential([0.4, 0.1])).measure):
+        calls.clear()
+        m = make()
+        M.quantile(m, 0.3)
+        m.cdf(0.1)
+        m.total_mass()
+        assert calls == [m]
 
 
 def _loop_exact_quantile(m, s):
