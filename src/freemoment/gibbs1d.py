@@ -271,7 +271,7 @@ class GibbsSolution(jsonio.JSONWriter):
         # written to fail on NaN as well
         if not min_density >= -NEGATIVITY_TOL:
             raise RegimeError("one-cut assumption violated: density would be negative")
-        self.measure = GridMeasure.from_density(nodes, dens, (-r, r), normalize=True)
+        self.measure = GridMeasure.from_density(nodes, dens, normalize=True)
         # a solve adds its residual and timing; all kept out of to_dict
         self.diagnostics = {"min_density": min_density}
 

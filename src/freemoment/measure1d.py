@@ -5,18 +5,20 @@ A measure is carried in two coupled representations:
 * at most one density segment, samples on one increasing node grid, plus
   exact atoms (which may lie inside a density cell), used for pointwise
   work such as Hilbert transforms and moments, and
-* a quantile table on a uniform mass grid, used for every optimal-transport
-  functional (Wasserstein distance, maximal correlation, displacement
-  interpolation, logarithmic energy).
+* a quantile table on a uniform mass grid, whose two ends are the support,
+  used for every optimal-transport functional (Wasserstein distance,
+  maximal correlation, displacement interpolation, logarithmic energy).
 
+A measure holds only what determines it, and so does its file: samples and
+atoms, or atoms alone, derive a table of DEFAULT_CELLS cells as the
+generalized inverse of their CDF; a table alone (a particle cloud, an
+interpolant) derives its atoms from its flat runs; a pushforward of a
+measure with samples holds them, its atoms and its table, which is its CDF.
 The transport functionals all evaluate the same piecewise-linear quantile
 model (equal-mass blocks between quantile edges), so algebraic identities
 between them hold to round-off rather than to quadrature tolerance.  CDF
-and quantile read one set of mass pieces: the table's blocks for a measure
-without samples (an interpolant, a particle cloud) and for a pushforward of
-one with samples, whose table is primary, and the density cells and atoms
-for any other measure, whose table validate checks as the generalized
-inverse of that CDF.
+and quantile read one set of mass pieces: the table's blocks where the
+table determines the measure, the density cells and atoms elsewhere.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ DEFAULT_NODES = 2048
 DEFAULT_CELLS = 1024
 
 _FLAT_TOL = 1e-14
-# largest CDF mismatch of the quantile table and largest total-mass error
-# that GridMeasure.validate accepts
-_CDF_TOL = 1e-8
+# largest total-mass error of a measure with samples, and of an atomic one's atoms
 _MASS_TOL = 1e-10
 # block rows per strip of the log_energy pair sum; at 1024 cells strips of
 # 32, 48 or 80 rows were no faster and 96 rows slower
@@ -66,26 +66,32 @@ class GridMeasure(jsonio.JSONWriter):
     measure.  Use the ``from_*`` constructors, not ``__init__`` directly.
     """
 
-    def __init__(self, support, nodes, density, atoms, edges, quantiles_primary=False):
-        self.support = (float(support[0]), float(support[1]))
+    def __init__(self, nodes, density, atoms, edges=None, quantiles_primary=False):
         # the one density segment, or None for both when the measure has no samples
         self.nodes = None if nodes is None else np.asarray(nodes, dtype=float)
         self.density = None if density is None else np.asarray(density, dtype=float)
-        self.atoms = sorted((float(x), float(w)) for x, w in atoms)
-        self._edges = np.asarray(edges, dtype=float)
         # a pushforward's table is its CDF, and its samples serve only pointwise
         # work (moments, Hilbert transforms); without samples the table is the
         # measure anyway, so the flag is kept only on a measure with samples
         self._quantiles_primary = bool(quantiles_primary) and self.nodes is not None
         # the pieces of the samples and atoms, once _pieces has computed them
         self._sample_pieces = None
+        if edges is not None and self.nodes is None:
+            # a table alone: its atoms are its maximal runs of flat cells j..k-1
+            e = np.asarray(edges, dtype=float)
+            step = np.diff(np.concatenate([[0], _flat_cells(e, np.diff(e)).astype(np.int8), [0]]))
+            atoms = [(e[j], (k - j) / (e.size - 1))
+                     for j, k in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))]
+        self.atoms = sorted((float(x), float(w)) for x, w in atoms)
+        self._edges = (self._exact_quantile(np.linspace(0.0, 1.0, DEFAULT_CELLS + 1))
+                       if edges is None else np.asarray(edges, dtype=float))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_density(cls, nodes, density, support, atoms=(), normalize=False,
-                     n_cells=DEFAULT_CELLS):
-        """Build a validated measure from density samples (piecewise linear between nodes).
+    def from_density(cls, nodes, density, atoms=(), normalize=False):
+        """Build a validated measure from density samples (piecewise linear
+        between nodes) and atoms.
 
         ``normalize=True`` rescales the density so that the total mass
         (including any atoms) is exactly one.
@@ -94,45 +100,41 @@ class GridMeasure(jsonio.JSONWriter):
         density = np.asarray(density, dtype=float)
         if nodes.ndim != 1 or nodes.shape != density.shape or nodes.size < 2:
             raise InvalidInputError("nodes and density must be 1-d arrays of equal length >= 2")
-        if np.any(np.diff(nodes) <= 0):
+        # written to fail on NaN as well
+        if not (np.diff(nodes) > 0).all():
             raise InvalidInputError("nodes must be strictly increasing")
-        if np.min(density) < -1e-9:
+        if not (density >= -1e-9).all():
             raise InvalidInputError("density must be nonnegative")
         density = np.clip(density, 0.0, None)
         atom_mass = sum(w for _, w in atoms)
         ac_mass = float(np.trapezoid(density, nodes))
         if normalize:
-            if ac_mass <= 0:
-                raise InvalidInputError("cannot normalize a zero density")
+            if not 0.0 < ac_mass < math.inf:
+                raise InvalidInputError("cannot normalize a zero or infinite density")
             density = density * ((1.0 - atom_mass) / ac_mass)
-            ac_mass = 1.0 - atom_mass
-        m = cls(support, nodes, density, list(atoms), np.zeros(2))
-        m._edges = m._exact_quantile(np.linspace(0.0, 1.0, n_cells + 1))
-        m.validate()
-        return m
+        elif not abs(ac_mass + atom_mass - 1.0) <= _MASS_TOL:
+            raise InvalidInputError(f"total mass {ac_mass + atom_mass} differs from 1")
+        return cls(nodes, density, atoms).validate()
 
     @classmethod
-    def from_callable(cls, fn, support, n_nodes=DEFAULT_NODES, n_cells=DEFAULT_CELLS):
-        """Sample a density callable on a Chebyshev-spaced node grid; normalize to mass one."""
+    def from_callable(cls, fn, support, n_nodes=DEFAULT_NODES):
+        """Sample a density callable on a Chebyshev-spaced node grid of
+        ``support``; normalize to mass one."""
         nodes = chebyshev_nodes(support[0], support[1], n_nodes)
         vals = np.clip(np.asarray(fn(nodes), dtype=float), 0.0, None)
-        return cls.from_density(nodes, vals, support=support, normalize=True, n_cells=n_cells)
+        return cls.from_density(nodes, vals, normalize=True)
 
     @classmethod
-    def from_atoms(cls, atoms, n_cells=DEFAULT_CELLS):
+    def from_atoms(cls, atoms):
         """A purely atomic measure from (location, mass) pairs."""
         atoms = sorted((float(x), float(w)) for x, w in atoms)
         if not np.isfinite(atoms).all():
             raise InvalidInputError(f"atom locations and masses must be finite, got {atoms}")
         if not atoms or any(w <= 0 for _, w in atoms):
             raise InvalidInputError("atoms must be nonempty with positive masses")
-        total = sum(w for _, w in atoms)
-        if abs(total - 1.0) > 1e-10:
+        if abs(sum(w for _, w in atoms) - 1.0) > _MASS_TOL:
             raise InvalidInputError("atom masses must sum to one")
-        support = (atoms[0][0], atoms[-1][0])
-        m = cls(support, None, None, atoms, np.zeros(2))
-        m._edges = m._exact_quantile(np.linspace(0.0, 1.0, n_cells + 1))
-        return m
+        return cls(None, None, atoms)
 
     @classmethod
     def from_quantile_edges(cls, edges):
@@ -146,18 +148,14 @@ class GridMeasure(jsonio.JSONWriter):
             raise InvalidInputError("need at least 3 quantile edge values")
         if np.any(np.diff(edges) < -1e-12 * (abs(edges[-1] - edges[0]) + 1.0)):
             raise InvalidInputError("quantile edges must be nondecreasing")
-        edges = np.maximum.accumulate(edges)
-        n = edges.size - 1
-        flat = _flat_cells(edges, np.diff(edges))
-        # maximal runs of flat cells j..k-1
-        step = np.diff(np.concatenate([[0], flat.astype(np.int8), [0]]))
-        atoms = [(float(edges[j]), (k - j) / n)
-                 for j, k in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))]
-        m = cls((edges[0], edges[-1]), None, None, atoms, edges)
-        m.validate()
-        return m
+        return cls(None, None, (), np.maximum.accumulate(edges)).validate()
 
     # -- basic accessors ---------------------------------------------------
+
+    @property
+    def support(self):
+        """The table's two ends."""
+        return float(self._edges[0]), float(self._edges[-1])
 
     @property
     def quantiles(self):
@@ -176,10 +174,6 @@ class GridMeasure(jsonio.JSONWriter):
         """True when the measure is its quantile table alone, read as the
         equal-mass block model: no density samples, and not purely atomic."""
         return self.nodes is None and not self.is_atomic()
-
-    def total_mass(self):
-        """The mass of the pieces that ``cdf`` and ``quantile`` read."""
-        return float(self._pieces()[1][-1])
 
     # -- exact CDF / quantile machinery -------------------------------------
 
@@ -255,70 +249,74 @@ class GridMeasure(jsonio.JSONWriter):
     # -- misc ----------------------------------------------------------------
 
     def translate(self, c):
+        """The measure shifted by c, with the table it holds (an atomic one derived again)."""
         c = float(c)
         nodes = None if self.nodes is None else self.nodes + c
         atoms = [(x + c, w) for x, w in self.atoms]
-        return GridMeasure((self.support[0] + c, self.support[1] + c), nodes, self.density,
-                           atoms, self._edges + c, self._quantiles_primary)
+        edges = None if self.is_atomic() else self._edges + c
+        return GridMeasure(nodes, self.density, atoms, edges, self._quantiles_primary)
 
     def validate(self):
+        """The measure itself once its state checks out; InvalidInputError if not."""
         lo, hi = self.support
         if not hi > lo or not np.isfinite([lo, hi]).all():
             raise InvalidInputError("support must be a finite nondegenerate interval")
-        xs, ds = self.nodes, self.density
-        if xs is not None:
-            # written to fail on NaN as well
-            if not (np.diff(xs) > 0).all():
+        # written to fail on NaN as well
+        if self.nodes is not None:
+            if not (np.diff(self.nodes) > 0).all():
                 raise InvalidInputError("nodes must be strictly increasing")
-            if not (ds >= 0).all():
+            if not (self.density >= 0).all():
                 raise InvalidInputError("density must be nonnegative")
-            if xs[0] < lo - 1e-12 or xs[-1] > hi + 1e-12:
-                raise InvalidInputError("nodes outside support")
-        if any(w <= 0 for _, w in self.atoms):
+        if not all(w > 0 for _, w in self.atoms):
             raise InvalidInputError("atom masses must be positive")
-        total = self.total_mass()
-        if xs is not None and abs(total - 1.0) > _MASS_TOL:
-            raise InvalidInputError(f"total mass {total} differs from 1")
-        if np.any(np.diff(self._edges) < -1e-12 * (hi - lo)):
+        if not (np.diff(self._edges) >= -1e-12 * (hi - lo)).all():
             raise InvalidInputError("quantiles must be nondecreasing")
-        if xs is not None and not self._quantiles_primary:
-            # the table inverts the CDF: F(q-) <= j/n <= F(q) at its levels j/n,
-            # with F(q-) read one float below q; written to fail on NaN as well
-            q, s = self.quantiles, np.linspace(0.0, 1.0, self.n_cells + 1)[1:-1]
-            below, at = self.cdf(np.stack([np.nextafter(q, -np.inf), q]))
-            if not np.all((below - _CDF_TOL <= s) & (s <= at + _CDF_TOL)):
-                raise InvalidInputError("quantiles inconsistent with density CDF")
-        return True
+        return self
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self):
-        """Samples ([] when it has none), atoms, table, and quantiles_primary if set."""
-        d = {
-            "support": [self.support[0], self.support[1]],
-            "nodes": [] if self.nodes is None else list(map(float, self.nodes)),
-            "density": [] if self.density is None else list(map(float, self.density)),
-            "atoms": [[x, w] for x, w in self.atoms],
-            "quantiles": list(map(float, self.quantiles)),
-        }
+        """What determines the measure: samples ([] when none), atoms unless a table alone
+        carries them, and the table (support ends, quantiles) when primary or alone."""
+        table = self._quantiles_primary or self._block_model()
+        d = {"support": list(self.support)} if table else {}
+        d["nodes"] = [] if self.nodes is None else list(map(float, self.nodes))
+        d["density"] = [] if self.density is None else list(map(float, self.density))
+        if not self._block_model():
+            d["atoms"] = [[x, w] for x, w in self.atoms]
+        if table:
+            d["quantiles"] = list(map(float, self.quantiles))
         if self._quantiles_primary:
             d["quantiles_primary"] = True
         return d
 
     @classmethod
     def from_dict(cls, d):
-        support = jsonio.field(d, "support", lambda s: jsonio.floats(s, 2))
-        atoms = jsonio.field(d, "atoms", lambda a: [jsonio.floats(p, 2) for p in a], [])
-        q = jsonio.field(d, "quantiles", jsonio.floats, [])
-        edges = np.concatenate([[support[0]], q, [support[1]]])
+        """Each kind through the constructor that derives the rest; a file
+        holding a key that its kind derives is invalid input naming it."""
         nodes = jsonio.field(d, "nodes", jsonio.floats, [])
         density = jsonio.field(d, "density", jsonio.floats, [])
         if nodes.size != density.size:
             raise InvalidInputError(f"'nodes' and 'density' differ in length: "
                                     f"{nodes.size} and {density.size}")
-        if not nodes.size:
-            nodes = density = None
-        return cls(support, nodes, density, atoms, edges, bool(d.get("quantiles_primary")))
+        primary = bool(nodes.size) and bool(d.get("quantiles_primary"))
+        kind = "samples" if nodes.size else "table" if "quantiles" in d else "atoms"
+        derived = {"samples": ("support", "quantiles"), "table": ("atoms",), "atoms": ("support",)}
+        for key in () if primary else derived[kind]:
+            if key in d:
+                raise InvalidInputError(f"{key!r} is derived from the {kind}, and a measure "
+                                        f"file of this kind must not hold it")
+        atoms = jsonio.field(d, "atoms", lambda a: [jsonio.floats(p, 2) for p in a],
+                             *([] if kind == "atoms" else [[]]))
+        if primary or kind == "table":
+            support = jsonio.field(d, "support", lambda s: jsonio.floats(s, 2))
+            edges = np.concatenate([support[:1], jsonio.field(d, "quantiles", jsonio.floats),
+                                    support[1:]])
+        if primary:
+            return cls(nodes, density, atoms, edges, quantiles_primary=True).validate()
+        if kind == "samples":
+            return cls.from_density(nodes, density, atoms)
+        return cls.from_quantile_edges(edges) if kind == "table" else cls.from_atoms(atoms)
 
     def to_csv(self):
         """Node and density columns as CSV text, with CRLF line ends."""
@@ -345,7 +343,7 @@ def semicircle():
 
 def uniform(a=0.0, b=1.0):
     nodes = np.linspace(a, b, DEFAULT_NODES)
-    return GridMeasure.from_density(nodes, np.full(DEFAULT_NODES, 1.0 / (b - a)), support=(a, b))
+    return GridMeasure.from_density(nodes, np.full(DEFAULT_NODES, 1.0 / (b - a)))
 
 
 def two_point(a=1.0):
@@ -444,7 +442,10 @@ def pushforward_monotone(m, f):
     outside the flat runs are pushed as one segment, by the change-of-variables
     rule; a run inside the density leaves its atom inside one density cell,
     and one that reaches an end node of the density ends the segment there.
-    The result's table is its CDF (quantiles_primary) when it has samples.
+    The result's table is f of m's table, and its CDF (quantiles_primary)
+    when it has samples.  The image of a table alone is f of the table,
+    alone; the image of atoms alone, or of a density that falls wholly into
+    flat runs, is its atoms.
     """
     lo, hi = m.support
     scale = hi - lo
@@ -454,14 +455,16 @@ def pushforward_monotone(m, f):
         raise InvalidInputError("f must be nondecreasing on the support")
 
     new_edges = np.maximum.accumulate(np.asarray(f(m._edges), dtype=float))
+    if m._block_model():
+        # a table alone: its image is the law, and the image's flat runs its atoms
+        return GridMeasure(None, None, (), new_edges)
     atom_y = np.asarray(f(np.array([x for x, _ in m.atoms], dtype=float)), dtype=float)
 
     if m.is_atomic():
         merged = {}
         for y, (_, w) in zip(atom_y.tolist(), m.atoms):
             merged[y] = merged.get(y, 0.0) + w
-        return GridMeasure((min(merged), max(merged)), None, None, sorted(merged.items()),
-                           new_edges)
+        return GridMeasure.from_atoms(merged.items())
 
     flat_tol = 1e-12 * fscale
     tol = 1e-13 * scale
@@ -476,7 +479,6 @@ def pushforward_monotone(m, f):
     flat_x = []
     # the pushed nodes lie strictly between the moving-side ends of the runs
     # that reach the density's end nodes
-    first, last = (m.nodes[0], m.nodes[-1]) if m.nodes is not None else (math.nan, math.nan)
     seg_lo, seg_hi = -math.inf, math.inf
     for j0, j1 in runs:
         v = fmids[j0]
@@ -487,40 +489,37 @@ def pushforward_monotone(m, f):
         if mass > 1e-13:
             atoms.append((v, mass))
             flat_x.append((xl, xr))
-            if xl - tol <= first <= xr + tol:
+            if xl - tol <= m.nodes[0] <= xr + tol:
                 seg_lo = move_r
-            elif xl - tol <= last <= xr + tol:
+            elif xl - tol <= m.nodes[-1] <= xr + tol:
                 seg_hi = move_l
 
-    nodes = density = None
-    if m.nodes is not None:
-        keep = (m.nodes > seg_lo) & (m.nodes < seg_hi)
-        for xl, xr in flat_x:
-            keep &= ~((m.nodes > xl + tol) & (m.nodes < xr - tol))
-        xs, rho = m.nodes[keep], m.density[keep]
-        ys = np.asarray(f(xs), dtype=float)
-        fpv = _fprime(f, xs, scale)
-        dens = np.divide(rho, fpv, out=np.zeros_like(fpv), where=fpv > 1e-300)
-        for x, k in ((seg_lo, 0), (seg_hi, -1)):
-            if xs.size and math.isfinite(x):
-                # the run's end x pushed, with the density giving the cell beside it the mass of
-                # m's density there: rho(x)/f' where f is linear, finite where f' vanishes at x
-                y = float(np.asarray(f(np.array([x])), dtype=float)[0])
-                cell = 0.5 * (np.interp(x, m.nodes, m.density) + rho[k]) * (xs[k] - x)
-                d = max(2.0 * cell / (ys[k] - y) - dens[k], 0.0) if ys[k] != y else 0.0
-                at = 0 if k == 0 else ys.size
-                ys, dens = np.insert(ys, at, y), np.insert(dens, at, d)
-        good = np.concatenate([[True], np.diff(ys) > 0]) & np.isfinite(dens)
-        if np.trapezoid(dens[good], ys[good]) > 0.0:
-            nodes, density = ys[good], dens[good]
+    keep = (m.nodes > seg_lo) & (m.nodes < seg_hi)
+    for xl, xr in flat_x:
+        keep &= ~((m.nodes > xl + tol) & (m.nodes < xr - tol))
+    xs, rho = m.nodes[keep], m.density[keep]
+    ys = np.asarray(f(xs), dtype=float)
+    fpv = _fprime(f, xs, scale)
+    dens = np.divide(rho, fpv, out=np.zeros_like(fpv), where=fpv > 1e-300)
+    for x, k in ((seg_lo, 0), (seg_hi, -1)):
+        if xs.size and math.isfinite(x):
+            # the run's end x pushed, with the density giving the cell beside it the mass of
+            # m's density there: rho(x)/f' where f is linear, finite where f' vanishes at x
+            y = float(np.asarray(f(np.array([x])), dtype=float)[0])
+            cell = 0.5 * (np.interp(x, m.nodes, m.density) + rho[k]) * (xs[k] - x)
+            d = max(2.0 * cell / (ys[k] - y) - dens[k], 0.0) if ys[k] != y else 0.0
+            at = 0 if k == 0 else ys.size
+            ys, dens = np.insert(ys, at, y), np.insert(dens, at, d)
+    good = np.concatenate([[True], np.diff(ys) > 0]) & np.isfinite(dens)
 
     # input atoms outside every flat run keep their own image atoms
-    atoms_all = list(atoms)
     for ya, (xa, wa) in zip(atom_y.tolist(), m.atoms):
         if not any(xl <= xa <= xr for xl, xr in flat_x):
-            atoms_all.append((ya, wa))
-    support = (float(new_edges[0]), float(new_edges[-1]))
-    return GridMeasure(support, nodes, density, atoms_all, new_edges, quantiles_primary=True)
+            atoms.append((ya, wa))
+    if not np.trapezoid(dens[good], ys[good]) > 0.0:
+        # every density cell fell into a flat run: the law is its atoms
+        return GridMeasure.from_atoms(atoms)
+    return GridMeasure(ys[good], dens[good], atoms, new_edges, quantiles_primary=True)
 
 
 def _local_cubic(xs, ds, x):

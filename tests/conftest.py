@@ -19,8 +19,10 @@ def write_json(path, obj):
     path.write_text(obj.to_json())
 
 
-def random_bump_measure(rng, n_nodes=1024, n_cells=512):
-    """A random smooth compactly supported probability measure."""
+def random_bump_measure(rng, n_nodes=1024, n_cells=None):
+    """A random smooth compactly supported probability measure; with
+    ``n_cells``, its quantile table of that many cells, as a measure of the
+    table alone."""
     k = int(rng.integers(1, 4))
     centers = rng.uniform(-2.0, 2.0, size=k)
     weights = rng.uniform(0.2, 1.0, size=k)
@@ -35,8 +37,11 @@ def random_bump_measure(rng, n_nodes=1024, n_cells=512):
             out += w * np.exp(-(((x - c) / s) ** 2))
         return out
 
-    return measure1d.GridMeasure.from_callable(fn, (lo, hi), n_nodes=n_nodes,
-                                               n_cells=n_cells)
+    m = measure1d.GridMeasure.from_callable(fn, (lo, hi), n_nodes=n_nodes)
+    if n_cells is None:
+        return m
+    return measure1d.GridMeasure.from_quantile_edges(
+        m._exact_quantile(np.linspace(0.0, 1.0, n_cells + 1)))
 
 
 def atoms_in_cells_measures():
@@ -46,9 +51,9 @@ def atoms_in_cells_measures():
     nodes = np.linspace(-1.0, 1.0, 301)
     one = [(0.3031, 0.2)]
     three = one + [(float(nodes[90]), 0.1), (1.5, 0.05)]
-    return [measure1d.GridMeasure.from_density(nodes, 1.0 + nodes ** 2, support, atoms=atoms,
+    return [measure1d.GridMeasure.from_density(nodes, 1.0 + nodes ** 2, atoms=atoms,
                                                normalize=True)
-            for atoms, support in ((one, (-1.0, 1.0)), (three, (-1.0, 1.5)))]
+            for atoms in (one, three)]
 
 
 def noncrossing_pair_count(word):

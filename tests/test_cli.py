@@ -182,8 +182,8 @@ def test_moment1d_target_with_an_atom_inside_a_density_cell(tmp_path, capsys):
 
     x = np.linspace(-1.0, 1.0, 301)
     target = tmp_path / "mixed.json"
-    write_json(target, M.GridMeasure.from_density(x, 1.0 + x ** 2, (-1.0, 1.0),
-                                                  atoms=[(0.3031, 0.2)], normalize=True))
+    write_json(target, M.GridMeasure.from_density(x, 1.0 + x ** 2, atoms=[(0.3031, 0.2)],
+                                                  normalize=True))
     code, stdout, _ = run(["moment1d", "--target", str(target), "--particles", "128",
                            "--json"], capsys)
     assert code == 0 and json.loads(stdout)["converged"]
@@ -191,14 +191,15 @@ def test_moment1d_target_with_an_atom_inside_a_density_cell(tmp_path, capsys):
 
 def test_moment1d_target_file_whose_table_contradicts_its_density_exits_2(semicircle, tmp_path,
                                                                           capsys):
-    # a uniform quantile table on [-2, 2] with semicircle density samples
+    # a uniform quantile table on [-2, 2] with semicircle density samples: the
+    # samples determine the table, so a file of samples holds none
     data = semicircle.to_dict()
     data["quantiles"] = list(np.linspace(-2.0, 2.0, semicircle.n_cells + 1)[1:-1])
     target = tmp_path / "target.json"
     target.write_text(json.dumps(data))
     code, stdout, stderr = run(["moment1d", "--target", str(target)], capsys)
     assert code == 2 and stdout == ""
-    assert json.loads(stderr)["message"] == "quantiles inconsistent with density CDF"
+    assert json.loads(stderr)["message"].startswith("'quantiles' is derived from the samples")
 
 
 @pytest.mark.parametrize("name", ["2", "null"])
@@ -227,9 +228,8 @@ def test_input_file_whose_name_is_json_is_read_as_a_file(command, name, tmp_path
 @pytest.mark.parametrize("sample", [-0.1, math.nan], ids=["negative", "nan"])
 def test_moment1d_target_file_is_validated(sample, tmp_path, capsys):
     target = tmp_path / "target.json"
-    target.write_text(json.dumps({"support": [-1.0, 1.0], "nodes": [-1.0, 0.0, 1.0],
-                                  "density": [0.5, sample, 0.5], "atoms": [],
-                                  "quantiles": [-0.5, 0.0, 0.5]}))
+    target.write_text(json.dumps({"nodes": [-1.0, 0.0, 1.0], "density": [0.5, sample, 0.5],
+                                  "atoms": []}))
     code, stdout, stderr = run(["moment1d", "--target", str(target)], capsys)
     assert code == 2 and stdout == ""
     assert json.loads(stderr)["message"] == "density must be nonnegative"
@@ -683,7 +683,7 @@ def test_unreadable_input_file_exits_2(argv, module, tmp_path, capsys, monkeypat
     (["gibbs1d", "--even-coeffs", "in.json"], {"coeffs": [0.5]}, "even_coeffs", "free_gibbs_1d"),
     (["transport-nc", "--series", "in.json"], {"max_degree": 4, "terms": []}, "n_vars",
      "free_transport"),
-    (["moment1d", "--target", "in.json"], {"nodes": [0.0], "density": [1.0]}, "support",
+    (["moment1d", "--target", "in.json"], {"nodes": [], "density": []}, "atoms",
      "moment_measure_1d"),
     (["verify", "--solution", "in.json"], {"fourier": [0, 1]}, "even_coeffs", "cli"),
 ], ids=["gibbs1d", "transport-nc", "moment1d", "verify"])
@@ -729,7 +729,7 @@ _TERM = {"word": [1, 1, 1, 1], "coeff": "x"}
      "invalid value of key 'coeff': could not convert string to float: 'x'", "free_transport"),
     (["moment1d", "--target", "in.json"], [0.5], "expected a JSON object, got list",
      "moment_measure_1d"),
-    (["moment1d", "--target", "in.json"], {"support": [0, "a"], "nodes": [0], "density": [1]},
+    (["moment1d", "--target", "in.json"], {"support": [0, "a"], "quantiles": [0.5]},
      "invalid value of key 'support'", "moment_measure_1d"),
     (["moment1d", "--target", "in.json"],
      {"support": [-1, 1], "nodes": [-1, 0, 1], "density": [0.5, 0.5]},

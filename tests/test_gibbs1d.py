@@ -122,8 +122,7 @@ def test_hilbert_residual_small_for_solutions(quartic_solution):
 def test_hilbert_residual_detects_wrong_density(semicircle):
     rng = np.random.default_rng(0)
     noisy = semicircle.density * (1.0 + 0.01 * rng.standard_normal(semicircle.density.size))
-    pert = M.GridMeasure.from_density(semicircle.nodes, noisy, support=semicircle.support,
-                                      normalize=True)
+    pert = M.GridMeasure.from_density(semicircle.nodes, noisy, normalize=True)
     xs = np.linspace(-1.8, 1.8, 41)
     worst = max(abs(2 * math.pi * M.hilbert_transform(pert, x) - x) for x in xs)
     assert worst > 1e-2

@@ -56,9 +56,8 @@ def _write_inputs(directory):
     from freemoment.ncseries import NCSeries
 
     x = np.linspace(-1.0, 1.0, 301)
-    mixed = GridMeasure.from_density(x, 1 + x ** 2, (-1, 1), atoms=[(0.3031, 0.2)],
-                                     normalize=True)
-    three = GridMeasure.from_density(x, 1 + x ** 2, (-1, 1.5),
+    mixed = GridMeasure.from_density(x, 1 + x ** 2, atoms=[(0.3031, 0.2)], normalize=True)
+    three = GridMeasure.from_density(x, 1 + x ** 2,
                                      atoms=[(0.3031, 0.2), (x[90], 0.1), (1.5, 0.05)],
                                      normalize=True)
     inputs = {

@@ -147,6 +147,16 @@ def test_pushforward_flat_runs_at_the_density_ends_keep_its_mass():
     assert np.max(np.abs(mu.density - 0.5)) < 1e-9
 
 
+def test_pushforward_keeps_an_input_atom_outside_every_flat_run():
+    # max(x, 0.25) is flat on [0, 0.25], where the density holds 0.125; the
+    # atom at 2 lies past that run and keeps its own image
+    mu = M.pushforward_monotone(_mixed_measure(), lambda x: np.maximum(x, 0.25))
+    (x0, w0), last = mu.atoms
+    assert last == (2.0, 0.5)
+    assert abs(x0 - 0.25) <= 1e-9 and abs(w0 - 0.125) <= 1e-9
+    assert abs(M.moment(mu, 0) - 1.0) <= 1e-12
+
+
 def test_hilbert_rejects_atoms():
     with pytest.raises(InvalidInputError):
         M.hilbert_transform(M.dirac(0.5), 0.5)
@@ -155,13 +165,12 @@ def test_hilbert_rejects_atoms():
 def _mixed_measure():
     nodes = np.linspace(0.0, 1.0, 257)
     density = np.full(nodes.size, 0.5)
-    return M.GridMeasure.from_density(nodes, density, support=(0.0, 2.0),
-                                      atoms=[(2.0, 0.5)])
+    return M.GridMeasure.from_density(nodes, density, atoms=[(2.0, 0.5)])
 
 
 def test_mixed_measure_quantiles_and_moments():
     m = _mixed_measure()
-    assert abs(m.total_mass() - 1.0) < 1e-12
+    assert abs(m.cdf(math.inf) - 1.0) < 1e-12
     assert abs(M.quantile(m, 0.25) - 0.5) < 1e-12
     assert M.quantile(m, 0.75) == 2.0
     assert abs(M.moment(m, 1) - (0.5 * 0.5 + 0.5 * 2.0)) < 1e-12
@@ -248,9 +257,9 @@ def test_max_correlation_examples(semicircle):
     assert abs(M.max_correlation(semicircle, M.dirac(0.0))) < 1e-14
     assert abs(M.max_correlation(semicircle, semicircle)
                - M._block_moment(semicircle, 2)) < 1e-12
-    sc = M.GridMeasure.from_density(semicircle.nodes, semicircle.density,
-                                    support=semicircle.support, n_cells=8192)
-    tp = M.GridMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)], n_cells=8192)
+    # both laws' tables of 8192 cells
+    sc, tp = (M.GridMeasure.from_quantile_edges(m._exact_quantile(np.linspace(0.0, 1.0, 8193)))
+              for m in (semicircle, M.two_point(1.0)))
     # oracle: integral of |x| against the semicircle, 8/(3 pi)
     assert abs(M.max_correlation(sc, tp) - 8.0 / (3.0 * math.pi)) < 1e-6
 
@@ -258,8 +267,8 @@ def test_max_correlation_examples(semicircle):
 def test_max_correlation_identity_random_pairs():
     rng = np.random.default_rng(11)
     for _ in range(25):
-        m1 = random_bump_measure(rng)
-        m2 = random_bump_measure(rng)
+        m1 = random_bump_measure(rng, n_cells=512)
+        m2 = random_bump_measure(rng, n_cells=512)
         t = M.max_correlation(m1, m2)  # raises if the identity fails at 1e-8
         w2 = M.wasserstein2_sq(m1, m2)
         ident = 0.5 * (M._block_moment(m1, 2) + M._block_moment(m2, 2) - w2)
@@ -301,7 +310,7 @@ def test_table_only_measure_reads_its_block_model_everywhere():
     m = M.GridMeasure.from_quantile_edges([0.0, 0.5, 0.5, 0.5, 1.0])
     assert m.cdf(0.75) == pytest.approx(0.875, abs=1e-15)
     assert np.allclose(m.cdf(np.array([-1.0, 0.25, 0.5, 1.0, 2.0])), [0.0, 0.125, 0.75, 1.0, 1.0])
-    assert m.total_mass() == 1.0
+    assert m.cdf(math.inf) == 1.0
     with pytest.raises(InvalidInputError):
         M.hilbert_transform(m, 0.9)
 
@@ -317,7 +326,7 @@ def test_translate_keeps_the_quantile_table_primary(semicircle):
 def test_first_moment_lower_bound_for_log_energy():
     rng = np.random.default_rng(5)
     for _ in range(40):
-        m = random_bump_measure(rng)
+        m = random_bump_measure(rng, n_cells=512)
         absmom = M.absolute_moment(m)
         assert M.log_energy(m) >= -math.sqrt(2.0 * absmom)
 
@@ -325,8 +334,8 @@ def test_first_moment_lower_bound_for_log_energy():
 def test_displacement_convexity_structural():
     rng = np.random.default_rng(17)
     for _ in range(25):
-        m0 = random_bump_measure(rng)
-        m1 = random_bump_measure(rng)
+        m0 = random_bump_measure(rng, n_cells=512)
+        m1 = random_bump_measure(rng, n_cells=512)
         l0, l1 = M.log_energy(m0), M.log_energy(m1)
         for t in (0.25, 0.5, 0.75):
             lt = M.log_energy(M.displacement_interpolate(m0, m1, t))
@@ -336,7 +345,7 @@ def test_displacement_convexity_structural():
 def test_measure_validation(semicircle):
     assert semicircle.validate()
     with pytest.raises(InvalidInputError):
-        M.GridMeasure.from_density([0.0, 1.0], [-1.0, 2.0], support=(0.0, 1.0))
+        M.GridMeasure.from_density([0.0, 1.0], [-1.0, 2.0])
     with pytest.raises(InvalidInputError):
         M.GridMeasure.from_atoms([(0.0, 0.4)])
 
@@ -463,7 +472,7 @@ def test_log_energy_forms_no_n_by_n_table():
 
 
 def test_log_energy_infinite_for_atoms_and_flat_cells():
-    flat = M.GridMeasure((0.0, 1.0), None, None, [], [0.0, 0.25, 0.25, 0.5, 1.0])
+    flat = M.GridMeasure.from_quantile_edges([0.0, 0.25, 0.25, 0.5, 1.0])
     for m in (M.dirac(0.3), M.two_point(1.0), _mixed_measure(), flat):
         assert M.log_energy(m) == _dense_log_energy(m) == math.inf
 
@@ -483,7 +492,6 @@ def test_sample_pieces_are_computed_once_per_measure(monkeypatch):
         m = make()
         M.quantile(m, 0.3)
         m.cdf(0.1)
-        m.total_mass()
         assert calls == [m]
 
 
@@ -531,8 +539,7 @@ def test_exact_quantile_matches_level_loop(semicircle):
     nodes = np.linspace(-1.0, 1.0, 301)
     # an atom strictly inside a density cell, one on a node, one past the end
     atoms = [(0.3031, 0.2), (float(nodes[90]), 0.1), (1.5, 0.05)]
-    inner = M.GridMeasure.from_density(nodes, 1.0 + nodes ** 2, support=(-1.0, 1.5),
-                                       atoms=atoms, normalize=True)
+    inner = M.GridMeasure.from_density(nodes, 1.0 + nodes ** 2, atoms=atoms, normalize=True)
     # levels on every cumulative-mass boundary of _mixed_measure (multiples of 2^-9)
     # and at 0 and 1
     s = np.concatenate([np.linspace(0.0, 1.0, 1025), np.arange(513) / 512.0,
@@ -568,21 +575,63 @@ def test_cdf_inverts_the_quantile_of_table_measures(quartic_solution):
         assert np.max(np.abs(m.cdf(M.quantile(m, s)) - s)) <= 1e-12
 
 
-def test_validate_checks_the_table_of_a_measure_with_atoms(semicircle, quartic_solution):
-    one, three = atoms_in_cells_measures()
-    for m in (one, three):
-        assert M.GridMeasure.from_dict(json.loads(m.to_json())).validate()
-    # a uniform table on [-1, 1] is no generalized inverse of one's CDF
-    data = one.to_dict()
-    data["quantiles"] = list(np.linspace(-1.0, 1.0, one.n_cells + 1)[1:-1])
-    with pytest.raises(InvalidInputError, match="quantiles inconsistent"):
-        M.GridMeasure.from_dict(data).validate()
-    # and so is a NaN entry, which the check by |F(q) - j/n| let through
-    for m in (one, semicircle):
-        data = m.to_dict()
-        data["quantiles"][5] = math.nan
-        with pytest.raises(InvalidInputError, match="quantiles inconsistent"):
-            M.GridMeasure.from_dict(data).validate()
+def _measures_of_each_kind(semicircle):
+    """Samples and atoms, samples, atoms, a table alone with a flat run, and
+    a pushforward."""
+    edges = np.sort(np.random.default_rng(1).standard_normal(129))
+    edges[40:60] = edges[40]
+    return [*atoms_in_cells_measures(), semicircle, M.two_point(0.75),
+            M.GridMeasure.from_quantile_edges(edges),
+            M.pushforward_monotone(semicircle, lambda x: x ** 3)]
+
+
+def test_the_table_inverts_the_cdf_and_ends_on_the_support(semicircle):
+    # the check validate made of a stored table, F(q-) <= j/n <= F(q) at
+    # every level j/n within 1e-8, now holds of every table by construction;
+    # F(q-) is read one float below q, and the levels 0 and 1 are included
+    for m in _measures_of_each_kind(semicircle):
+        for k in (m, M.GridMeasure.from_dict(json.loads(m.to_json()))):
+            q, s = k._edges, np.linspace(0.0, 1.0, k.n_cells + 1)
+            below, at = k.cdf(np.stack([np.nextafter(q, -np.inf), q]))
+            assert np.all(below - 1e-8 <= s) and np.all(s <= at + 1e-8)
+            assert k.support == (q[0], q[-1])
+
+
+def test_measure_files_round_trip_what_determines_them(semicircle):
+    keys = [{"nodes", "density", "atoms"}] * 4 + [
+        {"support", "nodes", "density", "quantiles"},
+        {"support", "nodes", "density", "atoms", "quantiles", "quantiles_primary"}]
+    for m, kind_keys in zip(_measures_of_each_kind(semicircle), keys):
+        text = m.to_json()
+        assert set(json.loads(text)) == kind_keys
+        back = M.GridMeasure.from_dict(json.loads(text))
+        assert back.to_json() == text
+        assert back._edges.tobytes() == m._edges.tobytes()
+        assert np.array(back.atoms).tobytes() == np.array(m.atoms).tobytes()
+        assert np.array(back.support).tobytes() == np.array(m.support).tobytes()
+    # 105,284 and 5,730 bytes when the files held the derived table
+    assert len(semicircle.to_json()) <= 84_207 and len(M.two_point(1.0).to_json()) <= 100
+
+
+def test_measure_files_hold_no_key_their_kind_derives(semicircle, quartic_solution):
+    # samples and atoms derive the table and its ends, and a table alone its
+    # atoms; a file holding such a key is invalid input naming it.  Read, the
+    # edited support moved the semicircle's log energy 0.24999 -> 0.24879,
+    # and the edited atoms made the particle cloud a two-point law
+    one, particles = atoms_in_cells_measures()[0], _measures_of_each_kind(semicircle)[4]
+    edits = [(semicircle, "support", [-3.0, 3.0]),
+             (one, "quantiles", list(np.linspace(-1.0, 1.0, one.n_cells + 1)[1:-1])),
+             (one, "support", [-1.0, 1.0]),
+             (M.two_point(0.75), "support", [-0.75, 0.75]),
+             (particles, "atoms", [[-1.0, 0.5], [1.0, 0.5]])]
+    for m, key, value in edits:
+        data = json.loads(m.to_json())
+        data[key] = value
+        with pytest.raises(InvalidInputError, match=f"^'{key}' is derived"):
+            M.GridMeasure.from_dict(data)
+    # nor can a support be given beside samples
+    with pytest.raises(TypeError):
+        M.GridMeasure.from_density(semicircle.nodes, semicircle.density, support=(-3.0, 3.0))
     # a pushforward's table is its CDF, and its density samples are still checked
     data = M.pushforward_monotone(quartic_solution.measure, lambda x: 2.0 * x).to_dict()
     assert M.GridMeasure.from_dict(data).validate()
@@ -606,7 +655,7 @@ def test_quantile_of_a_flat_cell_one_ulp_off_is_exact():
     # that cancels misses the median by 2.4e-4 in CDF, and validate rejects it
     density = np.full(2048, 0.5)
     density[1024] = np.nextafter(0.5, 1.0)
-    m = M.GridMeasure.from_density(np.linspace(-1.0, 1.0, 2048), density, support=(-1.0, 1.0))
+    m = M.GridMeasure.from_density(np.linspace(-1.0, 1.0, 2048), density)
     s = np.linspace(0.0, 1.0, m.n_cells + 1)[1:-1]
     assert np.max(np.abs(m.cdf(m.quantiles) - s)) <= 1e-15
 
@@ -630,8 +679,7 @@ def _pointwise_pushforward(m, f):
         for x, w in m.atoms:
             y = f1(x)
             merged[y] = merged.get(y, 0.0) + w
-        return M.GridMeasure((min(merged), max(merged)), None, None, sorted(merged.items()),
-                             new_edges)
+        return M.GridMeasure.from_atoms(merged.items())
     flat_tol = 1e-12 * fscale
     mids = 0.5 * (m._edges[:-1] + m._edges[1:])
     fmids = np.array([f1(x) for x in mids])
@@ -683,14 +731,12 @@ def _pointwise_pushforward(m, f):
             dens.insert(at, d)
     ys, dens = np.array(ys), np.array(dens)
     good = np.concatenate([[True], np.diff(ys) > 0]) & np.isfinite(dens)
-    nodes = density = None
-    if np.trapezoid(dens[good], ys[good]) > 0.0:
-        nodes, density = ys[good], dens[good]
     for xa, wa in m.atoms:
         if not any(xl <= xa <= xr for xl, xr in flat_x):
             atoms.append((f1(xa), wa))
-    return M.GridMeasure((new_edges[0], new_edges[-1]), nodes, density, atoms, new_edges,
-                         quantiles_primary=True)
+    if not np.trapezoid(dens[good], ys[good]) > 0.0:
+        return M.GridMeasure.from_atoms(atoms)
+    return M.GridMeasure(ys[good], dens[good], atoms, new_edges, quantiles_primary=True)
 
 
 def _assert_within_ulps(a, b, ulps=4):
@@ -737,7 +783,7 @@ def test_hilbert_near_nodes_matches_full_table_rule():
     # points at nodes and within 1e-12 * scale of them; the nodes 0 and 1e-13
     # are both that close to the points 0 and 1e-13
     nodes = np.concatenate([np.linspace(-1.0, 0.0, 40), [1e-13], np.linspace(0.05, 1.0, 30)])
-    m = M.GridMeasure.from_density(nodes, 1.0 - nodes ** 2, support=(-1.0, 1.0), normalize=True)
+    m = M.GridMeasure.from_density(nodes, 1.0 - nodes ** 2, normalize=True)
     x = np.concatenate([nodes[1:-1], nodes[1:-1] + 3e-13, [5e-14]])
     ref = _full_table_hilbert(m, x)
     assert np.all(np.isfinite(ref))
