@@ -638,6 +638,11 @@ def test_measure_files_hold_no_key_their_kind_derives(semicircle, quartic_soluti
     data["density"][100] = -1e-3
     with pytest.raises(InvalidInputError, match="nonnegative"):
         M.GridMeasure.from_dict(data).validate()
+    # and so is a NaN in its table, which a check by diff < 0 let through
+    data = M.pushforward_monotone(quartic_solution.measure, lambda x: 2.0 * x).to_dict()
+    data["quantiles"][5] = math.nan
+    with pytest.raises(InvalidInputError, match="nondecreasing"):
+        M.GridMeasure.from_dict(data)
 
 
 def test_quantile_table_ends_on_the_support(quartic_solution):
