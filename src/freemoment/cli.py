@@ -101,7 +101,7 @@ def cmd_moment1d(args):
 
 def cmd_transport_nc(args):
     W = transport.NCSeries.from_dict(_read(args.series))
-    degree = args.degree if args.degree else max(W.max_degree, W.degree())
+    degree = args.degree if args.degree else W.max_degree
     problem = transport.TransportProblem(W, degree, tol=args.tol)
     sol = transport.solve_V(problem)
     report, ok = _check_transport(sol, W)

@@ -294,9 +294,6 @@ class GibbsSolution(jsonio.JSONWriter):
         """Exact k-th moment of the Fourier-form density."""
         return self._theta_integral(lambda x: x ** k)
 
-    def mass(self):
-        return self._theta_integral(lambda x: np.ones_like(x))
-
     def sd_scalar(self):
         """The Schwinger-Dyson number: integral of x u'(x) d(nu); equals 1."""
         return self._theta_integral(lambda x: x * self.potential.deriv(x))

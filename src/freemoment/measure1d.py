@@ -385,10 +385,6 @@ def _block_moment(m, k):
     return float(np.mean(vals))
 
 
-def barycenter(m):
-    return moment(m, 1)
-
-
 def absolute_moment(m):
     """Integral of |x|, exact against the equal-mass block model."""
     e = m._edges

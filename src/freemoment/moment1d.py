@@ -259,7 +259,7 @@ def verify_solution(sol, mu):
     rep = dict(sol.residuals)
     pushed = GridMeasure.from_quantile_edges(
         np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]]))
-    mu_c = mu.translate(-measure1d.barycenter(mu))
+    mu_c = mu.translate(-measure1d.moment(mu, 1))
     rep["pushforward_w2"] = math.sqrt(max(measure1d.wasserstein2_sq(pushed, mu_c), 0.0))
     return rep
 

@@ -290,10 +290,6 @@ def cyclic_gradient(f, i):
     return _series(f.n_vars, f.max_degree, ranks, f.coeffs[word[hit]])
 
 
-def cyclic_gradient_vector(f):
-    return [cyclic_gradient(f, i) for i in range(f.n_vars)]
-
-
 # -- tensors over M (x) M^op ---------------------------------------------------------
 #
 # A tensor is a dict {(l, r): array of shape (n**l, n**r)}: entry [a, b] is the

@@ -12,11 +12,10 @@ closed form on the one-cut law of ``gibbs1d``: moments and exact Jacobian
 from one law, stages short of degree D stopped at sqrt(tol).  Their solution
 is the answer for a separable W (every W in one variable), and the start of
 the Gauss-Newton for any other W, whose Jacobian is one-sided differences.
-V alone determines a solution: the law of Y, the transport map and Vtilde
-are derived from it, and ``verify_transport`` reads only V, W and the
-degree.  Every one-variable law (the solver's target, the separable check's,
-Y's for n = 1) is a one-cut law from ``_one_cut_law``, not a
-Schwinger-Dyson table.
+V alone determines a solution: the transport map and Vtilde are derived
+from it, and ``verify_transport`` reads only V, W and the degree.  Every
+one-variable law (the solver's target and the separable check's) is a
+one-cut law from ``_one_cut_law``, not a Schwinger-Dyson table.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .ncseries import (
     _ranks,
     _recode,
     _series,
-    cyclic_gradient_vector,
+    cyclic_gradient,
     cyclic_symmetrize,
     difference_quotient,
     drop_constant,
@@ -86,26 +85,13 @@ class TransportProblem:
 
 
 class TransportSolution(jsonio.JSONWriter):
-    """V and the diagnostics.  The trace table of the law of Y to cap
-    ``V.max_degree + 4`` (its one-cut moments for an even V in one variable,
-    else ``solve_sd``'s), the transport map Y + DV and Vtilde = S Pi N V are
-    derived from V on each access.  JSON keeps the two exact series, the
-    map and Vtilde, next to V, not the table; ``from_dict`` reads V alone."""
+    """V and the diagnostics.  The transport map Y + DV and
+    Vtilde = S Pi N V are derived from V on each access.  JSON keeps both
+    next to V; ``from_dict`` reads V alone."""
 
     def __init__(self, V, diagnostics):
         self.V = V
         self.diagnostics = dict(diagnostics)
-
-    @property
-    def tau_Y(self):
-        cap = self.V.max_degree + 4
-        if self.V.n_vars > 1 or not self.V.is_even():
-            return sdmoments.solve_sd(self.V.truncate(cap), cap)
-        even = _split_diagonal(self.V, self.V.max_degree)[0][0, 2::2]
-        _, y, weights = _one_cut_law(even, self.V.max_degree)
-        moments = y ** np.arange(cap + 1)[:, None] @ weights
-        moments[0], moments[1::2] = 1.0, 0.0
-        return sdmoments.TraceTable(1, cap, moments[:, None])
 
     @property
     def V_tilde(self):
@@ -130,8 +116,8 @@ class TransportSolution(jsonio.JSONWriter):
 
 def _transport_map(V, cap):
     """The transport map Y + DV, one series per variable, truncated at ``cap``."""
-    return [NCSeries.variable(i, V.n_vars, cap) + g.truncate(cap)
-            for i, g in enumerate(cyclic_gradient_vector(V))]
+    return [NCSeries.variable(i, V.n_vars, cap) + cyclic_gradient(V, i).truncate(cap)
+            for i in range(V.n_vars)]
 
 
 def _stored(diagnostics):
@@ -178,7 +164,7 @@ def picard_map(vtilde, W, tau, degree):
     n = W.n_vars
     cap = tau.degree_cap
     sv = number_op_inverse(drop_constant(vtilde)).truncate(cap)
-    grads = cyclic_gradient_vector(sv)
+    grads = [cyclic_gradient(sv, i) for i in range(n)]
 
     args = [NCSeries.variable(i, n, cap) + grads[i] for i in range(n)]
     term_w = substitute(W, args, cap) * -1.0
@@ -458,8 +444,7 @@ def solve_V(problem):
     ``converged`` are those of the last solve, and ``stage_seconds`` times
     the ``start`` (the target law: its one-cut moments or, for a mixed W,
     the diagonal part's solve and the target's Schwinger-Dyson solve) and
-    the ``refinement``; like ``seconds`` it is not written to JSON.  The
-    law of Y is not solved here: ``TransportSolution.tau_Y`` derives it.
+    the ``refinement``; like ``seconds`` it is not written to JSON.
     """
     t0 = time.perf_counter()
     W, D = problem.W, problem.degree

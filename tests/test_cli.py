@@ -592,10 +592,11 @@ def _mixed_transport_file(tmp_path, capsys):
 
 def _parent_tau_y(data):
     """The tau_Y entry that transport files held before the format dropped it:
-    the law of Y, its nonzero classes written as words from 1."""
+    the law of Y at cap D + 4, its nonzero classes written as words from 1."""
     from freemoment import sdmoments, transport
 
-    table = transport.TransportSolution.from_dict(data).tau_Y
+    V = transport.TransportSolution.from_dict(data).V
+    table = sdmoments.solve_sd(V.truncate(V.max_degree + 4), V.max_degree + 4)
     words = sdmoments._enumerate_canonical
     return {"n_vars": table.n_vars, "degree_cap": table.degree_cap, "cutoff": sdmoments.CUTOFF,
             "values": [{"word": [i + 1 for i in words(table.n_vars, length)[k]],

@@ -10,7 +10,7 @@ from freemoment import moment1d
 from freemoment import sdmoments as sd
 from freemoment import transport as T
 from freemoment.ncseries import (NCSeries, _digits, _positions, _ranks, _recode, _series,
-                                  cyclic_gradient, cyclic_gradient_vector, cyclic_symmetrize,
+                                  cyclic_gradient, cyclic_symmetrize,
                                   drop_constant, jacobian, multiply, norm_A, number_op,
                                   number_op_inverse, substitute)
 from freemoment.errors import ConvergenceError, InvalidInputError
@@ -122,7 +122,7 @@ def test_trace_log_matches_pair_loop_reference(n, cap, degree):
         v = even_ball_sample(rng, n, degree, 1.0, 0.25)
         vtilde = NCSeries(n, degree, {w: c for w, c in v.terms.items() if len(w) > 2}) + quad
         sv = number_op_inverse(drop_constant(vtilde)).truncate(cap)
-        jac = jacobian(cyclic_gradient_vector(sv))
+        jac = jacobian([cyclic_gradient(sv, i) for i in range(n)])
         m0 = jac[(0, 0)][:, :, 0, 0]
         if n > 1:
             assert m0[0, 1] != 0.0
@@ -232,10 +232,11 @@ def test_cyclic_derivative_of_bracket_vanishes_at_fixed_point():
     W = NCSeries(1, 8, {(0, 0, 0, 0): w_val})
     prob = T.TransportProblem(W, 8)
     sol = T.solve_V(prob)
-    tau = sol.tau_Y
-    cap = tau.degree_cap
     V = sol.V
-    dv = [g.truncate(cap) for g in cyclic_gradient_vector(V)]
+    # the law of Y at cap D + 4
+    cap = 12
+    tau = sd.solve_sd(V.truncate(cap), cap)
+    dv = [cyclic_gradient(V, 0).truncate(cap)]
     args = [NCSeries.variable(i, 1, cap) + dv[i] for i in range(1)]
     bracket = substitute(W, args, cap) + (number_op(V) - V)
     sq = NCSeries.zero(1, cap)
@@ -479,7 +480,7 @@ def test_nonseparable_mixed_term_solution(monkeypatch):
         assert "stage_seconds" not in json.dumps(sol.to_dict())
     # the guaranteed-regime solution is, to the truncation, a fixed point of
     # the paper's map
-    step = picard(sol.V_tilde, W, sol.tau_Y, 4) - sol.V_tilde
+    step = picard(sol.V_tilde, W, sd.solve_sd(sol.V.truncate(8), 8), 4) - sol.V_tilde
     assert norm_A(step, T.DEFAULT_A) <= 1e-5
 
 
@@ -724,51 +725,12 @@ def test_solution_json_roundtrip():
     sol = T.solve_V(T.TransportProblem(W, 8))
     back = T.TransportSolution.from_dict(json.loads(sol.to_json()))
     assert back.V.terms == sol.V.terms
-    assert back.tau_Y.degree_cap == sol.tau_Y.degree_cap
-    assert all(map(np.array_equal, back.tau_Y.values, sol.tau_Y.values))
-
-
-@pytest.mark.parametrize("W, D", [(NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}), 8),
-                                  (mixed_w(4), 4)], ids=["c14", "mixed"])
-def test_tau_y_is_derived_from_v(W, D, monkeypatch):
-    calls = []
-    solve_sd = sd.solve_sd
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return solve_sd(*args, **kwargs)
-
-    monkeypatch.setattr(sd, "solve_sd", counted)
-    sol = T.solve_V(T.TransportProblem(W, D))
-    # the solve leaves the law of Y to the solution, which solves it cold
-    assert D + 4 not in calls
-    cold = solve_sd(sol.V.truncate(D + 4), D + 4)
-    assert sol.tau_Y.degree_cap == cold.degree_cap
-    assert all(map(np.array_equal, sol.tau_Y.values, cold.values))
-
-
-def test_one_variable_tau_y_is_the_one_cut_law(monkeypatch):
-    W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
-    sol = T.solve_V(T.TransportProblem(W, 10))
-    sd_table = sd.solve_sd(sol.V.truncate(14), 14)
-    seen = counting_solve_sd(monkeypatch)
-    table = sol.tau_Y
-    assert seen == []
-    # the same nonzero words as the Schwinger-Dyson table at cap D + 4, which
-    # is off the exact law by 1e-1 (relative) on x^14
-    assert [np.flatnonzero(v).tolist() for v in table.values] == \
-        [np.flatnonzero(v).tolist() for v in sd_table.values]
-    assert table.degree_cap == sd_table.degree_cap == 14
-    exact = G.free_gibbs_measure(G.EvenPotential(
-        [0.5 + sol.V.coeff((0, 0))] + [sol.V.coeff((0,) * k) for k in (4, 6, 8, 10)]))
-    for length, vals in enumerate(table.values[1:], start=1):
-        m = exact.moment(length)
-        assert all(abs(v - m) <= 1e-12 * abs(m) for v in vals[np.flatnonzero(vals)])
+    assert back.to_json() == sol.to_json()
 
 
 def pushed_map(V, cap):
-    return [NCSeries.variable(i, V.n_vars, cap) + g.truncate(cap)
-            for i, g in enumerate(cyclic_gradient_vector(V))]
+    return [NCSeries.variable(i, V.n_vars, cap) + cyclic_gradient(V, i).truncate(cap)
+            for i in range(V.n_vars)]
 
 
 @pytest.mark.parametrize("n,cap,degree", [(1, 44, 6), (2, 14, 4), (3, 8, 4)])
