@@ -101,7 +101,7 @@ def cmd_moment1d(args):
 
 def cmd_transport_nc(args):
     W = transport.NCSeries.from_dict(_read(args.series))
-    degree = args.degree if args.degree else W.max_degree
+    degree = W.max_degree if args.degree is None else args.degree
     problem = transport.TransportProblem(W, degree, tol=args.tol)
     sol = transport.solve_V(problem)
     report, ok = _check_transport(sol, W)

@@ -15,13 +15,14 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from . import jsonio, measure1d
 from .errors import InvalidInputError, RegimeError
 from .measure1d import GridMeasure
 
-# most negative value the sampled density may take before the potential is
-# taken to be outside the one-cut regime
+# most negative value the density's polynomial factor may take before the
+# potential is taken to be outside the one-cut regime
 NEGATIVITY_TOL = 1e-9
 # largest |r*a_1 + 2| of a solve, and of a file that verify passes
 RADIUS_CONDITION_TOL = 1e-10
@@ -69,13 +70,60 @@ def _density(a, r, x):
 def _theta_rule(a, r):
     """The theta-Gauss rule ``(x, weights)`` of the one-cut law with Fourier
     coefficients ``a`` at radius ``r``, so that the integral of f is
-    ``weights @ f(x)``, and the density at its nodes.  Weights and density
-    are linear in ``a``, and a stack of ``a`` gives a stack of each."""
+    ``weights @ f(x)``.  The weights are linear in ``a``, and a stack of
+    ``a`` gives a stack of them."""
     order = max(64, 4 * a.shape[-1] + 16)
     theta, w = _gauss_theta(order)
     sines = _sines(order, a.shape[-1] - 1)
-    dens = _sine_density(a, sines)
-    return -r * np.cos(theta), w * dens * r * sines[0], dens
+    return -r * np.cos(theta), w * _sine_density(a, sines) * r * sines[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _one_cut_tables(n):
+    """Read-only matrices taking the odd Fourier coefficients a_1, a_3, ...,
+    a_(2n-1) of an even law to the coefficients c_i of its density factor
+    P(sqrt(z)) = sum_i c_i T_i(2z - 1) (see ``_check_one_cut``), and to its
+    Bernstein coefficients of degree n - 1 on [0, 1], the Chebyshev-Bernstein
+    change of basis in exact arithmetic (Rababah, Comput. Methods Appl.
+    Math. 3, 2003)."""
+    m = n - 1
+    rows = [[sum((-1) ** (j - i) * math.comb(2 * j, 2 * i) * math.comb(m - j, k - i)
+                 for i in range(max(0, k - m + j), min(j, k) + 1)) / math.comb(m, k)
+             for j in range(n)] for k in range(n)]
+    cheb = np.triu(np.full((n, n), -2.0 / np.pi))
+    cheb[:1] /= 2.0
+    bern = np.array(rows, dtype=float).reshape(n, n) @ cheb
+    cheb.flags.writeable = bern.flags.writeable = False
+    return cheb, bern
+
+
+def _check_one_cut(a, coeffs):
+    """RegimeError, naming the even coefficients ``coeffs``, unless the even
+    law with Fourier coefficients ``a`` has a density of at least
+    -NEGATIVITY_TOL on its whole support, or when ``a`` is not finite.
+
+    At x = -r y the density is sqrt(1 - y^2) P(y), P = -(1/pi) sum_n a_n
+    U_(n-1)(y).  The law's terms are the odd n (the even ones are round-off),
+    and with U_2j = T_0 + 2 sum_(0<i<=j) T_2i and T_2i(y) = T_i(2y^2 - 1),
+    P(sqrt(z)) = sum_i c_i T_i(2z - 1) on z in [0, 1].  Its least Bernstein
+    coefficient bounds it below; only when that bound fails is its minimum
+    taken at its critical points and ends.
+    """
+    odd = a[1::2]
+    cheb, bern = _one_cut_tables(odd.size)
+    if (bern @ odd >= -NEGATIVITY_TOL).all():
+        return
+    c, low = cheb @ odd, math.nan
+    if np.isfinite(c).all():
+        # trailing round-off would swamp the companion matrix of the derivative
+        lead = chebyshev.chebtrim(c, 1e-14 * np.abs(c).max())
+        w = np.append(chebyshev.chebroots(chebyshev.chebder(lead)).real.clip(-1.0, 1.0),
+                      (-1.0, 1.0))
+        low = chebyshev.chebval(w, c).min()
+    if not low >= -NEGATIVITY_TOL:
+        raise RegimeError(f"even coefficients {[float(k) for k in coeffs]} are outside the "
+                          f"one-cut regime: the density would be negative, its polynomial "
+                          f"factor reaching {low:.3g}")
 
 
 class EvenPotential:
@@ -165,7 +213,8 @@ def _float_radius(coeffs):
     roots = np.linalg.eigvals(companion)
     z = [z.real for z in roots.tolist() if z.real > 0 and abs(z.imag) <= 1e-12 * abs(z)]
     if not z:
-        raise RegimeError("no support radius: r*a_1 = -2 has no positive root")
+        raise RegimeError(f"no support radius: the radius equation of even coefficients "
+                          f"{[float(c) for c in coeffs]} has no positive root")
     return 2.0 * math.sqrt(min(z))
 
 
@@ -202,15 +251,13 @@ def _one_cut(coeffs, r=None):
     possibly negative: the Fourier coefficients ``a`` at radius ``r`` (default
     ``_float_radius``), the ``_odd_powers`` tables scaled by 2k c_2k r^(2k-1), and
     the theta-Gauss rule ``(x, weights)``: the integral of f is ``weights @ f(x)``.
-    RegimeError when the density is negative (or NaN) at a node."""
+    RegimeError as ``_float_radius`` and ``_check_one_cut``."""
     if r is None:
         r = _float_radius(coeffs)
     k = np.arange(1, len(coeffs) + 1)
     a = 2 * k * coeffs * r ** (2 * k - 1) @ _odd_powers(len(coeffs))[0]
-    x, weights, dens = _theta_rule(a, r)
-    if not dens.min() >= -NEGATIVITY_TOL:
-        raise RegimeError("one-cut assumption violated: density would be negative")
-    return a, x, weights
+    _check_one_cut(a, coeffs)
+    return (a, *_theta_rule(a, r))
 
 
 def _moment_map(coeffs, jac=False):
@@ -255,8 +302,8 @@ def _moment_map(coeffs, jac=False):
 class GibbsSolution(jsonio.JSONWriter):
     """Radius and boundary Fourier coefficients, and the measure they give on
     the Chebyshev nodes of [-r, r]; InvalidInputError when the radius is not
-    finite and positive, RegimeError when an unclipped sample is below
-    -NEGATIVITY_TOL (the potential is outside the one-cut regime)."""
+    finite and positive, RegimeError as ``_check_one_cut`` (the potential is
+    outside the one-cut regime)."""
 
     def __init__(self, potential, radius, fourier):
         self.potential = potential
@@ -265,15 +312,12 @@ class GibbsSolution(jsonio.JSONWriter):
         if not (r > 0 and math.isfinite(r)):
             raise InvalidInputError(f"radius must be finite and positive, got {r!r}")
         self.fourier = np.asarray(fourier, dtype=float)
+        _check_one_cut(self.fourier, potential.even_coeffs)
         nodes = measure1d.chebyshev_nodes(-r, r, measure1d.DEFAULT_NODES)
         dens = _density(self.fourier, r, nodes)
-        min_density = float(dens.min())
-        # written to fail on NaN as well
-        if not min_density >= -NEGATIVITY_TOL:
-            raise RegimeError("one-cut assumption violated: density would be negative")
         self.measure = GridMeasure.from_density(nodes, dens, normalize=True)
         # a solve adds its residual and timing; all kept out of to_dict
-        self.diagnostics = {"min_density": min_density}
+        self.diagnostics = {"min_density": float(dens.min())}
 
     def density(self, x):
         """Density at x from the Fourier representation; 0 outside (-r, r)."""
@@ -287,7 +331,7 @@ class GibbsSolution(jsonio.JSONWriter):
 
     def _theta_integral(self, f):
         # integral over [-r, r] of f(x) d(measure) by the theta-Gauss rule
-        x, weights, _ = _theta_rule(self.fourier, self.radius)
+        x, weights = _theta_rule(self.fourier, self.radius)
         return float(weights @ f(x))
 
     def moment(self, k):

@@ -54,6 +54,14 @@ def chebyshev_nodes(a, b, n):
     return 0.5 * (a + b) - 0.5 * (b - a) * np.cos(theta)
 
 
+def _finite_atoms(atoms):
+    """``atoms`` as sorted (location, mass) floats; InvalidInputError unless all are finite."""
+    atoms = sorted((float(x), float(w)) for x, w in atoms)
+    if not np.isfinite(atoms).all():
+        raise InvalidInputError(f"atoms must have finite locations and masses, got {atoms}")
+    return atoms
+
+
 def _flat_cells(e, d):
     """Which cells of edges ``e`` (widths ``d``) are flat: atoms, not density blocks."""
     return d <= _FLAT_TOL * (abs(e[-1] - e[0]) + 1.0)
@@ -98,6 +106,7 @@ class GridMeasure(jsonio.JSONWriter):
         """
         nodes = np.asarray(nodes, dtype=float)
         density = np.asarray(density, dtype=float)
+        atoms = _finite_atoms(atoms)
         if nodes.ndim != 1 or nodes.shape != density.shape or nodes.size < 2:
             raise InvalidInputError("nodes and density must be 1-d arrays of equal length >= 2")
         # written to fail on NaN as well
@@ -127,9 +136,7 @@ class GridMeasure(jsonio.JSONWriter):
     @classmethod
     def from_atoms(cls, atoms):
         """A purely atomic measure from (location, mass) pairs."""
-        atoms = sorted((float(x), float(w)) for x, w in atoms)
-        if not np.isfinite(atoms).all():
-            raise InvalidInputError(f"atom locations and masses must be finite, got {atoms}")
+        atoms = _finite_atoms(atoms)
         if not atoms or any(w <= 0 for _, w in atoms):
             raise InvalidInputError("atoms must be nonempty with positive masses")
         if abs(sum(w for _, w in atoms) - 1.0) > _MASS_TOL:

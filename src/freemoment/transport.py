@@ -325,14 +325,15 @@ def _one_cut_law(even, degree):
     """The one-cut law of U = y^2/2 + sum_k even[k-1] y^2k: U's even
     coefficients, padded to degree ``degree``, and the theta-Gauss rule
     (y, weights) of ``gibbs1d._one_cut``, so that the integral of f is
-    weights @ f(y).  InvalidInputError when U has no one-cut law."""
+    weights @ f(y).  InvalidInputError, naming U's coefficients, when U has no
+    one-cut law."""
     u = np.zeros(max(degree // 2, 1))
     u[:len(even)] = even
     u[0] += 0.5
     try:
         _, y, weights = gibbs1d._one_cut(u)
     except RegimeError as exc:
-        raise InvalidInputError(f"U = {u.tolist()} has no one-cut free Gibbs law: {exc}") from None
+        raise InvalidInputError(f"U has no one-cut free Gibbs law: {exc}") from None
     return u, y, weights
 
 

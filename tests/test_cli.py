@@ -96,14 +96,14 @@ def test_verify_rejects_a_radius_that_is_not_finite_and_positive(tmp_path, capsy
 
 
 def test_verify_rejects_coefficients_of_a_negative_density(tmp_path, capsys):
-    # at c2 = -1.0001 the density dips to -3.2e-5 at the origin, which the
-    # theta-Gauss nodes of _one_cut miss; a file of its coefficients is
-    # sampled as a solve is, and fails as the solve does
+    # at c2 = -1.0001 the density dips to -3.2e-5 at the origin; a file of
+    # its coefficients fails the one-cut test as the solve does
     from freemoment import gibbs1d as G
 
     coeffs = [-1.0001, 0.25]
-    r = G.solve_radius(G.EvenPotential(coeffs))
-    a = G._one_cut(coeffs, r)[0]
+    u = G.EvenPotential(coeffs)
+    r = G.solve_radius(u)
+    a = G.fourier_coefficients(u.deriv, r, 3)
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"even_coeffs": coeffs, "radius": r, "fourier": a.tolist()}))
     code, stdout, stderr = run(["verify", "--solution", str(path)], capsys)
@@ -117,6 +117,51 @@ def test_gibbs1d_one_cut_error(capsys):
     assert code == 2
     err = json.loads(stderr)
     assert err["code"] == 2 and err["module"] == "free_gibbs_1d"
+
+
+def test_near_critical_double_well_exits_2_naming_the_law(tmp_path, capsys, monkeypatch):
+    # the density of x^2/2 - 1.5001 x^2 + 0.25 x^4 dips to -3.2e-5 at the
+    # origin: transport-nc rejects its target law before solving, and writes
+    # no file, as gibbs1d rejects the same law
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "w.json", NCSeries(1, 4, {(0, 0): -1.5001, (0, 0, 0, 0): 0.25}))
+    for argv, module in ((["gibbs1d", "--even-coeffs=-1.0001,0.25", "--out", "x.json"],
+                          "free_gibbs_1d"),
+                         (["transport-nc", "--series", "w.json", "--out", "x.json"],
+                          "free_transport")):
+        code, stdout, stderr = run(argv, capsys)
+        err = json.loads(stderr)
+        assert code == 2 and stdout == "" and err["module"] == module
+        assert "[-1.0001, 0.25]" in err["message"] and "negative" in err["message"]
+        assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("degree", ["0", "2"])
+def test_transport_degree_below_w_exits_2(degree, tmp_path, capsys):
+    # --degree 0 is a degree like any other, not the default
+    wfile = tmp_path / "w.json"
+    write_json(wfile, NCSeries(1, 4, {(0, 0, 0, 0): 0.05}))
+    code, stdout, stderr = run(["transport-nc", "--series", str(wfile), "--degree", degree],
+                               capsys)
+    assert code == 2 and stdout == ""
+    assert "degree" in json.loads(stderr)["message"]
+
+
+@pytest.mark.parametrize("atom", [[math.nan, 0.2], [math.inf, 0.2], [-math.inf, 0.2],
+                                  [0.3031, math.nan]], ids=["nan", "inf", "-inf", "nan-mass"])
+def test_target_with_a_non_finite_atom_exits_2_naming_atoms(atom, tmp_path, capsys):
+    x = np.linspace(-1, 1, 301)
+    data = freemoment.GridMeasure.from_density(x, 1 + x ** 2, atoms=[(0.3031, 0.2)],
+                                               normalize=True).to_dict()
+    data["atoms"] = [atom]
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, stderr = run(["moment1d", "--target", str(path), "--particles", "128"],
+                                   capsys)
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr)["message"].startswith("atoms must have finite")
 
 
 def test_gibbs1d_potential_file(tmp_path, capsys):

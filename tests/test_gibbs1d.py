@@ -134,10 +134,53 @@ def test_one_cut_violation():
 
 
 def test_near_critical_double_well_is_not_one_cut():
-    # at c2 = -1.0001 the density dips to -3.2e-5 at the origin: the
-    # theta-Gauss nodes of _one_cut miss it, the measure's own nodes do not
-    with pytest.raises(RegimeError):
-        G.free_gibbs_measure(G.EvenPotential([-1.0001, 0.25]))
+    # at c2 = -1.0001 the density dips to -3.2e-5 at the origin, between the
+    # nodes of the law's theta-Gauss rule; every caller of the one-cut test
+    # rejects it, naming the law
+    coeffs = [-1.0001, 0.25]
+    for solve in (lambda: G.free_gibbs_measure(G.EvenPotential(coeffs)),
+                  lambda: G._one_cut(coeffs),
+                  lambda: G._moment_map(coeffs),
+                  lambda: G._moment_map(coeffs, jac=True)):
+        with pytest.raises(RegimeError, match=r"\[-1\.0001, 0\.25\].*negative"):
+            solve()
+
+
+def test_one_cut_test_agrees_with_a_fine_grid(monkeypatch):
+    # the density's polynomial factor P on 20001 points of [0, 1), against
+    # the exact test, on seeded even laws of degree up to 8 and on double
+    # wells around the critical c2 = -1, whose dips at the origin fall
+    # between the nodes of their theta-Gauss rules; laws within 1e-6 of the
+    # tolerance are left out, and the test must have taken its critical-point
+    # branch on some law it accepts
+    roots = []
+    chebroots = G.chebyshev.chebroots
+    monkeypatch.setattr(G.chebyshev, "chebroots", lambda c: roots.append(c) or chebroots(c))
+    rng = np.random.default_rng(11)
+    y = np.linspace(0.0, 1.0, 20001)[:-1]
+    laws = [list(rng.uniform(-1.5, 1.0, size=int(rng.integers(1, 5)))) for _ in range(400)]
+    for coeffs in laws:
+        coeffs[-1] = abs(coeffs[-1]) + 0.01
+    verdicts = set()
+    for coeffs in laws + [[c2, 0.25] for c2 in np.linspace(-1.01, -0.99, 21)]:
+        try:
+            r = G._float_radius(coeffs)
+        except RegimeError:
+            continue
+        k = np.arange(1, len(coeffs) + 1)
+        a = 2 * k * np.array(coeffs) * r ** (2 * k - 1) @ G._odd_powers(len(coeffs))[0]
+        low = float(np.min(G._density(a, r, r * y) / np.sqrt(1.0 - y * y)))
+        if abs(low + G.NEGATIVITY_TOL) < 1e-6:
+            continue
+        del roots[:]
+        try:
+            G._one_cut(coeffs, r)
+            accepted = True
+        except RegimeError:
+            accepted = False
+        assert accepted == (low >= -G.NEGATIVITY_TOL), coeffs
+        verdicts.add((accepted, bool(roots)))
+    assert {(True, False), (True, True), (False, True)} <= verdicts
 
 
 def test_min_density_reads_the_kept_samples():
