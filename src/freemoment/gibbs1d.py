@@ -15,7 +15,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from . import jsonio, measure1d
 from .errors import InvalidInputError, RegimeError
@@ -115,11 +114,11 @@ def _check_one_cut(a, coeffs):
         return
     c, low = cheb @ odd, math.nan
     if np.isfinite(c).all():
+        series = np.polynomial.chebyshev
         # trailing round-off would swamp the companion matrix of the derivative
-        lead = chebyshev.chebtrim(c, 1e-14 * np.abs(c).max())
-        w = np.append(chebyshev.chebroots(chebyshev.chebder(lead)).real.clip(-1.0, 1.0),
-                      (-1.0, 1.0))
-        low = chebyshev.chebval(w, c).min()
+        lead = series.chebtrim(c, 1e-14 * np.abs(c).max())
+        w = np.append(series.chebroots(series.chebder(lead)).real.clip(-1.0, 1.0), (-1.0, 1.0))
+        low = series.chebval(w, c).min()
     if not low >= -NEGATIVITY_TOL:
         raise RegimeError(f"even coefficients {[float(k) for k in coeffs]} are outside the "
                           f"one-cut regime: the density would be negative, its polynomial "
