@@ -147,7 +147,7 @@ def test_near_critical_double_well_is_not_one_cut():
 
 
 def test_one_cut_test_agrees_with_a_fine_grid(monkeypatch):
-    # the density's polynomial factor P on 20001 points of [0, 1), against
+    # the density's polynomial factor P on 20000 points of [0, 1), against
     # the exact test, on seeded even laws of degree up to 8 and on double
     # wells around the critical c2 = -1, whose dips at the origin fall
     # between the nodes of their theta-Gauss rules; laws within 1e-6 of the
