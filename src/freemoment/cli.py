@@ -127,7 +127,7 @@ def _residuals_pass(report):
 
 def cmd_verify(args):
     data = _read(args.solution)
-    if "fourier" in data:
+    if "radius" in data:
         sol = gibbs1d.GibbsSolution.from_dict(data)
         report = {
             "hilbert_residual": gibbs1d.hilbert_residual(sol),

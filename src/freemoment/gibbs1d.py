@@ -299,19 +299,19 @@ def _moment_map(coeffs, jac=False):
 
 
 class GibbsSolution(jsonio.JSONWriter):
-    """Radius and boundary Fourier coefficients, and the measure they give on
-    the Chebyshev nodes of [-r, r]; InvalidInputError when the radius is not
-    finite and positive, RegimeError as ``_check_one_cut`` (the potential is
-    outside the one-cut regime)."""
+    """The law of ``potential`` at radius ``radius``: the Fourier coefficients
+    ``fourier`` and theta-Gauss rule of one ``_one_cut`` call, which tests the
+    regime, and the measure on the Chebyshev nodes of [-r, r].  InvalidInputError
+    when the radius is not finite and positive, RegimeError as ``_one_cut``.
+    The caller judges the radius condition r*a_1 = -2."""
 
-    def __init__(self, potential, radius, fourier):
+    def __init__(self, potential, radius):
         self.potential = potential
         self.radius = r = float(radius)
         # written to fail on NaN as well
         if not (r > 0 and math.isfinite(r)):
             raise InvalidInputError(f"radius must be finite and positive, got {r!r}")
-        self.fourier = np.asarray(fourier, dtype=float)
-        _check_one_cut(self.fourier, potential.even_coeffs)
+        self.fourier, *self._rule = _one_cut(potential.even_coeffs, r)
         nodes = measure1d.chebyshev_nodes(-r, r, measure1d.DEFAULT_NODES)
         dens = _density(self.fourier, r, nodes)
         self.measure = GridMeasure.from_density(nodes, dens, normalize=True)
@@ -330,7 +330,7 @@ class GibbsSolution(jsonio.JSONWriter):
 
     def _theta_integral(self, f):
         # integral over [-r, r] of f(x) d(measure) by the theta-Gauss rule
-        x, weights = _theta_rule(self.fourier, self.radius)
+        x, weights = self._rule
         return float(weights @ f(x))
 
     def moment(self, k):
@@ -342,20 +342,16 @@ class GibbsSolution(jsonio.JSONWriter):
         return self._theta_integral(lambda x: x * self.potential.deriv(x))
 
     def to_dict(self):
-        return {
-            "even_coeffs": list(self.potential.even_coeffs),
-            "radius": self.radius,
-            "fourier": list(map(float, self.fourier)),
-        }
+        return {"even_coeffs": list(self.potential.even_coeffs), "radius": self.radius}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(EvenPotential.from_dict(d), jsonio.field(d, "radius", float),
-                   jsonio.field(d, "fourier", jsonio.floats))
+        return cls(EvenPotential.from_dict(d), jsonio.field(d, "radius", float))
 
 
 def free_gibbs_measure(u):
-    """Free Gibbs measure of an even polynomial potential.
+    """Free Gibbs measure of an even polynomial potential: the
+    ``GibbsSolution`` at the radius of ``solve_radius``.
 
     Fails with RegimeError when the radius condition misses by more than
     RADIUS_CONDITION_TOL, or as ``GibbsSolution`` does.  The solution's
@@ -366,12 +362,10 @@ def free_gibbs_measure(u):
     t0 = time.perf_counter()
     if not isinstance(u, EvenPotential):
         raise InvalidInputError("potential must be an EvenPotential")
-    r = solve_radius(u)
-    a, _, _ = _one_cut(u.even_coeffs, r)
-    residual = float(abs(r * a[1] + 2.0))
+    sol = GibbsSolution(u, solve_radius(u))
+    residual = float(abs(sol.radius * sol.fourier[1] + 2.0))
     if residual > RADIUS_CONDITION_TOL:
         raise RegimeError("radius condition r*a_1 = -2 not met")
-    sol = GibbsSolution(u, r, a)
     sol.diagnostics.update(iterations=0, residual=residual, converged=True,
                            seconds=time.perf_counter() - t0)
     return sol

@@ -39,6 +39,13 @@ def field(d, key, convert, *default):
         raise InvalidInputError(f"invalid value of key {key!r}: {exc}") from None
 
 
+def integer(value):
+    """A JSON integer: not a bool, a string or a number written with a fraction."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def floats(value, size=None):
     """A JSON list of numbers as a float array, of ``size`` entries when given."""
     out = np.asarray(value, dtype=float)

@@ -242,11 +242,16 @@ def particle_residuals(q, y):
     discrete Hilbert identity max_i |2/(m-1) sum_{j != i} 1/(q_i - q_j) - y_i|,
     which is m max|grad F| as minimize_F reads it, and the scalar
     Schwinger-Dyson relation |mean(q y) - 1|.  Both vanish at the exact
-    minimizer of the discrete F, so they measure the solver."""
+    minimizer of the discrete F, so they measure the solver.  InvalidInputError,
+    naming a file's ``uprime``, unless q is finite and strictly increasing and
+    y finite."""
     q = np.asarray(q, dtype=float)
     y = np.asarray(y, dtype=float)
     if q.ndim != 1 or q.size < 2 or q.shape != y.shape:
         raise InvalidInputError("need at least two positions and one target quantile for each")
+    if not (np.isfinite(q).all() and (np.diff(q) > 0).all() and np.isfinite(y).all()):
+        raise InvalidInputError("uprime needs finite, strictly increasing positions x "
+                                "and finite values")
     hres = q.size * float(np.max(np.abs(particle_gradient(q, y))))
     sd = abs(float(np.mean(q * y)) - 1.0)
     return {"hilbert_residual": hres, "pushforward_w2": None, "sd_scalar_error": sd}

@@ -152,17 +152,21 @@ class NCSeries(jsonio.JSONWriter):
 
     @classmethod
     def from_dict(cls, d):
-        n = jsonio.field(d, "n_vars", int)
+        """The series of a JSON object; InvalidInputError for a count, cap or
+        letter that is not an integer, and for a word that the cap would drop."""
+        n, cap = (jsonio.field(d, key, jsonio.integer) for key in ("n_vars", "max_degree"))
         terms = {}
         for item in jsonio.field(d, "terms", list, []):
-            word = jsonio.field(item, "word", lambda w: tuple(int(i) - 1 for i in w))
+            word = jsonio.field(item, "word", lambda w: tuple(jsonio.integer(i) - 1 for i in w))
             if any(i < 0 or i >= n for i in word):
-                raise InvalidInputError("word letter out of range")
+                raise InvalidInputError(f"word {item['word']} has a letter outside 1..{n}")
+            if len(word) > cap:
+                raise InvalidInputError(f"word {item['word']} is longer than max_degree {cap}")
             coeff = jsonio.field(item, "coeff", float)
             if not np.isfinite(coeff):
                 raise InvalidInputError(f"coefficient {coeff} of word {item['word']} is not finite")
             terms[word] = terms.get(word, 0.0) + coeff
-        return cls(n, jsonio.field(d, "max_degree", int), terms)
+        return cls(n, cap, terms)
 
 
 # -- word ranks ----------------------------------------------------------------------

@@ -85,9 +85,8 @@ class TransportProblem:
 
 
 class TransportSolution(jsonio.JSONWriter):
-    """V and the diagnostics.  The transport map Y + DV and
-    Vtilde = S Pi N V are derived from V on each access.  JSON keeps both
-    next to V; ``from_dict`` reads V alone."""
+    """V and the diagnostics, all that JSON holds.  The transport map Y + DV
+    and Vtilde = S Pi N V are derived from V on each access."""
 
     def __init__(self, V, diagnostics):
         self.V = V
@@ -102,12 +101,7 @@ class TransportSolution(jsonio.JSONWriter):
         return _transport_map(self.V, self.V.max_degree)
 
     def to_dict(self):
-        return {
-            "V": self.V.to_dict(),
-            "V_tilde": self.V_tilde.to_dict(),
-            "transport_map": [c.to_dict() for c in self.transport_map],
-            "diagnostics": _stored(self.diagnostics),
-        }
+        return {"V": self.V.to_dict(), "diagnostics": _stored(self.diagnostics)}
 
     @classmethod
     def from_dict(cls, d):

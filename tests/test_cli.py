@@ -49,24 +49,25 @@ def test_gibbs1d_semicircle(tmp_path, capsys):
 
 
 def test_solution_files_hold_what_determines_the_solution(tmp_path, capsys):
-    # a gibbs1d file is the law's radius and Fourier coefficients, with the
-    # two residuals the command reports; a transport file is V with its two
-    # exact series, not the law of Y
+    # a gibbs1d file is the potential and the law's radius, with the two
+    # residuals the command reports; a transport file is V with its
+    # diagnostics and check, not the series derived from V or the law of Y
     g = tmp_path / "g.json"
     assert run(["gibbs1d", "--even-coeffs", "0.4,0.1,0.03", "--out", str(g)], capsys)[0] == 0
-    assert set(json.loads(g.read_text())) == {"even_coeffs", "radius", "fourier",
-                                              "hilbert_residual", "sd_scalar"}
+    assert set(json.loads(g.read_text())) == {"even_coeffs", "radius", "hilbert_residual",
+                                              "sd_scalar"}
     _write_transport_inputs(tmp_path)
     t = tmp_path / "t.json"
     assert run(["transport-nc", "--series", str(tmp_path / "w2.json"), "--degree", "8",
                 "--out", str(t)], capsys)[0] == 0
-    assert set(json.loads(t.read_text())) == {"V", "V_tilde", "transport_map", "diagnostics",
-                                              "verification"}
+    assert set(json.loads(t.read_text())) == {"V", "diagnostics", "verification"}
 
 
 def test_verify_judges_the_radius_condition(tmp_path, capsys):
     # a radius off by 1e-9 (relative) keeps the Hilbert residual in bounds,
-    # but not the radius condition that the solve holds to RADIUS_CONDITION_TOL
+    # but not the radius condition that the solve holds to RADIUS_CONDITION_TOL:
+    # with a derived at the moved radius, r*a_1 + 2 = 2 - 2P(r^2/4) moves by
+    # 4 z P'(z) 1e-9 = 7.35e-9 (z = r^2/4, P as in solve_radius)
     out = tmp_path / "g.json"
     assert run(["gibbs1d", "--even-coeffs", "0.4,0.1,0.03", "--out", str(out)], capsys)[0] == 0
     data = json.loads(out.read_text())
@@ -77,7 +78,7 @@ def test_verify_judges_the_radius_condition(tmp_path, capsys):
     code, stdout, _ = run(["verify", "--solution", str(moved), "--json"], capsys)
     rep = json.loads(stdout)
     assert rep["hilbert_residual"] < cli.HILBERT_RESIDUAL_TOL
-    assert 1e-9 < rep["radius_condition"] < 3e-9
+    assert 5e-9 < rep["radius_condition"] < 1e-8
     assert code == 2
 
 
@@ -351,6 +352,48 @@ def test_verify_moment1d_solution(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     code3, _, _ = run(["verify", "--solution", str(bad), "--json"], capsys)
     assert code3 == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda x, value: x.__setitem__(5, x[4]),
+    lambda x, value: x.__setitem__(5, math.nan),
+    lambda x, value: x.reverse(),
+    lambda x, value: value.__setitem__(3, math.inf),
+], ids=["repeated", "nan", "reversed", "value-inf"])
+def test_verify_rejects_positions_that_are_not_increasing(edit, tmp_path, capsys):
+    # a repeated position divided by zero, and a NaN one printed NaN, not JSON
+    out = tmp_path / "m.json"
+    assert run(["moment1d", "--target", "builtin:semicircle", "--particles", "64",
+                "--out", str(out)], capsys)[0] == 0
+    data = json.loads(out.read_text())
+    edit(data["uprime"]["x"], data["uprime"]["value"])
+    out.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, stderr = run(["verify", "--solution", str(out), "--json"], capsys)
+    assert code == 2 and stdout == ""
+    assert "uprime" in json.loads(stderr)["message"]
+
+
+@pytest.mark.parametrize("series, named", [
+    ({"n_vars": 1, "max_degree": 2, "terms": [{"word": [1, 1, 1, 1], "coeff": 0.05}]},
+     "word [1, 1, 1, 1] is longer than max_degree 2"),
+    ({"n_vars": 1.9, "max_degree": 4, "terms": []}, "'n_vars'"),
+    ({"n_vars": 1, "max_degree": True, "terms": []}, "'max_degree'"),
+    ({"n_vars": 1, "max_degree": 4, "terms": [{"word": [1.7, 1], "coeff": 0.05}]}, "'word'"),
+    ({"n_vars": 1, "max_degree": 4, "terms": [{"word": [2, 1], "coeff": 0.05}]},
+     "word [2, 1] has a letter outside 1..1"),
+], ids=["truncated", "n-vars", "max-degree", "letter", "letter-range"])
+def test_series_file_is_read_as_written(series, named, tmp_path, capsys):
+    # a word over the cap would be dropped and a count with a fraction cut to
+    # an integer, so that another W than the file's was solved
+    wfile, out = tmp_path / "w.json", tmp_path / "t.json"
+    wfile.write_text(json.dumps(series))
+    code, stdout, stderr = run(["transport-nc", "--series", str(wfile), "--out", str(out)],
+                               capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    err = json.loads(stderr)
+    assert err["module"] == "free_transport" and named in err["message"]
 
 
 def test_transport_cli_zero_and_invalid(tmp_path, capsys):
@@ -635,6 +678,16 @@ def _mixed_transport_file(tmp_path, capsys):
     return wfile, out, json.loads(out.read_text())
 
 
+def _parent_series(data):
+    """The V_tilde and transport_map entries that transport files held before
+    the format dropped them, as the properties derive them."""
+    from freemoment import transport
+
+    sol = transport.TransportSolution.from_dict(data)
+    return {"V_tilde": sol.V_tilde.to_dict(),
+            "transport_map": [c.to_dict() for c in sol.transport_map]}
+
+
 def _parent_tau_y(data):
     """The tau_Y entry that transport files held before the format dropped it:
     the law of Y at cap D + 4, its nonzero classes written as words from 1."""
@@ -650,9 +703,9 @@ def _parent_tau_y(data):
                        for k in np.flatnonzero(vals)]}
 
 
-# a transport file's derived entries, each with the keys of its items, of an
-# item's value and of its cap: the series V_tilde and Y + DV, and the table
-# tau_Y of a file in the parent format
+# the derived entries of a transport file in a parent format, each with the
+# keys of its items, of an item's value and of its cap: the series V_tilde and
+# Y + DV, and the table tau_Y
 _DERIVED = {"V_tilde": ("terms", "coeff", "max_degree"),
             "transport_map": ("terms", "coeff", "max_degree"),
             "tau_Y": ("values", "value", "degree_cap")}
@@ -669,9 +722,9 @@ _DERIVED = {"V_tilde": ("terms", "coeff", "max_degree"),
     lambda e, items, value, cap: e.update({cap: 21}),
 ], ids=["deleted", "nan", "huge", "canonical", "length", "letter", "cutoff", "degree-cap"])
 def test_verify_reads_v_and_w_alone(edit, tmp_path, capsys):
-    # V_tilde, the transport map and a parent-format file's tau_Y are output only
+    # a parent-format file's V_tilde, transport map and tau_Y are not read
     wfile, out, data = _mixed_transport_file(tmp_path, capsys)
-    data["tau_Y"] = _parent_tau_y(data)
+    data.update(_parent_series(data), tau_Y=_parent_tau_y(data))
     base = run(["verify", "--solution", str(out), "--series", str(wfile), "--json"], capsys)
     assert base[0] == 0
     for key, fields in _DERIVED.items():
@@ -687,16 +740,18 @@ def test_verify_reads_v_and_w_alone(edit, tmp_path, capsys):
 
 
 def test_verify_reads_parent_format_files(tmp_path, capsys):
-    # a gibbs1d file with the sampled measure and a transport file with tau_Y,
-    # as files were written before, verify as the files without them
+    # a gibbs1d file with the sampled measure and the Fourier coefficients,
+    # and a transport file with V_tilde, the transport map and tau_Y, as files
+    # were written before, verify as the files without them
     from freemoment import gibbs1d
 
     g = tmp_path / "g.json"
     assert run(["gibbs1d", "--even-coeffs", "0.4,0.1,0.03", "--out", str(g)], capsys)[0] == 0
     data = json.loads(g.read_text())
-    data["measure"] = gibbs1d.GibbsSolution.from_dict(data).measure.to_dict()
+    sol = gibbs1d.GibbsSolution.from_dict(data)
+    data.update(measure=sol.measure.to_dict(), fourier=sol.fourier.tolist())
     wfile, t, tdata = _mixed_transport_file(tmp_path, capsys)
-    tdata["tau_Y"] = _parent_tau_y(tdata)
+    tdata.update(_parent_series(tdata), tau_Y=_parent_tau_y(tdata))
     for path, parent, extra in ((g, data, []), (t, tdata, ["--series", str(wfile)])):
         old = tmp_path / "parent.json"
         old.write_text(json.dumps(parent))
@@ -731,7 +786,7 @@ def test_unreadable_input_file_exits_2(argv, module, tmp_path, capsys, monkeypat
      "free_transport"),
     (["moment1d", "--target", "in.json"], {"nodes": [], "density": []}, "atoms",
      "moment_measure_1d"),
-    (["verify", "--solution", "in.json"], {"fourier": [0, 1]}, "even_coeffs", "cli"),
+    (["verify", "--solution", "in.json"], {"radius": 1.0}, "even_coeffs", "cli"),
 ], ids=["gibbs1d", "transport-nc", "moment1d", "verify"])
 def test_input_without_a_key_exits_2(argv, text, key, module, tmp_path, capsys, monkeypatch):
     # a key that a reader needs is named in the error, not reported as internal

@@ -192,6 +192,20 @@ def test_min_density_reads_the_kept_samples():
         assert sol.diagnostics["min_density"] == float(samples.min())
 
 
+def test_free_gibbs_measure_tests_the_regime_once(monkeypatch):
+    # the law's coefficients, rule and sign test come from one _one_cut call
+    calls = []
+
+    def counted(a, coeffs):
+        calls.append(coeffs)
+        return check(a, coeffs)
+
+    check = G._check_one_cut
+    monkeypatch.setattr(G, "_check_one_cut", counted)
+    G.free_gibbs_measure(G.EvenPotential([0.4, 0.1, 0.03]))
+    assert len(calls) == 1
+
+
 def test_critical_double_well_still_one_cut():
     # at c2 = -1 the quartic density touches zero at the origin but stays nonnegative
     sol = G.free_gibbs_measure(G.EvenPotential([-1.0, 0.25]))
@@ -231,7 +245,7 @@ def test_diagnostics_stay_out_of_json(quartic_solution):
     assert {"iterations", "residual", "converged", "seconds", "min_density"} <= set(diag)
     assert diag["iterations"] == 0 and diag["converged"] and diag["residual"] <= 1e-10
     assert diag["min_density"] >= -G.NEGATIVITY_TOL
-    assert set(quartic_solution.to_dict()) == {"even_coeffs", "radius", "fourier"}
+    assert set(quartic_solution.to_dict()) == {"even_coeffs", "radius"}
     # a solution read back samples its measure, and has no solve to time
     back = G.GibbsSolution.from_dict(quartic_solution.to_dict())
     assert back.diagnostics == {"min_density": diag["min_density"]}

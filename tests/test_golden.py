@@ -111,10 +111,14 @@ def _floats_by_key(golden, new, key, out):
         assert new == golden, key
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _parse(path):
     text = path.read_text()
     if path.suffix == ".json":
-        return json.loads(text)
+        return json.loads(text, parse_constant=_not_json)
     header, *rows = csv.reader(io.StringIO(text))
     return {"header": header, **{k: [float(r[i]) for r in rows] for i, k in enumerate(header)}}
 
