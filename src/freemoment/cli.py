@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 
@@ -33,12 +34,14 @@ from .errors import FreeMomentError, InvalidInputError
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INVALID = 2
-# largest moment deviation a transport solution may show and still pass
-MOMENT_DEVIATION_TOL = 1e-3
-# largest Hilbert and scalar Schwinger-Dyson residuals a gibbs1d or moment1d
-# solution may show and still pass
-HILBERT_RESIDUAL_TOL = 1e-3
-SD_SCALAR_TOL = 1e-5
+# the test and bound each report figure must pass: the residuals of a gibbs1d or
+# moment1d solution, a gibbs1d radius condition and a transport moment deviation
+PASS_BOUNDS = {
+    "hilbert_residual": (operator.lt, 1e-3),
+    "sd_scalar_error": (operator.lt, 1e-5),
+    "radius_condition": (operator.le, gibbs1d.RADIUS_CONDITION_TOL),
+    "max_moment_deviation": (operator.lt, 1e-3),
+}
 
 
 def _read(path):
@@ -68,15 +71,28 @@ def _load_potential(text):
 
 def cmd_gibbs1d(args):
     sol = gibbs1d.free_gibbs_measure(_load_potential(args.even_coeffs))
-    report = {"hilbert_residual": gibbs1d.hilbert_residual(sol), "sd_scalar": sol.sd_scalar()}
-    _emit(dict(sol.to_dict(), **report), args.json, args.out)
+    report = _gibbs_report(sol)
+    _emit(dict(sol.to_dict(), hilbert_residual=report["hilbert_residual"],
+               sd_scalar=sol.sd_scalar()), args.json, args.out)
     if args.out:
         _write(os.path.splitext(args.out)[0] + ".csv", sol.measure.to_csv())
     if not args.json:
         print(f"radius r = {sol.radius!r}")
         print(f"hilbert residual = {report['hilbert_residual']:.3e}")
-    report["sd_scalar_error"] = abs(report["sd_scalar"] - 1.0)
-    return EXIT_OK if _residuals_pass(report) else EXIT_INVALID
+    return EXIT_OK if _passes(report) else EXIT_INVALID
+
+
+def _gibbs_report(sol):
+    """The figures of a gibbs1d solution that verify reports and both commands pass."""
+    return {"hilbert_residual": gibbs1d.hilbert_residual(sol),
+            "sd_scalar_error": abs(sol.sd_scalar() - 1.0),
+            "radius_condition": abs(sol.radius * float(sol.fourier[1]) + 2.0)}
+
+
+def _passes(report):
+    """Whether each figure of ``report`` with an entry in PASS_BOUNDS passes it."""
+    return all(test(report[key], bound) for key, (test, bound) in PASS_BOUNDS.items()
+               if key in report)
 
 
 def _load_target(text):
@@ -104,53 +120,39 @@ def cmd_transport_nc(args):
     degree = W.max_degree if args.degree is None else args.degree
     problem = transport.TransportProblem(W, degree, tol=args.tol)
     sol = transport.solve_V(problem)
-    report, ok = _check_transport(sol, W)
+    report = _transport_report(sol, W)
     out = sol.to_dict()
     out["verification"] = report
     _emit(out, args.json, args.out)
     if not args.json:
         print(f"V norm_A = {sol.diagnostics['v_norm_A']!r}")
         print(f"verification = {report}")
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_OK if _passes(report) else EXIT_INVALID
 
 
-def _check_transport(sol, W):
-    """The report of ``verify_transport`` to degree min(6, D), and whether it passes."""
-    report = transport.verify_transport(sol, W, min(6, sol.V.max_degree))
-    return report, report["max_moment_deviation"] < MOMENT_DEVIATION_TOL
-
-
-def _residuals_pass(report):
-    return (report["hilbert_residual"] < HILBERT_RESIDUAL_TOL
-            and report["sd_scalar_error"] < SD_SCALAR_TOL)
+def _transport_report(sol, W):
+    """The report of ``verify_transport`` to degree min(6, D)."""
+    return transport.verify_transport(sol, W, min(6, sol.V.max_degree))
 
 
 def cmd_verify(args):
     data = _read(args.solution)
     if "radius" in data:
-        sol = gibbs1d.GibbsSolution.from_dict(data)
-        report = {
-            "hilbert_residual": gibbs1d.hilbert_residual(sol),
-            "sd_scalar_error": abs(sol.sd_scalar() - 1.0),
-            "radius_condition": abs(sol.radius * float(sol.fourier[1]) + 2.0),
-        }
-        ok = _residuals_pass(report) and report["radius_condition"] <= gibbs1d.RADIUS_CONDITION_TOL
+        report = _gibbs_report(gibbs1d.GibbsSolution.from_dict(data))
     elif "V" in data:
         if not args.series:
             raise InvalidInputError("verifying a transport solution needs --series W.json")
         W = transport.NCSeries.from_dict(_read(args.series))
-        sol = transport.TransportSolution.from_dict(data)
-        report, ok = _check_transport(sol, W)
+        report = _transport_report(transport.TransportSolution.from_dict(data), W)
     elif "uprime" in data:
         report = moment1d.particle_residuals(*(jsonio.field(data["uprime"], key, jsonio.floats)
                                                for key in ("x", "value")))
-        ok = _residuals_pass(report)
     else:
         raise InvalidInputError("unrecognized solution file")
     _emit(report, args.json, args.out)
     if not args.json:
         print(f"verification = {report}")
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_OK if _passes(report) else EXIT_INVALID
 
 
 def build_parser():

@@ -301,9 +301,10 @@ def _moment_map(coeffs, jac=False):
 class GibbsSolution(jsonio.JSONWriter):
     """The law of ``potential`` at radius ``radius``: the Fourier coefficients
     ``fourier`` and theta-Gauss rule of one ``_one_cut`` call, which tests the
-    regime, and the measure on the Chebyshev nodes of [-r, r].  InvalidInputError
-    when the radius is not finite and positive, RegimeError as ``_one_cut``.
-    The caller judges the radius condition r*a_1 = -2."""
+    regime, its Schwinger-Dyson number and its measure on the Chebyshev nodes of
+    [-r, r].  InvalidInputError when the radius is not finite and positive, or
+    overflows any of them; RegimeError as ``_one_cut``.  The caller judges the
+    radius condition r*a_1 = -2."""
 
     def __init__(self, potential, radius):
         self.potential = potential
@@ -311,10 +312,15 @@ class GibbsSolution(jsonio.JSONWriter):
         # written to fail on NaN as well
         if not (r > 0 and math.isfinite(r)):
             raise InvalidInputError(f"radius must be finite and positive, got {r!r}")
-        self.fourier, *self._rule = _one_cut(potential.even_coeffs, r)
-        nodes = measure1d.chebyshev_nodes(-r, r, measure1d.DEFAULT_NODES)
-        dens = _density(self.fourier, r, nodes)
-        self.measure = GridMeasure.from_density(nodes, dens, normalize=True)
+        try:
+            with np.errstate(over="raise"):
+                self.fourier, *self._rule = _one_cut(potential.even_coeffs, r)
+                self._sd_scalar = self._theta_integral(lambda x: x * potential.deriv(x))
+                nodes = measure1d.chebyshev_nodes(-r, r, measure1d.DEFAULT_NODES)
+                dens = _density(self.fourier, r, nodes)
+                self.measure = GridMeasure.from_density(nodes, dens, normalize=True)
+        except FloatingPointError:
+            raise InvalidInputError(f"radius {r!r} overflows the law of {potential}") from None
         # a solve adds its residual and timing; all kept out of to_dict
         self.diagnostics = {"min_density": float(dens.min())}
 
@@ -339,7 +345,7 @@ class GibbsSolution(jsonio.JSONWriter):
 
     def sd_scalar(self):
         """The Schwinger-Dyson number: integral of x u'(x) d(nu); equals 1."""
-        return self._theta_integral(lambda x: x * self.potential.deriv(x))
+        return self._sd_scalar
 
     def to_dict(self):
         return {"even_coeffs": list(self.potential.even_coeffs), "radius": self.radius}

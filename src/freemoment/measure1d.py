@@ -534,6 +534,9 @@ def _local_cubic(xs, ds, x):
     """
     k = min(4, xs.size)
     first = np.clip(np.searchsorted(xs, x, side="right") - k // 2, 0, xs.size - k)
+    # in a power-of-two unit near the segment width: exact, and no product overflows
+    unit = math.ldexp(1.0, math.frexp(xs[-1] - xs[0])[1])
+    xs, x = xs / unit, x / unit
     xn = [xs[first + i] for i in range(k)]
     dx = [x - xi for xi in xn]
     value = np.zeros_like(x)
@@ -548,7 +551,7 @@ def _local_cubic(xs, ds, x):
                 den = den * (xn[i] - xn[j])
         value += ds[first + i] * (num / den)
         slope += ds[first + i] * (dnum / den)
-    return value, slope
+    return value, slope / unit
 
 
 def _segment_hilbert(xs, ds, tw, x, tol):

@@ -88,14 +88,9 @@ class NCSeries(jsonio.JSONWriter):
         return self + (other * -1.0)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, NCSeries):
-            return multiply(self, scalar)
         return _series(self.n_vars, self.max_degree, self.ranks, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
     def _check(self, other):
         if self.n_vars != other.n_vars:
@@ -118,17 +113,6 @@ class NCSeries(jsonio.JSONWriter):
         _, _, pos, _, letter, _ = _positions(self)
         mirrored = _recode(self, letter * self.n_vars ** pos)
         return bool((np.abs((self - mirrored).coeffs) <= tol).all())
-
-    def odd_mass(self):
-        """Total absolute coefficient mass on odd-degree words."""
-        return float(np.abs(self.coeffs[_split(self.ranks, self.n_vars)[0] % 2 == 1]).sum())
-
-    def __eq__(self, other):
-        return isinstance(other, NCSeries) and self.n_vars == other.n_vars \
-            and np.array_equal(self.ranks, other.ranks) and np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.n_vars, self.ranks.tobytes(), self.coeffs.tobytes()))
 
     def __repr__(self):
         if not self.ranks.size:
@@ -264,6 +248,26 @@ def multiply(a, b, max_degree=None):
     return _series(n, cap, ranks, a.coeffs[ia] * b.coeffs[ib])
 
 
+def _word_products(args, words, cap):
+    """Yield (k, product of args[i] over the letters i of words[k]), truncated at
+    cap, for each word tuple.  The words go in lexicographic order, each product
+    starting from that of the common prefix with the previous word, so a word's
+    product is the same chain of ``multiply`` calls whatever the list holds."""
+    args = [a.truncate(cap) for a in args]
+    # prods[k] is the product of the first k letters of word
+    word, prods = (), [NCSeries.constant(1.0, args[0].n_vars, cap)]
+    for k in sorted(range(len(words)), key=words.__getitem__):
+        w = words[k]
+        common = 0
+        while common < min(len(word), len(w)) and word[common] == w[common]:
+            common += 1
+        del prods[common + 1:]
+        for letter in w[common:]:
+            prods.append(multiply(prods[-1], args[letter], cap))
+        word = w
+        yield k, prods[-1]
+
+
 def substitute(f, args, max_degree=None):
     """Evaluate f at the n-tuple ``args`` of series, truncating products.
 
@@ -273,17 +277,11 @@ def substitute(f, args, max_degree=None):
     if len(args) != f.n_vars:
         raise InvalidInputError("need one substitution argument per variable")
     cap = f.max_degree if max_degree is None else max_degree
-    n_vars = args[0].n_vars if args else f.n_vars
-    out = NCSeries.zero(n_vars, cap)
-    one = NCSeries.constant(1.0, n_vars, cap)
-    for word, coeff in zip(_word_tuples(f.ranks, f.n_vars), f.coeffs):
-        prod = one
-        for letter in word:
-            prod = multiply(prod, args[letter], cap)
-            if not prod.ranks.size:
-                break
-        out = out + prod * coeff
-    return out
+    # each word's terms in f's order, so equal ranks sum word by word
+    terms = [(np.zeros(0, dtype=np.int64), np.zeros(0))] * (len(f.ranks) + 1)
+    for k, prod in _word_products(args, _word_tuples(f.ranks, f.n_vars), cap):
+        terms[k + 1] = prod.ranks, prod.coeffs * f.coeffs[k]
+    return _series(args[0].n_vars, cap, *map(np.concatenate, zip(*terms)))
 
 
 def cyclic_gradient(f, i):

@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .ncseries import (NCSeries, _code, _digits, _positions, _ranks, _series, _split,
-                       _word_tuples, cyclic_gradient, multiply)
+from .ncseries import (_code, _digits, _positions, _ranks, _series, _split, _word_products,
+                       _word_tuples, cyclic_gradient)
 
 # the radius T of the bounded-moment ball |tau(w)| <= T^|w|
 CUTOFF = 3.0
@@ -396,26 +396,8 @@ def pushforward_trace(tau, f, degree_cap):
 
 
 def _trace_words(tau, f, words):
-    """tau of each word of ``words`` with f_i substituted for letter i.
-
-    The words are expanded in lexicographic order, so each product starts
-    from that of the common prefix with the previous word, and every word's
-    product is the same left-to-right chain of ``multiply`` calls whatever
-    the list holds.
-    """
-    cap = tau.degree_cap
-    comps = [comp.truncate(cap) for comp in f]
-    # prods[k] is the product of the first k letters of word
-    word, prods = (), [NCSeries.constant(1.0, tau.n_vars, cap)]
+    """tau of each word of ``words`` with f_i substituted for letter i."""
     out = np.zeros(len(words))
-    for k in sorted(range(len(words)), key=words.__getitem__):
-        w = words[k]
-        common = 0
-        while common < min(len(word), len(w)) and word[common] == w[common]:
-            common += 1
-        del prods[common + 1:]
-        for letter in w[common:]:
-            prods.append(multiply(prods[-1], comps[letter], cap))
-        word = w
-        out[k] = tau.of_series(prods[-1])
+    for k, prod in _word_products(f, words, tau.degree_cap):
+        out[k] = tau.of_series(prod)
     return out

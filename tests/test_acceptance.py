@@ -208,7 +208,7 @@ def _even_ball(rng, n, degree, a_radius, ball_radius):
 def test_c12_evenness_preservation():
     t0 = time.time()
     rng = np.random.default_rng(99)
-    worst = 0.0
+    odd = 0
     for _ in range(100):
         v = _even_ball(rng, 2, 6, 3.0, 0.25)
         w = _even_ball(rng, 2, 6, 3.0, 0.15)
@@ -220,10 +220,10 @@ def test_c12_evenness_preservation():
                     values[-1][k] = rng.uniform(-1, 1) * 2.0 ** length
         tau = sd.TraceTable(2, 8, values)
         out = T.picard_map(v, w, tau, 6)
-        worst = max(worst, out.odd_mass())
+        odd += not out.is_even()
     dt = time.time() - t0
-    _report("C12 evenness preservation", worst == 0.0 and dt < 30.0,
-            f"odd coefficient mass over 100 triples = {worst!r}, time={dt:.1f}s")
+    _report("C12 evenness preservation", odd == 0 and dt < 30.0,
+            f"results with an odd-degree word over 100 triples = {odd}, time={dt:.1f}s")
 
 
 def test_c13_transport_1d_cross_check():

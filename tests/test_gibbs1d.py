@@ -117,6 +117,10 @@ def test_hilbert_residual_small_for_solutions(quartic_solution):
     sol2 = G.free_gibbs_measure(G.EvenPotential([0.5]))
     assert G.hilbert_residual(sol2) < 1e-4
     assert G.hilbert_residual(quartic_solution) < 1e-4
+    # 1e-250 x^2 has radius 1.4e125, where the local cubic's unscaled products
+    # overflow; its residual is relative to u'(r) = 1.4e-125
+    tiny = G.free_gibbs_measure(G.EvenPotential([1e-250]))
+    assert G.hilbert_residual(tiny) < 1e-4 * float(tiny.potential.deriv(tiny.radius))
 
 
 def test_hilbert_residual_detects_wrong_density(semicircle):

@@ -155,6 +155,14 @@ def test_pushforward_keeps_an_input_atom_outside_every_flat_run():
     assert last == (2.0, 0.5)
     assert abs(x0 - 0.25) <= 1e-9 and abs(w0 - 0.125) <= 1e-9
     assert abs(M.moment(mu, 0) - 1.0) <= 1e-12
+    # an atom of mass 1e-4 fills no table cell, so it makes no flat run of its
+    # own and keeps its image exactly; the run on [-1, -0.5] has the mass up
+    # to its bisected end, within 1e-11 of the CDF at -0.5
+    x = np.linspace(-1.0, 1.0, 301)
+    m = M.GridMeasure.from_density(x, 1 + x ** 2, atoms=[(0.3031, 1e-4)], normalize=True)
+    (x0, w0), atom = M.pushforward_monotone(m, lambda t: np.maximum(t, -0.5)).atoms
+    assert atom == (0.3031, 1e-4)
+    assert x0 == -0.5 and abs(w0 - m.cdf(-0.5)) <= 1e-11
 
 
 def test_hilbert_rejects_atoms():
@@ -313,6 +321,10 @@ def test_table_only_measure_reads_its_block_model_everywhere():
     assert m.cdf(math.inf) == 1.0
     with pytest.raises(InvalidInputError):
         M.hilbert_transform(m, 0.9)
+    # its image is f of the table, alone, with the run's atom at f(0.5)
+    mu = M.pushforward_monotone(m, lambda x: x ** 3)
+    assert mu.nodes is None and np.array_equal(mu._edges, np.maximum.accumulate(m._edges ** 3))
+    assert mu.atoms == [(0.125, 0.5)]
 
 
 def test_translate_keeps_the_quantile_table_primary(semicircle):
