@@ -302,9 +302,10 @@ class GibbsSolution(jsonio.JSONWriter):
     """The law of ``potential`` at radius ``radius``: the Fourier coefficients
     ``fourier`` and theta-Gauss rule of one ``_one_cut`` call, which tests the
     regime, its Schwinger-Dyson number and its measure on the Chebyshev nodes of
-    [-r, r].  InvalidInputError when the radius is not finite and positive, or
-    overflows any of them; RegimeError as ``_one_cut``.  The caller judges the
-    radius condition r*a_1 = -2."""
+    [-r, r].  InvalidInputError when the radius is not finite and positive,
+    overflows any of them, or gives no valid measure (at a tiny radius the
+    nodes collapse or the mass underflows); RegimeError as ``_one_cut``.  The
+    caller judges the radius condition r*a_1 = -2."""
 
     def __init__(self, potential, radius):
         self.potential = potential
@@ -321,6 +322,10 @@ class GibbsSolution(jsonio.JSONWriter):
                 self.measure = GridMeasure.from_density(nodes, dens, normalize=True)
         except FloatingPointError:
             raise InvalidInputError(f"radius {r!r} overflows the law of {potential}") from None
+        except InvalidInputError as exc:
+            # at a tiny radius the nodes collapse or the mass underflows to 0
+            raise InvalidInputError(
+                f"radius {r!r} gives no measure for the law of {potential}: {exc}") from None
         # a solve adds its residual and timing; all kept out of to_dict
         self.diagnostics = {"min_density": float(dens.min())}
 

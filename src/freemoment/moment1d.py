@@ -164,11 +164,12 @@ def minimize_F(problem):
 
     The iteration stops when that residual is at most problem.tol, when no
     step decreases F, or after MAX_ITERS steps; the result is converged when
-    the residual is at most GRAD_TOL.  The solution's ``diagnostics`` hold
-    the core keys ``iterations``, ``residual``, ``converged`` and ``seconds``, and per
-    step the ``objective`` and ``residuals`` (both starting at the initial
-    iterate), the squared Newton decrements grad^T (H + 11^T/m)^-1 grad,
-    the line-search ``backtracks`` and the accepted ``step_lengths``.
+    the residual is at most problem.tol or GRAD_TOL, whichever is larger.
+    The solution's ``diagnostics`` hold the core keys ``iterations``,
+    ``residual``, ``converged`` and ``seconds``, and per step the
+    ``objective`` and ``residuals`` (both starting at the initial iterate),
+    the squared Newton decrements grad^T (H + 11^T/m)^-1 grad, the
+    line-search ``backtracks`` and the accepted ``step_lengths``.
     """
     # the only SciPy user: imported here, so that importing freemoment does not load SciPy
     from scipy import linalg
@@ -230,7 +231,7 @@ def minimize_F(problem):
         diagnostics["decrements"].append(decrement)
         diagnostics["backtracks"].append(backtracks)
         diagnostics["step_lengths"].append(t)
-    converged = residual <= GRAD_TOL
+    converged = residual <= max(problem.tol, GRAD_TOL)
     diagnostics.update(iterations=it, residual=residual, converged=converged,
                        seconds=time.perf_counter() - t_start)
 

@@ -6,9 +6,11 @@ Computes the trace of the free Gibbs law with potential
     tau(x_i w) = (tau (x) tau)(d_i w) - tau(w * D_i W),
 
 over canonical cyclic words (indexed by base-n integer codes) up to a degree
-cap, by damped Jacobi sweeps of the whole moment vector from the free
-semicircular family, clamped to the cutoff ball |tau(w)| <= T^|w|.  Equations
-that would reference moments above the cap drop those terms.
+cap, by Jacobi sweeps of the whole moment vector from the free semicircular
+family, clamped to the cutoff ball |tau(w)| <= T^|w|.  The sweeps apply the
+recursion itself, a contraction of that ball in the perturbative regime, and
+are damped only from the first sweep that fails to contract.  Equations that
+would reference moments above the cap drop those terms.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .ncseries import (_code, _digits, _positions, _ranks, _series, _split, _wor
 
 # the radius T of the bounded-moment ball |tau(w)| <= T^|w|
 CUTOFF = 3.0
-# sweep budget, Jacobi damping and step tolerance of solve_sd
+# sweep budget of solve_sd; the damping its sweeps switch to once one fails
+# to contract; the tolerance on the weighted equation residual
 MAX_SWEEPS = 2000
 DAMPING = 0.5
 SD_TOL = 1e-12
@@ -272,13 +275,17 @@ def _build_structure(n, cap, even_overall, flips, terms):
 def solve_sd(W, degree_cap, init=None, support_hint=None):
     """Solve the bounded Schwinger-Dyson equation for potential (1/2)|X|^2 + W.
 
-    Damped Jacobi sweeps: each sweep evaluates the right-hand side of every
-    word's equation from the current vector at once, starting from the free
-    semicircular family (exact for W = 0) or from ``init``, until a step is
-    below SD_TOL in the CUTOFF-weighted sup norm.  Raises ConvergenceError
-    when MAX_SWEEPS sweeps do not get there or the cutoff clamp is active on
-    the last sweep.  The returned table carries a ``diagnostics`` dict, whose
-    ``residual`` is the last sweep's step, not the equation residual.
+    Jacobi sweeps: each sweep evaluates the right-hand side of every word's
+    equation from the current vector at once, starting from the free
+    semicircular family (exact for W = 0) or from ``init``.  A sweep moves
+    the vector to that right-hand side, until a sweep's step is not smaller
+    than the previous one's; from then on it moves by DAMPING of the way.
+    The step divided by the damping is the equation residual of the sweep's
+    input, and the sweeps stop when it is below SD_TOL, both in the
+    CUTOFF-weighted sup norm.  Raises ConvergenceError when MAX_SWEEPS sweeps
+    do not get there or the cutoff clamp is active on the last sweep.  The
+    returned table, the last sweep's output, carries a ``diagnostics`` dict:
+    ``residual`` is that last residual and ``damping`` the damping in force.
 
     ``support_hint``: a series whose words are treated as present in W with
     zero coefficient, so repeated solves over a family of potentials with
@@ -317,18 +324,24 @@ def solve_sd(W, degree_cap, init=None, support_hint=None):
     # convergence is measured in the cutoff-weighted sup norm, the metric of
     # the bounded-moment space |tau(w)| <= T^|w|
     caps = CUTOFF ** st.lengths
+    damping, last = 1.0, np.inf
     for sweeps in range(1, MAX_SWEEPS + 1):
         rhs = np.bincount(st.pair_rows, vals[st.pair_left] * vals[st.pair_right],
                           minlength=len(vals))
         rhs -= np.bincount(st.coup_rows, coup_coeffs * vals[st.coup_targets],
                            minlength=len(vals))
-        new = (1.0 - DAMPING) * vals + DAMPING * rhs
+        new = rhs if damping == 1.0 else (1.0 - damping) * vals + damping * rhs
         new[0] = 1.0
         clamped = np.minimum(np.maximum(new, -caps), caps)
         delta = float((np.abs(clamped - vals) / caps).max())
         vals = clamped
-        if delta < SD_TOL:
+        # delta / damping is the equation residual of the sweep's input
+        if delta < SD_TOL * damping:
             break
+        # undamped until a sweep fails to contract
+        if delta >= last:
+            damping = DAMPING
+        last = delta
     else:
         raise ConvergenceError("Schwinger-Dyson sweeps did not converge")
     if (clamped != new).any():
@@ -337,8 +350,9 @@ def solve_sd(W, degree_cap, init=None, support_hint=None):
     # killed classes (row -1) read the appended 0
     flat = np.append(vals, 0.0)[st.index]
     table = TraceTable(n, degree_cap, [flat[a:b] for a, b in zip(st.bounds, st.bounds[1:])])
-    table.diagnostics = {"iterations": sweeps, "residual": delta, "converged": True,
-                         "structure_cache": cache, "seconds": time.perf_counter() - t0}
+    table.diagnostics = {"iterations": sweeps, "residual": delta / damping, "damping": damping,
+                         "converged": True, "structure_cache": cache,
+                         "seconds": time.perf_counter() - t0}
     return table
 
 

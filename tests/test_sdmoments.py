@@ -87,7 +87,8 @@ def test_residual_solved_table_is_small():
     assert sd.sd_residual(tab, W, 12) < 1e-6
     assert sd.sd_residual(tab, W, 16) < 1e-5
     diag = tab.diagnostics
-    assert set(diag) == {"iterations", "residual", "converged", "structure_cache", "seconds"}
+    assert set(diag) == {"iterations", "residual", "damping", "converged", "structure_cache",
+                         "seconds"}
     assert diag["converged"] and diag["residual"] < 1e-12
     assert diag["structure_cache"] in ("hit", "miss")
 
@@ -285,25 +286,38 @@ def test_build_structure_matches_per_word_loop(n, cap, terms):
     assert coups == coupling_lists
 
 
-def _reference_gauss_seidel(W, cap, cutoff=3.0, tol=1e-12, damping=0.5):
-    """Damped Gauss-Seidel sweeps in increasing degree over the oracle structure."""
+def _reference_equations(W, cap):
+    """The oracle's words, the splits of each, and the right-hand side of
+    word k's equation at a vector."""
     grads = [cyclic_gradient(W, i) for i in range(W.n_vars)]
     words, pair_lists, coupling_lists = _reference_structure(
         W.n_vars, cap, W.is_even(), sd._variable_parities(W), _gradient_terms(W))
+
+    def rhs(vals, k):
+        split = sum(vals[a] * vals[b] for a, b in pair_lists[k])
+        return split - sum(grads[i].terms[gw] * vals[j] for i, gw, j in coupling_lists[k])
+    return words, pair_lists, rhs
+
+
+def _reference_gauss_seidel(words, pair_lists, rhs, cutoff=3.0, tol=1e-12, damping=0.5):
+    """Damped Gauss-Seidel sweeps in increasing degree over the oracle structure."""
     vals = [1.0] + [0.0] * (len(words) - 1)
     for k in range(1, len(words)):
         vals[k] = sum(vals[a] * vals[b] for a, b in pair_lists[k])
     for _ in range(2000):
         delta = 0.0
         for k in range(1, len(words)):
-            rhs = sum(vals[a] * vals[b] for a, b in pair_lists[k])
-            rhs -= sum(grads[i].terms[gw] * vals[j] for i, gw, j in coupling_lists[k])
-            new = (1.0 - damping) * vals[k] + damping * rhs
+            new = (1.0 - damping) * vals[k] + damping * rhs(vals, k)
             delta = max(delta, abs(new - vals[k]) / cutoff ** len(words[k]))
             vals[k] = new
         if delta < tol:
             return dict(zip(words[1:], vals[1:]))
     raise AssertionError("reference sweeps did not converge")
+
+
+# the undamped sweeps of 0.05 x^4 at cap 40 stop contracting, so that solve
+# ends damped; the other two contract throughout
+FINAL_DAMPING = {(1, 40): 0.5, (2, 14): 1.0, (2, 12): 1.0}
 
 
 @pytest.mark.parametrize("n,cap,terms", [
@@ -314,7 +328,8 @@ def _reference_gauss_seidel(W, cap, cutoff=3.0, tol=1e-12, damping=0.5):
 def test_solve_sd_matches_gauss_seidel_reference(n, cap, terms):
     W = NCSeries(n, 4, terms)
     tab = sd.solve_sd(W, cap)
-    ref = _reference_gauss_seidel(W, cap)
+    words, pair_lists, rhs = _reference_equations(W, cap)
+    ref = _reference_gauss_seidel(words, pair_lists, rhs)
     # the reference's words laid out as class arrays, killed classes at 0
     ref_values = [np.zeros(len(sd._enumerate_canonical(n, length))) for length in range(cap + 1)]
     ref_values[0][0] = 1.0
@@ -325,6 +340,13 @@ def test_solve_sd_matches_gauss_seidel_reference(n, cap, terms):
     assert all((tab.values[length][k] == 0.0).all() for length, k in enumerate(killed))
     assert max(float(np.abs(a - b).max()) / 3.0 ** length
                for length, (a, b) in enumerate(zip(tab.values, ref_values))) <= 1e-11
+    # the residual is the weighted move of one undamped sweep from the last
+    # sweep's input; from the returned table, its output, one moves no further
+    diag = tab.diagnostics
+    assert diag["damping"] == FINAL_DAMPING[n, cap]
+    vals = [tab.value(w) for w in words]
+    move = max(abs(rhs(vals, k) - vals[k]) / 3.0 ** len(words[k]) for k in range(1, len(words)))
+    assert move <= diag["residual"]
 
 
 @pytest.mark.parametrize("n,cap,terms,extra", [

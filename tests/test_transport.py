@@ -682,6 +682,14 @@ def test_c13_solution_is_exact_at_degree_10():
     assert T.verify_transport(sol, W, 10)["max_moment_deviation"] <= 1e-12
 
 
+def test_c13_v_law_at_cap_44_contracts_undamped():
+    # the law of Y that the C13 check solves; damped sweeps took 90
+    W = NCSeries(1, 10, {(0, 0, 0, 0): 0.05})
+    V = T.solve_V(T.TransportProblem(W, 10)).V
+    diagnostics = sd.solve_sd(V.truncate(44), 44).diagnostics
+    assert diagnostics["iterations"] <= 50 and diagnostics["damping"] == 1.0
+
+
 def test_one_variable_solve_takes_no_picard_step_or_particles(monkeypatch):
     # n = 1, and each variable of a separable W, runs the closed-form Newton
     # in both regimes
