@@ -330,7 +330,7 @@ def solve_sd(W, degree_cap, init=None, support_hint=None):
                           minlength=len(vals))
         rhs -= np.bincount(st.coup_rows, coup_coeffs * vals[st.coup_targets],
                            minlength=len(vals))
-        new = rhs if damping == 1.0 else (1.0 - damping) * vals + damping * rhs
+        new = (1.0 - damping) * vals + damping * rhs
         new[0] = 1.0
         clamped = np.minimum(np.maximum(new, -caps), caps)
         delta = float((np.abs(clamped - vals) / caps).max())
