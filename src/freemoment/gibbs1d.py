@@ -163,10 +163,6 @@ class EvenPotential:
     def deriv(self, x):
         return _even_deriv(self.even_coeffs, x)
 
-    def scaled(self, c):
-        """The potential x -> u(c x)."""
-        return EvenPotential([ck * c ** (2 * k) for k, ck in enumerate(self.even_coeffs, start=1)])
-
     def __repr__(self):
         return f"EvenPotential({list(self.even_coeffs)})"
 

@@ -471,9 +471,11 @@ def pushforward_monotone(m, f):
 
     flat_tol = 1e-12 * fscale
     tol = 1e-13 * scale
+    # the cells that collapse at a heavy input atom share one midpoint, where f need not be flat
     mids = 0.5 * (m._edges[:-1] + m._edges[1:])
+    mids = mids[np.diff(mids, prepend=-np.inf) != 0.0]
     fmids = np.asarray(f(mids), dtype=float)
-    # maximal runs of cells j0..j1 whose consecutive images agree within flat_tol
+    # maximal runs of midpoints j0..j1 whose consecutive images agree within flat_tol
     flat = np.concatenate([[False], np.abs(np.diff(fmids)) <= flat_tol, [False]])
     step = np.diff(flat.astype(np.int8))
     runs = zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))

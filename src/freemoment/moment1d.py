@@ -95,15 +95,16 @@ def functional_F(rho, mu):
     return energy + measure1d.max_correlation(rho, mu)
 
 
-def particle_objective(q, y):
+def particle_objective(q, y, diffs=None):
     """Discrete F on separated, sorted particle positions q against target quantiles y.
 
     The pair energy is the U-statistic -2/(m(m-1)) sum_{i<j} log|q_i - q_j|;
-    the correlation is mean(q * y).
+    the correlation is mean(q * y).  diffs, an m x m buffer, receives the
+    table q_i - q_j that particle_gradient reads.
     """
     m = q.size
-    logs = np.subtract.outer(q, q)
-    np.abs(logs, out=logs)
+    diffs = np.subtract.outer(q, q, out=diffs)
+    logs = np.abs(diffs)
     np.fill_diagonal(logs, 1.0)
     np.log(logs, out=logs)
     energy = -1.0 / (m * (m - 1)) * float(np.sum(logs))
@@ -111,30 +112,28 @@ def particle_objective(q, y):
     return energy + corr
 
 
-def particle_gradient(q, y):
-    """Analytic gradient of the discrete F at separated positions q."""
+def particle_gradient(q, y, diffs=None):
+    """Analytic gradient of the discrete F at separated positions q.  diffs,
+    the table q_i - q_j that particle_objective left, if given, is turned
+    into 1/(q_i - q_j) in place."""
     m = q.size
-    diffs = np.subtract.outer(q, q)
+    diffs = np.subtract.outer(q, q) if diffs is None else diffs
     np.fill_diagonal(diffs, np.inf)
     np.reciprocal(diffs, out=diffs)
     return -2.0 / (m * (m - 1)) * np.sum(diffs, axis=1) + y / m
 
 
-def particle_hessian(q, out=None):
-    """Hessian of the discrete F at separated positions q, written into out.
-
-    It is the weighted graph Laplacian H_ij = -w/(q_i - q_j)^2,
-    H_ii = w sum_{j != i} 1/(q_i - q_j)^2 with w = 2/(m(m-1)): positive
-    semidefinite, with translation as its only null direction.
-    """
-    m = q.size
-    out = np.subtract.outer(q, q, out=out)
-    np.fill_diagonal(out, np.inf)
-    np.reciprocal(out, out=out)
-    np.square(out, out=out)
-    out *= -2.0 / (m * (m - 1))
-    np.fill_diagonal(out, -np.sum(out, axis=1))
-    return out
+def particle_hessian(recips):
+    """Hessian of the discrete F pinned by 11^T/m, written over the table recips
+    of 1/(q_i - q_j) that particle_gradient leaves.  The Hessian is the weighted
+    graph Laplacian H_ij = -w/(q_i - q_j)^2, H_ii = w sum_{j != i} 1/(q_i - q_j)^2
+    with w = 2/(m(m-1)): positive semidefinite, null on translations only."""
+    m = recips.shape[0]
+    np.square(recips, out=recips)
+    recips *= -2.0 / (m * (m - 1))
+    np.fill_diagonal(recips, -np.sum(recips, axis=1))
+    recips += 1.0 / m
+    return recips
 
 
 # Newton steps of a solve, and halvings of a step before the line search
@@ -151,9 +150,11 @@ GRAD_TOL = 1e-6
 def minimize_F(problem):
     """Damped Newton descent for the centered minimizer of the discrete F.
 
-    Each step solves (H + 11^T/m) d = -grad by a Cholesky factorization, with
-    H = particle_hessian(q): the rank-one term pins the translation null
-    direction, so d stays centered with the gradient.  An Armijo line search
+    Each step solves (H + 11^T/m) d = -grad by a Cholesky factorization of
+    particle_hessian: the rank-one term pins the translation null direction,
+    so d stays centered with the gradient.  One m x m buffer holds, in turn,
+    a trial's table of q_i - q_j, its reciprocals once the trial is accepted,
+    the pinned Hessian and its Cholesky factor.  An Armijo line search
     on particle_objective halves the step until F decreases enough, and
     rejects any trial whose particles are not separated by more than the
     floor eps_sep.  Close to the minimizer, where the decrease a full step
@@ -190,15 +191,14 @@ def minimize_F(problem):
 
     w = 2.0 / (m * (m - 1))
     hess = np.empty((m, m))
-    fval = particle_objective(q, y)
-    grad = particle_gradient(q, y)
+    fval = particle_objective(q, y, hess)
+    grad = particle_gradient(q, y, hess)
     residual = m * float(np.max(np.abs(grad)))
     diagnostics = {"objective": [fval], "residuals": [residual], "decrements": [],
                    "backtracks": [], "step_lengths": []}
     it = 0
     while residual > problem.tol and it < MAX_ITERS:
-        particle_hessian(q, out=hess)
-        hess += 1.0 / m
+        particle_hessian(hess)
         # hess is symmetric, so its transpose is the same matrix in the
         # Fortran order LAPACK factors in place
         factor = linalg.cho_factor(hess.T, overwrite_a=True, check_finite=False)
@@ -214,13 +214,13 @@ def minimize_F(problem):
         for backtracks in range(MAX_BACKTRACKS):
             q_new = q + t * step
             if np.min(np.diff(q_new)) > eps_sep:
-                f_new = particle_objective(q_new, y)
+                f_new = particle_objective(q_new, y, hess)
                 if quadratic or f_new <= fval - 1e-4 * t * decrement:
                     break
             t *= 0.5
         else:
             break  # no step decreases F
-        grad_new = particle_gradient(q_new, y)
+        grad_new = particle_gradient(q_new, y, hess)
         residual_new = m * float(np.max(np.abs(grad_new)))
         if quadratic and residual_new >= residual:
             break  # the residual is at its round-off floor

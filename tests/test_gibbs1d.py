@@ -39,8 +39,7 @@ def test_solve_radius_quadratic_and_quartic():
 
 def test_solve_radius_scaling():
     c = 2.0
-    u = G.EvenPotential([0.0, 0.25])
-    scaled = u.scaled(1.0 / c)  # u(x/c)
+    scaled = G.EvenPotential([0.0, 0.25 / c ** 4])  # u(x/c) for u(x) = x^4/4
     assert abs(G.solve_radius(scaled) - c * QUARTIC_RADIUS) < 1e-9
 
 
@@ -107,7 +106,7 @@ def test_scaling_covariance():
     u = G.EvenPotential([0.0, 0.25])
     base = G.free_gibbs_measure(u)
     for c in (0.5, 2.0):
-        scaled = G.free_gibbs_measure(u.scaled(c))
+        scaled = G.free_gibbs_measure(G.EvenPotential([0.0, 0.25 * c ** 4]))  # u(c x)
         xs = np.linspace(-0.9 * base.radius / c, 0.9 * base.radius / c, 41)
         assert abs(scaled.radius - base.radius / c) < 1e-9
         assert np.max(np.abs(scaled.density(xs) - c * base.density(c * xs))) < 1e-8

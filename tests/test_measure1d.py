@@ -163,6 +163,15 @@ def test_pushforward_keeps_an_input_atom_outside_every_flat_run():
     (x0, w0), atom = M.pushforward_monotone(m, lambda t: np.maximum(t, -0.5)).atoms
     assert atom == (0.3031, 1e-4)
     assert x0 == -0.5 and abs(w0 - m.cdf(-0.5)) <= 1e-11
+    # an atom of mass 0.2 fills table cells, which collapse to one point; f is
+    # flat on no interval around it, so no flat run takes the atom and it keeps
+    # its mass exactly
+    m = M.GridMeasure.from_density(x, 1 + x ** 2, atoms=[(0.3031, 0.2)], normalize=True)
+    ((xa, wa),) = M.pushforward_monotone(m, lambda t: t ** 3).atoms
+    assert wa == 0.2 and abs(xa - 0.3031 ** 3) <= 1e-16
+    (x0, w0), atom = M.pushforward_monotone(m, lambda t: np.maximum(t, -0.5)).atoms
+    assert atom == (0.3031, 0.2)
+    assert x0 == -0.5 and abs(w0 - m.cdf(-0.5)) <= 1e-11
 
 
 def test_hilbert_rejects_atoms():

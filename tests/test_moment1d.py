@@ -146,7 +146,9 @@ def test_hessian_matches_finite_differences():
         q = np.sort(rng.uniform(-2.0, 2.0, size=32))
         q += np.linspace(0.0, 2e-3, 32)
         y = np.sort(rng.standard_normal(32))
-        hess = mo.particle_hessian(q)
+        table = np.subtract.outer(q, q)
+        mo.particle_gradient(q, y, table)
+        hess = mo.particle_hessian(table) - 1.0 / 32  # the pin 11^T/m taken off
         h = 1e-6
         for k in range(32):
             qp, qm = q.copy(), q.copy()
@@ -158,6 +160,87 @@ def test_hessian_matches_finite_differences():
     assert worst < 1e-5
     # a weighted graph Laplacian: symmetric, zero row sums
     assert np.allclose(hess, hess.T) and np.max(np.abs(hess.sum(axis=1))) < 1e-9
+
+
+def _fresh_tables(q, y):
+    """F, its gradient and its Hessian pinned by 11^T/m, each from a table of
+    q_i - q_j of its own."""
+    m = q.size
+    logs = np.abs(np.subtract.outer(q, q))
+    np.fill_diagonal(logs, 1.0)
+    fval = -1.0 / (m * (m - 1)) * float(np.sum(np.log(logs))) + float(np.mean(q * y))
+    diffs = np.subtract.outer(q, q)
+    np.fill_diagonal(diffs, np.inf)
+    recips = 1.0 / diffs
+    grad = -2.0 / (m * (m - 1)) * np.sum(recips, axis=1) + y / m
+    hess = -2.0 / (m * (m - 1)) * recips ** 2
+    np.fill_diagonal(hess, -np.sum(hess, axis=1))
+    return fval, grad, hess + 1.0 / m
+
+
+def test_shared_table_matches_fresh_tables():
+    rng = np.random.default_rng(31)
+    q = np.sort(rng.uniform(-2.0, 2.0, size=64)) + np.linspace(0.0, 1e-3, 64)
+    y = np.sort(rng.standard_normal(64))
+    fval, grad, hess = _fresh_tables(q, y)
+    table = np.empty((64, 64))
+    assert mo.particle_objective(q, y, table) == fval
+    assert np.array_equal(table, np.subtract.outer(q, q))
+    assert np.array_equal(mo.particle_gradient(q, y, table), grad)
+    assert mo.particle_hessian(table) is table and np.array_equal(table, hess)
+
+
+def test_newton_trials_share_one_table(monkeypatch):
+    # two_point:1 at m = 512 backtracks twice on its first step: the gradient
+    # must then read the accepted trial's table, which the rejected ones wrote
+    # over before it
+    objective, gradient, hessian = mo.particle_objective, mo.particle_gradient, mo.particle_hessian
+    accepted = []
+
+    def checked_objective(q, y, diffs):
+        fval = objective(q, y, diffs)
+        assert fval == _fresh_tables(q, y)[0]
+        return fval
+
+    def checked_gradient(q, y, diffs=None):
+        if diffs is None:  # the solution's residual report
+            return gradient(q, y)
+        assert np.array_equal(diffs, np.subtract.outer(q, q))
+        accepted.append((q, y))
+        grad = gradient(q, y, diffs)
+        assert np.array_equal(grad, _fresh_tables(q, y)[1])
+        return grad
+
+    def checked_hessian(recips):
+        hess = hessian(recips)
+        assert np.array_equal(hess, _fresh_tables(*accepted[-1])[2])
+        return hess
+
+    monkeypatch.setattr(mo, "particle_objective", checked_objective)
+    monkeypatch.setattr(mo, "particle_gradient", checked_gradient)
+    monkeypatch.setattr(mo, "particle_hessian", checked_hessian)
+    sol = mo.minimize_F(mo.MomentProblem(mo.builtin_target("two_point:1"), n_particles=512))
+    assert sol.converged and sol.diagnostics["backtracks"][0] == 2
+    # a rejected trial computes no gradient: one at the start, one per
+    # accepted step, and one for a last step that no longer lowers the residual
+    assert sol.iterations + 1 <= len(accepted) <= sol.iterations + 2
+
+
+def test_minimize_F_holds_at_most_two_tables():
+    # the trial's table, its reciprocals, the pinned Hessian and its factor
+    # share one m x m buffer; the objective's log table is the only other one
+    import tracemalloc
+
+    m = 512
+    prob = mo.MomentProblem(mo.builtin_target("two_point:1"), n_particles=m)
+    mo.minimize_F(prob)  # SciPy is imported outside the trace
+    tracemalloc.start()
+    try:
+        mo.minimize_F(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * m * m * 8 + 2 ** 19
 
 
 @pytest.mark.parametrize("target,m", [("semicircle", 256), ("quartic_pushforward", 384),
