@@ -255,11 +255,12 @@ def _one_cut(coeffs, r=None):
     return (a, *_theta_rule(a, r))
 
 
-def _moment_map(coeffs, jac=False):
+def _moment_map(coeffs):
     """The moments m_k of U'(y) under the one-cut law of U = sum_k c_2k y^2k,
     at the even degrees 2k <= 2 len(coeffs), from raw c_2, c_4, ...: the
-    moment-measure map of Cordero-Erausquin-Klartag.  With ``jac``, also its
-    exact derivative dm_k/dc_2j, from the same law and so with the same moments.
+    moment-measure map of Cordero-Erausquin-Klartag.  Returns the moments and
+    ``jacobian``, which builds their exact derivative dm_k/dc_2j from the same
+    law: its radius, weights and powers of U', with no second law solved.
 
     Moving c_2j moves U' on the boundary circle y = -r cos t by the odd
     polynomial 2j y^(2j-1) + dr_j y U''(y) / r, the second term through the
@@ -278,20 +279,21 @@ def _moment_map(coeffs, jac=False):
     scale = 2 * k * r ** (2 * k - 1)
     f = scale * coeffs @ odd
     even = np.cumprod(np.broadcast_to(f * f, (len(k), f.size)), axis=0)
-    moments = even @ weights
-    if not jac:
-        return moments
-    z = r * r / 4
-    # pk = dP/dc_2k, and P'(z) = sum_k k pk c_2k / z
-    pk = k * np.array([math.comb(2 * j, j) for j in k.tolist()], dtype=float) * z ** k
-    dr = -2.0 / r * pk / (k * pk * coeffs).sum() * z
-    # column j: that polynomial's coefficients, y U''(y) being the derivative
-    # of sum_k (2k - 1) c_2k y^2k, scaled as in _one_cut
-    moved = scale[:, None] * (np.eye(len(coeffs)) + np.outer((2 * k - 1) * coeffs / r, dr))
-    dweights = _theta_rule(moved.T @ means, r)[1] + weights * (dr / r)[:, None]
-    # d f^2k = 2k f^(2k-1) df
-    odd_f = 2 * k[:, None] * f * np.vstack((np.ones_like(f), even[:-1]))
-    return moments, even @ dweights.T + (odd_f * weights) @ (moved.T @ odd).T
+
+    def jacobian():
+        z = r * r / 4
+        # pk = dP/dc_2k, and P'(z) = sum_k k pk c_2k / z
+        pk = k * np.array([math.comb(2 * j, j) for j in k.tolist()], dtype=float) * z ** k
+        dr = -2.0 / r * pk / (k * pk * coeffs).sum() * z
+        # column j: that polynomial's coefficients, y U''(y) being the derivative
+        # of sum_k (2k - 1) c_2k y^2k, scaled as in _one_cut
+        moved = scale[:, None] * (np.eye(len(coeffs)) + np.outer((2 * k - 1) * coeffs / r, dr))
+        dweights = _theta_rule(moved.T @ means, r)[1] + weights * (dr / r)[:, None]
+        # d f^2k = 2k f^(2k-1) df
+        odd_f = 2 * k[:, None] * f * np.vstack((np.ones_like(f), even[:-1]))
+        return even @ dweights.T + (odd_f * weights) @ (moved.T @ odd).T
+
+    return even @ weights, jacobian
 
 
 class GibbsSolution(jsonio.JSONWriter):

@@ -505,7 +505,8 @@ def pushforward_monotone(m, f):
     xs, rho = m.nodes[keep], m.density[keep]
     ys = np.asarray(f(xs), dtype=float)
     fpv = _fprime(f, xs, scale)
-    dens = np.divide(rho, fpv, out=np.zeros_like(fpv), where=fpv > 1e-300)
+    # a node where f is flat within the runs' tolerance gets density 0
+    dens = np.divide(rho, fpv, out=np.zeros_like(fpv), where=fpv > flat_tol / scale)
     for x, k in ((seg_lo, 0), (seg_hi, -1)):
         if xs.size and math.isfinite(x):
             # the run's end x pushed, with the density giving the cell beside it the mass of
@@ -710,20 +711,10 @@ def wasserstein2_sq(m1, m2):
 
 
 def max_correlation(m1, m2):
-    """Maximal correlation T = integral of Q1(s) Q2(s) ds.
-
-    The defining identity T = (M2(m1) + M2(m2) - W2^2)/2 is checked on the
-    same quantile model before returning.
-    """
+    """Maximal correlation T = integral of Q1(s) Q2(s) ds, on the quantile
+    model of ``wasserstein2_sq``, so that T = (M2(m1) + M2(m2) - W2^2)/2."""
     s, q1, q2 = _pair_grid(m1, m2)
-    t = _simpson_pl(q1, q2, s)
-    m2a = _simpson_pl(q1, q1, s)
-    m2b = _simpson_pl(q2, q2, s)
-    w2 = _simpson_pl(q1 - q2, q1 - q2, s)
-    ident = 0.5 * m2a + 0.5 * m2b - 0.5 * w2
-    if abs(t - ident) > 1e-8 * max(1.0, abs(t)):
-        raise InvalidInputError("maximal-correlation identity violated")
-    return t
+    return _simpson_pl(q1, q2, s)
 
 
 def displacement_interpolate(m0, m1, t):

@@ -6,7 +6,7 @@ free Gibbs law of (1/2)|X|^2 + W.  In the guaranteed regime the paper gets V
 as the fixed point of a contraction, the cyclic symmetrized Picard map on
 Vtilde; ``picard_map`` and ``lipschitz_bound`` keep that map and its
 constant.  ``solve_V`` solves the transport condition itself, with one chord
-Newton (``_newton``) for every W, each caller supplying its Jacobian.  The
+Newton (``_newton``) for every W, each evaluation carrying its Jacobian.  The
 diagonal part of W, its words x_i^L, decouples into one-variable problems,
 closed form on the one-cut law of ``gibbs1d``: moments and exact Jacobian
 from one law, stages short of degree D stopped at sqrt(tol).  Their solution
@@ -220,36 +220,38 @@ def _symmetric_basis(W, degree):
     return classes, np.concatenate(ranks), np.concatenate(owners)
 
 
-def _newton(residual, jacobian, c, tol, max_steps):
-    """Chord Newton on residual(c) = 0, until the max residual is at most tol.
+def _newton(evaluate, c, tol, max_steps):
+    """Chord Newton on r(c) = 0, until the max residual is at most tol.
 
-    ``jacobian(c, r)`` gives the Jacobian at c, where the residual is r, or
-    None where it cannot.  The Jacobian is kept while its least-squares step,
-    halved up to 8 times, lowers the max residual.  When a step fails the
-    Jacobian is rebuilt once; the solve stops when a fresh Jacobian fails too
-    or cannot be built, or after ``max_steps`` accepted steps.  ``residual``
-    returns None where it cannot be evaluated.  Returns the last c, its
-    residual (None when the start has none) and the number of accepted steps.
+    ``evaluate(c)`` returns None where the residual cannot be evaluated, or
+    (r, jacobian), where ``jacobian()`` builds the Jacobian at c from that
+    same evaluation, or gives None where it cannot.  The Jacobian is kept
+    while its least-squares step, halved up to 8 times, lowers the max
+    residual.  When a step fails the Jacobian is rebuilt once, at the current
+    c; the solve stops when a fresh Jacobian fails too or cannot be built, or
+    after ``max_steps`` accepted steps.  Returns the last c, its residual
+    (None when the start has none) and the number of accepted steps.
     """
-    r = residual(c)
+    point = evaluate(c)
     steps, jac = 0, None
-    while r is not None and np.max(np.abs(r)) > tol and steps < max_steps:
+    while point is not None and np.max(np.abs(point[0])) > tol and steps < max_steps:
+        r, jacobian = point
         fresh = jac is None
         if fresh:
-            jac = jacobian(c, r)
+            jac = jacobian()
             if jac is None:
                 break
         step = np.linalg.lstsq(jac, r, rcond=None)[0]
         for scale in 0.5 ** np.arange(9):
-            r_new = residual(c - scale * step)
-            if r_new is not None and np.max(np.abs(r_new)) < np.max(np.abs(r)):
-                c, r, steps = c - scale * step, r_new, steps + 1
+            trial = evaluate(c - scale * step)
+            if trial is not None and np.max(np.abs(trial[0])) < np.max(np.abs(r)):
+                c, point, steps = c - scale * step, trial, steps + 1
                 break
         else:
             if fresh:
                 break
             jac = None
-    return c, r, steps
+    return c, None if point is None else point[0], steps
 
 
 def _refine_by_moment_matching(problem, start, t0):
@@ -262,10 +264,10 @@ def _refine_by_moment_matching(problem, start, t0):
     Only those words are traced (``sdmoments._trace_words``), to the same
     values ``pushforward_trace`` gives them.  Both laws are solved at the
     one cap ``problem.sd_cap``: a V-law truncated below its target's cap
-    leaves a residual floor that V is then fitted to.  The Jacobian is one-
-    sided differences with step 1e-4 |c_j| + 1e-9 from the residual in hand,
-    one Schwinger-Dyson solve per unknown: the mixed D = 4 test case takes 3
-    steps on one Jacobian of 4 columns.  Returns V and the
+    leaves a residual floor that V is then fitted to.  Each evaluation's
+    Jacobian is one-sided differences with step 1e-4 |c_j| + 1e-9 from its
+    own residual, one Schwinger-Dyson solve per unknown: the mixed D = 4 test
+    case takes 3 steps on one Jacobian of 4 columns.  Returns V and the
     diagnostics: the max residual, the accepted steps, the stop test and the
     stage timings, of which ``start`` runs from ``t0`` to the solved target.
     """
@@ -285,7 +287,7 @@ def _refine_by_moment_matching(problem, start, t0):
     def assemble(c):
         return _series(n, D, support, c[owner])
 
-    def residual(c):
+    def evaluate(c):
         V = assemble(c)
         try:
             tau_y = sdmoments.solve_sd(V.truncate(cap), cap, init=warm["tau"],
@@ -293,20 +295,22 @@ def _refine_by_moment_matching(problem, start, t0):
         except ConvergenceError:
             return None
         warm["tau"] = tau_y
-        return sdmoments._trace_words(tau_y, _transport_map(V, cap), words) - target_vals
+        r = sdmoments._trace_words(tau_y, _transport_map(V, cap), words) - target_vals
 
-    def jacobian(c, r):
-        # one-sided differences from the residual r at c
-        h = 1e-4 * np.abs(c) + 1e-9
-        cols = [residual(c + e) for e in np.diag(h)]
-        if any(f is None for f in cols):
-            return None
-        return np.column_stack([(f - r) / hj for f, hj in zip(cols, h)])
+        def jacobian():
+            # one-sided differences from r at c
+            h = 1e-4 * np.abs(c) + 1e-9
+            cols = [evaluate(c + e) for e in np.diag(h)]
+            if any(f is None for f in cols):
+                return None
+            return np.column_stack([(f[0] - r) / hj for f, hj in zip(cols, h)])
+
+        return r, jacobian
 
     # the start's words lie in the support, sorted like it
     c = np.zeros(len(target_vals))
     c[owner[np.searchsorted(support, start.ranks)]] = start.coeffs
-    c, r, steps = _newton(residual, jacobian, c, 10 * problem.tol, NEWTON_STEPS)
+    c, r, steps = _newton(evaluate, c, 10 * problem.tol, NEWTON_STEPS)
     if r is None:
         raise ConvergenceError("moment-matching refinement has no usable start")
     best = float(np.max(np.abs(r)))
@@ -340,28 +344,21 @@ def _solve_one_variable(w, degree, tol):
     (``_one_cut_law``) at every even degree <= D.  Newton from V = 0 diverges at
     D = 10, so stage D' = 2, 4, ..., D starts from the last with v_D' = 0 and
     runs ``_newton`` down to 1e-3 tol, below tol and short of round-off; a stage
-    D' < D only starts the next, so it stops at max(sqrt(tol), 1e-3 tol).  The
-    Jacobian is the exact derivative of ``gibbs1d._moment_map`` from the same
-    law: C13 (0.05 x^4, D = 10) takes 12 steps and 22 evaluations of the map.
-    A stage that leaves the one-cut regime or runs out of steps hands its last
-    iterate on.  Returns (v_2, ..., v_D) and the
+    D' < D only starts the next, so it stops at max(sqrt(tol), 1e-3 tol).  Each
+    evaluation is one ``gibbs1d._moment_map`` call, whose exact Jacobian reuses
+    its law: C13 (0.05 x^4, D = 10) takes 12 steps and 17 evaluations of the
+    map, one one-cut law each.  A stage that leaves the one-cut regime or runs
+    out of steps hands its last iterate on.  Returns (v_2, ..., v_D) and the
     diagnostics; ``converged`` means a final residual of at most tol.
     """
     t0 = time.perf_counter()
 
-    def moment_map(v, jac):
+    def evaluate(v):
         try:
-            return gibbs1d._moment_map(np.concatenate(([v[0] + 0.5], v[1:])), jac)
+            moments, jacobian = gibbs1d._moment_map(np.concatenate(([v[0] + 0.5], v[1:])))
         except RegimeError:
             return None  # U has no one-cut law
-
-    def residual(v):
-        moments = moment_map(v, False)
-        return None if moments is None else moments - target[:v.size]
-
-    def jacobian(v, r):
-        out = moment_map(v, True)
-        return None if out is None else out[1]
+        return moments - target[:v.size], jacobian
 
     u, y, weights = _one_cut_law(w, degree)
     target = np.array([weights @ y ** (2 * k) for k in range(1, len(u) + 1)])
@@ -370,7 +367,7 @@ def _solve_one_variable(w, degree, tol):
     for stage in range(1, degree // 2 + 1):
         # appending v_D' = 0 keeps U, whose residual was evaluated; D' < D starts D' + 2
         stop = 1e-3 * tol if stage == degree // 2 else max(np.sqrt(tol), 1e-3 * tol)
-        v, f, taken = _newton(residual, jacobian, np.append(v, 0.0), stop, NEWTON_STEPS)
+        v, f, taken = _newton(evaluate, np.append(v, 0.0), stop, NEWTON_STEPS)
         steps += taken
     t_end = time.perf_counter()
     worst = float(np.max(np.abs(f), initial=0.0))

@@ -116,6 +116,25 @@ def test_verify_rejects_coefficients_of_a_negative_density(tmp_path, capsys):
     assert "negative" in json.loads(stderr)["message"]
 
 
+def test_verify_of_a_transport_file_needs_its_series(tmp_path, capsys):
+    _write_transport_inputs(tmp_path)
+    t = tmp_path / "t.json"
+    assert run(["transport-nc", "--series", str(tmp_path / "w1.json"), "--degree", "4",
+                "--out", str(t)], capsys)[0] == 0
+    code, stdout, stderr = run(["verify", "--solution", str(t)], capsys)
+    assert code == 2 and stdout == ""
+    assert "--series" in json.loads(stderr)["message"]
+
+
+def test_verify_rejects_a_file_of_no_solution_kind(tmp_path, capsys):
+    # none of radius (gibbs1d), V (transport) and uprime (moment1d)
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({"even_coeffs": [0.5], "x": [0.0, 1.0]}))
+    code, stdout, stderr = run(["verify", "--solution", str(path)], capsys)
+    assert code == 2 and stdout == ""
+    assert "unrecognized solution file" in json.loads(stderr)["message"]
+
+
 def test_gibbs1d_one_cut_error(capsys):
     # leading dash requires the = form with argparse
     code, _, stderr = run(["gibbs1d", "--even-coeffs=-1.5,0.25"], capsys)

@@ -144,7 +144,7 @@ def test_near_critical_double_well_is_not_one_cut():
     for solve in (lambda: G.free_gibbs_measure(G.EvenPotential(coeffs)),
                   lambda: G._one_cut(coeffs),
                   lambda: G._moment_map(coeffs),
-                  lambda: G._moment_map(coeffs, jac=True)):
+                  lambda: G._moment_map(coeffs)[1]()):
         with pytest.raises(RegimeError, match=r"\[-1\.0001, 0\.25\].*negative"):
             solve()
 

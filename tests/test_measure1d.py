@@ -147,6 +147,14 @@ def test_pushforward_flat_runs_at_the_density_ends_keep_its_mass():
     assert np.max(np.abs(mu.density - 0.5)) < 1e-9
 
 
+def test_pushforward_node_where_the_slope_vanishes_keeps_the_mass():
+    # x^3 has slope 0 at the node x = 0, where its central difference reads
+    # h^2 > 0: that node gets density 0, as an exactly flat one does, not rho/h^2
+    x = np.linspace(-1.0, 1.0, 301)
+    mu = M.GridMeasure.from_density(x, 1.0 + x ** 2, normalize=True)
+    assert abs(M.moment(M.pushforward_monotone(mu, lambda t: t ** 3), 0) - 1.0) < 1e-3
+
+
 def test_pushforward_keeps_an_input_atom_outside_every_flat_run():
     # max(x, 0.25) is flat on [0, 0.25], where the density holds 0.125; the
     # atom at 2 lies past that run and keeps its own image
@@ -286,7 +294,7 @@ def test_max_correlation_identity_random_pairs():
     for _ in range(25):
         m1 = random_bump_measure(rng, n_cells=512)
         m2 = random_bump_measure(rng, n_cells=512)
-        t = M.max_correlation(m1, m2)  # raises if the identity fails at 1e-8
+        t = M.max_correlation(m1, m2)
         w2 = M.wasserstein2_sq(m1, m2)
         ident = 0.5 * (M._block_moment(m1, 2) + M._block_moment(m2, 2) - w2)
         assert abs(t - ident) < 1e-8 * max(1.0, abs(t))

@@ -155,6 +155,15 @@ def test_cutoff_guard():
         sd.solve_sd(W, 10)
 
 
+def test_sweep_budget_exhausted(monkeypatch):
+    # a law that converges in the full budget does not in 3 sweeps
+    W = NCSeries(1, 8, {(0,) * 4: 0.05})
+    sd.solve_sd(W, 8)
+    monkeypatch.setattr(sd, "MAX_SWEEPS", 3)
+    with pytest.raises(ConvergenceError, match="Schwinger-Dyson sweeps did not converge"):
+        sd.solve_sd(W, 8)
+
+
 def test_canonical_word():
     assert canonical_word((1, 0, 0)) == (0, 0, 1)
     assert canonical_word((0, 1, 1, 0)) == (0, 0, 1, 1)

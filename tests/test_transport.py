@@ -551,11 +551,11 @@ def test_newton_halves_a_step_past_where_the_residual_is_undefined():
     # from c = 10 the full step of log(c) = 0 lands at c = -13
     seen = []
 
-    def residual(c):
+    def evaluate(c):
         seen.append(c[0])
-        return None if c[0] <= 0.0 else np.log(c)
+        return None if c[0] <= 0.0 else (np.log(c), lambda: np.diag(1.0 / c))
 
-    c, r, steps = T._newton(residual, lambda c, r: np.diag(1.0 / c), np.array([10.0]), 1e-10, 50)
+    c, r, steps = T._newton(evaluate, np.array([10.0]), 1e-10, 50)
     assert min(seen) < 0.0
     assert np.max(np.abs(r)) <= 1e-10 and abs(c[0] - 1.0) < 1e-9 and steps < 50
 
@@ -564,22 +564,22 @@ def test_newton_builds_the_supplied_jacobian_once_while_steps_succeed():
     # c^3 = 8 from c = 3: the chord of the first Jacobian converges alone
     built = []
 
-    def jacobian(c, r):
-        built.append((c.copy(), r.copy()))
-        return np.diag(3.0 * c ** 2)
+    def evaluate(c):
+        r = c ** 3 - 8.0
+        return r, lambda: built.append((c.copy(), r.copy())) or np.diag(3.0 * c ** 2)
 
-    c, r, steps = T._newton(lambda c: c ** 3 - 8.0, jacobian, np.array([3.0]), 1e-12, 50)
+    c, r, steps = T._newton(evaluate, np.array([3.0]), 1e-12, 50)
     assert abs(c[0] - 2.0) < 1e-12 and np.abs(r).max() <= 1e-12 and steps > 2
-    # built once, at the start, from the residual already in hand
+    # built once, at the start, from the evaluation already in hand
     assert len(built) == 1 and built[0][0] == 3.0 and built[0][1] == 19.0
     # a fresh Jacobian pointing the wrong way fails its first step and stops
     # the solve where it started
     built.clear()
-    c, r, steps = T._newton(lambda c: c ** 3 - 8.0, lambda c, r: built.append(c) or -np.eye(1),
+    c, r, steps = T._newton(lambda c: (c ** 3 - 8.0, lambda: built.append(c) or -np.eye(1)),
                             np.array([3.0]), 1e-12, 50)
     assert steps == 0 and c[0] == 3.0 and r[0] == 19.0 and len(built) == 1
     # no Jacobian: no step
-    assert T._newton(lambda c: c - 1.0, lambda c, r: None, np.array([3.0]), 1e-12, 50)[2] == 0
+    assert T._newton(lambda c: (c - 1.0, lambda: None), np.array([3.0]), 1e-12, 50)[2] == 0
 
 
 def _c13_u():
@@ -604,7 +604,7 @@ def test_moment_map_is_the_moments_of_the_free_gibbs_law(coeffs):
     sol = G.free_gibbs_measure(potential)
     expected = [sol._theta_integral(lambda x: potential.deriv(x) ** (2 * k))
                 for k in range(1, len(u) + 1)]
-    assert np.allclose(G._moment_map(u), expected, rtol=1e-14, atol=0.0)
+    assert np.allclose(G._moment_map(u)[0], expected, rtol=1e-14, atol=0.0)
 
 
 def test_moment_map_solves_one_law_for_moments_and_jacobian(monkeypatch):
@@ -612,34 +612,52 @@ def test_moment_map_solves_one_law_for_moments_and_jacobian(monkeypatch):
     for name in ("_float_radius", "_one_cut"):
         monkeypatch.setattr(G, name, lambda *args, f=getattr(G, name), name=name:
                             calls.append(name) or f(*args))
-    G._moment_map(np.array([0.6, 0.1, -0.01, 0.002, 3e-4]), jac=True)
+    _, jacobian = G._moment_map(np.array([0.6, 0.1, -0.01, 0.002, 3e-4]))
+    assert calls == ["_float_radius", "_one_cut"]
+    # the Jacobian reuses the law of its evaluation
+    jacobian()
     assert calls == ["_float_radius", "_one_cut"]
 
 
 def test_c13_one_variable_solve_stops_its_early_stages_at_sqrt_tol(monkeypatch):
     # each stage D' < D stops at sqrt(tol), the last at 1e-3 tol: 12 steps and
-    # 22 evaluations of the moment map, where stopping every stage at 1e-3
-    # tol took 26 and 36
+    # 17 evaluations of the moment map, where stopping every stage at 1e-3
+    # tol took 26 steps
     calls = []
     moment_map = G._moment_map
-    monkeypatch.setattr(G, "_moment_map",
-                        lambda c, jac=False: calls.append(jac) or moment_map(c, jac))
+    monkeypatch.setattr(G, "_moment_map", lambda c: calls.append(c) or moment_map(c))
     sol = T.solve_V(T.TransportProblem(NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10))
     diag = sol.diagnostics
     assert diag["converged"] and diag["residual"] <= 1e-12
-    assert diag["iterations"] <= 14 and len(calls) <= 24
+    assert diag["iterations"] <= 14 and len(calls) <= 19
+
+
+@pytest.mark.parametrize("W, D, laws, steps", [
+    (NCSeries(1, 10, {(0, 0, 0, 0): 0.05}), 10, 18, 12),
+    (NCSeries(2, 8, {(0, 0, 0, 0): 0.02, (1, 1, 1, 1): 0.02}), 8, 15, 10),
+], ids=["c13", "c14"])
+def test_one_variable_solve_solves_one_law_per_evaluated_point(monkeypatch, W, D, laws, steps):
+    # one law for the target and one per evaluation of the moment map: a
+    # Jacobian reuses the law of its point (a second law per Jacobian read
+    # 23 and 19)
+    radii = []
+    float_radius = G._float_radius
+    monkeypatch.setattr(G, "_float_radius", lambda c: radii.append(c) or float_radius(c))
+    sol = T.solve_V(T.TransportProblem(W, D))
+    assert len(radii) == laws and sol.diagnostics["iterations"] == steps
 
 
 @MOMENT_MAP_CASES
 def test_moment_map_jacobian_matches_central_differences(coeffs):
     u = np.array(coeffs())
-    moments, jac = G._moment_map(u, jac=True)
-    assert np.array_equal(moments, G._moment_map(u))
+    moments, jacobian = G._moment_map(u)
+    jac = jacobian()
+    assert np.array_equal(moments, G._moment_map(u)[0])
     # a step of 1e-5 on the scale r^-2j at which c_2j y^2j is of order one
     # on the support
     r = G._float_radius(u)
     h = 1e-5 * (np.abs(u) + r ** -np.arange(2.0, 2 * len(u) + 1, 2))
-    diff = np.column_stack([(G._moment_map(u + e) - G._moment_map(u - e)) / (2 * hj)
+    diff = np.column_stack([(G._moment_map(u + e)[0] - G._moment_map(u - e)[0]) / (2 * hj)
                             for e, hj in zip(np.diag(h), h)])
     assert np.abs(jac - diff).max() <= 1e-6 * np.abs(diff).max()
 
@@ -764,9 +782,9 @@ def test_gauss_newton_residual_is_the_pushforward_on_the_fitted_classes(monkeypa
     newton_calls, tables = [], []
     newton, solve_sd = T._newton, sd.solve_sd
 
-    def spy(residual, jacobian, c, tol, max_steps):
-        out = newton(residual, jacobian, c, tol, max_steps)
-        newton_calls.append((residual, out[0]))
+    def spy(evaluate, c, tol, max_steps):
+        out = newton(evaluate, c, tol, max_steps)
+        newton_calls.append((evaluate, out[0]))
         return out
 
     monkeypatch.setattr(T, "_newton", spy)
@@ -774,7 +792,7 @@ def test_gauss_newton_residual_is_the_pushforward_on_the_fitted_classes(monkeypa
     problem = T.TransportProblem(W, D)
     T.solve_V(problem)
     # the Gauss-Newton is the last Newton of a mixed solve
-    residual, c = newton_calls[-1]
+    evaluate, c = newton_calls[-1]
     c = c * (1.0 + 1e-3)
 
     def recorded(*args, **kwargs):
@@ -782,7 +800,7 @@ def test_gauss_newton_residual_is_the_pushforward_on_the_fitted_classes(monkeypa
         return tables[-1]
 
     monkeypatch.setattr(sd, "solve_sd", recorded)
-    r = residual(c)
+    r, _ = evaluate(c)
     cap = problem.sd_cap
     classes, support, owner = T._symmetric_basis(W, D)
 
@@ -814,6 +832,23 @@ def test_mixed_solve_derives_each_support_once(monkeypatch):
     # the one Jacobian and of the 3 accepted steps
     assert len(supports) == 9 and len(set(supports)) == 2
     assert info.misses == len(set(supports)) and info.hits == len(supports) - info.misses
+
+
+def test_gauss_newton_without_a_v_law_at_its_start_raises(monkeypatch):
+    # the target law solves; every V-law fails, so the Gauss-Newton's first
+    # evaluation is None and the solve has no residual to start from
+    solve_sd, calls = sd.solve_sd, []
+
+    def target_only(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) > 1:
+            raise ConvergenceError("Schwinger-Dyson sweeps did not converge")
+        return solve_sd(*args, **kwargs)
+
+    monkeypatch.setattr(sd, "solve_sd", target_only)
+    with pytest.raises(ConvergenceError, match="moment-matching refinement has no usable start"):
+        T.solve_V(T.TransportProblem(mixed_w(4), 4))
+    assert len(calls) == 2
 
 
 def test_strong_quartic_at_degree_10_reaches_round_off():
