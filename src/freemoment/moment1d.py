@@ -22,6 +22,7 @@ pinned against translation, and an Armijo line search on the discrete F.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -55,7 +56,10 @@ class MomentProblem:
 
 class MomentSolution(JSONWriter):
     """Particle positions q minimizing the discrete F and the centred target quantiles
-    y; u' is the monotone rearrangement q -> y, read by linear interpolation."""
+    y; u' is the monotone rearrangement q -> y, read by linear interpolation.
+
+    The residuals are those of particle_residuals: the Hilbert residual is the
+    solver's last one, diagnostics["residual"], which is m max|grad F| at q."""
 
     def __init__(self, positions, target_quantiles, diagnostics):
         self.positions = q = np.asarray(positions, dtype=float)
@@ -63,7 +67,7 @@ class MomentSolution(JSONWriter):
         # cells of mass 1/m split at the midpoints of neighbouring particles
         self.rho_hat = GridMeasure.from_quantile_edges(np.concatenate(
             [[q[0] - 0.5 * (q[1] - q[0])], 0.5 * (q[:-1] + q[1:]), [q[-1] + 0.5 * (q[-1] - q[-2])]]))
-        self.residuals = particle_residuals(q, y)
+        self.residuals = _residual_report(float(diagnostics["residual"]), q, y)
         # solver history and timing, kept out of to_dict so output files stay byte-identical
         self.diagnostics = dict(diagnostics)
         self.iterations = int(self.diagnostics["iterations"])
@@ -99,15 +103,38 @@ def particle_objective(q, y, diffs=None):
     """Discrete F on separated, sorted particle positions q against target quantiles y.
 
     The pair energy is the U-statistic -2/(m(m-1)) sum_{i<j} log|q_i - q_j|;
-    the correlation is mean(q * y).  diffs, an m x m buffer, receives the
-    table q_i - q_j that particle_gradient reads.
+    the correlation is mean(q * y).  One logarithm serves the product of up
+    to GROUP entries of a column of the pair table, taken over a block of
+    rows.  Every entry enters scaled by 2^-e, with 2^e the power of two just
+    above q[-1] - q[0], so that it lies in (0, 1), and m(m-1) e log 2 is
+    added back.  A group is shorter than GROUP only when the smallest
+    scaled gap, raised to GROUP, falls below the normal range, and a group
+    of one entry is taken unscaled.  diffs, an
+    m x m buffer, is left holding the table q_i - q_j, diagonal 0, that
+    particle_gradient reads.
     """
     m = q.size
-    diffs = np.subtract.outer(q, q, out=diffs)
-    logs = np.abs(diffs)
-    np.fill_diagonal(logs, 1.0)
-    np.log(logs, out=logs)
-    energy = -1.0 / (m * (m - 1)) * float(np.sum(logs))
+    e = math.frexp(float(q[-1] - q[0]))[1]
+    low = math.ldexp(float(np.min(np.diff(q))), -e)
+    group = GROUP
+    while group > 1 and low ** group < TINY:
+        group -= 1
+    if group == 1:
+        e = 0  # a lone factor needs no scale
+    # a group of two or more keeps every scaled gap above 2^-511, so the
+    # scaled table is the table times 2^-e to the bit, and so is its undoing
+    scaled = np.ldexp(q, -e)
+    diffs = np.subtract.outer(scaled, scaled, out=diffs)
+    np.fill_diagonal(diffs, 1.0)
+    full = m - m % group
+    logs = 0.0
+    for block in (diffs[:full].reshape(full // group, group, m), diffs[None, full:]):
+        prods = np.multiply.reduce(block, axis=1)
+        np.abs(prods, out=prods)
+        logs += float(np.sum(np.log(prods, out=prods)))
+    np.fill_diagonal(diffs, 0.0)
+    diffs *= 2.0 ** e
+    energy = -logs / (m * (m - 1)) - e * math.log(2.0)
     corr = float(np.mean(q * y))
     return energy + corr
 
@@ -136,6 +163,10 @@ def particle_hessian(recips):
     return recips
 
 
+# entries of the pair table whose product particle_objective takes one
+# logarithm of, and the smallest normal float, which no product falls below
+GROUP = 16
+TINY = np.finfo(float).tiny
 # Newton steps of a solve, and halvings of a step before the line search
 # gives up
 MAX_ITERS = 20000
@@ -147,25 +178,38 @@ SUPPORT_BOUND = 1e100
 GRAD_TOL = 1e-6
 
 
+@functools.lru_cache(maxsize=None)
+def _start_quantiles(m):
+    """Read-only quantiles of the semicircle at the mass levels (k + 1/2)/m:
+    the start of minimize_F, built once per particle count."""
+    q = measure1d.quantile(measure1d.semicircle(), (np.arange(m) + 0.5) / m)
+    q.flags.writeable = False
+    return q
+
+
 def minimize_F(problem):
     """Damped Newton descent for the centered minimizer of the discrete F.
 
     Each step solves (H + 11^T/m) d = -grad by a Cholesky factorization of
     particle_hessian: the rank-one term pins the translation null direction,
-    so d stays centered with the gradient.  One m x m buffer holds, in turn,
-    a trial's table of q_i - q_j, its reciprocals once the trial is accepted,
-    the pinned Hessian and its Cholesky factor.  An Armijo line search
-    on particle_objective halves the step until F decreases enough, and
-    rejects any trial whose particles are not separated by more than the
-    floor eps_sep.  Close to the minimizer, where the decrease a full step
-    predicts is below the round-off of F, full steps are taken for as long
-    as they lower the stationarity residual
+    so d stays centered with the gradient.  The start is the semicircle's
+    quantiles, cached per m.  One m x m buffer holds, in turn, a trial's
+    table of q_i - q_j, its reciprocals once the trial is accepted, the
+    pinned Hessian and its Cholesky factor; it is the solve's only m x m
+    table, for particle_objective takes one logarithm per GROUP entries of
+    it.  An Armijo line search on particle_objective halves the step until
+    F decreases enough, and rejects any trial whose particles are not
+    separated by more than the floor eps_sep.  Close to the minimizer,
+    where the decrease a full step predicts is below the round-off of F,
+    full steps are taken for as long as they lower the stationarity residual
     max_i |2/(m-1) sum_{j != i} 1/(q_i - q_j) - y_i|, the discrete Hilbert
     identity (m times the largest gradient entry).
 
     The iteration stops when that residual is at most problem.tol, when no
     step decreases F, or after MAX_ITERS steps; the result is converged when
     the residual is at most problem.tol or GRAD_TOL, whichever is larger.
+    The last residual, at the returned positions, is the solution's
+    hilbert_residual, so no pair table is built after the last trial.
     The solution's ``diagnostics`` hold the core keys ``iterations``,
     ``residual``, ``converged`` and ``seconds``, and per step the
     ``objective`` and ``residuals`` (both starting at the initial iterate),
@@ -178,15 +222,14 @@ def minimize_F(problem):
     t_start = time.perf_counter()
     m = problem.n_particles
     # the target's quantiles and the semicircle start at the same m mass levels
-    s = (np.arange(m) + 0.5) / m
-    y = measure1d.quantile(problem.target, s)
+    y = measure1d.quantile(problem.target, (np.arange(m) + 0.5) / m)
     # centred by their own mean: the pair terms of the gradient sum to zero,
     # so no move of the particles can remove mean(y)
     y = y - np.mean(y)
     if float(np.max(y) - np.min(y)) <= 0.0:
         raise InvalidInputError("degenerate target")
 
-    q = measure1d.quantile(measure1d.semicircle(), s)
+    q = _start_quantiles(m).copy()  # a solve that takes no step returns it
     eps_sep = 1e-9 * max(q[-1] - q[0], 1.0)
 
     w = 2.0 / (m * (m - 1))
@@ -253,9 +296,12 @@ def particle_residuals(q, y):
     if not (np.isfinite(q).all() and (np.diff(q) > 0).all() and np.isfinite(y).all()):
         raise InvalidInputError("uprime needs finite, strictly increasing positions x "
                                 "and finite values")
-    hres = q.size * float(np.max(np.abs(particle_gradient(q, y))))
-    sd = abs(float(np.mean(q * y)) - 1.0)
-    return {"hilbert_residual": hres, "pushforward_w2": None, "sd_scalar_error": sd}
+    return _residual_report(q.size * float(np.max(np.abs(particle_gradient(q, y)))), q, y)
+
+
+def _residual_report(hres, q, y):
+    return {"hilbert_residual": hres, "pushforward_w2": None,
+            "sd_scalar_error": abs(float(np.mean(q * y)) - 1.0)}
 
 
 def verify_solution(sol, mu):

@@ -669,6 +669,14 @@ def test_import_builds_no_gibbs1d_table(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_builds_no_start_table(tmp_path):
+    # minimize_F's start quantiles are cached per particle count on first use
+    script = ("import freemoment\nfrom freemoment import moment1d\n"
+              "assert moment1d._start_quantiles.cache_info().currsize == 0")
+    proc = _run_fresh(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_transport_files_do_not_depend_on_blas_threads(tmp_path):
     # the one-variable and separable paths factor no Hessian
     _write_transport_inputs(tmp_path)

@@ -184,10 +184,53 @@ def test_shared_table_matches_fresh_tables():
     y = np.sort(rng.standard_normal(64))
     fval, grad, hess = _fresh_tables(q, y)
     table = np.empty((64, 64))
-    assert mo.particle_objective(q, y, table) == fval
+    # F sums its logarithms in groups, so it agrees with the plain sum to round-off
+    assert abs(mo.particle_objective(q, y, table) - fval) <= 1e-13 * max(1.0, abs(fval))
     assert np.array_equal(table, np.subtract.outer(q, q))
     assert np.array_equal(mo.particle_gradient(q, y, table), grad)
     assert mo.particle_hessian(table) is table and np.array_equal(table, hess)
+
+
+def _longdouble_objective(q, y):
+    ql = q.astype(np.longdouble)
+    d = np.abs(np.subtract.outer(ql, ql))
+    np.fill_diagonal(d, 1)
+    m = q.size
+    return float(-np.sum(np.log(d)) / (m * (m - 1)) + np.mean(ql * y))
+
+
+def _objective_cases():
+    rng = np.random.default_rng(44)
+    for m in (2, 3, 17, 100, 257, 512):
+        for spread in (1e-40, 1e-8, 1.0, 1e8, 1e40):
+            q = np.sort(rng.uniform(-0.5, 0.5, size=m)) + np.linspace(0.0, 1e-3, m)
+            q = spread * (q - q[0]) / (q[-1] - q[0]) - 0.3 * spread
+            yield pytest.param(q, id=f"m{m}-spread{spread:g}")
+        # one pair at twice minimize_F's separation floor
+        q = np.linspace(-2.0, 2.0, m)
+        q[m // 2] = q[m // 2 - 1] + 2e-9 * 4.0
+        yield pytest.param(q, id=f"m{m}-pair")
+    # a cluster of 40 gaps of 1e-22: products of 16 of them would leave the normal range
+    q = np.concatenate([np.linspace(-1.0, -0.1, 60), 1e-22 * np.arange(40), np.linspace(0.1, 1.0, 60)])
+    yield pytest.param(q, id="cluster")
+    # a position whose scaled value is subnormal
+    yield pytest.param(np.array([-1.0, 3e-310, 0.5, 1.0]), id="subnormal")
+    # a subnormal gap: groups of one entry, which are taken unscaled
+    yield pytest.param(np.array([-1.0, 0.0, 3e-310, 1.0]), id="subnormal-gap")
+
+
+@pytest.mark.parametrize("q", _objective_cases())
+def test_objective_matches_long_double_pair_sum(q):
+    # F takes one logarithm per product of up to 16 scaled pair entries; it
+    # must agree with the plain sum in extended precision and leave the table
+    # of q_i - q_j, diagonal 0, in the buffer
+    y = np.sort(np.random.default_rng(7).standard_normal(q.size))
+    table = np.full((q.size, q.size), np.nan)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        fval = mo.particle_objective(q, y, table)
+    ref = _longdouble_objective(q, y)
+    assert abs(fval - ref) <= 1e-13 * max(1.0, abs(ref))
+    assert np.array_equal(table, np.subtract.outer(q, q))
 
 
 def test_newton_trials_share_one_table(monkeypatch):
@@ -199,12 +242,12 @@ def test_newton_trials_share_one_table(monkeypatch):
 
     def checked_objective(q, y, diffs):
         fval = objective(q, y, diffs)
-        assert fval == _fresh_tables(q, y)[0]
+        fresh = _fresh_tables(q, y)[0]
+        assert abs(fval - fresh) <= 1e-13 * max(1.0, abs(fresh))
         return fval
 
-    def checked_gradient(q, y, diffs=None):
-        if diffs is None:  # the solution's residual report
-            return gradient(q, y)
+    def checked_gradient(q, y, diffs):
+        # no call without the table: the solution reuses the solver's residual
         assert np.array_equal(diffs, np.subtract.outer(q, q))
         accepted.append((q, y))
         grad = gradient(q, y, diffs)
@@ -226,9 +269,10 @@ def test_newton_trials_share_one_table(monkeypatch):
     assert sol.iterations + 1 <= len(accepted) <= sol.iterations + 2
 
 
-def test_minimize_F_holds_at_most_two_tables():
+def test_minimize_F_holds_one_table():
     # the trial's table, its reciprocals, the pinned Hessian and its factor
-    # share one m x m buffer; the objective's log table is the only other one
+    # share one m x m buffer; the objective's products of 16 entries take
+    # m x m/16, and the solution reuses the solver's residual
     import tracemalloc
 
     m = 512
@@ -240,7 +284,23 @@ def test_minimize_F_holds_at_most_two_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * m * m * 8 + 2 ** 19
+    assert peak <= m * m * 8 + 2 ** 19
+
+
+def test_solves_share_one_read_only_start():
+    mo._start_quantiles.cache_clear()
+    prob = mo.MomentProblem(mo.builtin_target("two_point:1"), n_particles=64)
+    first, second = mo.minimize_F(prob), mo.minimize_F(prob)
+    assert np.array_equal(first.positions, second.positions)
+    assert mo._start_quantiles.cache_info().currsize == 1
+    start = mo._start_quantiles(64)
+    assert not start.flags.writeable
+    with pytest.raises(ValueError):
+        start[0] = 0.0
+    # a solve that takes no step returns positions of its own
+    sol = mo.minimize_F(mo.MomentProblem(mo.builtin_target("two_point:1"), n_particles=64, tol=1e9))
+    assert sol.iterations == 0 and np.array_equal(sol.positions, start)
+    assert sol.positions.flags.writeable
 
 
 @pytest.mark.parametrize("target,m", [("semicircle", 256), ("quartic_pushforward", 384),
